@@ -7,11 +7,12 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .detector import run_pipeline
+from .detector import Detection, run_pipeline
 from .errors import ConfigurationError, EvrotorError
 from .events import DetectorConfig, SensorGeometry
 from .io import load_events, write_annotation, write_detections, write_events, write_pgm
@@ -80,9 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--height", type=int, default=None,
                         help="sensor height, required for CSV input")
     _add_config_flags(detect)
-    detect.add_argument("--iou", type=float, default=0.4,
-                        help="matching threshold recorded for eval parity; "
-                             "detection itself does not use it")
     detect.add_argument("--output", default=None,
                         help="detections JSON path, or a directory for several inputs "
                              "(default: alongside each input)")
@@ -150,29 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _detect_one(path_str: str, width: int | None, height: int | None,
-                config: DetectorConfig) -> dict:
-    """Worker for one input file; returns the JSON-ready record."""
-    path = Path(path_str)
-    sensor = None
-    if width is not None and height is not None:
-        sensor = SensorGeometry(width, height)
-    period = load_events(path, sensor)
-    result = run_pipeline(period, config)
-    boxes = [
-        {"x": d.bbox.x, "y": d.bbox.y, "w": d.bbox.w, "h": d.bbox.h,
-         "s_p": int(d.s_p), "s_s": d.s_s if isinstance(d.s_s, int) else float(d.s_s)}
-        for d in result.detections
-    ]
-    return {
-        "file": path.name,
-        "width": period.sensor.width,
-        "height": period.sensor.height,
-        "duration_us": period.duration,
-        "boxes": boxes,
-    }
-
-
 def _dump_features_csv(features, path) -> None:
     with open(path, "w", encoding="ascii") as handle:
         handle.write("candidate,slice,f_d,f_s,f_p\n")
@@ -183,10 +158,26 @@ def _dump_features_csv(features, path) -> None:
                 handle.write(f"{index},{j},{series.f_d[j]:.1f},{f_s},{f_p}\n")
 
 
+def _detect_one(
+    path: Path,
+    *,
+    sensor: SensorGeometry | None,
+    config: DetectorConfig,
+    dump_saliency: str | None,
+    dump_features: str | None,
+) -> tuple[list[Detection], SensorGeometry, int]:
+    """Detect rotors in one input file; returns what its JSON record needs."""
+    period = load_events(path, sensor)
+    result = run_pipeline(period, config)
+    if dump_saliency:
+        write_pgm(result.saliency.gray, dump_saliency)
+    if dump_features:
+        _dump_features_csv(result.candidate_features, dump_features)
+    return result.detections, period.sensor, period.duration
+
+
 def cmd_detect(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    if not 0.0 < args.iou <= 1.0:
-        raise ConfigurationError(f"iou must be in (0, 1], got {args.iou}")
     inputs = [Path(p) for p in args.input]
     if len(inputs) > 1 and (args.dump_saliency or args.dump_features):
         raise ConfigurationError("feature and saliency dumps need a single input")
@@ -194,60 +185,36 @@ def cmd_detect(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"jobs must be at least 1, got {args.jobs}")
 
     out_arg = None if args.output is None else Path(args.output)
-    if len(inputs) > 1:
-        out_dir = out_arg
-        if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        out_paths = [
-            (out_dir / (p.stem + ".json")) if out_dir is not None
-            else p.with_suffix(".json")
-            for p in inputs
-        ]
-    else:
-        if out_arg is not None and out_arg.is_dir():
-            out_paths = [out_arg / (inputs[0].stem + ".json")]
-        else:
-            out_paths = [out_arg if out_arg is not None else inputs[0].with_suffix(".json")]
-
+    if out_arg is not None and len(inputs) > 1:
+        out_arg.mkdir(parents=True, exist_ok=True)
+    out_paths = [
+        p.with_suffix(".json") if out_arg is None
+        else out_arg / (p.stem + ".json") if out_arg.is_dir()
+        else out_arg
+        for p in inputs
+    ]
+    sensor = None
+    if args.width is not None and args.height is not None:
+        sensor = SensorGeometry(args.width, args.height)
+    worker = partial(
+        _detect_one,
+        sensor=sensor,
+        config=config,
+        dump_saliency=args.dump_saliency,
+        dump_features=args.dump_features,
+    )
     if len(inputs) > 1 and args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(
-                pool.map(
-                    _detect_one,
-                    [str(p) for p in inputs],
-                    [args.width] * len(inputs),
-                    [args.height] * len(inputs),
-                    [config] * len(inputs),
-                )
-            )
-    elif len(inputs) > 1:
-        records = [_detect_one(str(p), args.width, args.height, config) for p in inputs]
+            results = list(pool.map(worker, inputs))
     else:
-        path = inputs[0]
-        sensor = None
-        if args.width is not None and args.height is not None:
-            sensor = SensorGeometry(args.width, args.height)
-        period = load_events(path, sensor)
-        result = run_pipeline(period, config)
-        if args.dump_saliency:
-            write_pgm(result.saliency.gray, args.dump_saliency)
-        if args.dump_features:
-            _dump_features_csv(result.candidate_features, args.dump_features)
+        results = map(worker, inputs)
+    # Records are written here, in input order, so inputs sharing a stem
+    # resolve the same way with or without worker processes.
+    for path, out_path, (detections, geometry, duration_us) in zip(inputs, out_paths, results):
         write_detections(
-            result.detections,
-            out_paths[0],
-            source=path.name,
-            sensor=period.sensor,
-            duration_us=period.duration,
+            detections, out_path, source=path.name, sensor=geometry, duration_us=duration_us
         )
-        print(f"{path.name}: {len(result.detections)} detection(s) -> {out_paths[0]}")
-        return _EXIT_OK
-
-    for record, out_path in zip(records, out_paths):
-        with open(out_path, "w", encoding="ascii") as handle:
-            json.dump(record, handle)
-            handle.write("\n")
-        print(f"{record['file']}: {len(record['boxes'])} detection(s) -> {out_path}")
+        print(f"{path.name}: {len(detections)} detection(s) -> {out_path}")
     return _EXIT_OK
 
 

@@ -1,10 +1,12 @@
 """Coarse-to-fine rotor detection over a saliency map.
 
 Thresholded saliency components are agglomerated into clusters whenever the
-minimum distance between their union bboxes stays within d_merge. The top K
-clusters by saliency mass are scored for periodicity; candidates that clear
-tau_p are refined by checking each member component against a Gaussian shape
-prior, which tightens the box to the consistent components.
+minimum distance between their union bboxes stays within d_merge. Merging
+runs in passes to a fixpoint; since union bboxes only grow, that fixpoint is
+the partition that closest-pair-first merging reaches too. The top K clusters
+by saliency mass are scored for periodicity; candidates that clear tau_p are
+refined by checking each member component against a Gaussian shape prior,
+which tightens the box to the consistent components.
 """
 
 from __future__ import annotations
@@ -70,69 +72,62 @@ class PipelineResult:
     candidate_features: list[FeatureSeries]
 
 
-def rect_min_distance(a: BBox, b: BBox) -> float:
-    """Shortest distance between two rectangles; 0 when they touch or overlap."""
-    dx = max(max(a.x, b.x) - min(a.right, b.right), 0)
-    dy = max(max(a.y, b.y) - min(a.bottom, b.bottom), 0)
-    return math.hypot(dx, dy)
-
-
 def _bbox_key(bbox: BBox) -> tuple[int, int, int, int]:
     return (bbox.y, bbox.x, bbox.h, bbox.w)
 
 
-def cluster_regions(regions: list[Region], d_merge: float) -> list[Cluster]:
-    """Greedy agglomeration of regions by union-bbox proximity.
+def _root(parent: list[int], i: int) -> int:
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
 
-    Repeatedly merges the two clusters whose union bboxes are closest, as
-    long as that distance does not exceed d_merge, recomputing union bboxes
-    after every merge. Equidistant pairs are broken toward the smaller
-    row-major bbox ordering.
+
+def cluster_regions(regions: list[Region], d_merge: float) -> list[Cluster]:
+    """Agglomerate regions into clusters by union-bbox proximity.
+
+    Two clusters merge when the shortest distance between their union bboxes
+    is at most d_merge. Each pass joins every pair of clusters within reach,
+    then recomputes the union bboxes; passes repeat until one merges nothing.
+    A union bbox only grows, so a pair within reach stays within reach after
+    any other merge. Every merge made here is therefore forced in any merge
+    order, and the result is the partition that closest-pair-first merging
+    reaches. Clusters and their members are sorted by (y, x, h, w); members
+    with equal boxes keep their input order.
     """
-    if d_merge < 0:
+    if not d_merge >= 0:  # also rejects NaN
         raise ConfigurationError(f"d_merge must be non-negative, got {d_merge}")
     ordered = sorted(regions, key=lambda r: _bbox_key(r.bbox))
-    if not ordered:
-        return []
-    members: list[list[Region] | None] = [[r] for r in ordered]
-    boxes: list[BBox | None] = [r.bbox for r in ordered]
-    n = len(ordered)
-    # Pairwise distance matrix, maintained incrementally as clusters merge.
-    dist = np.full((n, n), np.inf)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = rect_min_distance(boxes[i], boxes[j])
-    alive = n
-    while alive > 1:
-        flat = int(np.argmin(dist))
-        best = float(dist.flat[flat])
-        if best > d_merge:
+    # One (x0, y0, x1, y1) row per cluster, and the cluster row of each region.
+    boxes = np.array(
+        [(r.bbox.x, r.bbox.y, r.bbox.right, r.bbox.bottom) for r in ordered], np.int64
+    ).reshape(-1, 4)
+    owner = np.arange(len(ordered))
+    while len(boxes) > 1:
+        parent = list(range(len(boxes)))
+        for i in range(len(boxes) - 1):
+            lo = np.maximum(boxes[i, :2], boxes[i + 1 :, :2])
+            hi = np.minimum(boxes[i, 2:], boxes[i + 1 :, 2:])
+            gap = np.maximum(lo - hi, 0)
+            near = np.sqrt((gap * gap).sum(axis=1)) <= d_merge
+            for j in (np.flatnonzero(near) + i + 1).tolist():
+                parent[_root(parent, j)] = _root(parent, i)
+        roots = [_root(parent, i) for i in range(len(boxes))]
+        if len(set(roots)) == len(boxes):
             break
-        tied = np.argwhere(dist == best)
-        pick = None
-        for i, j in tied:
-            if i >= j:
-                continue
-            key = tuple(sorted((_bbox_key(boxes[i]), _bbox_key(boxes[j]))))
-            if pick is None or key < pick[0]:
-                pick = (key, int(i), int(j))
-        _, i, j = pick
-        if _bbox_key(boxes[j]) < _bbox_key(boxes[i]):
-            i, j = j, i
-        members[i].extend(members[j])
-        boxes[i] = boxes[i].union(boxes[j])
-        members[j] = None
-        boxes[j] = None
-        dist[j, :] = np.inf
-        dist[:, j] = np.inf
-        for k in range(n):
-            if k != i and boxes[k] is not None:
-                dist[i, k] = dist[k, i] = rect_min_distance(boxes[i], boxes[k])
-        alive -= 1
+        _, group = np.unique(roots, return_inverse=True)
+        lo = np.full((int(group.max()) + 1, 2), np.iinfo(np.int64).max)
+        hi = np.full_like(lo, np.iinfo(np.int64).min)
+        np.minimum.at(lo, group, boxes[:, :2])
+        np.maximum.at(hi, group, boxes[:, 2:])
+        boxes = np.hstack([lo, hi])
+        owner = group[owner]
+    members: list[list[Region]] = [[] for _ in boxes]
+    for region, index in zip(ordered, owner.tolist()):
+        members[index].append(region)
     clusters = [
-        Cluster(members=tuple(sorted(group, key=lambda r: _bbox_key(r.bbox))), bbox=box)
-        for group, box in zip(members, boxes)
-        if group is not None
+        Cluster(members=tuple(group), bbox=BBox(x0, y0, x1 - x0, y1 - y0))
+        for group, (x0, y0, x1, y1) in zip(members, boxes.tolist())
     ]
     clusters.sort(key=lambda c: _bbox_key(c.bbox))
     return clusters

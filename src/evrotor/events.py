@@ -236,7 +236,7 @@ class DetectorConfig:
             raise ConfigurationError(f"tau_p must be within 0..6, got {self.tau_p}")
         if self.k_top < 1:
             raise ConfigurationError(f"k_top must be at least 1, got {self.k_top}")
-        if self.d_merge < 0:
+        if not self.d_merge >= 0:  # also rejects NaN
             raise ConfigurationError(f"d_merge must be non-negative, got {self.d_merge}")
         if self.smooth_window < 1 or self.smooth_window % 2 == 0:
             raise ConfigurationError(

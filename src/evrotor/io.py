@@ -174,8 +174,11 @@ def _load_csv(
     ys: list[int] = []
     ps: list[int] = []
     header_seen = False
-    with open(path, "r", encoding="ascii") as handle:
+    # Undecodable bytes become surrogates, so the check below can name the line.
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
+            if not line.isascii():
+                raise EventFormatError("non-ASCII byte", path=path, line=line_no)
             text = line.strip()
             if not text:
                 continue
@@ -295,7 +298,7 @@ def load_annotations(path) -> AnnotationRecord:
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="ascii"))
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
         raise EventFormatError(f"invalid JSON: {err}", path=path) from None
     try:
         boxes = tuple(
@@ -313,7 +316,7 @@ def load_annotations(path) -> AnnotationRecord:
             duration_us=int(payload["duration_us"]),
             boxes=boxes,
         )
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise EventFormatError(f"missing or malformed field: {err}", path=path) from None
 
 

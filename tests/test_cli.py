@@ -86,15 +86,6 @@ class TestDetect:
         assert code == 1
         assert "0..255" in err
 
-    def test_bad_iou_is_reported(self, scene_dir, tmp_path, capsys):
-        code, _, err = run_cli(
-            ["detect", "--input", str(scene_dir / "clip.evd"),
-             "--iou", "0", "--output", str(tmp_path / "d.json")],
-            capsys,
-        )
-        assert code == 1
-        assert "iou" in err
-
     def test_missing_input_is_an_io_error(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["detect", "--input", str(tmp_path / "nope.evd"),
@@ -126,6 +117,24 @@ class TestDetect:
         assert code == 0
         assert (out_dir / "clip.json").exists()
         assert stdout.count("detection(s)") == 2
+
+    def test_single_and_batch_runs_write_identical_json(self, scene_dir, tmp_path, capsys):
+        clip = scene_dir / "clip.evd"
+        other = tmp_path / "other.evd"
+        other.write_bytes(clip.read_bytes())
+        single = tmp_path / "single.json"
+        code, _, _ = run_cli(["detect", "--input", str(clip), "--output", str(single)], capsys)
+        assert code == 0
+        assert json.loads(single.read_text())["boxes"]
+        for jobs in ("1", "2"):
+            out_dir = tmp_path / f"jobs{jobs}"
+            code, _, _ = run_cli(
+                ["detect", "--input", str(clip), str(other),
+                 "--output", str(out_dir), "--jobs", jobs],
+                capsys,
+            )
+            assert code == 0
+            assert (out_dir / "clip.json").read_bytes() == single.read_bytes()
 
     def test_dumps_require_a_single_input(self, scene_dir, tmp_path, capsys):
         code, _, err = run_cli(

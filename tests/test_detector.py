@@ -1,5 +1,7 @@
 """Clustering, coarse-to-fine selection, and whole-pipeline behavior."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,11 @@ from evrotor import (
     ValidationError,
     cluster_regions,
     coarse_select,
+    connected_components,
     detect_period,
     gaussian_fine_refine,
     generate_scene,
     iou,
-    rect_min_distance,
     run_pipeline,
     saliency_map,
     threshold_mask,
@@ -29,7 +31,7 @@ from evrotor import (
 )
 
 from conftest import VGA, make_period
-from oracles import greedy_union_clusters
+from oracles import greedy_union_clusters, rect_gap
 
 
 def rect_region(x, y, w, h):
@@ -37,19 +39,29 @@ def rect_region(x, y, w, h):
     return Region(bbox=BBox(x, y, w, h), pixels=np.array(pixels, np.int32))
 
 
+def cluster_count(rects, d_merge):
+    return len(cluster_regions([rect_region(*r) for r in rects], d_merge))
+
+
 class TestRectMinDistance:
+    """The box-to-box distance that decides a merge, seen through cluster_regions."""
+
     def test_overlapping_boxes(self):
-        assert rect_min_distance(BBox(0, 0, 10, 10), BBox(5, 5, 10, 10)) == 0.0
+        assert cluster_count([(0, 0, 10, 10), (5, 5, 10, 10)], 0.0) == 1
 
     def test_three_four_five(self):
-        assert rect_min_distance(BBox(0, 0, 10, 10), BBox(13, 14, 10, 10)) == 5.0
+        # gap (3, 4): exactly 5 px
+        assert cluster_count([(0, 0, 10, 10), (13, 14, 10, 10)], 5.0) == 1
+        assert cluster_count([(0, 0, 10, 10), (13, 14, 10, 10)], 4.999) == 2
 
     def test_shared_edge(self):
-        assert rect_min_distance(BBox(0, 0, 10, 10), BBox(10, 0, 10, 10)) == 0.0
+        assert cluster_count([(0, 0, 10, 10), (10, 0, 10, 10)], 0.0) == 1
 
     def test_symmetry(self):
-        a, b = BBox(1, 2, 3, 4), BBox(30, 40, 5, 6)
-        assert rect_min_distance(a, b) == rect_min_distance(b, a)
+        # gap (25, 34) is 42.2 px; the input order must not matter on either side
+        a, b = (1, 2, 3, 4), (29, 40, 5, 6)
+        for d_merge, expected in ((42.3, 1), (42.1, 2)):
+            assert cluster_count([a, b], d_merge) == cluster_count([b, a], d_merge) == expected
 
 
 class TestClustering:
@@ -92,8 +104,9 @@ class TestClustering:
         assert cluster_regions([], 50.0) == []
 
     def test_negative_reach_is_rejected(self):
-        with pytest.raises(ConfigurationError):
-            cluster_regions([rect_region(0, 0, 2, 2)], -1.0)
+        for d_merge in (-1.0, float("nan")):
+            with pytest.raises(ConfigurationError):
+                cluster_regions([rect_region(0, 0, 2, 2)], d_merge)
 
     def test_zero_reach_merges_only_touching_boxes(self):
         regions = [
@@ -106,6 +119,13 @@ class TestClustering:
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(42)
+        # Gaps exactly at the reach: a (30, 40) gap is 50 px, a (3, 4) gap 5 px.
+        cases = [
+            ([(0, 0, 10, 10), (40, 50, 10, 10)], 50.0),
+            ([(0, 0, 10, 10), (40, 50, 10, 10)], 49.999),
+            ([(0, 0, 10, 10), (13, 14, 10, 10)], 5.0),
+            ([(0, 0, 10, 10), (13, 14, 10, 10)], 4.999),
+        ]
         for _ in range(60):
             count = int(rng.integers(1, 11))
             rects = []
@@ -121,7 +141,8 @@ class TestClustering:
                 if key not in seen:
                     seen.add(key)
                     rects.append(rect)
-            d_merge = float(rng.choice([0.0, 10.0, 30.0, 60.0]))
+            cases.append((rects, float(rng.choice([0.0, 10.0, 30.0, 60.0]))))
+        for rects, d_merge in cases:
             got = cluster_regions([rect_region(*r) for r in rects], d_merge)
             got_sig = sorted(
                 (
@@ -154,7 +175,25 @@ class TestClustering:
             assert box == c.bbox
         for i in range(len(clusters)):
             for j in range(i + 1, len(clusters)):
-                assert rect_min_distance(clusters[i].bbox, clusters[j].bbox) > 25.0
+                gap = rect_gap(clusters[i].bbox.as_tuple(), clusters[j].bbox.as_tuple())
+                assert gap > 25.0
+
+    def test_noise_scene_clusters_quickly(self):
+        # Uniform noise labels into about 2,200 small regions that chain into
+        # one cluster; the cost must stay far from quadratic in merges.
+        scene = SynthScene(
+            sensor=VGA,
+            duration=20_000,
+            background=BackgroundSpec(noise_rate=12_000.0),
+            seed=0,
+        )
+        period, _ = generate_scene(scene)
+        regions = connected_components(threshold_mask(saliency_map(period, 20), 10))
+        assert len(regions) > 2000
+        started = time.perf_counter()
+        clusters = cluster_regions(regions, 50.0)
+        assert time.perf_counter() - started < 2.0
+        assert sum(len(c.members) for c in clusters) == len(regions)
 
 
 # A hand-built scene with one periodic blob and one constant blob. The
@@ -240,8 +279,6 @@ class TestCoarseStage:
         period = blob_period()
         n, _ = BLOB_CONFIG.slicing_for(period)
         smap = saliency_map(period, n)
-        from evrotor import connected_components
-
         regions = connected_components(threshold_mask(smap, BLOB_CONFIG.tau_s))
         clusters = cluster_regions(regions, BLOB_CONFIG.d_merge)
         candidates = coarse_select(clusters, period, smap, BLOB_CONFIG)
@@ -399,7 +436,7 @@ class TestEndToEnd:
         period, annotation = generate_scene(default_scene(props=props))
         assert len(annotation.boxes) == 2
         # the ground-truth boxes sit 30 px apart, inside the 50 px merge reach
-        gap = rect_min_distance(annotation.boxes[0].bbox, annotation.boxes[1].bbox)
+        gap = rect_gap(annotation.boxes[0].bbox.as_tuple(), annotation.boxes[1].bbox.as_tuple())
         assert gap == 30.0
         result = run_pipeline(period)
         assert len(result.candidates) == 1

@@ -186,6 +186,7 @@ class TestDetectorConfig:
             {"smooth_window": 2},
             {"smooth_window": 0},
             {"region_margin": -1},
+            {"d_merge": float("nan")},
         ],
     )
     def test_rejects_out_of_range_values(self, kwargs):

@@ -83,6 +83,13 @@ def test_csv_non_integer_field_reports_line(tmp_path):
         load_events(path, SMALL)
 
 
+def test_csv_non_ascii_byte_reports_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"10,1,1,1\n20,\xff2,2,0\n")
+    with pytest.raises(EventFormatError, match=r"bad\.csv:2: non-ASCII"):
+        load_events(path, SMALL)
+
+
 def test_csv_unknown_header_is_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,col,row,sign\n10,1,1,1\n")
@@ -253,13 +260,22 @@ class TestAnnotations:
 
     def test_invalid_json_is_a_format_error(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(EventFormatError, match="JSON"):
-            load_annotations(path)
+        for payload in (b"{not json", b'{"file": "\xff"}'):
+            path.write_bytes(payload)
+            with pytest.raises(EventFormatError, match="JSON"):
+                load_annotations(path)
 
     def test_missing_field_is_a_format_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"file": "a", "boxes": []}))
+        with pytest.raises(EventFormatError, match="field"):
+            load_annotations(path)
+
+    def test_non_integer_box_field_is_a_format_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        record = {"file": "a", "width": 64, "height": 48, "duration_us": 20000,
+                  "boxes": [{"x": "abc", "y": 0, "w": 4, "h": 4}]}
+        path.write_text(json.dumps(record))
         with pytest.raises(EventFormatError, match="field"):
             load_annotations(path)
 
