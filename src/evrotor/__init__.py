@@ -11,7 +11,6 @@ from .detector import (
     Detection,
     PipelineResult,
     cluster_regions,
-    coarse_select,
     detect_period,
     gaussian_fine_refine,
     run_pipeline,
@@ -23,31 +22,14 @@ from .errors import (
     EvrotorError,
     ValidationError,
 )
-from .events import (
-    NEGATIVE,
-    POSITIVE,
-    BBox,
-    DetectorConfig,
-    Event,
-    EventPeriod,
-    SensorGeometry,
-)
+from .events import BBox, DetectorConfig, EventPeriod, SensorGeometry
 from .features import (
     FeatureSeries,
-    PointSet,
-    PrincipalDirection,
     RegionScores,
     compute_features,
-    density_series,
-    dilated_window,
-    direction_similarity,
     extract_local_slices,
-    moving_average,
-    peaks_valleys,
     periodicity_score,
-    principal_direction,
     saliency_score,
-    structural_similarity,
 )
 from .io import (
     AnnotationRecord,
@@ -57,28 +39,13 @@ from .io import (
     write_annotation,
     write_detections,
     write_events,
-    write_pgm,
 )
-from .metrics import (
-    MetricsReport,
-    average_precision,
-    evaluate_dataset,
-    evaluate_records,
-    iou,
-    match_detections,
-    precision_recall_f1,
-)
+from .metrics import MetricsReport, evaluate_dataset, match_detections
 from .saliency import (
-    PolaritySlicePair,
     Region,
     SaliencyMap,
-    accumulate_saliency,
     connected_components,
-    partition_polarity_slices,
-    polarity_intersection,
-    render_gray,
     saliency_map,
-    slice_indices,
     threshold_mask,
 )
 from .synth import (
@@ -103,18 +70,12 @@ __all__ = [
     "DegenerateInputError",
     "Detection",
     "DetectorConfig",
-    "Event",
     "EventFormatError",
     "EventPeriod",
     "EvrotorError",
     "FeatureSeries",
     "MetricsReport",
-    "NEGATIVE",
-    "POSITIVE",
     "PipelineResult",
-    "PointSet",
-    "PolaritySlicePair",
-    "PrincipalDirection",
     "PropellerSpec",
     "Region",
     "RegionScores",
@@ -122,44 +83,26 @@ __all__ = [
     "SensorGeometry",
     "SynthScene",
     "ValidationError",
-    "accumulate_saliency",
-    "average_precision",
     "benchmark_period",
     "cluster_regions",
-    "coarse_select",
     "compute_features",
     "connected_components",
-    "density_series",
     "detect_period",
-    "dilated_window",
-    "direction_similarity",
     "evaluate_dataset",
-    "evaluate_records",
     "extract_local_slices",
     "gaussian_fine_refine",
     "generate_background_events",
     "generate_propeller_events",
     "generate_scene",
-    "iou",
     "load_annotations",
     "load_events",
     "match_detections",
-    "moving_average",
-    "partition_polarity_slices",
-    "peaks_valleys",
     "periodicity_score",
-    "polarity_intersection",
-    "precision_recall_f1",
-    "principal_direction",
-    "render_gray",
     "run_pipeline",
     "saliency_map",
     "saliency_score",
-    "slice_indices",
-    "structural_similarity",
     "threshold_mask",
     "write_annotation",
     "write_detections",
     "write_events",
-    "write_pgm",
 ]

@@ -139,7 +139,11 @@ def _score_clusters(
     smap: SaliencyMap,
     config: DetectorConfig,
 ) -> tuple[list[Cluster], list[FeatureSeries]]:
-    """Rank clusters by saliency mass, score the top K, filter by tau_p."""
+    """Rank clusters by saliency mass, score the top K, filter by tau_p.
+
+    Returns the candidates, ranked by descending (s_p, s_s), and their
+    feature series in the same order.
+    """
     _, m = config.slicing_for(period)
     for cluster in clusters:
         mass = sum(saliency_score(region, smap) for region in cluster.members)
@@ -149,30 +153,18 @@ def _score_clusters(
         key=lambda c: (-c.scores.s_s, -c.area, _bbox_key(c.bbox)),
     )
     top = ranked[: config.k_top]
-    features: dict[int, FeatureSeries] = {}
+    features: list[FeatureSeries] = []
     for cluster in top:
         local = extract_local_slices(period, cluster.bbox, m, config.region_margin)
         series = compute_features(local)
         s_p = periodicity_score(series, config.smooth_window)
         cluster.scores = RegionScores(s_s=cluster.scores.s_s, s_p=s_p)
-        features[id(cluster)] = series
-    passed = [c for c in top if c.scores.s_p >= config.tau_p]
-    passed.sort(key=lambda c: (-c.scores.s_p, -c.scores.s_s, _bbox_key(c.bbox)))
-    return passed, [features[id(c)] for c in passed]
-
-
-def coarse_select(
-    clusters: list[Cluster],
-    period: EventPeriod,
-    smap: SaliencyMap,
-    config: DetectorConfig,
-) -> list[Cluster]:
-    """Candidates among the top-K salient clusters whose s_p clears tau_p.
-
-    Returned clusters carry full RegionScores and are ranked by descending
-    (s_p, s_s).
-    """
-    return _score_clusters(clusters, period, smap, config)[0]
+        features.append(series)
+    passed = sorted(
+        (i for i, c in enumerate(top) if c.scores.s_p >= config.tau_p),
+        key=lambda i: (-top[i].scores.s_p, -top[i].scores.s_s, _bbox_key(top[i].bbox)),
+    )
+    return [top[i] for i in passed], [features[i] for i in passed]
 
 
 def gaussian_fine_refine(candidate: Cluster, smap: SaliencyMap) -> Detection:

@@ -1,21 +1,16 @@
-"""Core domain types: events, bounded event periods, boxes, detector config.
+"""Core domain types: bounded event periods, boxes, detector config.
 
 Event periods keep their events in columnar numpy arrays. All detector math
-runs on whole columns, so per-event objects exist only as a convenience view
-for callers that want one.
+runs on whole columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-
-POSITIVE = 1
-NEGATIVE = 0
 
 
 @dataclass(frozen=True)
@@ -35,22 +30,6 @@ class SensorGeometry:
     def shape(self) -> tuple[int, int]:
         """Array shape (height, width) for grids over this sensor."""
         return (self.height, self.width)
-
-
-@dataclass(frozen=True)
-class Event:
-    """One camera event: timestamp in microseconds, pixel, polarity (1 or 0)."""
-
-    t: int
-    x: int
-    y: int
-    p: int
-
-    def __post_init__(self) -> None:
-        if self.t < 0:
-            raise ValidationError(f"event timestamp must be non-negative, got {self.t}")
-        if self.p not in (NEGATIVE, POSITIVE):
-            raise ValidationError(f"polarity must be 0 or 1, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -170,21 +149,6 @@ class EventPeriod:
         self.sensor = sensor
         self.resorted = resorted
 
-    @classmethod
-    def from_events(
-        cls,
-        events: Sequence[Event],
-        *,
-        t_start: int,
-        duration: int,
-        sensor: SensorGeometry,
-    ) -> "EventPeriod":
-        t = np.fromiter((e.t for e in events), dtype=np.int64, count=len(events))
-        x = np.fromiter((e.x for e in events), dtype=np.int32, count=len(events))
-        y = np.fromiter((e.y for e in events), dtype=np.int32, count=len(events))
-        p = np.fromiter((e.p for e in events), dtype=np.uint8, count=len(events))
-        return cls(t, x, y, p, t_start=t_start, duration=duration, sensor=sensor)
-
     @property
     def t_end(self) -> int:
         """First microsecond past the period."""
@@ -192,13 +156,6 @@ class EventPeriod:
 
     def __len__(self) -> int:
         return self.t.size
-
-    def __getitem__(self, i: int) -> Event:
-        return Event(int(self.t[i]), int(self.x[i]), int(self.y[i]), int(self.p[i]))
-
-    def __iter__(self) -> Iterator[Event]:
-        for i in range(self.t.size):
-            yield self[i]
 
     def __repr__(self) -> str:
         return (

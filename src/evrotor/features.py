@@ -21,36 +21,6 @@ from .events import BBox, EventPeriod, SensorGeometry
 from .saliency import Region, SaliencyMap, slice_indices
 
 
-@dataclass(frozen=True, eq=False)
-class PointSet:
-    """Weightless 2-D point cloud, one row per point, columns (x, y)."""
-
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        points = np.ascontiguousarray(self.points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] < 1:
-            raise ValidationError("point set must be a non-empty (w, 2) array")
-        points.setflags(write=False)
-        object.__setattr__(self, "points", points)
-
-    @property
-    def size(self) -> int:
-        return int(self.points.shape[0])
-
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.points.mean(axis=0)
-
-    @classmethod
-    def from_grid(cls, grid: np.ndarray, origin: tuple[int, int] = (0, 0)) -> "PointSet":
-        """Nonzero cells of a count grid as points; raises if all cells are zero."""
-        ys, xs = np.nonzero(np.asarray(grid))
-        if xs.size == 0:
-            raise DegenerateInputError("grid has no nonzero cells")
-        return cls(np.column_stack([xs + origin[0], ys + origin[1]]).astype(np.float64))
-
-
 class PrincipalDirection(NamedTuple):
     """Unit eigenvector of the largest covariance eigenvalue, plus isotropy flag."""
 
@@ -181,17 +151,20 @@ def structural_similarity(slice_a: np.ndarray, slice_b: np.ndarray) -> float:
     return float(np.clip(np.dot(za, zb) / a.size, -1.0, 1.0))
 
 
-def principal_direction(points: PointSet) -> PrincipalDirection:
-    """Dominant axis of a point cloud via its 2x2 coordinate covariance.
+def principal_direction(points: np.ndarray) -> PrincipalDirection:
+    """Dominant axis of a (k, 2) point cloud via its 2x2 coordinate covariance.
 
     The returned vector is unit length with its first nonzero coordinate
     positive. Isotropic clouds (equal eigenvalues) report (1, 0) with the
     isotropy flag set. Clouds of fewer than two distinct points have no
     direction and raise DegenerateInputError.
     """
-    if points.size < 2:
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValidationError("points must form a (k, 2) array")
+    if points.shape[0] < 2:
         raise DegenerateInputError("need at least two points for a direction")
-    d = points.points - points.centroid
+    d = points - points.mean(axis=0)
     if not d.any():
         raise DegenerateInputError("all points are identical")
     cov_xx = float(np.mean(d[:, 0] * d[:, 0]))
@@ -238,8 +211,9 @@ def compute_features(local_slices: np.ndarray) -> FeatureSeries:
     f_s = np.array([structural_similarity(slices[j], slices[j + 1]) for j in range(m - 1)])
     directions: list[np.ndarray | None] = []
     for j in range(m):
+        ys, xs = np.nonzero(slices[j])
         try:
-            directions.append(principal_direction(PointSet.from_grid(slices[j])).vector)
+            directions.append(principal_direction(np.column_stack([xs, ys])).vector)
         except DegenerateInputError:
             directions.append(None)
     f_p = np.array(

@@ -24,11 +24,15 @@ from .errors import EventFormatError, ValidationError
 from .events import BBox, EventPeriod, SensorGeometry
 
 BINARY_MAGIC = b"EVD1"
+_BINARY_SUFFIXES = (".evd", ".bin")
 _HEADER = struct.Struct("<4sHHQQ")
 _RECORD_DTYPE = np.dtype(
     [("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1"), ("pad", "V3")]
 )
 _CSV_HEADER = "t_us,x,y,p"
+# Inclusive value ranges of the t (int64) and x, y (int32) columns; p is uint8.
+_T_MIN, _T_MAX = -(2**63), 2**63 - 1
+_XY_MIN, _XY_MAX = -(2**31), 2**31 - 1
 
 assert _RECORD_DTYPE.itemsize == 16
 
@@ -53,18 +57,10 @@ class AnnotationRecord:
     boxes: tuple[BoxRecord, ...]
 
 
-def _format_of(path: Path, fmt: str | None) -> str:
-    if fmt is not None:
-        if fmt not in ("csv", "binary"):
-            raise ValidationError(f"unknown event format {fmt!r}")
-        return fmt
-    return "binary" if path.suffix.lower() in (".evd", ".bin") else "csv"
-
-
-def write_events(period: EventPeriod, path, fmt: str | None = None) -> None:
-    """Write a period to disk; format comes from ``fmt`` or the extension."""
+def write_events(period: EventPeriod, path) -> None:
+    """Write a period to disk: binary for ``.evd``/``.bin``, CSV otherwise."""
     path = Path(path)
-    if _format_of(path, fmt) == "binary":
+    if path.suffix.lower() in _BINARY_SUFFIXES:
         _write_binary(period, path)
     else:
         _write_csv(period, path)
@@ -78,7 +74,7 @@ def _write_csv(period: EventPeriod, path: Path) -> None:
         columns = np.column_stack(
             [period.t, period.x.astype(np.int64), period.y.astype(np.int64), period.p.astype(np.int64)]
         )
-        np.savetxt(handle, columns, fmt="%d", delimiter=",")
+        np.savetxt(handle, columns, "%d", ",")
 
 
 def _write_binary(period: EventPeriod, path: Path) -> None:
@@ -102,28 +98,22 @@ def _write_binary(period: EventPeriod, path: Path) -> None:
         handle.write(records.tobytes())
 
 
-def load_events(
-    path,
-    sensor: SensorGeometry | None = None,
-    *,
-    t_start: int | None = None,
-    duration: int | None = None,
-) -> EventPeriod:
+def load_events(path, sensor: SensorGeometry | None = None) -> EventPeriod:
     """Load a period from a CSV or binary event file.
 
     Binary files carry their own geometry and period bounds; a ``sensor``
     argument must then agree with the header. CSV files need ``sensor``, and
-    take period bounds from the arguments, the metadata comments, or, as a
-    last resort, the timestamp range.
+    take period bounds from the metadata comments or, failing those, from
+    the timestamp range.
     """
     path = Path(path)
     with open(path, "rb") as handle:
         magic = handle.read(4)
     if magic == BINARY_MAGIC:
         return _load_binary(path, sensor)
-    if path.suffix.lower() in (".evd", ".bin"):
+    if path.suffix.lower() in _BINARY_SUFFIXES:
         raise EventFormatError(f"bad magic {magic!r}, expected {BINARY_MAGIC!r}", path=path)
-    return _load_csv(path, sensor, t_start=t_start, duration=duration)
+    return _load_csv(path, sensor)
 
 
 def _load_binary(path: Path, sensor: SensorGeometry | None) -> EventPeriod:
@@ -159,13 +149,7 @@ def _load_binary(path: Path, sensor: SensorGeometry | None) -> EventPeriod:
     )
 
 
-def _load_csv(
-    path: Path,
-    sensor: SensorGeometry | None,
-    *,
-    t_start: int | None,
-    duration: int | None,
-) -> EventPeriod:
+def _load_csv(path: Path, sensor: SensorGeometry | None) -> EventPeriod:
     if sensor is None:
         raise ValidationError("CSV event streams need explicit sensor geometry")
     meta: dict[str, int] = {}
@@ -204,26 +188,34 @@ def _load_csv(
                     f"expected 4 fields, got {len(fields)}", path=path, line=line_no
                 )
             try:
-                row = [int(f) for f in fields]
+                t, x, y, p = [int(f) for f in fields]
             except ValueError:
                 raise EventFormatError(
                     f"non-integer field in {text!r}", path=path, line=line_no
                 ) from None
-            ts.append(row[0])
-            xs.append(row[1])
-            ys.append(row[2])
-            ps.append(row[3])
-    if t_start is None:
-        t_start = meta.get("t_start_us")
-    if duration is None:
-        duration = meta.get("duration_us")
+            if not (
+                _T_MIN <= t <= _T_MAX
+                and _XY_MIN <= x <= _XY_MAX
+                and _XY_MIN <= y <= _XY_MAX
+                and 0 <= p <= 255
+            ):
+                raise EventFormatError(
+                    f"field out of range in {text!r} (t int64, x and y int32, p uint8)",
+                    path=path,
+                    line=line_no,
+                )
+            ts.append(t)
+            xs.append(x)
+            ys.append(y)
+            ps.append(p)
+    t_start = meta.get("t_start_us")
+    duration = meta.get("duration_us")
     if t_start is None:
         t_start = min(ts) if ts else 0
     if duration is None:
         if not ts:
             raise ValidationError(
-                f"{path}: cannot infer the duration of an empty stream; "
-                "declare duration_us or pass duration"
+                f"{path}: cannot infer the duration of an empty stream; declare duration_us"
             )
         duration = max(ts) - t_start + 1
     return EventPeriod(
@@ -293,19 +285,26 @@ def write_detections(
     write_annotation(record, path)
 
 
+def _saliency_mass(value):
+    """The ``s_s`` field of a box: a JSON number, or None when absent."""
+    if value is None or (isinstance(value, (int, float)) and not isinstance(value, bool)):
+        return value
+    raise ValueError(f"s_s must be a number, got {value!r}")
+
+
 def load_annotations(path) -> AnnotationRecord:
     """Load a detection or ground-truth JSON record."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="ascii"))
-    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
+    except (ValueError, RecursionError) as err:  # also UnicodeDecodeError, deep nesting
         raise EventFormatError(f"invalid JSON: {err}", path=path) from None
     try:
         boxes = tuple(
             BoxRecord(
                 bbox=BBox(int(b["x"]), int(b["y"]), int(b["w"]), int(b["h"])),
                 s_p=None if b.get("s_p") is None else int(b["s_p"]),
-                s_s=None if b.get("s_s") is None else b["s_s"],
+                s_s=_saliency_mass(b.get("s_s")),
             )
             for b in payload["boxes"]
         )
@@ -316,7 +315,7 @@ def load_annotations(path) -> AnnotationRecord:
             duration_us=int(payload["duration_us"]),
             boxes=boxes,
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise EventFormatError(f"missing or malformed field: {err}", path=path) from None
 
 

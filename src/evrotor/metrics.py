@@ -9,7 +9,7 @@ with a single class mAP equals AP.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -109,15 +109,6 @@ def average_precision(outcomes: Sequence[bool], total_gt: int) -> float:
 
 
 @dataclass(frozen=True)
-class PeriodOutcome:
-    """Counts for one evaluated period."""
-
-    tp: int
-    fp: int
-    fn: int
-
-
-@dataclass(frozen=True)
 class MetricsReport:
     """Aggregate detection quality over a dataset."""
 
@@ -130,26 +121,9 @@ class MetricsReport:
     map: float
     iou_thr: float
     periods: int
-    per_period: dict[str, PeriodOutcome] | None = None
 
     def to_dict(self) -> dict:
-        payload = {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "map": self.map,
-            "iou_thr": self.iou_thr,
-            "periods": self.periods,
-        }
-        if self.per_period is not None:
-            payload["per_period"] = {
-                name: {"tp": o.tp, "fp": o.fp, "fn": o.fn}
-                for name, o in self.per_period.items()
-            }
-        return payload
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -176,15 +150,12 @@ def _rank_key(box) -> tuple[float, float]:
 def evaluate_records(
     pairs: Sequence[tuple[str, AnnotationRecord, AnnotationRecord]],
     iou_thr: float = 0.4,
-    *,
-    keep_per_period: bool = False,
 ) -> MetricsReport:
     """Evaluate (name, predictions, ground truth) record pairs."""
     total_tp = total_fp = total_fn = 0
     total_gt = 0
     pooled: list[tuple[float, float, int, int, bool]] = []
-    per_period: dict[str, PeriodOutcome] = {}
-    for file_order, (name, pred, gt) in enumerate(pairs):
+    for file_order, (_, pred, gt) in enumerate(pairs):
         ranked = sorted(pred.boxes, key=_rank_key)
         gt_bboxes = [box.bbox for box in gt.boxes]
         result = match_detections([box.bbox for box in ranked], gt_bboxes, iou_thr)
@@ -195,8 +166,6 @@ def evaluate_records(
         for match, box in zip(result.matches, ranked):
             key = _rank_key(box)
             pooled.append((key[0], key[1], file_order, match.det_index, match.gt_index is not None))
-        if keep_per_period:
-            per_period[name] = PeriodOutcome(result.tp, result.fp, result.fn)
     pooled.sort()
     ap = average_precision([entry[4] for entry in pooled], total_gt)
     precision, recall, f1 = precision_recall_f1(total_tp, total_fp, total_fn)
@@ -210,7 +179,6 @@ def evaluate_records(
         map=ap,
         iou_thr=iou_thr,
         periods=len(pairs),
-        per_period=per_period if keep_per_period else None,
     )
 
 
@@ -218,8 +186,6 @@ def evaluate_dataset(
     pred_dir,
     gt_dir,
     iou_thr: float = 0.4,
-    *,
-    keep_per_period: bool = False,
 ) -> MetricsReport:
     """Evaluate directories of prediction and ground-truth JSON records.
 
@@ -242,4 +208,4 @@ def evaluate_dataset(
         (name, load_annotations(pred_files[name]), load_annotations(gt_files[name]))
         for name in sorted(pred_files)
     ]
-    return evaluate_records(pairs, iou_thr, keep_per_period=keep_per_period)
+    return evaluate_records(pairs, iou_thr)

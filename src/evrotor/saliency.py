@@ -11,7 +11,6 @@ suppressing camera-motion clutter and background noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from scipy import ndimage
@@ -20,21 +19,6 @@ from .errors import ConfigurationError, ValidationError
 from .events import BBox, EventPeriod
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
-
-
-@dataclass(frozen=True, eq=False)
-class PolaritySlicePair:
-    """Binary occupancy grids of one time slice, one grid per polarity."""
-
-    pos: np.ndarray
-    neg: np.ndarray
-    slice_index: int
-
-    def __post_init__(self) -> None:
-        if self.pos.shape != self.neg.shape or self.pos.ndim != 2:
-            raise ValidationError("polarity grids must be two-dimensional and congruent")
-        if self.slice_index < 1:
-            raise ValidationError(f"slice index is 1-based, got {self.slice_index}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,30 +81,6 @@ def slice_indices(period: EventPeriod, n: int) -> np.ndarray:
     return ((period.t - period.t_start) * n) // period.duration
 
 
-def _occupancy_volumes(period: EventPeriod, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n, H, W) boolean occupancy volumes, one per polarity."""
-    s = slice_indices(period, n)
-    height, width = period.sensor.shape
-    cell = (s * height + period.y) * width + period.x
-    pos = np.zeros(n * height * width, dtype=bool)
-    neg = np.zeros(n * height * width, dtype=bool)
-    positive = period.p == 1
-    pos[cell[positive]] = True
-    neg[cell[~positive]] = True
-    return pos.reshape(n, height, width), neg.reshape(n, height, width)
-
-
-def partition_polarity_slices(period: EventPeriod, n: int) -> list[PolaritySlicePair]:
-    """Split the period into n equal slices of per-polarity pixel occupancy."""
-    pos, neg = _occupancy_volumes(period, n)
-    return [PolaritySlicePair(pos[i], neg[i], i + 1) for i in range(n)]
-
-
-def polarity_intersection(pair: PolaritySlicePair) -> np.ndarray:
-    """Pixels occupied by both polarities within the slice."""
-    return pair.pos & pair.neg
-
-
 def render_gray(counts: np.ndarray, n_slices: int) -> np.ndarray:
     """Scale intersection counts to 8-bit gray: round(255 * count / n), capped."""
     if n_slices < 1:
@@ -129,28 +89,18 @@ def render_gray(counts: np.ndarray, n_slices: int) -> np.ndarray:
     return np.clip(gray, 0, 255).astype(np.uint8)
 
 
-def accumulate_saliency(intersections: Iterable[np.ndarray]) -> SaliencyMap:
-    """Sum per-slice intersection grids into a saliency map."""
-    grids = list(intersections)
-    if not grids:
-        raise ConfigurationError("cannot accumulate an empty sequence of slices")
-    shape = grids[0].shape
-    counts = np.zeros(shape, dtype=np.int32)
-    for grid in grids:
-        if grid.shape != shape:
-            raise ValidationError("intersection grids must share one shape")
-        counts += grid != 0
-    return SaliencyMap(counts=counts, gray=render_gray(counts, len(grids)), n_slices=len(grids))
-
-
 def saliency_map(period: EventPeriod, n: int) -> SaliencyMap:
-    """Build the full saliency map for an n-way split of the period.
-
-    Equivalent to partitioning, intersecting each slice, and accumulating,
-    fused into array passes.
-    """
-    pos, neg = _occupancy_volumes(period, n)
-    counts = (pos & neg).sum(axis=0, dtype=np.int32)
+    """Build the full saliency map for an n-way split of the period."""
+    height, width = period.sensor.shape
+    cell = (slice_indices(period, n) * height + period.y) * width + period.x
+    pos = np.zeros(n * height * width, dtype=bool)
+    neg = np.zeros(n * height * width, dtype=bool)
+    positive = period.p == 1
+    pos[cell[positive]] = True
+    neg[cell[~positive]] = True
+    # Free the per-event arrays before the third n*H*W volume is allocated.
+    del cell, positive
+    counts = (pos & neg).reshape(n, height, width).sum(axis=0, dtype=np.int32)
     return SaliencyMap(counts=counts, gray=render_gray(counts, n), n_slices=n)
 
 

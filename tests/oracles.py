@@ -43,6 +43,31 @@ def flood_fill_components(mask):
     return components
 
 
+def saliency_counts(events, t_start, duration, n, width, height):
+    """Per-pixel count of the slices in which a pixel fired both polarities.
+
+    events is a sequence of (t, x, y, p) tuples.  An event falls in slice
+    (t - t_start) * n // duration.  Each slice keeps one set of pixels that
+    fired a positive event and one set of pixels that fired a negative one;
+    a pixel scores one for every slice whose two sets both hold it.
+    Returns a [y][x] list of lists.
+    """
+    positive = [set() for _ in range(n)]
+    negative = [set() for _ in range(n)]
+    for t, x, y, p in events:
+        k = (t - t_start) * n // duration
+        if p == 1:
+            positive[k].add((x, y))
+        else:
+            negative[k].add((x, y))
+    counts = [[0] * width for _ in range(height)]
+    for k in range(n):
+        for x, y in positive[k]:
+            if (x, y) in negative[k]:
+                counts[y][x] += 1
+    return counts
+
+
 def rect_gap(a, b):
     """Minimum distance between two axis-aligned rectangles (x, y, w, h)."""
     ax, ay, aw, ah = a

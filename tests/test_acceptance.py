@@ -16,22 +16,16 @@ import pytest
 from evrotor import (
     BBox,
     BackgroundSpec,
-    PointSet,
     PropellerSpec,
     Region,
     SensorGeometry,
     SynthScene,
-    average_precision,
     benchmark_period,
     cluster_regions,
     detect_period,
-    evaluate_records,
     generate_scene,
-    iou,
     load_events,
     match_detections,
-    precision_recall_f1,
-    principal_direction,
     run_pipeline,
     saliency_map,
     load_annotations,
@@ -39,6 +33,8 @@ from evrotor import (
     BoxRecord,
 )
 from evrotor.events import EventPeriod
+from evrotor.features import principal_direction
+from evrotor.metrics import average_precision, evaluate_records, iou, precision_recall_f1
 
 from oracles import greedy_union_clusters
 
@@ -195,7 +191,7 @@ def test_principal_direction_matches_angle_sweep(capsys):
                  [math.sin(theta), math.cos(theta)]]
             )
             points = base @ rot.T + rng.uniform(0.0, 100.0, size=2)
-            direction = principal_direction(PointSet(points))
+            direction = principal_direction(points)
             assert not direction.isotropic
             got = math.atan2(direction.vector[1], direction.vector[0]) % math.pi
 

@@ -16,12 +16,10 @@ from evrotor import (
     SensorGeometry,
     ValidationError,
     cluster_regions,
-    coarse_select,
     connected_components,
     detect_period,
     gaussian_fine_refine,
     generate_scene,
-    iou,
     run_pipeline,
     saliency_map,
     threshold_mask,
@@ -29,6 +27,7 @@ from evrotor import (
     PropellerSpec,
     SynthScene,
 )
+from evrotor.metrics import iou
 
 from conftest import VGA, make_period
 from oracles import greedy_union_clusters, rect_gap
@@ -276,15 +275,12 @@ class TestCoarseStage:
         assert result.detections == []
 
     def test_coarse_select_returns_scored_clusters(self):
-        period = blob_period()
-        n, _ = BLOB_CONFIG.slicing_for(period)
-        smap = saliency_map(period, n)
-        regions = connected_components(threshold_mask(smap, BLOB_CONFIG.tau_s))
-        clusters = cluster_regions(regions, BLOB_CONFIG.d_merge)
-        candidates = coarse_select(clusters, period, smap, BLOB_CONFIG)
+        result = run_pipeline(blob_period(), BLOB_CONFIG)
+        candidates = result.candidates
         assert len(candidates) == 1
         assert candidates[0].scores.s_p is not None
         assert candidates[0].scores.s_p >= BLOB_CONFIG.tau_p
+        assert len(result.candidate_features) == len(candidates)
 
     def test_raising_tau_p_only_removes_detections(self):
         period = blob_period()

@@ -8,7 +8,6 @@ from evrotor import (
     BBox,
     ConfigurationError,
     DetectorConfig,
-    Event,
     EventPeriod,
     SensorGeometry,
     ValidationError,
@@ -28,18 +27,16 @@ class TestSensorGeometry:
 
 
 class TestEvent:
-    def test_fields(self):
-        e = Event(1000, 320, 240, 1)
-        assert (e.t, e.x, e.y, e.p) == (1000, 320, 240, 1)
+    """Each event is validated as it enters a period."""
 
     def test_rejects_negative_timestamp(self):
         with pytest.raises(ValidationError):
-            Event(-1, 0, 0, 1)
+            make_period([(-1, 0, 0, 1)])
 
     @pytest.mark.parametrize("p", [-1, 2, 7])
     def test_rejects_bad_polarity(self, p):
-        with pytest.raises(ValidationError):
-            Event(0, 0, 0, p)
+        with pytest.raises(ValidationError, match="polarity"):
+            make_period([(0, 0, 0, p)])
 
 
 class TestBBox:
@@ -80,8 +77,8 @@ class TestEventPeriod:
         assert period.t.dtype == np.int64
         assert period.x.dtype == np.int32
         assert period.p.dtype == np.uint8
-        assert period[1] == Event(20, 3, 4, 0)
-        assert [e.t for e in period] == [10, 20]
+        rows = zip(period.t.tolist(), period.x.tolist(), period.y.tolist(), period.p.tolist())
+        assert list(rows) == [(10, 1, 2, 1), (20, 3, 4, 0)]
         assert period.t_end == period.t_start + period.duration
 
     def test_columns_are_read_only(self):
@@ -133,11 +130,6 @@ class TestEventPeriod:
             make_period([], t_start=-1)
         with pytest.raises(ValidationError):
             make_period([], duration=0)
-
-    def test_from_events_round_trip(self):
-        events = [Event(5, 1, 2, 1), Event(7, 3, 4, 0)]
-        period = EventPeriod.from_events(events, t_start=0, duration=10, sensor=SMALL)
-        assert list(period) == events
 
     @given(
         st.lists(

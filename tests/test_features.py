@@ -11,25 +11,26 @@ from evrotor import (
     ConfigurationError,
     DegenerateInputError,
     FeatureSeries,
-    PointSet,
     Region,
     RegionScores,
     SaliencyMap,
     SensorGeometry,
     ValidationError,
     compute_features,
+    extract_local_slices,
+    periodicity_score,
+    saliency_score,
+)
+from evrotor.features import (
     density_series,
     dilated_window,
     direction_similarity,
-    extract_local_slices,
     moving_average,
     peaks_valleys,
-    periodicity_score,
     principal_direction,
-    render_gray,
-    saliency_score,
     structural_similarity,
 )
+from evrotor.saliency import render_gray
 
 from conftest import SMALL, make_period
 from oracles import centered_moving_average, pearson, principal_angle_sweep
@@ -147,32 +148,41 @@ class TestStructuralSimilarity:
 
 class TestPrincipalDirection:
     def test_collinear_horizontal(self):
-        d = principal_direction(PointSet(np.array([[0, 0], [1, 0], [2, 0]], float)))
+        d = principal_direction(np.array([[0, 0], [1, 0], [2, 0]], float))
         assert not d.isotropic
         assert d.vector == pytest.approx([1.0, 0.0])
 
     def test_collinear_diagonal(self):
-        d = principal_direction(PointSet(np.array([[0, 0], [1, 1], [2, 2]], float)))
+        d = principal_direction(np.array([[0, 0], [1, 1], [2, 2]], float))
         assert d.vector == pytest.approx([math.sqrt(0.5), math.sqrt(0.5)])
 
     def test_collinear_vertical_sign_convention(self):
-        d = principal_direction(PointSet(np.array([[0, 0], [0, 5]], float)))
+        d = principal_direction(np.array([[0, 0], [0, 5]], float))
         assert d.vector == pytest.approx([0.0, 1.0])
         assert d.vector[1] > 0
 
     def test_isotropic_square_is_flagged(self):
         square = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], float)
-        d = principal_direction(PointSet(square))
+        d = principal_direction(square)
         assert d.isotropic
         assert d.vector == pytest.approx([1.0, 0.0])
 
     def test_single_point_is_degenerate(self):
         with pytest.raises(DegenerateInputError):
-            principal_direction(PointSet(np.array([[3, 3]], float)))
+            principal_direction(np.array([[3, 3]], float))
 
     def test_identical_points_are_degenerate(self):
         with pytest.raises(DegenerateInputError):
-            principal_direction(PointSet(np.array([[3, 3], [3, 3]], float)))
+            principal_direction(np.array([[3, 3], [3, 3]], float))
+
+    def test_empty_cloud_is_degenerate(self):
+        with pytest.raises(DegenerateInputError):
+            principal_direction(np.empty((0, 2)))
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 3), (2, 2, 2)])
+    def test_wrong_shape_is_rejected(self, shape):
+        with pytest.raises(ValidationError):
+            principal_direction(np.zeros(shape))
 
     def test_matches_angle_sweep_oracle(self):
         rng = np.random.default_rng(11)
@@ -182,7 +192,7 @@ class TestPrincipalDirection:
                 [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
             )
             pts = rng.normal(size=(50, 2)) * [4.0, 0.7] @ rot.T
-            vec = principal_direction(PointSet(pts)).vector
+            vec = principal_direction(pts).vector
             got = math.atan2(vec[1], vec[0]) % math.pi
             want = principal_angle_sweep([tuple(p) for p in pts])
             diff = abs(got - want) % math.pi
@@ -194,7 +204,7 @@ class TestPrincipalDirection:
             rot = np.array(
                 [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
             )
-            vec = principal_direction(PointSet(base @ rot.T)).vector
+            vec = principal_direction(base @ rot.T).vector
             expected = np.array([math.cos(theta), math.sin(theta)])
             assert direction_similarity(vec, expected) == pytest.approx(1.0)
 

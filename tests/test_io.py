@@ -1,6 +1,7 @@
 """Event stream files, annotation JSON, and PGM dumps."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -11,14 +12,16 @@ from evrotor import (
     BBox,
     BoxRecord,
     EventFormatError,
+    EvrotorError,
     SensorGeometry,
     ValidationError,
     load_annotations,
     load_events,
     write_annotation,
     write_events,
-    write_pgm,
 )
+from evrotor.io import write_pgm
+from evrotor.metrics import evaluate_records
 
 from conftest import SMALL, VGA, make_period
 
@@ -28,15 +31,14 @@ def test_csv_row_parses_to_event(tmp_path):
     path.write_text("t_us,x,y,p\n1000,320,240,1\n")
     period = load_events(path, VGA)
     assert len(period) == 1
-    e = period[0]
-    assert (e.t, e.x, e.y, e.p) == (1000, 320, 240, 1)
+    assert (period.t[0], period.x[0], period.y[0], period.p[0]) == (1000, 320, 240, 1)
 
 
 def test_csv_header_is_optional(tmp_path):
     path = tmp_path / "bare.csv"
     path.write_text("1000,5,6,0\n")
     period = load_events(path, SMALL)
-    assert len(period) == 1 and period[0].p == 0
+    assert len(period) == 1 and period.p[0] == 0
 
 
 def test_empty_csv_with_metadata_keeps_declared_window(tmp_path):
@@ -78,9 +80,12 @@ def test_csv_wrong_field_count_reports_line(tmp_path):
 
 def test_csv_non_integer_field_reports_line(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("10,1,1,1\n2.5,1,1,0\n")
-    with pytest.raises(EventFormatError, match=r"bad\.csv:2"):
-        load_events(path, SMALL)
+    # the last three rows hold an integer that does not fit its column:
+    # p in uint8, x in int32, t in int64
+    for row in ("2.5,1,1,0", "5,1,1,300", "5,3000000000,1,1", "99999999999999999999999,1,1,1"):
+        path.write_text(f"10,1,1,1\n{row}\n")
+        with pytest.raises(EventFormatError, match=r"bad\.csv:2"):
+            load_events(path, SMALL)
 
 
 def test_csv_non_ascii_byte_reports_line(tmp_path):
@@ -106,16 +111,17 @@ def test_csv_window_falls_back_to_timestamp_range(tmp_path):
 
 
 def test_csv_explicit_window_overrides_metadata(tmp_path):
+    # the declared window wins over the one the timestamps imply
     path = tmp_path / "meta.csv"
-    path.write_text("# t_start_us=0\n# duration_us=100\n40,1,1,1\n")
-    period = load_events(path, SMALL, t_start=30, duration=500)
+    path.write_text("# t_start_us=30\n# duration_us=500\n40,1,1,1\n")
+    period = load_events(path, SMALL)
     assert (period.t_start, period.duration) == (30, 500)
 
 
 def test_csv_unsorted_rows_are_flagged(tmp_path):
     path = tmp_path / "unsorted.csv"
-    path.write_text("90,1,1,1\n10,2,2,0\n")
-    period = load_events(path, SMALL, t_start=0, duration=100)
+    path.write_text("# t_start_us=0\n# duration_us=100\n90,1,1,1\n10,2,2,0\n")
+    period = load_events(path, SMALL)
     assert period.resorted
     assert list(period.t) == [10, 90]
 
@@ -151,7 +157,7 @@ def test_binary_round_trip_is_identity(tmp_path):
 
 def test_binary_empty_round_trip(tmp_path):
     path = tmp_path / "empty.bin"
-    write_events(make_period([], duration=777), path, fmt="binary")
+    write_events(make_period([], duration=777), path)
     loaded = load_events(path)
     assert len(loaded) == 0 and loaded.duration == 777
 
@@ -185,11 +191,6 @@ def test_binary_ragged_record_section_is_rejected(tmp_path):
         load_events(path)
 
 
-def test_unknown_format_name_is_rejected(tmp_path):
-    with pytest.raises(ValidationError, match="format"):
-        write_events(make_period([]), tmp_path / "x", fmt="parquet")
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     rows=st.lists(
@@ -206,7 +207,7 @@ def test_unknown_format_name_is_rejected(tmp_path):
 def test_round_trip_property(tmp_path_factory, rows, fmt):
     period = make_period(rows)
     path = tmp_path_factory.mktemp("rt") / ("events." + ("evd" if fmt == "binary" else "csv"))
-    write_events(period, path, fmt=fmt)
+    write_events(period, path)
     loaded = load_events(path, SMALL)
     for column in ("t", "x", "y", "p"):
         assert np.array_equal(getattr(loaded, column), getattr(period, column))
@@ -260,7 +261,7 @@ class TestAnnotations:
 
     def test_invalid_json_is_a_format_error(self, tmp_path):
         path = tmp_path / "bad.json"
-        for payload in (b"{not json", b'{"file": "\xff"}'):
+        for payload in (b"{not json", b'{"file": "\xff"}', b"[" * 100_000):
             path.write_bytes(payload)
             with pytest.raises(EventFormatError, match="JSON"):
                 load_annotations(path)
@@ -273,11 +274,19 @@ class TestAnnotations:
 
     def test_non_integer_box_field_is_a_format_error(self, tmp_path):
         path = tmp_path / "bad.json"
-        record = {"file": "a", "width": 64, "height": 48, "duration_us": 20000,
-                  "boxes": [{"x": "abc", "y": 0, "w": 4, "h": 4}]}
-        path.write_text(json.dumps(record))
-        with pytest.raises(EventFormatError, match="field"):
-            load_annotations(path)
+        box = {"x": 0, "y": 0, "w": 4, "h": 4}
+        record = {"file": "a", "width": 64, "height": 48, "duration_us": 20000, "boxes": [box]}
+        texts = [
+            json.dumps(dict(record, boxes=[dict(box, x="abc")])),
+            # 1e400 parses to inf, which has no integer value
+            json.dumps(record).replace('"width": 64', '"width": 1e400'),
+            # s_s must be a number
+            *(json.dumps(dict(record, boxes=[dict(box, s_s=s_s)])) for s_s in ("abc", [1])),
+        ]
+        for text in texts:
+            path.write_text(text)
+            with pytest.raises(EventFormatError, match="field"):
+                load_annotations(path)
 
 
 class TestPgm:
@@ -292,3 +301,84 @@ class TestPgm:
     def test_rejects_non_image_input(self, tmp_path):
         with pytest.raises(ValidationError):
             write_pgm(np.zeros(5, dtype=np.uint8), tmp_path / "x.pgm")
+
+
+# Integers inside and just outside the int64 (t), int32 (x, y) and uint8 (p)
+# column ranges, small ones that can form valid events, and wide ones.
+_LIMITS = [0, 1, 2, 255, 256, 2**31 - 1, 2**31, 2**63 - 1, 2**63, 2**64]
+_CSV_INTS = st.one_of(
+    st.integers(-3, 70),
+    st.sampled_from(_LIMITS + [-v for v in _LIMITS] + [-(2**31) - 1, -(2**63) - 1]),
+    st.integers(-(2**70), 2**70),
+).map(str)
+_CSV_FIELDS = st.one_of(_CSV_INTS, st.sampled_from(["", "x", "1.5", "1e3", " 7", "0x1f", "t_us"]))
+_CSV_LINES = st.one_of(
+    st.lists(_CSV_FIELDS, min_size=4, max_size=4).map(",".join),
+    st.lists(_CSV_FIELDS, min_size=1, max_size=6).map(",".join),
+    st.tuples(st.sampled_from(["t_start_us", "duration_us", "note"]), _CSV_INTS).map(
+        lambda kv: f"# {kv[0]}={kv[1]}"
+    ),
+    st.just("t_us,x,y,p"),
+)
+
+_U64 = st.one_of(st.integers(0, 3000), st.integers(0, 2**64 - 1))
+_U16 = st.one_of(st.integers(0, 80), st.integers(0, 2**16 - 1))
+
+
+def _evd_bytes(magic, width, height, t_start, duration, records, tail, cut):
+    raw = struct.pack("<4sHHQQ", magic, width, height, t_start, duration)
+    raw += b"".join(struct.pack("<QHHB3x", *record) for record in records)
+    return (raw + tail)[:cut]
+
+
+_EVD_FILES = st.builds(
+    _evd_bytes,
+    magic=st.sampled_from([b"EVD1", b"EVD0"]),
+    width=_U16,
+    height=_U16,
+    t_start=_U64,
+    duration=_U64,
+    records=st.lists(st.tuples(_U64, _U16, _U16, st.integers(0, 255)), max_size=6),
+    tail=st.binary(max_size=20),
+    cut=st.integers(0, 200),
+)
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+_JSON_FIELDS = st.one_of(st.integers(-3, 100), _JSON_VALUES)
+_JSON_BOXES = st.fixed_dictionaries(
+    {key: _JSON_FIELDS for key in "xywh"}, optional={"s_p": _JSON_FIELDS, "s_s": _JSON_FIELDS}
+)
+_JSON_RECORDS = st.fixed_dictionaries(
+    {"boxes": st.one_of(st.lists(_JSON_BOXES, max_size=4), _JSON_VALUES)},
+    optional={
+        key: _JSON_FIELDS for key in ("file", "width", "height", "duration_us")
+    },
+)
+_JSON_TEXTS = st.one_of(_JSON_RECORDS.map(json.dumps), _JSON_VALUES.map(json.dumps), st.text(max_size=20))
+
+
+@settings(max_examples=400, deadline=None)
+@given(target=st.sampled_from(["csv", "evd", "json"]), data=st.data())
+def test_loaders_raise_only_documented_errors(tmp_path_factory, target, data):
+    """Malformed CSV, .evd or annotation input fails with EvrotorError or OSError."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    try:
+        if target == "csv":
+            path = directory / "events.csv"
+            path.write_text("\n".join(data.draw(st.lists(_CSV_LINES, max_size=8))) + "\n")
+            load_events(path, SMALL)
+        elif target == "evd":
+            path = directory / "events.evd"
+            path.write_bytes(data.draw(_EVD_FILES))
+            load_events(path)
+        else:
+            path = directory / "record.json"
+            path.write_text(data.draw(_JSON_TEXTS))
+            record = load_annotations(path)
+            evaluate_records([("record", record, record)])
+    except (EvrotorError, OSError):
+        pass

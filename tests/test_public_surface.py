@@ -1,0 +1,89 @@
+"""The names ``evrotor`` exports, and the ones the benchmark harness needs."""
+
+import ast
+import types
+from pathlib import Path
+
+import evrotor
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+EXPORTED = [
+    "AnnotationRecord",
+    "BBox",
+    "BackgroundSpec",
+    "BoxRecord",
+    "Cluster",
+    "ConfigurationError",
+    "DegenerateInputError",
+    "Detection",
+    "DetectorConfig",
+    "EventFormatError",
+    "EventPeriod",
+    "EvrotorError",
+    "FeatureSeries",
+    "MetricsReport",
+    "PipelineResult",
+    "PropellerSpec",
+    "Region",
+    "RegionScores",
+    "SaliencyMap",
+    "SensorGeometry",
+    "SynthScene",
+    "ValidationError",
+    "benchmark_period",
+    "cluster_regions",
+    "compute_features",
+    "connected_components",
+    "detect_period",
+    "evaluate_dataset",
+    "extract_local_slices",
+    "gaussian_fine_refine",
+    "generate_background_events",
+    "generate_propeller_events",
+    "generate_scene",
+    "load_annotations",
+    "load_events",
+    "match_detections",
+    "periodicity_score",
+    "run_pipeline",
+    "saliency_map",
+    "saliency_score",
+    "threshold_mask",
+    "write_annotation",
+    "write_detections",
+    "write_events",
+]
+
+
+def test_all_lists_exactly_the_public_names():
+    assert sorted(evrotor.__all__) == EXPORTED
+    for name in evrotor.__all__:
+        assert getattr(evrotor, name) is not None
+
+
+def benchmark_imports():
+    """Names the perfbench scripts take from the top-level package."""
+    names = set()
+    for script in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(script.read_text(), filename=str(script))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "evrotor":
+                names.update(alias.name for alias in node.names)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "evrotor"
+                and not node.attr.startswith("__")
+            ):
+                names.add(node.attr)
+    return {
+        name for name in names
+        if not isinstance(getattr(evrotor, name, None), types.ModuleType)
+    }
+
+
+def test_benchmark_harness_imports_only_exported_names():
+    needed = benchmark_imports()
+    assert needed, "found no evrotor imports under perfbench/"
+    assert needed <= set(evrotor.__all__), sorted(needed - set(evrotor.__all__))

@@ -9,18 +9,14 @@ from evrotor import (
     ConfigurationError,
     Region,
     ValidationError,
-    accumulate_saliency,
     connected_components,
-    partition_polarity_slices,
-    polarity_intersection,
-    render_gray,
     saliency_map,
-    slice_indices,
     threshold_mask,
 )
+from evrotor.saliency import render_gray, slice_indices
 
 from conftest import SMALL, make_period
-from oracles import flood_fill_components
+from oracles import flood_fill_components, saliency_counts
 
 
 def rows_strategy(max_x=SMALL.width - 1, max_y=SMALL.height - 1, max_size=60):
@@ -37,30 +33,35 @@ def rows_strategy(max_x=SMALL.width - 1, max_y=SMALL.height - 1, max_size=60):
 
 class TestSlicing:
     def test_twenty_ms_splits_into_twenty_slices(self):
-        rows = [(j * 1000 + 37, 1, 1, 1) for j in range(20)]
+        rows = [(j * 1000 + 37 + dt, 1, 1, p) for j in range(20) for dt, p in ((0, 1), (1, 0))]
         period = make_period(rows, duration=20_000)
-        assert list(slice_indices(period, 20)) == list(range(20))
-        assert len(partition_polarity_slices(period, 20)) == 20
+        assert list(slice_indices(period, 20)) == [j for j in range(20) for _ in (0, 1)]
+        smap = saliency_map(period, 20)
+        assert smap.n_slices == 20
+        assert smap.counts[1, 1] == 20  # both polarities in each of 20 slices
 
     def test_event_at_window_start_lands_in_first_slice(self):
         period = make_period([(0, 3, 4, 1)], duration=1000)
-        pairs = partition_polarity_slices(period, 4)
-        assert pairs[0].slice_index == 1
-        assert pairs[0].pos[4, 3]
-        assert not any(p.pos.any() for p in pairs[1:])
+        assert list(slice_indices(period, 4)) == [0]
+        # the first slice of 4 covers t < 250: a partner at 249 meets it
+        # there, one at 250 lands in the second slice and does not
+        with_partner = make_period([(0, 3, 4, 1), (249, 3, 4, 0)], duration=1000)
+        assert saliency_map(with_partner, 4).counts[4, 3] == 1
+        too_late = make_period([(0, 3, 4, 1), (250, 3, 4, 0)], duration=1000)
+        assert not saliency_map(too_late, 4).counts.any()
 
     def test_occupancy_is_binary_not_counted(self):
-        period = make_period([(10, 5, 5, 1), (11, 5, 5, 1)], duration=1000)
-        pairs = partition_polarity_slices(period, 2)
-        assert pairs[0].pos.dtype == bool
-        assert pairs[0].pos[5, 5]
-        assert pairs[0].pos.sum() == 1
+        rows = [(10, 5, 5, 1), (11, 5, 5, 1), (12, 5, 5, 0), (13, 5, 5, 0)]
+        counts = saliency_map(make_period(rows, duration=1000), 2).counts
+        assert counts[5, 5] == 1
+        assert counts.sum() == 1
 
     def test_polarities_land_in_separate_grids(self):
-        period = make_period([(10, 1, 1, 1), (20, 2, 2, 0)], duration=1000)
-        pair = partition_polarity_slices(period, 2)[0]
-        assert pair.pos[1, 1] and not pair.pos[2, 2]
-        assert pair.neg[2, 2] and not pair.neg[1, 1]
+        apart = make_period([(10, 1, 1, 1), (20, 2, 2, 0)], duration=1000)
+        assert not saliency_map(apart, 2).counts.any()
+        rows = [(10, 1, 1, 1), (20, 2, 2, 0), (30, 1, 1, 0)]
+        counts = saliency_map(make_period(rows, duration=1000), 2).counts
+        assert counts[1, 1] == 1 and counts[2, 2] == 0
 
     def test_rejects_bad_slice_counts(self):
         period = make_period([], duration=100)
@@ -73,19 +74,16 @@ class TestSlicing:
 class TestIntersection:
     def test_single_polarity_pixel_is_excluded(self):
         period = make_period([(10, 5, 5, 1)], duration=1000)
-        pair = partition_polarity_slices(period, 2)[0]
-        assert not polarity_intersection(pair).any()
+        assert not saliency_map(period, 2).counts.any()
 
     def test_pixel_with_both_polarities_is_kept(self):
         period = make_period([(10, 5, 5, 1), (12, 5, 5, 0)], duration=1000)
-        inter = polarity_intersection(partition_polarity_slices(period, 2)[0])
-        assert inter[5, 5] and inter.sum() == 1
+        counts = saliency_map(period, 2).counts
+        assert counts[5, 5] == 1 and counts.sum() == 1
 
     def test_all_zero_pos_annihilates(self):
-        pair = partition_polarity_slices(
-            make_period([(10, 5, 5, 0), (12, 6, 6, 0)], duration=1000), 2
-        )[0]
-        assert not polarity_intersection(pair).any()
+        period = make_period([(10, 5, 5, 0), (12, 6, 6, 0)], duration=1000)
+        assert not saliency_map(period, 2).counts.any()
 
 
 class TestRendering:
@@ -117,27 +115,27 @@ class TestRendering:
         gray = render_gray(np.array([[30]]), 20)
         assert gray[0, 0] == 255
 
-    def test_accumulate_rejects_empty_and_ragged_input(self):
-        with pytest.raises(ConfigurationError):
-            accumulate_saliency([])
-        with pytest.raises(ValidationError):
-            accumulate_saliency([np.zeros((2, 2), bool), np.zeros((3, 3), bool)])
-
     def test_fused_map_equals_modular_composition(self):
+        """The array-pass map equals the slice-by-slice set oracle."""
         rng = np.random.default_rng(7)
-        rows = [
-            (int(rng.integers(0, 1000)), int(rng.integers(0, SMALL.width)),
-             int(rng.integers(0, SMALL.height)), int(rng.integers(0, 2)))
-            for _ in range(200)
-        ]
-        period = make_period(rows, duration=1000)
-        n = 5
-        fused = saliency_map(period, n)
-        modular = accumulate_saliency(
-            polarity_intersection(pair) for pair in partition_polarity_slices(period, n)
-        )
-        assert np.array_equal(fused.counts, modular.counts)
-        assert np.array_equal(fused.gray, modular.gray)
+        for _ in range(250):
+            count = int(rng.integers(0, 150))
+            t_start = int(rng.integers(0, 5000))
+            duration = int(rng.integers(8, 3000))
+            n = int(rng.integers(2, min(duration, 40) + 1))
+            # a few pixels only, so that both polarities often share a pixel
+            width = int(rng.integers(1, 9))
+            height = int(rng.integers(1, 9))
+            rows = [
+                (t_start + int(rng.integers(0, duration)), int(rng.integers(0, width)),
+                 int(rng.integers(0, height)), int(rng.integers(0, 2)))
+                for _ in range(count)
+            ]
+            period = make_period(rows, t_start=t_start, duration=duration)
+            smap = saliency_map(period, n)
+            want = saliency_counts(rows, t_start, duration, n, SMALL.width, SMALL.height)
+            assert np.array_equal(smap.counts, np.array(want))
+            assert np.array_equal(smap.gray, render_gray(np.array(want), n))
 
 
 class TestThreshold:
