@@ -102,10 +102,8 @@ class EventPeriod:
         duration: int,
         sensor: SensorGeometry,
     ):
-        t = np.ascontiguousarray(t, dtype=np.int64)
-        x = np.ascontiguousarray(x, dtype=np.int32)
-        y = np.ascontiguousarray(y, dtype=np.int32)
-        p = np.ascontiguousarray(p, dtype=np.uint8)
+        # Validate in the input dtype: the narrowing casts below would wrap.
+        t, x, y, p = (np.asarray(col) for col in (t, x, y, p))
         if not (t.ndim == x.ndim == y.ndim == p.ndim == 1):
             raise ValidationError("event columns must be one-dimensional")
         if not (t.size == x.size == y.size == p.size):
@@ -115,24 +113,28 @@ class EventPeriod:
         if duration <= 0:
             raise ValidationError(f"period duration must be positive, got {duration}")
         if t.size:
-            if int(x.min()) < 0 or int(x.max()) >= sensor.width or int(y.min()) < 0 or int(y.max()) >= sensor.height:
-                bad = (x < 0) | (x >= sensor.width) | (y < 0) | (y >= sensor.height)
+            if not (x.min() >= 0 and x.max() < sensor.width and y.min() >= 0 and y.max() < sensor.height):
+                bad = ~((x >= 0) & (x < sensor.width) & (y >= 0) & (y < sensor.height))
                 i = int(np.argmax(bad))
                 raise ValidationError(
-                    f"event {i} at ({int(x[i])},{int(y[i])}) is outside the "
+                    f"event {i} at ({x[i]},{y[i]}) is outside the "
                     f"{sensor.width}x{sensor.height} sensor"
                 )
-            if int(t.min()) < t_start or int(t.max()) >= t_start + duration:
-                bad = (t < t_start) | (t >= t_start + duration)
+            if not (t.min() >= t_start and t.max() < t_start + duration):
+                bad = ~((t >= t_start) & (t < t_start + duration))
                 i = int(np.argmax(bad))
                 raise ValidationError(
-                    f"event {i} at t={int(t[i])} is outside the period "
+                    f"event {i} at t={t[i]} is outside the period "
                     f"[{t_start}, {t_start + duration})"
                 )
-            if int(p.max()) > 1:
-                bad = p > 1
+            if not (p.min() >= 0 and p.max() <= 1):
+                bad = ~((p >= 0) & (p <= 1))
                 i = int(np.argmax(bad))
-                raise ValidationError(f"event {i} has polarity {int(p[i])}, expected 0 or 1")
+                raise ValidationError(f"event {i} has polarity {p[i]}, expected 0 or 1")
+        t = np.ascontiguousarray(t, dtype=np.int64)
+        x = np.ascontiguousarray(x, dtype=np.int32)
+        y = np.ascontiguousarray(y, dtype=np.int32)
+        p = np.ascontiguousarray(p, dtype=np.uint8)
         resorted = False
         if t.size > 1 and bool(np.any(np.diff(t) < 0)):
             order = np.argsort(t, kind="stable")

@@ -3,9 +3,11 @@
 A candidate region is re-sliced at a finer temporal resolution, keeping only
 positive events inside its margin-dilated bbox. Three series are read off the
 local slices: event density, structural similarity between consecutive
-slices, and similarity of consecutive principal point-cloud directions. A
-rotor modulates all three periodically; the periodicity score counts how many
-of the smoothed series show repeated peaks and valleys.
+slices, and similarity of consecutive principal point-cloud directions. All
+three come from per-slice integer sums over the nonzero cells, so their cost
+follows the window's events rather than its slices times pixels. A rotor
+modulates all three periodically; the periodicity score counts how many of
+the smoothed series show repeated peaks and valleys.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import peak_prominences
 
 from .errors import ConfigurationError, DegenerateInputError, ValidationError
 from .events import BBox, EventPeriod, SensorGeometry
-from .saliency import Region, SaliencyMap, slice_indices
+from .saliency import Region, SaliencyMap
 
 
 class PrincipalDirection(NamedTuple):
@@ -108,14 +109,14 @@ def extract_local_slices(
         )
     bbox = region.bbox if isinstance(region, Region) else region
     window = dilated_window(bbox, margin, period.sensor)
-    inside = (
+    inside = np.flatnonzero(  # indices gather several times faster than a boolean mask
         (period.p == 1)
         & (period.x >= window.x)
         & (period.x < window.right)
         & (period.y >= window.y)
         & (period.y < window.bottom)
     )
-    s = slice_indices(period, m)[inside]
+    s = (period.t[inside] - period.t_start) * m // period.duration
     lx = period.x[inside] - window.x
     ly = period.y[inside] - window.y
     cell = (s * window.h + ly) * window.w + lx
@@ -123,32 +124,24 @@ def extract_local_slices(
     return counts.astype(np.int32).reshape(m, window.h, window.w)
 
 
-def density_series(local_slices: np.ndarray) -> np.ndarray:
-    """Total event count per local slice."""
-    slices = np.asarray(local_slices)
-    if slices.ndim != 3:
-        raise ValidationError("local slices must form an (m, h, w) array")
-    return slices.sum(axis=(1, 2), dtype=np.int64)
+def _major_axes(cxx, cxy, cyy) -> tuple[np.ndarray, np.ndarray]:
+    """(k, 2) unit major axes and isotropy flags of k covariances [[cxx, cxy], [cxy, cyy]].
 
-
-def structural_similarity(slice_a: np.ndarray, slice_b: np.ndarray) -> float:
-    """Pearson correlation of two equally shaped grids, flattened row-major.
-
-    Either grid being constant yields 0.0.
+    The entries may share any positive scale. Isotropic ones report (1, 0).
     """
-    a = np.asarray(slice_a, dtype=np.float64)
-    b = np.asarray(slice_b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValidationError(f"grid shapes differ: {a.shape} vs {b.shape}")
-    a = a.ravel()
-    b = b.ravel()
-    std_a = a.std()
-    std_b = b.std()
-    if std_a == 0.0 or std_b == 0.0:
-        return 0.0
-    za = (a - a.mean()) / std_a
-    zb = (b - b.mean()) / std_b
-    return float(np.clip(np.dot(za, zb) / a.size, -1.0, 1.0))
+    # Largest eigenvalue in closed form; its eigenvector is the longer of two candidates.
+    half_gap = (cxx - cyy) / 2.0
+    disc = np.hypot(half_gap, cxy)
+    isotropic = disc <= 1e-12 * np.maximum(cxx + cyy, 1e-300)
+    lam = (cxx + cyy) / 2.0 + disc
+    v1 = np.stack([lam - cyy, cxy], axis=1)
+    v2 = np.stack([cxy, lam - cxx], axis=1)
+    v = np.where(((v1 * v1).sum(axis=1) >= (v2 * v2).sum(axis=1))[:, None], v1, v2)
+    v[isotropic] = (1.0, 0.0)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    flip = (v[:, 0] < 0.0) | ((v[:, 0] == 0.0) & (v[:, 1] < 0.0))
+    v[flip] = -v[flip]
+    return v, isotropic
 
 
 def principal_direction(points: np.ndarray) -> PrincipalDirection:
@@ -167,64 +160,60 @@ def principal_direction(points: np.ndarray) -> PrincipalDirection:
     d = points - points.mean(axis=0)
     if not d.any():
         raise DegenerateInputError("all points are identical")
-    cov_xx = float(np.mean(d[:, 0] * d[:, 0]))
-    cov_xy = float(np.mean(d[:, 0] * d[:, 1]))
-    cov_yy = float(np.mean(d[:, 1] * d[:, 1]))
-    # Largest eigenvalue of [[xx, xy], [xy, yy]] in closed form.
-    half_gap = (cov_xx - cov_yy) / 2.0
-    disc = float(np.hypot(half_gap, cov_xy))
-    if disc <= 1e-12 * max(cov_xx + cov_yy, 1e-300):
-        return PrincipalDirection(np.array([1.0, 0.0]), True)
-    lam = (cov_xx + cov_yy) / 2.0 + disc
-    v1 = np.array([lam - cov_yy, cov_xy])
-    v2 = np.array([cov_xy, lam - cov_xx])
-    v = v1 if float(v1 @ v1) >= float(v2 @ v2) else v2
-    v = v / np.linalg.norm(v)
-    if v[0] < 0.0 or (v[0] == 0.0 and v[1] < 0.0):
-        v = -v
+    (v,), (isotropic,) = _major_axes(
+        *(np.mean(d[:, a] * d[:, b], keepdims=True) for a, b in ((0, 0), (0, 1), (1, 1)))
+    )
     v.setflags(write=False)
-    return PrincipalDirection(v, False)
-
-
-def direction_similarity(xi_1, xi_2) -> float:
-    """Absolute cosine between two directions; sign-insensitive, in [0, 1]."""
-    a = np.asarray(xi_1, dtype=np.float64)
-    b = np.asarray(xi_2, dtype=np.float64)
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ValidationError("direction vectors must be nonzero")
-    return float(min(abs(float(a @ b)) / (norm_a * norm_b), 1.0))
+    return PrincipalDirection(v, bool(isotropic))
 
 
 def compute_features(local_slices: np.ndarray) -> FeatureSeries:
-    """Assemble the three feature series from local slice grids.
+    """The feature series of integer slice grids, from exact per-slice sums over nonzero cells.
 
-    Slices with no usable direction (empty, or all points identical)
-    contribute 0.0 to the direction-similarity pairs they take part in.
+    f_s correlates consecutive slices over all h*w cells (0.0 if either is constant); f_p is
+    the |cos| of their cells' principal directions (0.0 if either has under two cells).
     """
     slices = np.asarray(local_slices)
     if slices.ndim != 3 or slices.shape[0] < 2:
         raise ValidationError("need an (m, h, w) array with m >= 2")
-    m = slices.shape[0]
-    f_d = density_series(slices).astype(np.float64)
-    f_s = np.array([structural_similarity(slices[j], slices[j + 1]) for j in range(m - 1)])
-    directions: list[np.ndarray | None] = []
-    for j in range(m):
-        ys, xs = np.nonzero(slices[j])
-        try:
-            directions.append(principal_direction(np.column_stack([xs, ys])).vector)
-        except DegenerateInputError:
-            directions.append(None)
-    f_p = np.array(
-        [
-            direction_similarity(directions[j], directions[j + 1])
-            if directions[j] is not None and directions[j + 1] is not None
-            else 0.0
-            for j in range(m - 1)
-        ]
+    if slices.dtype.kind not in "iu":
+        raise ValidationError(f"local slices must hold integer counts, got {slices.dtype}")
+    m, h, w = slices.shape
+    hw = h * w
+    flat = slices.reshape(-1)
+    cells = np.flatnonzero(flat.astype(bool))  # a boolean scan is faster than one over counts
+    v = flat[cells].astype(np.int64)
+    # Bounds every int64 sum below, the squares and cross products included.
+    if np.abs(flat[cells], dtype=np.float64).sum() >= 2**31:
+        raise ValidationError("local slice counts must total less than 2**31")
+    y, x = np.divmod(cells % hw, w)
+    # cells is sorted, so each slice owns one run of it.
+    bounds = np.searchsorted(cells, np.arange(m + 1) * hw)
+
+    def per_slice(values: np.ndarray) -> np.ndarray:
+        # Python ints, so the products below cannot overflow.
+        total = np.concatenate(([0], np.cumsum(values)))
+        return (total[bounds[1:]] - total[bounds[:-1]]).astype(object)
+
+    n = np.diff(bounds).astype(object)
+    s1 = per_slice(v)
+    # The same pixel one slice later is cell + h*w.
+    partner = np.minimum(np.searchsorted(cells, cells + hw), cells.size - 1)
+    cross = per_slice(np.where(cells[partner] == cells + hw, v * v[partner], 0))[:-1]
+    var = (hw * per_slice(v * v) - s1 * s1).astype(np.float64)  # (h*w)^2 * variance
+    cov = (hw * cross - s1[:-1] * s1[1:]).astype(np.float64)
+    denom = np.sqrt(var[:-1] * var[1:])
+    f_s = np.divide(cov, denom, out=np.zeros(m - 1), where=denom > 0.0)
+
+    sx, sy = per_slice(x), per_slice(y)
+    axes, _ = _major_axes(  # n^2 times each slice's occupancy covariance
+        (n * per_slice(x * x) - sx * sx).astype(np.float64),
+        (n * per_slice(x * y) - sx * sy).astype(np.float64),
+        (n * per_slice(y * y) - sy * sy).astype(np.float64),
     )
-    return FeatureSeries(f_d=f_d, f_s=f_s, f_p=f_p)
+    f_p = np.minimum(np.abs((axes[:-1] * axes[1:]).sum(axis=1)), 1.0)
+    f_p[(n[:-1] < 2) | (n[1:] < 2)] = 0.0  # no direction below two cells
+    return FeatureSeries(f_d=s1.astype(np.float64), f_s=np.clip(f_s, -1.0, 1.0), f_p=f_p)
 
 
 def moving_average(series, window: int) -> np.ndarray:
@@ -247,14 +236,33 @@ def moving_average(series, window: int) -> np.ndarray:
     return (csum[hi] - csum[lo]) / (hi - lo)
 
 
-def _qualifying_extrema(x: np.ndarray, floor: float) -> int:
-    """Count interior strict local maxima whose prominence reaches floor."""
-    interior = x[1:-1]
-    peaks = np.flatnonzero((interior > x[:-2]) & (interior > x[2:])) + 1
-    if peaks.size == 0:
-        return 0
-    prominences = peak_prominences(x, peaks)[0]
-    return int(np.count_nonzero(prominences >= floor))
+def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """Prominence of each peak, as scipy.signal.peak_prominences defines it.
+
+    On each side the base is the lowest sample between the peak and the
+    nearest strictly higher sample; the prominence is the peak height over
+    the higher base. x holds no NaN and starts and ends with an inf sample.
+    """
+    # Past the nearest higher sample the series rises on to a non-strict local
+    # maximum (a top), so stopping at the nearest higher top gives the same base.
+    tops = np.flatnonzero((x >= np.append(-np.inf, x[:-1])) & (x >= np.append(x[1:], -np.inf)))
+    # Pointer jumping, on the tops for the left side and on the reversed tops
+    # for the right: a top points at a nearer one until that one is higher.
+    n = tops.size
+    height = np.concatenate([x[tops], x[tops[::-1]]])
+    target = np.arange(-1, 2 * n - 1)
+    target[[0, n]] = [0, n]  # the end walls
+    pending = height < np.inf
+    while pending.any():
+        pending &= height[target] <= height
+        target = np.where(pending, target[target], target)
+    j = np.searchsorted(tops, peaks)
+    left = tops[target[j]]
+    right = tops[2 * n - 1 - target[2 * n - 1 - j]]
+    # reduceat takes the minimum of each run from a (start, stop) pair; every second is a base.
+    left_base = np.minimum.reduceat(x, np.column_stack([left + 1, peaks + 1]).ravel())
+    right_base = np.minimum.reduceat(x, np.column_stack([peaks, right]).ravel())
+    return x[peaks] - np.maximum(left_base[::2], right_base[::2])
 
 
 def peaks_valleys(series) -> tuple[bool, bool]:
@@ -267,10 +275,24 @@ def peaks_valleys(series) -> tuple[bool, bool]:
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1:
         raise ValidationError("series must be one-dimensional")
-    if x.size < 5:
-        return (False, False)
-    floor = 0.5 * float(x.std())
-    return (_qualifying_extrema(x, floor) >= 2, _qualifying_extrema(-x, floor) >= 2)
+    return tuple(bool(flag) for flag in _extrema_flags([x]))
+
+
+def _extrema_flags(series: list[np.ndarray]) -> np.ndarray:
+    """peaks_valleys of several series in one pass, as (peaks, valleys) flag pairs."""
+    floors = np.array([0.5 * float(x.std()) if x.size else 0.0 for x in series])
+    # The valleys of a series are the peaks of its negation. All copies go end
+    # to end behind inf walls, which stop every walk as a series end would.
+    # Zeros replace a series with a NaN floor (no flags) so it keeps the walls.
+    # Two strict interior extrema need 5 samples, so shorter series get none.
+    series = [x if floor == floor else np.zeros_like(x) for x, floor in zip(series, floors)]
+    copies = [c for x in series for c in (x, -x)]
+    joined = np.concatenate([part for c in copies for part in ([np.inf], c)] + [[np.inf]])
+    inner = joined[1:-1]
+    peaks = np.flatnonzero((inner > joined[:-2]) & (inner > joined[2:]) & (inner < np.inf)) + 1
+    owner = np.repeat(np.arange(len(copies)), [c.size + 1 for c in copies])[peaks]
+    kept = owner[_prominences(joined, peaks) >= np.repeat(floors, 2)[owner]]
+    return np.bincount(kept, minlength=len(copies)) >= 2
 
 
 def periodicity_score(features: FeatureSeries, smooth_window: int = 3) -> int:
@@ -283,16 +305,12 @@ def periodicity_score(features: FeatureSeries, smooth_window: int = 3) -> int:
         raise ConfigurationError(
             f"smooth_window must be an odd integer >= 1, got {smooth_window}"
         )
-    score = 0
-    for series in (features.f_d, features.f_s, features.f_p):
-        if series.size == 0:
-            continue
-        window = min(smooth_window, series.size if series.size % 2 else series.size - 1)
-        window = max(window, 1)
-        smoothed = moving_average(series, window)
-        has_peaks, has_valleys = peaks_valleys(smoothed)
-        score += int(has_peaks) + int(has_valleys)
-    return score
+    smoothed = [  # x.size - 1 + x.size % 2 is the longest odd window that fits
+        moving_average(x, max(min(smooth_window, x.size - 1 + x.size % 2), 1))
+        for x in (features.f_d, features.f_s, features.f_p)
+        if x.size
+    ]
+    return int(np.count_nonzero(_extrema_flags(smoothed)))
 
 
 def saliency_score(region: Region, smap: SaliencyMap) -> int:

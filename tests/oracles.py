@@ -9,6 +9,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from evrotor import DegenerateInputError
+from evrotor.features import principal_direction
+
 
 def flood_fill_components(mask):
     """8-connected components of a boolean grid via BFS.
@@ -196,3 +201,64 @@ def centered_moving_average(values, window):
         hi = min(i + half + 1, len(values))
         out.append(sum(values[lo:hi]) / (hi - lo))
     return out
+
+
+def structural_similarity(slice_a, slice_b):
+    """Pearson correlation of two equally shaped grids, flattened row-major.
+
+    Either grid being constant yields 0.0.
+    """
+    a = np.asarray(slice_a, dtype=np.float64)
+    b = np.asarray(slice_b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"grid shapes differ: {a.shape} vs {b.shape}")
+    a = a.ravel()
+    b = b.ravel()
+    std_a = a.std()
+    std_b = b.std()
+    if std_a == 0.0 or std_b == 0.0:
+        return 0.0
+    za = (a - a.mean()) / std_a
+    zb = (b - b.mean()) / std_b
+    return float(np.clip(np.dot(za, zb) / a.size, -1.0, 1.0))
+
+
+def direction_similarity(xi_1, xi_2):
+    """Absolute cosine between two directions; sign-insensitive, in [0, 1]."""
+    a = np.asarray(xi_1, dtype=np.float64)
+    b = np.asarray(xi_2, dtype=np.float64)
+    norm_a = float(np.linalg.norm(a))
+    norm_b = float(np.linalg.norm(b))
+    if norm_a == 0.0 or norm_b == 0.0:
+        raise ValueError("direction vectors must be nonzero")
+    return float(min(abs(float(a @ b)) / (norm_a * norm_b), 1.0))
+
+
+def compute_features(local_slices):
+    """The three feature series of (m, h, w) slice grids, one slice at a time.
+
+    f_d sums each slice.  f_s applies structural_similarity to each
+    consecutive pair.  f_p applies direction_similarity to the principal
+    directions of consecutive slices' nonzero cells, taking 0.0 where either
+    slice has no direction.  Returns (f_d, f_s, f_p) as float arrays.
+    principal_direction is the package's own; its tests check it against
+    principal_angle_sweep.
+    """
+    slices = np.asarray(local_slices)
+    m = slices.shape[0]
+    f_d = [float(slices[j].sum(dtype=np.int64)) for j in range(m)]
+    f_s = [structural_similarity(slices[j], slices[j + 1]) for j in range(m - 1)]
+    directions = []
+    for j in range(m):
+        ys, xs = np.nonzero(slices[j])
+        try:
+            directions.append(principal_direction(np.column_stack([xs, ys])).vector)
+        except DegenerateInputError:
+            directions.append(None)
+    f_p = [
+        direction_similarity(directions[j], directions[j + 1])
+        if directions[j] is not None and directions[j + 1] is not None
+        else 0.0
+        for j in range(m - 1)
+    ]
+    return np.array(f_d), np.array(f_s), np.array(f_p)

@@ -33,7 +33,7 @@ class TestEvent:
         with pytest.raises(ValidationError):
             make_period([(-1, 0, 0, 1)])
 
-    @pytest.mark.parametrize("p", [-1, 2, 7])
+    @pytest.mark.parametrize("p", [-1, 2, 7, 257])
     def test_rejects_bad_polarity(self, p):
         with pytest.raises(ValidationError, match="polarity"):
             make_period([(0, 0, 0, p)])
@@ -102,6 +102,11 @@ class TestEventPeriod:
     def test_rejects_out_of_bounds_pixel(self):
         with pytest.raises(ValidationError, match="700"):
             make_period([(10, 700, 100, 0)], sensor=SensorGeometry(640, 480))
+        # Values that a narrowing int32 cast would wrap onto the sensor.
+        with pytest.raises(ValidationError, match=str(2**32 + 1)):
+            make_period([(10, 2**32 + 1, 1, 0)])
+        with pytest.raises(ValidationError, match=str(2**40)):
+            EventPeriod(t=[10], x=[2**40], y=[1], p=[0], t_start=0, duration=1000, sensor=SMALL)
 
     def test_rejects_out_of_window_timestamp(self):
         with pytest.raises(ValidationError, match="outside the period"):
@@ -112,6 +117,8 @@ class TestEventPeriod:
     def test_rejects_bad_polarity_column(self):
         with pytest.raises(ValidationError, match="polarity"):
             make_period([(10, 1, 1, 3)])
+        with pytest.raises(ValidationError, match="polarity 300"):
+            EventPeriod(t=[10], x=[1], y=[1], p=[300], t_start=0, duration=1000, sensor=SMALL)
 
     def test_rejects_ragged_columns(self):
         with pytest.raises(ValidationError):

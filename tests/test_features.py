@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import peak_prominences
 
 from evrotor import (
     BBox,
@@ -22,18 +23,23 @@ from evrotor import (
     saliency_score,
 )
 from evrotor.features import (
-    density_series,
+    _prominences,
     dilated_window,
-    direction_similarity,
     moving_average,
     peaks_valleys,
     principal_direction,
-    structural_similarity,
 )
 from evrotor.saliency import render_gray
 
+import oracles
 from conftest import SMALL, make_period
-from oracles import centered_moving_average, pearson, principal_angle_sweep
+from oracles import (
+    centered_moving_average,
+    direction_similarity,
+    pearson,
+    principal_angle_sweep,
+    structural_similarity,
+)
 
 
 def region_of(x, y, w, h):
@@ -91,15 +97,15 @@ class TestDensity:
     def test_counts_positive_events(self):
         grids = np.zeros((3, 4, 4), np.int32)
         grids[0, 1, 1] = 7
-        assert list(density_series(grids)) == [7, 0, 0]
+        assert list(compute_features(grids).f_d) == [7, 0, 0]
 
     def test_constant_rate_gives_constant_series(self):
         grids = np.ones((5, 2, 2), np.int32)
-        assert list(density_series(grids)) == [4] * 5
+        assert list(compute_features(grids).f_d) == [4] * 5
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValidationError):
-            density_series(np.zeros((2, 2)))
+            compute_features(np.zeros((2, 2), np.int32))
 
 
 class TestStructuralSimilarity:
@@ -122,8 +128,21 @@ class TestStructuralSimilarity:
         assert structural_similarity(b, a) == 0.0
 
     def test_shape_mismatch_is_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValueError):
             structural_similarity(np.zeros((2, 2)), np.zeros((3, 3)))
+
+    def test_behaviours_hold_through_compute_features(self):
+        def f_s(a, b):
+            return compute_features(np.stack([a, b]).astype(np.int32)).f_s[0]
+
+        a = np.array([[0, 1], [2, 3]])
+        assert f_s(a, a) == 1.0
+        assert f_s(a, 10 - a) == pytest.approx(-1.0, abs=1e-12)
+        assert f_s(a, 3 * a + 5) == pytest.approx(1.0, abs=1e-12)
+        flat = np.full((3, 3), 7)
+        ramp = np.arange(9).reshape(3, 3)
+        assert f_s(flat, ramp) == 0.0
+        assert f_s(ramp, flat) == 0.0
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.integers(0, 9), min_size=8, max_size=8),
@@ -221,8 +240,29 @@ class TestDirectionSimilarity:
         assert got == pytest.approx(math.sqrt(0.5))
 
     def test_zero_vector_is_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValueError):
             direction_similarity((0, 0), (1, 0))
+
+    def test_behaviours_hold_through_compute_features(self):
+        def f_p(cells_a, cells_b):
+            grids = np.zeros((2, 5, 5), np.int32)
+            for j, cells in enumerate((cells_a, cells_b)):
+                for x, y in cells:
+                    grids[j, y, x] = 1
+            return compute_features(grids).f_p[0]
+
+        row = [(x, 2) for x in range(5)]
+        column = [(2, y) for y in range(5)]
+        diagonal = [(k, k) for k in range(5)]
+        anti_diagonal = [(k, 4 - k) for k in range(5)]
+        assert f_p(row, column) == 0.0
+        assert f_p(row, row) == pytest.approx(1.0)
+        assert f_p(row, diagonal) == pytest.approx(math.sqrt(0.5))
+        assert f_p(diagonal, anti_diagonal) == pytest.approx(0.0, abs=1e-12)
+        assert f_p(diagonal, row) == f_p(row, diagonal)
+        # A slice without a direction plays the part of the zero vector.
+        assert f_p(row, [(1, 1)]) == 0.0
+        assert f_p([], row) == 0.0
 
     @settings(max_examples=80, deadline=None)
     @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5))
@@ -238,7 +278,68 @@ class TestDirectionSimilarity:
         assert direction_similarity((-ax, -ay), b) == pytest.approx(s)
 
 
+SLICE_KINDS = ("empty", "single", "collinear", "square", "random")
+LINE_STEPS = ((0, 1), (1, 0), (1, 1), (1, -1), (2, 1), (1, 3))
+
+
+@st.composite
+def count_grids(draw):
+    """(m, h, w) count grids whose slices are drawn from SLICE_KINDS.
+
+    One draw in eight is a large sparse window of 40 slices of 240x630 with
+    at most 1,000 nonzero cells per slice; the rest are small grids.
+    """
+    large = draw(st.integers(0, 7)) == 0
+    if large:
+        m, h, w = 40, 240, 630
+    else:
+        m, h, w = draw(st.integers(2, 6)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    dtype = draw(st.sampled_from([np.int32, np.int64, np.uint16]))
+    top = draw(st.sampled_from([1, 3, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grids = np.zeros((m, h, w), dtype)
+    for j in range(m):
+        kind = draw(st.sampled_from(SLICE_KINDS))
+        if kind == "single":
+            ys, xs = [rng.integers(h)], [rng.integers(w)]
+        elif kind == "collinear":
+            dy, dx = LINE_STEPS[rng.integers(len(LINE_STEPS))]
+            k = np.arange(rng.integers(2, max(h, w, 2) + 1))
+            ys, xs = rng.integers(h) + dy * k, rng.integers(w) + dx * k
+            keep = (ys < h) & (xs >= 0) & (xs < w)
+            ys, xs = ys[keep], xs[keep]
+        elif kind == "square":
+            y0, x0 = rng.integers(max(h - 1, 1)), rng.integers(max(w - 1, 1))
+            ys, xs = np.array([y0, y0, y0 + 1, y0 + 1]), np.array([x0, x0 + 1, x0, x0 + 1])
+            keep = (ys < h) & (xs < w)
+            ys, xs = ys[keep], xs[keep]
+        elif kind == "random" and large:
+            cells = rng.choice(h * w, rng.integers(0, 1001), replace=False)
+            ys, xs = np.divmod(cells, w)
+        elif kind == "random":
+            ys, xs = np.nonzero(rng.uniform(size=(h, w)) < rng.uniform())
+        else:
+            ys, xs = [], []
+        grids[j, ys, xs] = rng.integers(1, top + 1, size=len(ys))
+    return grids
+
+
 class TestComputeFeatures:
+    @settings(max_examples=150, deadline=None)
+    @given(count_grids())
+    def test_matches_the_per_slice_oracle(self, grids):
+        got = compute_features(grids)
+        f_d, f_s, f_p = oracles.compute_features(grids)
+        assert np.array_equal(got.f_d, f_d)
+        assert np.abs(got.f_s - f_s).max() <= 1e-12
+        assert np.abs(got.f_p - f_p).max() <= 1e-12
+
+    def test_rejects_non_integer_and_oversized_counts(self):
+        with pytest.raises(ValidationError, match="integer"):
+            compute_features(np.ones((3, 2, 2)))
+        with pytest.raises(ValidationError, match="2\\*\\*31"):
+            compute_features(np.full((2, 2, 2), 2**28, np.int64))
+
     def test_series_lengths_and_ranges(self):
         rng = np.random.default_rng(3)
         grids = rng.integers(0, 4, size=(6, 5, 5)).astype(np.int32)
@@ -310,6 +411,27 @@ class TestPeaksValleys:
 
     def test_short_series_reports_nothing(self):
         assert peaks_valleys([0.0, 9.0, 0.0, 9.0]) == (False, False)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_report_nothing(self, bad):
+        series = np.sin(2 * np.pi * 3 * np.arange(30) / 30)
+        for where in (0, 7, 29):
+            x = series.copy()
+            x[where] = bad
+            with np.errstate(invalid="ignore"):  # the std of an infinite series
+                assert peaks_valleys(x) == (False, False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(-4, 4), min_size=3, max_size=40),
+        st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=3, max_size=40),
+    ))
+    def test_prominences_match_scipy(self, values):
+        for x in (np.array(values, float), -np.array(values, float)):
+            interior = x[1:-1]
+            peaks = np.flatnonzero((interior > x[:-2]) & (interior > x[2:])) + 1
+            walled = np.concatenate([[np.inf], x, [np.inf]])  # inf walls for the ends
+            assert np.array_equal(_prominences(walled, peaks + 1), peak_prominences(x, peaks)[0])
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(-50, 50), min_size=5, max_size=30),

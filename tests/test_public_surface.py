@@ -1,6 +1,9 @@
 """The names ``evrotor`` exports, and the ones the benchmark harness needs."""
 
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -87,3 +90,16 @@ def test_benchmark_harness_imports_only_exported_names():
     needed = benchmark_imports()
     assert needed, "found no evrotor imports under perfbench/"
     assert needed <= set(evrotor.__all__), sorted(needed - set(evrotor.__all__))
+
+
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal costs most of the cold start; the package computes peak
+    # prominences itself, so importing it must not pull scipy.signal in.
+    src = str(Path(evrotor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, evrotor; print(sorted(sys.modules))"],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert "'scipy.signal'" not in proc.stdout
+    assert "'evrotor.features'" in proc.stdout
