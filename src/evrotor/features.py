@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, ValidationError
 from .events import BBox, EventPeriod, SensorGeometry
-from .saliency import Region, SaliencyMap
+from .saliency import Region, SaliencyMap, check_slice_count
 
 
 class PrincipalDirection(NamedTuple):
@@ -101,12 +101,7 @@ def extract_local_slices(
 
     Returns an (m, window_h, window_w) int32 array.
     """
-    if m < 4:
-        raise ConfigurationError(f"local slice count must be at least 4, got {m}")
-    if m > period.duration:
-        raise ConfigurationError(
-            f"local slice count {m} exceeds the period duration of {period.duration} us"
-        )
+    check_slice_count(period, m, minimum=4, what="local slice count")
     bbox = region.bbox if isinstance(region, Region) else region
     window = dilated_window(bbox, margin, period.sensor)
     inside = np.flatnonzero(  # indices gather several times faster than a boolean mask

@@ -6,6 +6,10 @@ moving edges brighten a pixel first and darken it only much later, so their
 polarities land in different slices. Counting, per pixel, how many slices
 have both polarities present therefore highlights rotor regions while
 suppressing camera-motion clutter and background noise.
+
+The counts come from one sorted integer key per event, (slice, pixel,
+polarity), rather than from per-slice pixel grids, so memory grows with the
+events and the pixels only, never with slices times pixels.
 """
 
 from __future__ import annotations
@@ -66,19 +70,39 @@ class Region:
         return int(self.pixels.shape[0])
 
 
-def _check_slice_count(period: EventPeriod, n: int) -> None:
-    if n < 2:
-        raise ConfigurationError(f"slice count must be at least 2, got {n}")
-    if n > period.duration:
+# Slice arithmetic runs in int64: the product (t - t_start) * k and the
+# saliency key 2 * (k * H * W) must both stay below this.
+_INT64_LIMIT = 2**63
+
+
+def check_slice_count(
+    period: EventPeriod, k: int, minimum: int = 2, what: str = "slice count"
+) -> None:
+    """Reject a k-way split of the period that is too fine or overflows int64.
+
+    Shared by ``slice_indices`` and ``features.extract_local_slices``.
+    """
+    if k < minimum:
+        raise ConfigurationError(f"{what} must be at least {minimum}, got {k}")
+    if k > period.duration:
         raise ConfigurationError(
-            f"slice count {n} exceeds the period duration of {period.duration} us"
+            f"{what} {k} exceeds the period duration of {period.duration} us"
+        )
+    height, width = period.sensor.shape
+    if period.duration * k >= _INT64_LIMIT or 2 * k * height * width >= _INT64_LIMIT:
+        raise ConfigurationError(
+            f"{what} {k} over a {period.duration} us period on a "
+            f"{width}x{height} sensor overflows 64-bit slice arithmetic"
         )
 
 
 def slice_indices(period: EventPeriod, n: int) -> np.ndarray:
     """0-based slice index of every event for an n-way split of the period."""
-    _check_slice_count(period, n)
-    return ((period.t - period.t_start) * n) // period.duration
+    check_slice_count(period, n)
+    s = period.t - period.t_start
+    s *= n
+    s //= period.duration
+    return s
 
 
 def render_gray(counts: np.ndarray, n_slices: int) -> np.ndarray:
@@ -90,17 +114,28 @@ def render_gray(counts: np.ndarray, n_slices: int) -> np.ndarray:
 
 
 def saliency_map(period: EventPeriod, n: int) -> SaliencyMap:
-    """Build the full saliency map for an n-way split of the period."""
+    """Build the full saliency map for an n-way split of the period.
+
+    Each event becomes the key ((slice * H * W + pixel) << 1) | polarity.
+    After one sort, a (slice, pixel) cell holds both polarities exactly when
+    an even key 2c is followed directly by 2c + 1, that is, when two
+    neighbouring keys differ in the lowest bit only; so each cell counts once.
+    Every key is below 2 * n * H * W, so keys are int32 while that is below
+    2**31, else int64.
+    """
     height, width = period.sensor.shape
-    cell = (slice_indices(period, n) * height + period.y) * width + period.x
-    pos = np.zeros(n * height * width, dtype=bool)
-    neg = np.zeros(n * height * width, dtype=bool)
-    positive = period.p == 1
-    pos[cell[positive]] = True
-    neg[cell[~positive]] = True
-    # Free the per-event arrays before the third n*H*W volume is allocated.
-    del cell, positive
-    counts = (pos & neg).reshape(n, height, width).sum(axis=0, dtype=np.int32)
+    pixels = height * width
+    key_dtype = np.int32 if 2 * n * pixels < 2**31 else np.int64
+    key = slice_indices(period, n).astype(key_dtype, copy=False)
+    key *= pixels
+    key += period.y * width
+    key += period.x
+    key <<= 1
+    key |= period.p
+    key.sort()
+    hits = key[np.flatnonzero((key[1:] ^ key[:-1]) == 1)]
+    counts = np.bincount((hits >> 1) % pixels, minlength=pixels)
+    counts = counts.astype(np.int32).reshape(height, width)
     return SaliencyMap(counts=counts, gray=render_gray(counts, n), n_slices=n)
 
 

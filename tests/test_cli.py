@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from evrotor import DetectorConfig
+from evrotor import DetectorConfig, EventPeriod, SensorGeometry, write_events
 from evrotor.cli import build_parser, main
 
 
@@ -94,6 +94,36 @@ class TestDetect:
         )
         assert code == 2
         assert "io error:" in err
+
+    def test_overflowing_period_is_reported(self, tmp_path, capsys):
+        # 2**40 us at one slice per ms: (t - t_start) * n would wrap in int64
+        path = tmp_path / "long.csv"
+        path.write_text(f"0,1,1,1\n{2**40},2,2,0\n", encoding="ascii")
+        code, _, err = run_cli(
+            ["detect", "--input", str(path), "--width", "8", "--height", "8",
+             "--output", str(tmp_path / "d.json")],
+            capsys,
+        )
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "overflows" in err
+
+    def test_long_declared_period_needs_no_slice_volume(self, tmp_path, capsys):
+        """2**33 us is 8.6 million slices: a per-slice 8x8 volume would take gigabytes."""
+        sensor = SensorGeometry(8, 8)
+        last = 2**33 - 1
+        period = EventPeriod(
+            t=[0, 0, 5_000, last, last], x=[1, 1, 3, 7, 7], y=[2, 2, 4, 7, 7],
+            p=[1, 0, 1, 1, 0], t_start=0, duration=2**33, sensor=sensor,
+        )
+        path = tmp_path / "long.evd"
+        write_events(period, path)
+        out = tmp_path / "d.json"
+        code, _, err = run_cli(["detect", "--input", str(path), "--output", str(out)], capsys)
+        assert code == 0, err
+        record = json.loads(out.read_text())
+        assert record["duration_us"] == 2**33
+        assert record["boxes"] == []
 
     def test_unknown_flag_exits_with_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

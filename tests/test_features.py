@@ -92,6 +92,12 @@ class TestWindowing:
         with pytest.raises(ConfigurationError):
             extract_local_slices(period, BBox(0, 0, 5, 5), 2000)
 
+    def test_overflowing_slice_arithmetic_is_rejected(self):
+        # (t - t_start) * m would wrap in int64: 2**40 us at two slices per ms
+        period = make_period([(2**40, 1, 1, 1)], duration=2**40 + 1)
+        with pytest.raises(ConfigurationError, match="overflows"):
+            extract_local_slices(period, BBox(0, 0, 5, 5), round(2**40 / 500))
+
 
 class TestDensity:
     def test_counts_positive_events(self):

@@ -1,5 +1,7 @@
 """Polarity-intersection saliency: slicing, accumulation, components."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from hypothesis.extra import numpy as npst
 from evrotor import (
     ConfigurationError,
     Region,
+    SensorGeometry,
     ValidationError,
     connected_components,
     saliency_map,
@@ -136,6 +139,90 @@ class TestRendering:
             want = saliency_counts(rows, t_start, duration, n, SMALL.width, SMALL.height)
             assert np.array_equal(smap.counts, np.array(want))
             assert np.array_equal(smap.gray, render_gray(np.array(want), n))
+
+
+def slice_start(j, t_start, duration, n):
+    """First microsecond of slice j of an n-way split."""
+    return t_start + -(-j * duration // n)
+
+
+class TestBounds:
+    def test_overflowing_slice_arithmetic_is_rejected(self):
+        # (t - t_start) * n would wrap in int64: 2**40 us at one slice per ms
+        long = make_period([(0, 1, 1, 1), (2**40, 2, 2, 0)], duration=2**40 + 1)
+        with pytest.raises(ConfigurationError, match="overflows"):
+            slice_indices(long, round(2**40 / 1000))
+        with pytest.raises(ConfigurationError, match="overflows"):
+            saliency_map(long, round(2**40 / 1000))
+        # just inside the limit the products stay exact
+        edge = make_period([(2**62 - 2, 1, 1, 1)], duration=2**62 - 1)
+        assert list(slice_indices(edge, 2)) == [1]
+        with pytest.raises(ConfigurationError, match="overflows"):
+            slice_indices(make_period([], duration=2**62), 2)
+        # the saliency key 2 * n * H * W would wrap on a huge sensor
+        wide = make_period([], sensor=SensorGeometry(65535, 65535), duration=2**31)
+        with pytest.raises(ConfigurationError, match="overflows"):
+            saliency_map(wide, 2**31)
+
+    def test_memory_grows_with_events_not_slices(self):
+        """268 435 slices of an 8x8 sensor: a per-slice volume would be 17 MB each."""
+        sensor = SensorGeometry(8, 8)
+        duration = 2**28
+        n = round(duration / 1000)
+        rng = np.random.default_rng(5)
+        cells = set()
+        rows = []
+        for j in [n - 1, 0, *rng.integers(0, n, 48)]:
+            x, y = (7, 7) if j == n - 1 else (int(rng.integers(0, 8)), int(rng.integers(0, 8)))
+            t = slice_start(int(j), 0, duration, n)
+            rows += [(t, x, y, 1), (t, x, y, 0)]
+            cells.add((int(j), x, y))
+        period = make_period(rows, sensor=sensor, duration=duration)
+        tracemalloc.start()
+        try:
+            smap = saliency_map(period, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        want = np.zeros((8, 8), np.int32)
+        for _, x, y in cells:
+            want[y, x] += 1
+        assert np.array_equal(smap.counts, want)
+
+    @pytest.mark.parametrize(
+        "width, height, n",
+        # 2 * n * H * W just below and at 2**31 (n * H * W = 2**30 - 2**15, 2**30),
+        # then with an H * W that does not divide 2**31, so wrapped keys would
+        # also land on wrong pixels
+        [(256, 128, 32767), (256, 128, 32768), (255, 129, 32641), (255, 129, 32642)],
+    )
+    def test_key_width_switch_matches_oracle(self, width, height, n):
+        """Both sides of the int32/int64 key switch agree with the set oracle."""
+        sensor = SensorGeometry(width, height)
+        corner = (width - 1, height - 1)
+        pixels = [(0, 0), corner, (width - 2, height - 1), (width - 1, height - 2)]
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            t_start = int(rng.integers(0, 10_000))
+            duration = int(rng.integers(n, 3 * n))
+            rows = []
+            for _ in range(30):
+                j = int(rng.choice([0, n - 1, int(rng.integers(0, n))]))
+                x, y = pixels[int(rng.integers(0, len(pixels)))]
+                lo = slice_start(j, t_start, duration, n)
+                hi = slice_start(j + 1, t_start, duration, n)
+                for _ in range(2):
+                    rows.append((int(rng.integers(lo, hi)), x, y, int(rng.integers(0, 2))))
+            # the last microsecond of the period, at the last pixel, with both polarities
+            last = t_start + duration - 1
+            rows += [(last, *corner, 1), (last, *corner, 0)]
+            period = make_period(rows, sensor=sensor, t_start=t_start, duration=duration)
+            smap = saliency_map(period, n)
+            want = np.array(saliency_counts(rows, t_start, duration, n, width, height))
+            assert want[corner[1], corner[0]] >= 1
+            assert np.array_equal(smap.counts, want)
+            assert np.array_equal(smap.gray, render_gray(want, n))
 
 
 class TestThreshold:
