@@ -2,8 +2,10 @@
 
 The pipeline slices an event period, intersects positive and negative pixel
 occupancy per slice, and accumulates the intersections into a saliency map.
-Thresholded components are clustered, scored for blade-pass periodicity, and
-refined with a Gaussian shape prior.
+Thresholded components are clustered and scored for blade-pass periodicity.
+Each candidate is refined with one Gaussian shape prior over its pixels,
+which cuts the member components that fall outside the prior's 2-sigma
+ellipse.
 """
 
 from .detector import (

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -203,8 +204,10 @@ def cmd_detect(args: argparse.Namespace) -> int:
         dump_saliency=args.dump_saliency,
         dump_features=args.dump_features,
     )
-    if len(inputs) > 1 and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The pool starts all its workers up front, so start no more than can work.
+    workers = min(args.jobs, len(inputs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(worker, inputs))
     else:
         results = map(worker, inputs)

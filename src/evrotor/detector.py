@@ -5,13 +5,12 @@ minimum distance between their union bboxes stays within d_merge. Merging
 runs in passes to a fixpoint; since union bboxes only grow, that fixpoint is
 the partition that closest-pair-first merging reaches too. The top K clusters
 by saliency mass are scored for periodicity; candidates that clear tau_p are
-refined by checking each member component against a Gaussian shape prior,
-which tightens the box to the consistent components.
+refined against one Gaussian shape prior fitted to all their pixels, which
+cuts the member components whose centroids fall outside its 2-sigma ellipse.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,50 +167,49 @@ def _score_clusters(
 
 
 def gaussian_fine_refine(candidate: Cluster, smap: SaliencyMap) -> Detection:
-    """Tighten a candidate box around its Gaussian-shaped member components.
+    """Cut the members of a candidate that fall outside its Gaussian shape prior.
 
-    A member is shape-consistent when the area of the 2-sigma ellipse of its
-    gray-weighted pixel covariance stays within a factor of two of its pixel
-    count, and its weighted centroid falls inside the candidate bbox. The
-    detection covers the consistent members, or the whole candidate bbox when
-    none qualify.
+    The prior is the gray-weighted mean and covariance C of all the
+    candidate's pixels. A member is kept when its weighted centroid lies
+    inside the prior's 2-sigma ellipse: squared Mahalanobis distance at most
+    4. The mass-weighted mean of those distances is tr(C^-1 B) <= 2, where
+    B <= C is the covariance of the member centroids, so some member is
+    always kept. The detection covers the kept members. It keeps the
+    candidate bbox when every member is kept, or when the prior is
+    degenerate: no pixel has weight, or the pixels are collinear.
     """
     if candidate.scores is None or candidate.scores.s_p is None:
         raise ValidationError("candidate has no scores; run the coarse stage first")
-    consistent: list[Region] = []
-    for region in candidate.members:
-        xs = region.pixels[:, 0].astype(np.float64)
-        ys = region.pixels[:, 1].astype(np.float64)
-        weights = smap.gray[region.pixels[:, 1], region.pixels[:, 0]].astype(np.float64)
-        total = float(weights.sum())
-        if total <= 0.0:
-            continue
-        mean_x = float((weights * xs).sum()) / total
-        mean_y = float((weights * ys).sum()) / total
-        dx = xs - mean_x
-        dy = ys - mean_y
-        cov_xx = float((weights * dx * dx).sum()) / total
-        cov_xy = float((weights * dx * dy).sum()) / total
-        cov_yy = float((weights * dy * dy).sum()) / total
-        det = max(cov_xx * cov_yy - cov_xy * cov_xy, 0.0)
-        ellipse_area = 4.0 * math.pi * math.sqrt(det)
-        ratio = ellipse_area / region.area
-        if 0.5 <= ratio <= 2.0 and candidate.bbox.contains(mean_x, mean_y):
-            consistent.append(region)
-    if consistent:
-        bbox = consistent[0].bbox
-        for region in consistent[1:]:
-            bbox = bbox.union(region.bbox)
-        pixels = np.concatenate([region.pixels for region in consistent])
-    else:
-        bbox = candidate.bbox
-        pixels = np.concatenate([region.pixels for region in candidate.members])
-    return Detection(
-        bbox=bbox,
-        s_p=candidate.scores.s_p,
-        s_s=candidate.scores.s_s,
-        pixels=pixels,
-    )
+    s_p, s_s = candidate.scores.s_p, candidate.scores.s_s
+    members = candidate.members
+    pixels = np.concatenate([region.pixels for region in members])
+    member = np.repeat(np.arange(len(members)), [region.area for region in members])
+    w = smap.gray[pixels[:, 1], pixels[:, 0]].astype(np.float64)
+    # Measured from the pixels' low corner, the moments of any candidate under
+    # 2400 px across are integers below 2**53, so the float64 sums are exact
+    # and collinear pixels give det == 0 exactly.
+    x, y = (pixels - pixels.min(axis=0)).T.astype(np.float64)
+    wx, wy = w * x, w * y
+    mass, sx, sy = (np.bincount(member, v, len(members)) for v in (w, wx, wy))
+    total, sum_x, sum_y = (int(v.sum()) for v in (mass, sx, sy))
+    # T = total**2 times the prior covariance, in Python integers.
+    cxx = total * int(wx @ x) - sum_x * sum_x
+    cxy = total * int(wx @ y) - sum_x * sum_y
+    cyy = total * int(wy @ y) - sum_y * sum_y
+    det = cxx * cyy - cxy * cxy
+    if det > 0:
+        # Row k of u is total * mass_k times member k's centroid offset from
+        # the prior mean; its squared distance is u' adj(T) u / (det * mass_k**2).
+        u = total * np.column_stack([sx, sy]) - np.outer(mass, (sum_x, sum_y))
+        adj = np.array([[cyy, -cxy], [-cxy, cxx]], dtype=np.float64)
+        quad = np.einsum("ki,ij,kj->k", u, adj, u)
+        keep = (mass > 0.0) & (quad <= 4.0 * det * mass * mass)
+        if not keep.all():
+            pixels = pixels[keep[member]]
+            x0, y0 = pixels.min(axis=0).tolist()
+            x1, y1 = pixels.max(axis=0).tolist()
+            return Detection(BBox(x0, y0, x1 - x0 + 1, y1 - y0 + 1), s_p, s_s, pixels)
+    return Detection(candidate.bbox, s_p, s_s, pixels)
 
 
 def run_pipeline(period: EventPeriod, config: DetectorConfig | None = None) -> PipelineResult:

@@ -74,10 +74,6 @@ class BBox:
             raise ValidationError(f"box {self.as_tuple()} lies outside the sensor")
         return BBox(x0, y0, x1 - x0, y1 - y0)
 
-    def contains(self, px: float, py: float) -> bool:
-        """True when the point falls inside the half-open pixel extent."""
-        return self.x <= px < self.right and self.y <= py < self.bottom
-
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.x, self.y, self.w, self.h)
 
@@ -108,8 +104,8 @@ class EventPeriod:
             raise ValidationError("event columns must be one-dimensional")
         if not (t.size == x.size == y.size == p.size):
             raise ValidationError("event columns must have equal length")
-        if t_start < 0:
-            raise ValidationError(f"period start must be non-negative, got {t_start}")
+        if not 0 <= t_start < 2**63:
+            raise ValidationError(f"period start must be within 0..2**63-1, got {t_start}")
         if duration <= 0:
             raise ValidationError(f"period duration must be positive, got {duration}")
         if t.size:

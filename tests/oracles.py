@@ -8,6 +8,7 @@ that agreement with the optimized library code is meaningful evidence.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -126,6 +127,43 @@ def greedy_union_clusters(rects, d_merge):
         clusters.append(merged)
     clusters.sort(key=lambda c: _rect_key(c[1]))
     return [(frozenset(members), rect) for members, rect in clusters]
+
+
+def gaussian_keep(members, gray):
+    """Which members of a candidate lie inside its Gaussian shape prior.
+
+    members is a list of lists of (x, y) pixels; gray is indexed [y][x] and
+    weights each pixel. The prior is the weighted mean and covariance of all
+    the pixels, in exact rational arithmetic. Returns None when the prior is
+    degenerate (no weight, or a singular covariance). Otherwise returns one
+    (kept, d2) pair per member: d2 is the squared Mahalanobis distance of the
+    member's weighted centroid, inf for a member without weight, and the
+    member is kept when d2 <= 4.
+    """
+    pixels = [(x, y, int(gray[y][x])) for member in members for x, y in member]
+    total = sum(w for _, _, w in pixels)
+    if total == 0:
+        return None
+    mean_x = Fraction(sum(w * x for x, _, w in pixels), total)
+    mean_y = Fraction(sum(w * y for _, y, w in pixels), total)
+    cxx = sum(w * (x - mean_x) ** 2 for x, _, w in pixels) / total
+    cxy = sum(w * (x - mean_x) * (y - mean_y) for x, y, w in pixels) / total
+    cyy = sum(w * (y - mean_y) ** 2 for _, y, w in pixels) / total
+    det = cxx * cyy - cxy * cxy
+    if det == 0:
+        return None
+    result = []
+    for member in members:
+        mass = sum(int(gray[y][x]) for x, y in member)
+        if mass == 0:
+            result.append((False, math.inf))
+            continue
+        dx = Fraction(sum(int(gray[y][x]) * x for x, y in member), mass) - mean_x
+        dy = Fraction(sum(int(gray[y][x]) * y for x, y in member), mass) - mean_y
+        inv_xx, inv_xy, inv_yy = cyy / det, -cxy / det, cxx / det
+        d2 = inv_xx * dx * dx + 2 * inv_xy * dx * dy + inv_yy * dy * dy
+        result.append((d2 <= 4, float(d2)))
+    return result
 
 
 def principal_angle_sweep(points, steps=3600):

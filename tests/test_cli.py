@@ -1,12 +1,14 @@
 """End-to-end command line behavior for detect, synth, eval, and bench."""
 
 import json
+import struct
 import subprocess
 import sys
 
 import pytest
 
 from evrotor import DetectorConfig, EventPeriod, SensorGeometry, write_events
+from evrotor import cli
 from evrotor.cli import build_parser, main
 
 
@@ -108,6 +110,16 @@ class TestDetect:
         assert err.count("\n") == 1 and err.startswith("error:")
         assert "overflows" in err
 
+    def test_overflowing_binary_period_start_is_reported(self, tmp_path, capsys):
+        # An empty .evd whose header starts the period at 2**63 us.
+        path = tmp_path / "late.evd"
+        path.write_bytes(struct.pack("<4sHHQQ", b"EVD1", 8, 8, 2**63, 1000))
+        code, _, err = run_cli(
+            ["detect", "--input", str(path), "--output", str(tmp_path / "d.json")], capsys
+        )
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error:")
+
     def test_long_declared_period_needs_no_slice_volume(self, tmp_path, capsys):
         """2**33 us is 8.6 million slices: a per-slice 8x8 volume would take gigabytes."""
         sensor = SensorGeometry(8, 8)
@@ -165,6 +177,34 @@ class TestDetect:
             )
             assert code == 0
             assert (out_dir / "clip.json").read_bytes() == single.read_bytes()
+
+    def test_workers_never_outnumber_inputs(self, scene_dir, tmp_path, capsys, monkeypatch):
+        started = []
+
+        class InProcessPool:
+            """Stands in for ProcessPoolExecutor; records the worker count it was given."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        code, _, _ = run_cli(
+            ["detect", "--input", str(scene_dir / "clip.evd"), str(scene_dir / "clip.evd"),
+             "--output", str(tmp_path / "out"), "--jobs", "1000000"],
+            capsys,
+        )
+        assert code == 0
+        assert started == [2]
 
     def test_dumps_require_a_single_input(self, scene_dir, tmp_path, capsys):
         code, _, err = run_cli(

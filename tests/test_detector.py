@@ -1,9 +1,11 @@
 """Clustering, coarse-to-fine selection, and whole-pipeline behavior."""
 
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evrotor import (
     BBox,
@@ -24,13 +26,18 @@ from evrotor import (
     saliency_map,
     threshold_mask,
     BackgroundSpec,
+    EventPeriod,
     PropellerSpec,
     SynthScene,
+    benchmark_period,
+    generate_background_events,
+    generate_propeller_events,
+    match_detections,
 )
 from evrotor.metrics import iou
 
 from conftest import VGA, make_period
-from oracles import greedy_union_clusters, rect_gap
+from oracles import gaussian_keep, greedy_union_clusters, rect_gap
 
 
 def rect_region(x, y, w, h):
@@ -346,7 +353,8 @@ class TestFineStage:
         assert detection.s_p == 5
 
     def test_wide_scatter_is_dropped_too(self):
-        # An L-shaped 1-px outline has an ellipse/pixel-area ratio far above 2.
+        # The centroid of an L-shaped 1-px outline lies outside the 2-sigma
+        # ellipse of the prior fitted to the disk and the outline together.
         disk = disk_region(30, 30, 10)
         outline = line_region(
             [(x, 60) for x in range(50, 78)] + [(50, y) for y in range(61, 78)]
@@ -360,6 +368,7 @@ class TestFineStage:
         assert detection.bbox == disk.bbox
 
     def test_no_consistent_member_falls_back_to_candidate_bbox(self):
+        # A lone straight streak is collinear: the prior is degenerate.
         streak = line_region([(20, y) for y in range(5, 55)])
         candidate = Cluster(
             members=(streak,),
@@ -383,6 +392,135 @@ class TestFineStage:
         disk = disk_region(25, 25, 8)
         with pytest.raises(ValidationError):
             gaussian_fine_refine(Cluster(members=(disk,), bbox=disk.bbox), gray_map((60, 60), [disk]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_kept_members_match_the_oracle(self, data):
+        # Members are small pixel clumps around their own origins, or all
+        # pixels lie on one line; one member may carry no weight at all.
+        if data.draw(st.integers(0, 3)) == 3:
+            dx, dy = data.draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 3)]))
+            origins = [(6, 12)] * 5
+            spots = [(k, step * dx, step * dy) for k, step in data.draw(
+                st.lists(st.tuples(st.integers(0, 4), st.integers(0, 12)), min_size=2, max_size=13)
+            )]
+        else:
+            origins = data.draw(st.lists(st.tuples(st.integers(0, 56), st.integers(0, 56)),
+                                         min_size=5, max_size=5))
+            spots = data.draw(st.lists(
+                st.tuples(st.integers(0, 4), st.integers(0, 7), st.integers(0, 7)),
+                min_size=4, max_size=60,
+            ))
+        owner = {}
+        for k, step_x, step_y in spots:
+            owner.setdefault((origins[k][0] + step_x, origins[k][1] + step_y), k)
+        groups = [[c for c, k in owner.items() if k == g] for g in sorted(set(owner.values()))]
+        silent = data.draw(st.integers(-1, len(groups) - 1))
+        levels = [[0 if g == silent else data.draw(st.integers(1, 255)) for _ in group]
+                  for g, group in enumerate(groups)]
+        gray = np.zeros((64, 64), np.uint8)
+        for group, group_levels in zip(groups, levels):
+            for (x, y), level in zip(group, group_levels):
+                gray[y, x] = level
+        members = tuple(line_region(group) for group in groups)
+        bbox = members[0].bbox
+        for member in members[1:]:
+            bbox = bbox.union(member.bbox)
+        smap = SaliencyMap(counts=gray.astype(np.int32), gray=gray, n_slices=20)
+        candidate = Cluster(members=members, bbox=bbox, scores=RegionScores(s_s=1.0, s_p=3))
+        detection = gaussian_fine_refine(candidate, smap)
+
+        box = detection.bbox
+        assert bbox.x <= box.x and bbox.y <= box.y
+        assert box.right <= bbox.right and box.bottom <= bbox.bottom
+        detected = set(map(tuple, detection.pixels.tolist()))
+        kept = [tuple(member.pixels[0].tolist()) in detected for member in members]
+        assert any(kept)
+        expected = gaussian_keep(groups, gray)
+        if expected is None:
+            assert box == bbox and len(detected) == len(owner)
+            return
+        for got, (want, d2) in zip(kept, expected):
+            if abs(d2 - 4.0) > 4e-9:
+                assert got == want
+        if all(kept):
+            assert box == bbox
+
+
+def flicker_blob_events(rng, center, radius, duration):
+    """A disk of pixels that flickers at random about every 2-4 ms.
+
+    Each burst fires a positive, then a negative event at every pixel within
+    200 us, so both polarities land in one 1 ms saliency slice.
+    """
+    cx, cy = center
+    disk = [(cx + dx, cy + dy)
+            for dx in range(-radius, radius + 1) for dy in range(-radius, radius + 1)
+            if dx * dx + dy * dy <= radius * radius + 1]
+    px, py = (np.array(axis) for axis in zip(*disk))
+    starts = rng.uniform(0, duration - 250, rng.poisson(rng.uniform(0.25, 0.5) * duration / 1000))
+    t = [t0 + np.concatenate([rng.uniform(0, 100, px.size), rng.uniform(100, 200, px.size)])
+         for t0 in starts]
+    bursts = len(starts)
+    return (
+        np.concatenate([np.empty(0)] + t).astype(np.int64),
+        np.tile(np.concatenate([px, px]), bursts),
+        np.tile(np.concatenate([py, py]), bursts),
+        np.tile(np.repeat(np.array([1, 0], np.uint8), px.size), bursts),
+    )
+
+
+def merged_clutter_scene(seed, blob_radii):
+    """A rotor with three flickering blobs 10-45 px outside its ground-truth box.
+
+    The blobs sit within d_merge = 50 of the rotor, so they join its cluster
+    and widen the candidate box; only refinement can cut them away.
+    """
+    duration = 20_000
+    rng = np.random.default_rng(seed)
+    radius = int(rng.integers(30, 61))
+    reach = radius + 46 + max(blob_radii)
+    cx = int(rng.integers(reach, VGA.width - reach))
+    cy = int(rng.integers(reach, VGA.height - reach))
+    prop = PropellerSpec(center=(cx, cy), radius=radius, phase=float(rng.uniform(0, 2 * math.pi)))
+    t, x, y, p, gt = generate_propeller_events(prop, duration, seed, VGA)
+    background = BackgroundSpec(edge_count=2, speed=2.0, noise_rate=10.0)
+    columns = [(t, x, y, p), generate_background_events(background, duration, seed + 1, VGA)]
+    for _ in range(3):
+        blob_radius = int(rng.integers(blob_radii[0], blob_radii[1] + 1))
+        gap = int(rng.integers(10, 46))
+        along = int(rng.integers(-radius, radius + 1))
+        center = [
+            (gt.x - gap, cy + along),
+            (gt.right - 1 + gap, cy + along),
+            (cx + along, gt.y - gap),
+            (cx + along, gt.bottom - 1 + gap),
+        ][int(rng.integers(4))]
+        columns.append(flicker_blob_events(rng, center, blob_radius, duration))
+    t, x, y, p = (np.concatenate([c[i] for c in columns]) for i in range(4))
+    order = np.argsort(t, kind="stable")
+    period = EventPeriod(
+        t[order], x[order], y[order], p[order], t_start=0, duration=duration, sensor=VGA
+    )
+    return period, gt
+
+
+class TestRefinementScenes:
+    def test_fragmented_small_rotor_is_kept_whole(self):
+        # At 50k events the rotor has radius 15 and breaks into dozens of
+        # member regions; all of them belong to the one rotor.
+        for seed in range(60):
+            period, annotation = benchmark_period(50_000, seed=seed)
+            boxes = [d.bbox for d in detect_period(period)]
+            result = match_detections(boxes, [b.bbox for b in annotation.boxes], 0.4)
+            assert (result.fn, result.fp) == (0, 0), seed
+
+    @pytest.mark.parametrize("blob_radii", [(1, 3), (4, 7)])
+    def test_merged_clutter_is_cut_from_the_rotor(self, blob_radii):
+        for seed in range(60):
+            period, gt = merged_clutter_scene(seed, blob_radii)
+            boxes = [d.bbox for d in detect_period(period)]
+            assert match_detections(boxes, [gt], 0.4).fn == 0, seed
 
 
 def default_scene(seed=0, edges=2, noise=0.0, props=None):
