@@ -232,7 +232,7 @@ def moving_average(series, window: int) -> np.ndarray:
 
 
 def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
-    """Prominence of each peak, as scipy.signal.peak_prominences defines it.
+    """Topographic prominence of each peak.
 
     On each side the base is the lowest sample between the peak and the
     nearest strictly higher sample; the prominence is the peak height over

@@ -109,11 +109,13 @@ def load_events(path, sensor: SensorGeometry | None = None) -> EventPeriod:
     path = Path(path)
     with open(path, "rb") as handle:
         magic = handle.read(4)
-    if magic == BINARY_MAGIC:
-        return _load_binary(path, sensor)
-    if path.suffix.lower() in _BINARY_SUFFIXES:
+    if magic != BINARY_MAGIC and path.suffix.lower() in _BINARY_SUFFIXES:
         raise EventFormatError(f"bad magic {magic!r}, expected {BINARY_MAGIC!r}", path=path)
-    return _load_csv(path, sensor)
+    load = _load_binary if magic == BINARY_MAGIC else _load_csv
+    try:
+        return load(path, sensor)
+    except ValidationError as err:  # the EventPeriod checks and the sensor checks
+        raise ValidationError(f"{path}: {err}") from None
 
 
 def _load_binary(path: Path, sensor: SensorGeometry | None) -> EventPeriod:
@@ -215,7 +217,7 @@ def _load_csv(path: Path, sensor: SensorGeometry | None) -> EventPeriod:
     if duration is None:
         if not ts:
             raise ValidationError(
-                f"{path}: cannot infer the duration of an empty stream; declare duration_us"
+                "cannot infer the duration of an empty stream; declare duration_us"
             )
         duration = max(ts) - t_start + 1
     return EventPeriod(

@@ -101,9 +101,7 @@ def average_precision(outcomes: Sequence[bool], total_gt: int) -> float:
     precision = tp_cum / np.arange(1, hits.size + 1)
     recall = tp_cum / total_gt
     mrec = np.concatenate([[0.0], recall, [1.0]])
-    mpre = np.concatenate([[0.0], precision, [0.0]])
-    for i in range(mpre.size - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(np.concatenate([[0.0], precision, [0.0]])[::-1])[::-1]
     steps = np.flatnonzero(mrec[1:] != mrec[:-1]) + 1
     return float(np.sum((mrec[steps] - mrec[steps - 1]) * mpre[steps]))
 

@@ -10,6 +10,10 @@ suppressing camera-motion clutter and background noise.
 The counts come from one sorted integer key per event, (slice, pixel,
 polarity), rather than from per-slice pixel grids, so memory grows with the
 events and the pixels only, never with slices times pixels.
+
+Thresholding the rendered map and labeling its 8-connected components gives
+the salient regions. Labeling works on the horizontal runs of the mask, with
+numpy passes over the runs only.
 """
 
 from __future__ import annotations
@@ -17,12 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigurationError, ValidationError
 from .events import BBox, EventPeriod
-
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,26 +148,58 @@ def threshold_mask(smap: SaliencyMap, tau_s: int) -> np.ndarray:
 
 
 def connected_components(mask: np.ndarray) -> list[Region]:
-    """8-connected components of a binary mask, ordered by bbox top-left."""
+    """8-connected components of a binary mask, ordered by bbox top-left.
+
+    Works on the horizontal runs of the mask. A run on row r and one on row
+    r + 1 touch when their [x0, x1) extents overlap or meet at a corner, and
+    the runs of row r + 1 that touch a given run form one contiguous block.
+    Linked runs are merged by hooking the larger root onto the smaller and
+    jumping pointers until every root is its own parent (Shiloach & Vishkin,
+    J. Algorithms 1982). Each component is then labelled by its first run in
+    scan order, so ties in the bbox order fall in first-pixel order.
+    """
     m = np.asarray(mask)
     if m.ndim != 2:
         raise ValidationError("mask must be two-dimensional")
     if m.dtype != bool:
         m = m != 0
-    labels, _ = ndimage.label(m, structure=_EIGHT_CONNECTED)
-    regions: list[Region] = []
-    for index, slc in enumerate(ndimage.find_objects(labels), start=1):
-        if slc is None:
-            continue
-        ys, xs = np.nonzero(labels[slc] == index)
-        xs = (xs + slc[1].start).astype(np.int32)
-        ys = (ys + slc[0].start).astype(np.int32)
-        bbox = BBox(
-            x=slc[1].start,
-            y=slc[0].start,
-            w=slc[1].stop - slc[1].start,
-            h=slc[0].stop - slc[0].start,
-        )
-        regions.append(Region(bbox=bbox, pixels=np.column_stack([xs, ys])))
+    rows, cols = np.nonzero(np.diff(m, axis=1, prepend=False, append=False))
+    row, x0, x1 = rows[::2], cols[::2], cols[1::2]
+    if row.size == 0:
+        return []
+    # Keys row * stride + x sort runs in scan order: x never reaches stride.
+    # Run i's block is [lo, hi): the next-row runs with x1' >= x0 and x0' <= x1.
+    stride = m.shape[1] + 2
+    lo = np.searchsorted(row * stride + x1, (row + 1) * stride + x0)
+    hi = np.searchsorted(row * stride + x0, (row + 1) * stride + x1, side="right")
+    links = hi - lo  # one link per touching pair (a, b)
+    a = np.repeat(np.arange(row.size), links)
+    b = np.arange(a.size) + np.repeat(lo - (np.cumsum(links) - links), links)
+    # root[i] <= i always holds, so hooking never closes a cycle.
+    root = np.arange(row.size)
+    while True:
+        ra, rb = root[a], root[b]
+        if np.array_equal(ra, rb):
+            break
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(root, jumped := root[root]):
+            root = jumped
+    # The stable sort keeps each component's runs, and so its pixels, in scan order.
+    order = np.argsort(root, kind="stable")
+    row, x0, x1 = row[order], x0[order], x1[order]
+    first = np.flatnonzero(np.diff(root[order], prepend=-1))
+    last = np.append(first[1:], row.size) - 1
+    left = np.minimum.reduceat(x0, first)
+    width = np.maximum.reduceat(x1, first) - left
+    height = row[last] - row[first] + 1
+    length = x1 - x0
+    ends = np.cumsum(length)
+    xs = np.arange(ends[-1]) - np.repeat(ends - length - x0, length)
+    pixels = np.column_stack([xs, np.repeat(row, length)]).astype(np.int32)
+    boxes = zip(left.tolist(), row[first].tolist(), width.tolist(), height.tolist())
+    regions = [
+        Region(bbox=BBox(*box), pixels=px)
+        for box, px in zip(boxes, np.split(pixels, ends[last[:-1]]))
+    ]
     regions.sort(key=lambda r: (r.bbox.y, r.bbox.x, r.bbox.h, r.bbox.w))
     return regions

@@ -11,8 +11,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy import ndimage
 
-from evrotor import DegenerateInputError
+from evrotor import BBox, DegenerateInputError, Region
 from evrotor.features import principal_direction
 
 
@@ -47,6 +48,32 @@ def flood_fill_components(mask):
                                 queue.append((nx, ny))
             components.append(frozenset(pixels))
     return components
+
+
+def ndimage_components(mask):
+    """8-connected components as scipy.ndimage labels them.
+
+    Regions carry (x, y) pixels in row-major order and come sorted by bbox
+    (y, x, h, w), ties in scipy's label order, which is first-pixel order.
+    """
+    m = np.asarray(mask) != 0
+    labels, _ = ndimage.label(m, structure=np.ones((3, 3), dtype=int))
+    regions = []
+    for index, slc in enumerate(ndimage.find_objects(labels), start=1):
+        if slc is None:
+            continue
+        ys, xs = np.nonzero(labels[slc] == index)
+        xs = (xs + slc[1].start).astype(np.int32)
+        ys = (ys + slc[0].start).astype(np.int32)
+        bbox = BBox(
+            x=slc[1].start,
+            y=slc[0].start,
+            w=slc[1].stop - slc[1].start,
+            h=slc[0].stop - slc[0].start,
+        )
+        regions.append(Region(bbox=bbox, pixels=np.column_stack([xs, ys])))
+    regions.sort(key=lambda r: (r.bbox.y, r.bbox.x, r.bbox.h, r.bbox.w))
+    return regions
 
 
 def saliency_counts(events, t_start, duration, n, width, height):

@@ -120,6 +120,32 @@ class TestDetect:
         assert code == 1
         assert err.count("\n") == 1 and err.startswith("error:")
 
+    def test_loader_errors_name_the_file(self, scene_dir, tmp_path, capsys):
+        good, late = tmp_path / "good.csv", tmp_path / "late.csv"
+        good.write_text("0,1,1,1\n5,1,1,0\n", encoding="ascii")
+        late.write_text("0,100,1,1\n", encoding="ascii")
+        code, _, err = run_cli(
+            ["detect", "--input", str(good), str(late), "--width", "8", "--height", "8",
+             "--output", str(tmp_path / "d")],
+            capsys,
+        )
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert err.count(str(late)) == 1 and "outside the 8x8 sensor" in err
+        assert str(good) not in err
+        # the header check of a binary file, and a CSV period that is empty
+        empty = tmp_path / "empty.csv"
+        empty.write_text("# t_start_us=0\n", encoding="ascii")
+        for path, what in ((scene_dir / "clip.evd", "disagrees"), (empty, "duration")):
+            code, _, err = run_cli(
+                ["detect", "--input", str(path), "--width", "8", "--height", "8",
+                 "--output", str(tmp_path / "e.json")],
+                capsys,
+            )
+            assert code == 1
+            assert err.startswith(f"error: {path}: ") and what in err
+            assert err.count(str(path)) == 1
+
     def test_long_declared_period_needs_no_slice_volume(self, tmp_path, capsys):
         """2**33 us is 8.6 million slices: a per-slice 8x8 volume would take gigabytes."""
         sensor = SensorGeometry(8, 8)

@@ -1,6 +1,7 @@
 """The names ``evrotor`` exports, and the ones the benchmark harness needs."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ import types
 from pathlib import Path
 
 import evrotor
+from evrotor import BBox
+from evrotor.metrics import iou
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -92,14 +95,38 @@ def test_benchmark_harness_imports_only_exported_names():
     assert needed <= set(evrotor.__all__), sorted(needed - set(evrotor.__all__))
 
 
-def test_import_does_not_load_scipy_signal():
-    # scipy.signal costs most of the cold start; the package computes peak
-    # prominences itself, so importing it must not pull scipy.signal in.
+def package_env():
     src = str(Path(evrotor.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency: scipy serves the tests as an oracle.
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, evrotor; print(sorted(sys.modules))"],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
+        capture_output=True, text=True, env=package_env(), timeout=120, check=True,
     )
-    assert "'scipy.signal'" not in proc.stdout
-    assert "'evrotor.features'" in proc.stdout
+    modules = ast.literal_eval(proc.stdout)
+    assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []
+    assert "evrotor.features" in modules
+
+
+def test_synth_and_detect_run_without_scipy(tmp_path):
+    # A None entry in sys.modules makes every scipy import fail.
+    script = f"""
+import sys
+sys.modules["scipy"] = None
+from evrotor import cli
+events, out = {str(tmp_path / "clip.evd")!r}, {str(tmp_path / "dets.json")!r}
+assert cli.main(["synth", "--out-events", events, "--width", "160", "--height", "120",
+                 "--duration-ms", "10", "--radius", "20", "--seed", "3"]) == 0
+assert cli.main(["detect", "--input", events, "--output", out]) == 0
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=package_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (box,) = json.loads((tmp_path / "dets.json").read_text())["boxes"]
+    (truth,) = json.loads((tmp_path / "clip.gt.json").read_text())["boxes"]
+    assert iou(BBox(box["x"], box["y"], box["w"], box["h"]), BBox(**truth)) >= 0.4

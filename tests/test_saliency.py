@@ -1,14 +1,18 @@
 """Polarity-intersection saliency: slicing, accumulation, components."""
 
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as npst
 
 from evrotor import (
     ConfigurationError,
+    DetectorConfig,
     Region,
     SensorGeometry,
     ValidationError,
@@ -19,7 +23,7 @@ from evrotor import (
 from evrotor.saliency import render_gray, slice_indices
 
 from conftest import SMALL, make_period
-from oracles import flood_fill_components, saliency_counts
+from oracles import flood_fill_components, ndimage_components, saliency_counts
 
 
 def rows_strategy(max_x=SMALL.width - 1, max_y=SMALL.height - 1, max_size=60):
@@ -249,6 +253,29 @@ class TestThreshold:
             threshold_mask(smap, 256)
 
 
+def assert_same_regions(got, expected):
+    """Equal boxes, equal pixels in equal order, and regions in equal order."""
+    assert [r.bbox for r in got] == [r.bbox for r in expected]
+    for a, b in zip(got, expected):
+        assert a.pixels.dtype == b.pixels.dtype
+        assert np.array_equal(a.pixels, b.pixels)
+
+
+def spiral_mask(height, width):
+    """A 1-px path spiralling inwards with 1-px gaps: one long component."""
+    mask = np.zeros((height, width), bool)
+    y = x = 0
+    dy, dx = 0, 1
+    for k in range(height + width):
+        steps = width - 1 - max(k - 2, 0) if k % 2 == 0 else height - k
+        if steps <= 0:
+            break
+        ty, tx = y + dy * steps, x + dx * steps
+        mask[min(y, ty):max(y, ty) + 1, min(x, tx):max(x, tx) + 1] = True
+        y, x, (dy, dx) = ty, tx, (dx, -dy)
+    return mask
+
+
 class TestComponents:
     def test_solid_block_is_one_region(self):
         mask = np.zeros((30, 30), bool)
@@ -292,6 +319,52 @@ class TestComponents:
         for r in regions:
             covered[r.pixels[:, 1], r.pixels[:, 0]] = True
         assert np.array_equal(covered, mask)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        npst.arrays(bool, npst.array_shapes(min_dims=2, max_dims=2, max_side=48)),
+        npst.arrays(np.int8, npst.array_shapes(min_dims=2, max_dims=2, max_side=48),
+                    elements=st.integers(-1, 1)),
+    ))
+    @example(np.zeros((48, 48), bool))
+    @example(np.eye(1, dtype=bool))
+    @example(np.eye(1, 7, 6, dtype=np.int64))
+    def test_regions_equal_scipy_labeling(self, mask):
+        assert_same_regions(connected_components(mask), ndimage_components(mask))
+
+    def test_benchmark_masks_equal_scipy_labeling(self):
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+        try:
+            from workloads import WORKLOADS
+        finally:
+            sys.path.pop(0)
+        config = DetectorConfig()
+        masks = 0
+        for workload in WORKLOADS.values():
+            for item in workload.build(101):
+                n, _ = config.slicing_for(item.period)
+                mask = threshold_mask(saliency_map(item.period, n), config.tau_s)
+                assert_same_regions(connected_components(mask), ndimage_components(mask))
+                masks += 1
+        assert masks == 20
+
+    @pytest.mark.parametrize("name", ["full", "serpentine comb", "spiral", "diagonal stripes"])
+    def test_adversarial_vga_masks_label_fast_and_exactly(self, name):
+        ys, xs = np.mgrid[:480, :640]
+        mask = {
+            "full": np.ones((480, 640), bool),
+            # full rows joined at alternate ends: one path that turns 240 times
+            "serpentine comb": (ys % 2 == 0) | ((ys % 4 == 1) & (xs == 639))
+            | ((ys % 4 == 3) & (xs == 0)),
+            "spiral": spiral_mask(480, 640),
+            # 280 one-pixel diagonals: every run is one pixel, the boxes overlap widely
+            "diagonal stripes": (xs - ys) % 4 == 0,
+        }[name]
+        start = time.perf_counter()
+        regions = connected_components(mask)
+        elapsed = time.perf_counter() - start
+        assert_same_regions(regions, ndimage_components(mask))
+        assert elapsed < 1.0
 
     def test_region_validates_pixels_inside_bbox(self):
         from evrotor import BBox
