@@ -27,6 +27,7 @@ from .errors import (
 from .events import BBox, DetectorConfig, EventPeriod, SensorGeometry
 from .features import (
     FeatureSeries,
+    LocalSlices,
     RegionScores,
     compute_features,
     extract_local_slices,
@@ -76,6 +77,7 @@ __all__ = [
     "EventPeriod",
     "EvrotorError",
     "FeatureSeries",
+    "LocalSlices",
     "MetricsReport",
     "PipelineResult",
     "PropellerSpec",

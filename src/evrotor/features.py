@@ -1,13 +1,15 @@
 """Spatio-temporal periodicity features for salient regions.
 
 A candidate region is re-sliced at a finer temporal resolution, keeping only
-positive events inside its margin-dilated bbox. Three series are read off the
-local slices: event density, structural similarity between consecutive
-slices, and similarity of consecutive principal point-cloud directions. All
-three come from per-slice integer sums over the nonzero cells, so their cost
-follows the window's events rather than its slices times pixels. A rotor
-modulates all three periodically; the periodicity score counts how many of
-the smoothed series show repeated peaks and valleys.
+positive events inside its margin-dilated bbox. The local slices are held
+sparsely, as the sorted ids and counts of their nonzero (slice, pixel)
+cells, read from one sorted key per event. Three series are read off them:
+event density, structural similarity between consecutive slices, and
+similarity of consecutive principal point-cloud directions. All three come
+from per-slice integer sums over the nonzero cells, so their cost follows
+the window's events rather than its slices times pixels. A rotor modulates
+all three periodically; the periodicity score counts how many of the
+smoothed series show repeated peaks and valleys.
 """
 
 from __future__ import annotations
@@ -78,6 +80,56 @@ class FeatureSeries:
         object.__setattr__(self, "f_p", f_p)
 
 
+@dataclass(frozen=True, eq=False)
+class LocalSlices:
+    """Positive-event counts of m local slices of an h x w window, nonzero cells only.
+
+    Cell (s, y, x) of the window has the flat id (s * h + y) * w + x.
+    ``cells`` holds the sorted ids of the nonzero cells and ``counts`` their
+    counts, both int64. The counts total less than 2**31, which bounds every
+    int64 sum that compute_features forms from them.
+    """
+
+    shape: tuple[int, int, int]
+    cells: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        shape = tuple(self.shape)
+        if len(shape) != 3 or min(shape) < 1:
+            raise ValidationError(f"local slices need an (m, h, w) shape, got {shape}")
+        cells = np.asarray(self.cells)
+        counts = np.asarray(self.counts)
+        if cells.dtype.kind not in "iu" or counts.dtype.kind not in "iu":
+            raise ValidationError(
+                f"local slice cells and counts must be integers, got {cells.dtype}, {counts.dtype}"
+            )
+        if cells.ndim != 1 or counts.shape != cells.shape:
+            raise ValidationError("local slice cells and counts must be congruent 1-d arrays")
+        # Checked in the input dtypes, before narrowing to int64.
+        if cells.size and (
+            cells[0] < 0
+            or cells[-1] >= shape[0] * shape[1] * shape[2]
+            or not (cells[1:] > cells[:-1]).all()
+        ):
+            raise ValidationError("local slice cells must be sorted, unique ids inside the shape")
+        if cells.size and counts.min() < 1:
+            raise ValidationError("local slice counts must be positive")
+        if counts.sum(dtype=np.float64) >= 2**31:
+            raise ValidationError("local slice counts must total less than 2**31")
+        for name, values in (("cells", cells), ("counts", counts)):
+            values = np.ascontiguousarray(values, dtype=np.int64)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+        object.__setattr__(self, "shape", shape)
+
+    @property
+    def size(self) -> int:
+        """Cells of the window, m * h * w, nonzero or not."""
+        m, h, w = self.shape
+        return m * h * w
+
+
 def dilated_window(bbox: BBox, margin: int, sensor: SensorGeometry) -> BBox:
     """The bbox grown by margin on every side, clamped to the sensor."""
     if margin < 0:
@@ -96,10 +148,14 @@ def extract_local_slices(
     region: Region | BBox,
     m: int,
     margin: int = 0,
-) -> np.ndarray:
-    """Positive-event count grids over m slices of the dilated region window.
+) -> LocalSlices:
+    """Positive-event counts over m slices of the dilated region window.
 
-    Returns an (m, window_h, window_w) int32 array.
+    Each positive event inside the window becomes the id of its cell,
+    (slice * h + y) * w + x in window coordinates. One sort brings equal ids
+    together, and their runs give the nonzero cells and their counts, so
+    memory follows the window's events, never m * h * w. Ids are int32 while
+    m * h * w is below 2**31, else int64.
     """
     check_slice_count(period, m, minimum=4, what="local slice count")
     bbox = region.bbox if isinstance(region, Region) else region
@@ -111,12 +167,22 @@ def extract_local_slices(
         & (period.y >= window.y)
         & (period.y < window.bottom)
     )
-    s = (period.t[inside] - period.t_start) * m // period.duration
-    lx = period.x[inside] - window.x
-    ly = period.y[inside] - window.y
-    cell = (s * window.h + ly) * window.w + lx
-    counts = np.bincount(cell, minlength=m * window.h * window.w)
-    return counts.astype(np.int32).reshape(m, window.h, window.w)
+    key = period.t[inside] - period.t_start
+    key *= m
+    key //= period.duration
+    key = key.astype(np.int32 if m * window.h * window.w < 2**31 else np.int64, copy=False)
+    key *= window.h
+    key += period.y[inside] - window.y
+    key *= window.w
+    key += period.x[inside] - window.x
+    key.sort()
+    # A run of equal ids starts at the first id and wherever the id changes.
+    change = np.empty(key.size, dtype=bool)
+    change[:1] = True
+    np.not_equal(key[1:], key[:-1], out=change[1:])
+    starts = np.flatnonzero(change)
+    counts = np.diff(starts, append=key.size)
+    return LocalSlices(shape=(m, window.h, window.w), cells=key[starts], counts=counts)
 
 
 def _major_axes(cxx, cxy, cyy) -> tuple[np.ndarray, np.ndarray]:
@@ -162,25 +228,21 @@ def principal_direction(points: np.ndarray) -> PrincipalDirection:
     return PrincipalDirection(v, bool(isotropic))
 
 
-def compute_features(local_slices: np.ndarray) -> FeatureSeries:
-    """The feature series of integer slice grids, from exact per-slice sums over nonzero cells.
+def compute_features(local: LocalSlices) -> FeatureSeries:
+    """The feature series of local slices, from exact per-slice sums over their nonzero cells.
 
     f_s correlates consecutive slices over all h*w cells (0.0 if either is constant); f_p is
     the |cos| of their cells' principal directions (0.0 if either has under two cells).
     """
-    slices = np.asarray(local_slices)
-    if slices.ndim != 3 or slices.shape[0] < 2:
-        raise ValidationError("need an (m, h, w) array with m >= 2")
-    if slices.dtype.kind not in "iu":
-        raise ValidationError(f"local slices must hold integer counts, got {slices.dtype}")
-    m, h, w = slices.shape
+    if not isinstance(local, LocalSlices):
+        raise ValidationError(f"expected LocalSlices, got {type(local).__name__}")
+    m, h, w = local.shape
+    if m < 2:
+        raise ValidationError(f"need at least 2 local slices, got {m}")
     hw = h * w
-    flat = slices.reshape(-1)
-    cells = np.flatnonzero(flat.astype(bool))  # a boolean scan is faster than one over counts
-    v = flat[cells].astype(np.int64)
-    # Bounds every int64 sum below, the squares and cross products included.
-    if np.abs(flat[cells], dtype=np.float64).sum() >= 2**31:
-        raise ValidationError("local slice counts must total less than 2**31")
+    # The record bounds the counts' total below 2**31, and with it every
+    # int64 sum below, the squares and cross products included.
+    cells, v = local.cells, local.counts
     y, x = np.divmod(cells % hw, w)
     # cells is sorted, so each slice owns one run of it.
     bounds = np.searchsorted(cells, np.arange(m + 1) * hw)

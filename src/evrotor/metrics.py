@@ -8,6 +8,7 @@ with a single class mAP equals AP.
 
 from __future__ import annotations
 
+import errno
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -45,6 +46,11 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def _check_iou_threshold(iou_thr: float) -> None:
+    if not 0.0 < iou_thr <= 1.0:  # also rejects NaN
+        raise ValidationError(f"iou threshold must be in (0, 1], got {iou_thr}")
+
+
 def match_detections(
     det_boxes: Sequence[BBox],
     gt_boxes: Sequence[BBox],
@@ -56,8 +62,7 @@ def match_detections(
     unclaimed GT of highest IoU when that IoU reaches ``iou_thr``; otherwise
     it counts as a false positive. Unclaimed GT boxes are false negatives.
     """
-    if not 0.0 < iou_thr <= 1.0:
-        raise ValidationError(f"iou threshold must be in (0, 1], got {iou_thr}")
+    _check_iou_threshold(iou_thr)
     claimed = [False] * len(gt_boxes)
     matches: list[Match] = []
     tp = 0
@@ -150,6 +155,7 @@ def evaluate_records(
     iou_thr: float = 0.4,
 ) -> MetricsReport:
     """Evaluate (name, predictions, ground truth) record pairs."""
+    _check_iou_threshold(iou_thr)  # also when there is no pair to match
     total_tp = total_fp = total_fn = 0
     total_gt = 0
     pooled: list[tuple[float, float, int, int, bool]] = []
@@ -191,6 +197,9 @@ def evaluate_dataset(
     """
     pred_dir = Path(pred_dir)
     gt_dir = Path(gt_dir)
+    for directory in (pred_dir, gt_dir):
+        if not directory.is_dir():  # glob would find no file and report an empty dataset
+            raise NotADirectoryError(errno.ENOTDIR, "not a directory", str(directory))
     pred_files = {p.name: p for p in pred_dir.glob("*.json")}
     gt_files = {p.name: p for p in gt_dir.glob("*.json")}
     only_pred = sorted(set(pred_files) - set(gt_files))

@@ -34,6 +34,10 @@ _MAX_CROSSING_S = 500e-6
 
 _EDGE_BAND_PX = (20.0, 60.0)
 
+# Most noise events one background may draw on average. Their columns would
+# fill about 36 GB; numpy's Poisson sampler only fails near 2**63.
+_MAX_NOISE_EVENTS = 2**31
+
 
 @dataclass(frozen=True)
 class PropellerSpec:
@@ -87,10 +91,12 @@ class BackgroundSpec:
     def __post_init__(self) -> None:
         if self.edge_count < 0:
             raise ValidationError(f"edge_count must be non-negative, got {self.edge_count}")
-        if self.speed <= 0:
-            raise ValidationError(f"speed must be positive, got {self.speed}")
-        if self.noise_rate < 0:
-            raise ValidationError(f"noise_rate must be non-negative, got {self.noise_rate}")
+        if not 0 < self.speed < math.inf:  # also rejects NaN
+            raise ValidationError(f"speed must be positive and finite, got {self.speed}")
+        if not 0 <= self.noise_rate < math.inf:
+            raise ValidationError(
+                f"noise_rate must be non-negative and finite, got {self.noise_rate}"
+            )
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,8 @@ class SynthScene:
     def __post_init__(self) -> None:
         if self.duration <= 0:
             raise ValidationError(f"duration must be positive, got {self.duration}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
 
 def _empty_columns() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -259,7 +267,13 @@ def generate_background_events(
                 parts_y.append(gys[mask].astype(np.int32))
                 parts_p.append(np.full(int(mask.sum()), code, dtype=np.uint8))
     if spec.noise_rate > 0:
-        count = int(rng.poisson(spec.noise_rate * duration_ms))
+        expected = spec.noise_rate * duration_ms
+        if expected >= _MAX_NOISE_EVENTS:
+            raise ValidationError(
+                f"noise rate {spec.noise_rate} per ms over {duration_ms:g} ms expects "
+                f"{expected:.3g} events, more than the {_MAX_NOISE_EVENTS} a scene may hold"
+            )
+        count = int(rng.poisson(expected))
         if count:
             parts_t.append(rng.integers(0, duration_us, count, dtype=np.int64))
             parts_x.append(rng.integers(0, sensor.width, count, dtype=np.int64).astype(np.int32))

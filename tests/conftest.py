@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from evrotor import EventPeriod, SensorGeometry
+
+# CI runs with --hypothesis-profile=ci: a failing example then prints the
+# @reproduce_failure blob that replays it, and slow runners hit no deadline.
+settings.register_profile("ci", print_blob=True, deadline=None)
 
 
 SMALL = SensorGeometry(width=64, height=48)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import ndimage
 
-from evrotor import BBox, DegenerateInputError, Region
+from evrotor import BBox, DegenerateInputError, LocalSlices, Region
 from evrotor.features import principal_direction
 
 
@@ -99,6 +99,33 @@ def saliency_counts(events, t_start, duration, n, width, height):
             if (x, y) in negative[k]:
                 counts[y][x] += 1
     return counts
+
+
+def local_cell_counts(events, t_start, duration, m, window):
+    """Positive-event count of every nonzero cell of a window's m local slices.
+
+    events is a sequence of (t, x, y, p) tuples and window a BBox.  A positive
+    event inside the window falls in slice (t - t_start) * m // duration and
+    in the cell (slice, y - window.y, x - window.x).  Returns a dict from
+    (slice, y, x) to count.
+    """
+    counts = {}
+    for t, x, y, p in events:
+        if p == 1 and window.x <= x < window.right and window.y <= y < window.bottom:
+            cell = ((t - t_start) * m // duration, y - window.y, x - window.x)
+            counts[cell] = counts.get(cell, 0) + 1
+    return counts
+
+
+def local_slices(grids):
+    """The LocalSlices record of a dense (m, h, w) count grid.
+
+    The counts keep the grid's dtype, so the record's own checks see them.
+    """
+    grids = np.asarray(grids)
+    flat = grids.reshape(-1)
+    cells = np.flatnonzero(flat)
+    return LocalSlices(shape=grids.shape, cells=cells, counts=flat[cells])
 
 
 def rect_gap(a, b):

@@ -1,11 +1,16 @@
 """End-to-end command line behavior for detect, synth, eval, and bench."""
 
+import contextlib
+import io
 import json
 import struct
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from evrotor import DetectorConfig, EventPeriod, SensorGeometry, write_events
 from evrotor import cli
@@ -425,6 +430,204 @@ class TestBench:
         code, _, err = run_cli(["bench", "--reps", "0"], capsys)
         assert code == 1
         assert "reps" in err
+
+
+# Each drawn call is valid except for exactly one poisoned value or file, and
+# every size stays small: sensors up to 48 px, periods up to 20 ms, at most 60
+# events, noise up to 20 events per ms, bench scenes that fail before they
+# are generated.
+SYNTH_POISON = {
+    "out-events": st.just("{root}/missing/a.evd"),
+    "width": st.integers(-5, 0),
+    "height": st.integers(-5, 0),
+    "duration-ms": st.integers(-5, 0),
+    "radius": st.integers(-3, 4),
+    "blades": st.integers(-3, 1),
+    "rpm": st.sampled_from(["nan", "inf", "-inf", "0", "4999", "15001"]),
+    "aspect": st.sampled_from(["nan", "inf", "0", "-0.5", "1.01"]),
+    "center": st.sampled_from(["", "1", "a,b", "1,2,3", "-1,3", "3,-1", "9999,1", "1,9999"]),
+    "edges": st.integers(-5, -1),
+    "speed": st.sampled_from(["nan", "inf", "-inf", "0", "-1.5"]),
+    "noise-rate": st.sampled_from(["nan", "inf", "-inf", "-1", "1e300"]),
+    "seed": st.integers(-(2**40), -1),
+}
+
+DETECT_FLAG_POISON = {
+    "tau-s": st.sampled_from([-1, 256]),
+    "tau-p": st.sampled_from([-1, 7]),
+    "k": st.integers(-3, 0),
+    "d-merge": st.sampled_from(["nan", "-1", "-inf"]),
+    "smooth-window": st.sampled_from([-1, 0, 2, 4]),
+    "margin": st.integers(-3, -1),
+    "n-slices": st.sampled_from([-1, 0, 1, 10**12]),
+    "m-slices": st.sampled_from([-1, 0, 3, 10**12]),
+    "jobs": st.integers(-3, 0),
+    "output": st.just("{root}/missing/d.json"),
+    "dump-saliency": st.just("{root}/missing/s.pgm"),
+}
+
+CSV_BAD_LINES = [
+    b"1,2,3", b"1,2,3,4,5", b"a,1,1,1", b"1,1.5,1,1", b"1,1,1,2", b"1,1,1,-1",
+    b"1,99999999999,1,1", b"99999999999999999999999,1,1,1", b"1,1,\xff,1", b"1,100,1,1",
+]
+
+
+def evd_bytes(header, events):
+    """An .evd file from its (magic, width, height, t_start, duration) header and events."""
+    return struct.pack("<4sHHQQ", *header) + b"".join(
+        struct.pack("<QHHB3x", *event) for event in events
+    )
+
+
+def csv_lines(t_start, duration, events):
+    lines = [f"# t_start_us={t_start}", f"# duration_us={duration}", "t_us,x,y,p"]
+    return [line.encode() for line in lines + [f"{t},{x},{y},{p}" for t, x, y, p in events]]
+
+
+@st.composite
+def synth_calls(draw):
+    flags = {
+        "out-events": "{root}/" + draw(st.sampled_from(["a.evd", "a.csv"])),
+        "width": draw(st.integers(16, 48)),
+        "height": draw(st.integers(16, 48)),
+        "duration-ms": draw(st.integers(1, 4)),
+        "radius": draw(st.integers(5, 7)),
+        "edges": draw(st.integers(0, 2)),
+        "speed": draw(st.floats(0.5, 20.0)),
+        "noise-rate": draw(st.floats(0.0, 20.0)),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+    poison = draw(st.sampled_from(sorted(SYNTH_POISON)))
+    flags[poison] = draw(SYNTH_POISON[poison])
+    return ["synth"] + [f"--{name}={value}" for name, value in flags.items()], {}
+
+
+@st.composite
+def detect_calls(draw):
+    width, height = draw(st.integers(8, 32)), draw(st.integers(8, 32))
+    t_start = draw(st.integers(0, 10**6))
+    duration = draw(st.integers(1_000, 20_000))
+    events = draw(st.lists(
+        st.tuples(st.integers(t_start, t_start + duration - 1), st.integers(0, width - 1),
+                  st.integers(0, height - 1), st.integers(0, 1)),
+        max_size=60,
+    ))
+    events.sort()
+    binary = draw(st.booleans())
+    name = "clip.evd" if binary else "clip.csv"
+    argv = ["detect", "--input={root}/" + name]
+    geometry = [f"--width={width}", f"--height={height}"]
+    header = [b"EVD1", width, height, t_start, duration]
+    lines = csv_lines(t_start, duration, events)
+    poison = draw(st.sampled_from(["file", "flag", "geometry", "missing", "directory"]))
+    if poison == "file" and binary:
+        defect = draw(st.sampled_from(["short-header", "ragged", "magic", "zero-sensor",
+                                       "zero-duration", "outside", "late", "polarity"]))
+        if defect == "magic":
+            header[0] = draw(st.binary(min_size=4, max_size=4).filter(lambda b: b != b"EVD1"))
+        elif defect == "zero-sensor":
+            header[draw(st.sampled_from([1, 2]))] = 0
+        elif defect == "zero-duration":
+            header[4] = 0
+        elif defect == "outside":
+            events.append((t_start, *draw(st.sampled_from([(width, 0), (0, height)])), 1))
+        elif defect == "late":
+            events.append((draw(st.sampled_from([t_start + duration, 2**64 - 1])), 0, 0, 1))
+        elif defect == "polarity":
+            events.append((t_start, 0, 0, draw(st.integers(2, 255))))
+    elif poison == "file":
+        lines.insert(draw(st.integers(3, len(lines))), draw(st.sampled_from(CSV_BAD_LINES)))
+    elif poison == "geometry":  # CSV input lacks it, binary input contradicts its header
+        geometry = [f"--width={width + 1}", f"--height={height}"] if binary else []
+    elif poison == "missing":
+        argv[1] = "--input={root}/absent.evd"
+    elif poison == "directory":
+        argv[1] = "--input={root}"
+    if not binary or poison == "geometry":
+        argv += geometry
+    argv.append("--output={root}/d.json")
+    if poison == "flag":  # last, so that a poisoned --output overrides the one above
+        flag = draw(st.sampled_from(sorted(DETECT_FLAG_POISON)))
+        argv.append(f"--{flag}={draw(DETECT_FLAG_POISON[flag])}")
+    if not binary:
+        content = b"\n".join(lines) + b"\n"
+    elif poison == "file" and defect == "short-header":
+        content = evd_bytes(header, [])[:draw(st.integers(0, 23))]
+    elif poison == "file" and defect == "ragged":
+        content = evd_bytes(header, events) + bytes(draw(st.integers(1, 15)))
+    else:
+        content = evd_bytes(header, events)
+    return argv, {name: content}
+
+
+@st.composite
+def eval_calls(draw):
+    gt = {"file": "p0", "width": 64, "height": 48, "duration_us": 20000,
+          "boxes": [{"x": 10, "y": 10, "w": 20, "h": 20}]}
+    pred = dict(gt, boxes=[{"x": 12, "y": 9, "w": 20, "h": 20, "s_p": 5, "s_s": 700.0}])
+    files = {"pred/p0.json": json.dumps(pred).encode(), "gt/p0.json": json.dumps(gt).encode()}
+    argv = ["eval", "--pred={root}/pred", "--gt={root}/gt"]
+    poison = draw(st.sampled_from(["json", "field", "box", "orphan", "iou", "missing"]))
+    target = draw(st.sampled_from(["pred/p0.json", "gt/p0.json"]))
+    if poison == "json":
+        files[target] = draw(st.sampled_from([b"", b"{", b"[1,", b"nul", b"{\"a\": \xff}"]))
+    elif poison == "field":
+        record = dict(pred if target.startswith("pred") else gt)
+        del record[draw(st.sampled_from(["file", "width", "height", "duration_us", "boxes"]))]
+        files[target] = json.dumps(record).encode()
+    elif poison == "box":
+        record = pred if target.startswith("pred") else gt
+        bad = draw(st.sampled_from(['"a"', "1e400", "[1]", "null"]))
+        files[target] = json.dumps(record).replace('"x": ', f'"x": {bad}, "ignored": ', 1).encode()
+    elif poison == "orphan":
+        files[target.replace("p0", "p1")] = files[target]
+    elif poison == "iou":
+        argv.append(f"--iou={draw(st.sampled_from(['nan', 'inf', '0', '-1', '1.5']))}")
+    else:
+        side = draw(st.sampled_from(["pred", "gt"]))
+        argv[1 if side == "pred" else 2] = f"--{side}={{root}}/absent"
+    return argv, files
+
+
+@st.composite
+def bench_calls(draw):
+    flags = {"events": draw(st.integers(0, 3000)), "reps": draw(st.integers(1, 2)),
+             "seed": draw(st.integers(0, 2**32))}
+    poison = draw(st.sampled_from(["events", "reps", "seed"]))
+    flags[poison] = draw(st.integers(-(2**40), -1 if poison != "reps" else 0))
+    return ["bench"] + [f"--{name}={value}" for name, value in flags.items()], {}
+
+
+SYNTH_A = ["synth", "--out-events", "{root}/a.evd"]
+
+
+class TestErrorContract:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(synth_calls(), detect_calls(), eval_calls(), bench_calls()))
+    @example((SYNTH_A + ["--edges", "3", "--speed", "nan"], {}))
+    @example((SYNTH_A + ["--edges", "3", "--speed", "inf"], {}))
+    @example((SYNTH_A + ["--edges", "3", "--noise-rate", "inf"], {}))
+    @example((SYNTH_A + ["--edges", "3", "--noise-rate", "1e300"], {}))
+    @example((SYNTH_A + ["--edges", "3", "--noise-rate", "nan"], {}))
+    @example((SYNTH_A + ["--seed", "-1"], {}))
+    @example((["bench", "--events", "0", "--seed", "-1"], {}))
+    @example((["eval", "--pred", "{root}/absent", "--gt", "{root}/absent"], {}))
+    @example((["eval", "--pred", "{root}", "--gt", "{root}", "--iou", "nan"], {}))
+    def test_bad_calls_end_in_one_error_line(self, call):
+        """A bad value or file ends in exit 1 or 2 and one error line, never a traceback."""
+        argv, files = call
+        with tempfile.TemporaryDirectory() as root:
+            for name, content in files.items():
+                path = Path(root, name)
+                path.parent.mkdir(exist_ok=True)
+                path.write_bytes(content)
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = main([arg.replace("{root}", root) for arg in argv])
+        lines = stderr.getvalue().splitlines()
+        assert code in (1, 2), lines
+        assert len(lines) == 1 and lines[0].startswith(("error:", "io error:")), lines
+        assert lines[0].startswith("io error:") == (code == 2)
 
 
 def test_module_entry_point_runs():

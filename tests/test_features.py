@@ -1,6 +1,7 @@
 """Periodicity features: local slices, similarity measures, scoring."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from evrotor import (
     ConfigurationError,
     DegenerateInputError,
     FeatureSeries,
+    LocalSlices,
     Region,
     RegionScores,
     SaliencyMap,
@@ -36,6 +38,8 @@ from conftest import SMALL, make_period
 from oracles import (
     centered_moving_average,
     direction_similarity,
+    local_cell_counts,
+    local_slices,
     pearson,
     principal_angle_sweep,
     structural_similarity,
@@ -45,6 +49,14 @@ from oracles import (
 def region_of(x, y, w, h):
     pixels = [(xx, yy) for yy in range(y, y + h) for xx in range(x, x + w)]
     return Region(bbox=BBox(x, y, w, h), pixels=np.array(pixels, np.int32))
+
+
+def assert_cells_match_the_oracle(local, rows, t_start, duration, window):
+    m, h, w = local.shape
+    want = local_cell_counts(rows, t_start, duration, m, window)
+    ids = sorted(((s * h + y) * w + x, k) for (s, y, x), k in want.items())
+    assert local.cells.tolist() == [cell for cell, _ in ids]
+    assert local.counts.tolist() == [k for _, k in ids]
 
 
 class TestWindowing:
@@ -75,15 +87,63 @@ class TestWindowing:
         period = make_period(rows, duration=1000)
         local = extract_local_slices(period, BBox(10, 10, 5, 5), 4, margin=0)
         assert local.shape == (4, 5, 5)
-        assert local[0, 0, 0] == 2
-        assert local[2, 1, 1] == 1
-        assert local.sum() == 3
+        assert local.size == 100
+        # cells (slice, y, x) = (0, 0, 0) and (2, 1, 1) have ids 0 and (2 * 5 + 1) * 5 + 1
+        assert local.cells.tolist() == [0, 56]
+        assert local.counts.tolist() == [2, 1]
+        assert local.cells.dtype == local.counts.dtype == np.int64
 
     def test_region_input_uses_its_bbox(self):
         period = make_period([(100, 10, 10, 1)], duration=1000)
         local = extract_local_slices(period, region_of(10, 10, 3, 3), 4, margin=1)
         assert local.shape == (4, 5, 5)
-        assert local[0, 1, 1] == 1
+        assert local.cells.tolist() == [6]  # cell (0, 1, 1)
+        assert local.counts.tolist() == [1]
+
+    def test_empty_window_has_no_cells(self):
+        period = make_period([(100, 40, 40, 1), (200, 11, 11, 0)], duration=1000)
+        local = extract_local_slices(period, BBox(10, 10, 5, 5), 4)
+        assert local.shape == (4, 5, 5)
+        assert local.cells.size == local.counts.size == 0
+        assert list(compute_features(local).f_d) == [0.0] * 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_the_cell_oracle(self, data):
+        t_start = data.draw(st.integers(0, 10**6))
+        duration = data.draw(st.integers(4, 5000))
+        m = data.draw(st.integers(4, min(duration, 64)))
+        rows = data.draw(st.lists(
+            st.tuples(st.integers(t_start, t_start + duration - 1), st.integers(0, 63),
+                      st.integers(0, 47), st.integers(0, 1)),
+            max_size=200,
+        ))
+        bbox = BBox(data.draw(st.integers(0, 63)), data.draw(st.integers(0, 47)),
+                    data.draw(st.integers(1, 20)), data.draw(st.integers(1, 20)))
+        margin = data.draw(st.integers(0, 3))
+        period = make_period(rows, t_start=t_start, duration=duration)
+        local = extract_local_slices(period, bbox, m, margin)
+        window = dilated_window(bbox, margin, SMALL)
+        assert local.shape == (m, window.h, window.w)
+        assert_cells_match_the_oracle(local, rows, t_start, duration, window)
+
+    @pytest.mark.parametrize(
+        "width, height, m",
+        # m * h * w just below and at 2**31, then with an h * w that does not
+        # divide 2**31, so wrapped int32 ids would also land on wrong cells
+        [(256, 128, 65535), (256, 128, 65536), (255, 129, 65282), (255, 129, 65283)],
+    )
+    def test_id_width_switch_matches_the_cell_oracle(self, width, height, m):
+        sensor = SensorGeometry(width, height)
+        duration = 3 * m + 1
+        last = (width - 1, height - 1)
+        rows = [(0, 0, 0, 1), (duration - 1, *last, 1), (duration - 1, *last, 1),
+                (duration - 2, width - 2, height - 1, 1), (duration // 2, *last, 1)]
+        period = make_period(rows, sensor=sensor, duration=duration)
+        window = BBox(0, 0, width, height)
+        local = extract_local_slices(period, window, m)
+        assert local.cells[-1] == m * width * height - 1
+        assert_cells_match_the_oracle(local, rows, 0, duration, window)
 
     def test_slice_count_limits(self):
         period = make_period([], duration=1000)
@@ -99,19 +159,67 @@ class TestWindowing:
             extract_local_slices(period, BBox(0, 0, 5, 5), round(2**40 / 500))
 
 
+class TestBounds:
+    def test_memory_grows_with_events_not_cells(self):
+        """10,000 local slices of a 40x25 window: a dense grid would hold 10M cells."""
+        duration = 2**28
+        m = 10_000
+        bbox = BBox(3, 5, 40, 25)
+        rng = np.random.default_rng(8)
+        rows = []
+        # Slices in pairs, so that both f_s and f_p see neighbouring nonempty slices,
+        # plus the first and the last slice alone.
+        for j in [0, m - 1, *(2 * rng.choice(m // 2 - 1, 30, replace=False) + 1)]:
+            for k in (0, 1) if 0 < j < m - 1 else (0,):
+                lo = -(-(j + k) * duration // m)  # first microsecond of slice j + k
+                for _ in range(int(rng.integers(1, 12))):
+                    x, y = int(rng.integers(0, 40)) + bbox.x, int(rng.integers(0, 25)) + bbox.y
+                    rows.append((lo + int(rng.integers(0, duration // m)), x, y, 1))
+        period = make_period(rows, duration=duration)
+        tracemalloc.start()
+        try:
+            series = compute_features(extract_local_slices(period, bbox, m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000
+        # A slice pair with an empty member scores 0.0 on f_s and f_p, so the
+        # oracle only needs the pairs of nonempty slices, each as a dense grid.
+        grids = {}
+        for (j, y, x), k in local_cell_counts(rows, 0, duration, m, bbox).items():
+            grids.setdefault(j, np.zeros((25, 40), np.int64))[y, x] = k
+        want_d = np.zeros(m)
+        want_s = np.zeros(m - 1)
+        want_p = np.zeros(m - 1)
+        for j, grid in grids.items():
+            want_d[j] = grid.sum()
+            if j + 1 in grids:
+                f_d, f_s, f_p = oracles.compute_features(np.stack([grid, grids[j + 1]]))
+                want_s[j], want_p[j] = f_s[0], f_p[0]
+        assert np.array_equal(series.f_d, want_d)
+        assert np.abs(series.f_s - want_s).max() <= 1e-12
+        assert np.abs(series.f_p - want_p).max() <= 1e-12
+        assert np.count_nonzero(series.f_s) >= 20
+
+
 class TestDensity:
     def test_counts_positive_events(self):
-        grids = np.zeros((3, 4, 4), np.int32)
-        grids[0, 1, 1] = 7
-        assert list(compute_features(grids).f_d) == [7, 0, 0]
+        # seven events in cell (0, 1, 1) of 4x4 slices, id 1 * 4 + 1
+        local = LocalSlices(shape=(3, 4, 4), cells=np.array([5]), counts=np.array([7]))
+        assert list(compute_features(local).f_d) == [7, 0, 0]
 
     def test_constant_rate_gives_constant_series(self):
-        grids = np.ones((5, 2, 2), np.int32)
-        assert list(compute_features(grids).f_d) == [4] * 5
+        local = LocalSlices(shape=(5, 2, 2), cells=np.arange(20), counts=np.ones(20, np.int32))
+        assert list(compute_features(local).f_d) == [4] * 5
 
     def test_rejects_wrong_rank(self):
+        no_cells = np.empty(0, np.int64)
         with pytest.raises(ValidationError):
-            compute_features(np.zeros((2, 2), np.int32))
+            LocalSlices(shape=(2, 2), cells=no_cells, counts=no_cells)
+        with pytest.raises(ValidationError):
+            compute_features(LocalSlices(shape=(1, 2, 2), cells=no_cells, counts=no_cells))
+        with pytest.raises(ValidationError, match="LocalSlices"):
+            compute_features(np.zeros((2, 2, 2), np.int32))
 
 
 class TestStructuralSimilarity:
@@ -139,7 +247,7 @@ class TestStructuralSimilarity:
 
     def test_behaviours_hold_through_compute_features(self):
         def f_s(a, b):
-            return compute_features(np.stack([a, b]).astype(np.int32)).f_s[0]
+            return compute_features(local_slices(np.stack([a, b]).astype(np.int32))).f_s[0]
 
         a = np.array([[0, 1], [2, 3]])
         assert f_s(a, a) == 1.0
@@ -255,7 +363,7 @@ class TestDirectionSimilarity:
             for j, cells in enumerate((cells_a, cells_b)):
                 for x, y in cells:
                     grids[j, y, x] = 1
-            return compute_features(grids).f_p[0]
+            return compute_features(local_slices(grids)).f_p[0]
 
         row = [(x, 2) for x in range(5)]
         column = [(2, y) for y in range(5)]
@@ -334,7 +442,7 @@ class TestComputeFeatures:
     @settings(max_examples=150, deadline=None)
     @given(count_grids())
     def test_matches_the_per_slice_oracle(self, grids):
-        got = compute_features(grids)
+        got = compute_features(local_slices(grids))
         f_d, f_s, f_p = oracles.compute_features(grids)
         assert np.array_equal(got.f_d, f_d)
         assert np.abs(got.f_s - f_s).max() <= 1e-12
@@ -342,14 +450,41 @@ class TestComputeFeatures:
 
     def test_rejects_non_integer_and_oversized_counts(self):
         with pytest.raises(ValidationError, match="integer"):
-            compute_features(np.ones((3, 2, 2)))
+            local_slices(np.ones((3, 2, 2)))
         with pytest.raises(ValidationError, match="2\\*\\*31"):
-            compute_features(np.full((2, 2, 2), 2**28, np.int64))
+            local_slices(np.full((2, 2, 2), 2**28, np.int64))
+        local_slices(np.full((2, 2, 2), 2**28 - 1, np.int64))  # totals 2**31 - 8
+
+    @pytest.mark.parametrize(
+        "cells, counts",
+        [
+            ([3, 1], [1, 1]),  # unsorted
+            ([1, 1], [1, 1]),  # repeated
+            ([-1, 2], [1, 1]),  # negative id
+            ([0, 24], [1, 1]),  # past the last of 3 * 2 * 4 cells
+            ([0, 2], [1, 0]),  # a zero count
+            ([0, 2], [1, -4]),  # a negative count
+            ([0, 2], [1]),  # lengths differ
+            ([[0, 2]], [[1, 1]]),  # not one-dimensional
+        ],
+    )
+    def test_record_rejects_malformed_cells(self, cells, counts):
+        with pytest.raises(ValidationError):
+            LocalSlices(shape=(3, 2, 4), cells=np.array(cells), counts=np.array(counts))
+
+    def test_record_holds_read_only_int64_arrays(self):
+        local = LocalSlices(
+            shape=(3, 2, 4), cells=np.array([0, 23], np.uint16), counts=np.array([2, 5], np.uint8)
+        )
+        assert local.size == 24
+        for values in (local.cells, local.counts):
+            assert values.dtype == np.int64
+            assert not values.flags.writeable
 
     def test_series_lengths_and_ranges(self):
         rng = np.random.default_rng(3)
         grids = rng.integers(0, 4, size=(6, 5, 5)).astype(np.int32)
-        series = compute_features(grids)
+        series = compute_features(local_slices(grids))
         assert series.f_d.size == 6
         assert series.f_s.size == 5
         assert series.f_p.size == 5
@@ -360,7 +495,7 @@ class TestComputeFeatures:
     def test_degenerate_slices_contribute_zero_direction_pairs(self):
         grids = np.zeros((4, 4, 4), np.int32)
         grids[1, 0, :] = 1  # only slice 1 has a usable direction
-        series = compute_features(grids)
+        series = compute_features(local_slices(grids))
         assert list(series.f_p) == [0.0, 0.0, 0.0]
 
     def test_feature_series_validation(self):

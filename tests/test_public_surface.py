@@ -28,6 +28,7 @@ EXPORTED = [
     "EventPeriod",
     "EvrotorError",
     "FeatureSeries",
+    "LocalSlices",
     "MetricsReport",
     "PipelineResult",
     "PropellerSpec",

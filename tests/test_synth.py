@@ -1,5 +1,7 @@
 """Synthetic rotor scenes: spec validation, determinism, and statistics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,27 @@ class TestSpecs:
     def test_bad_background_parameters(self, kwargs):
         with pytest.raises(ValidationError):
             BackgroundSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"speed": math.nan}, {"speed": math.inf}, {"noise_rate": math.nan},
+         {"noise_rate": math.inf}],
+    )
+    def test_non_finite_background_parameters_are_rejected(self, kwargs):
+        with pytest.raises(ValidationError, match="finite"):
+            BackgroundSpec(**kwargs)
+
+    def test_noise_beyond_what_a_scene_holds_is_rejected(self):
+        # 1e300 events per ms is finite, but no Poisson draw or host takes it
+        with pytest.raises(ValidationError, match="expects"):
+            generate_background_events(BackgroundSpec(noise_rate=1e300), 20_000, 0, VGA)
+        with pytest.raises(ValidationError, match="expects"):
+            generate_background_events(BackgroundSpec(noise_rate=2**31 / 20), 20_000, 0, VGA)
+
+    def test_scene_seed_must_be_non_negative(self):
+        with pytest.raises(ValidationError, match="seed"):
+            SynthScene(sensor=VGA, duration=1_000, seed=-1)
+        SynthScene(sensor=VGA, duration=1_000, seed=0)
 
     def test_scene_duration_must_be_positive(self):
         with pytest.raises(ValidationError):
