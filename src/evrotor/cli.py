@@ -32,21 +32,22 @@ _EXIT_IO = 2
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-slices", type=int, default=None,
+    defaults = DetectorConfig()
+    parser.add_argument("--n-slices", type=int, default=defaults.n_slices,
                         help="saliency slices per period (default: one per ms)")
-    parser.add_argument("--m-slices", type=int, default=None,
+    parser.add_argument("--m-slices", type=int, default=defaults.m_slices,
                         help="feature slices per period (default: two per ms)")
-    parser.add_argument("--tau-s", type=int, default=50,
+    parser.add_argument("--tau-s", type=int, default=defaults.tau_s,
                         help="gray threshold for salient pixels, 0..255")
-    parser.add_argument("--tau-p", type=int, default=3,
+    parser.add_argument("--tau-p", type=int, default=defaults.tau_p,
                         help="periodicity score threshold, 0..6")
-    parser.add_argument("--k", type=int, default=4,
+    parser.add_argument("--k", type=int, default=defaults.k_top,
                         help="clusters kept by saliency rank in the coarse stage")
-    parser.add_argument("--d-merge", type=float, default=50.0,
+    parser.add_argument("--d-merge", type=float, default=defaults.d_merge,
                         help="max bbox distance merged into one cluster, px")
-    parser.add_argument("--smooth-window", type=int, default=3,
+    parser.add_argument("--smooth-window", type=int, default=defaults.smooth_window,
                         help="odd moving-average window for feature series")
-    parser.add_argument("--margin", type=int, default=2,
+    parser.add_argument("--margin", type=int, default=defaults.region_margin,
                         help="bbox dilation around candidates, px")
 
 

@@ -25,7 +25,8 @@ from .features import (
     periodicity_score,
     saliency_score,
 )
-from .saliency import Region, SaliencyMap, connected_components, saliency_map, threshold_mask
+from .saliency import Region, SaliencyMap, connected_components, saliency_map
+from .saliency import threshold_mask, union_roots
 
 
 @dataclass
@@ -75,24 +76,19 @@ def _bbox_key(bbox: BBox) -> tuple[int, int, int, int]:
     return (bbox.y, bbox.x, bbox.h, bbox.w)
 
 
-def _root(parent: list[int], i: int) -> int:
-    while parent[i] != i:
-        parent[i] = parent[parent[i]]
-        i = parent[i]
-    return i
-
-
 def cluster_regions(regions: list[Region], d_merge: float) -> list[Cluster]:
     """Agglomerate regions into clusters by union-bbox proximity.
 
     Two clusters merge when the shortest distance between their union bboxes
-    is at most d_merge. Each pass joins every pair of clusters within reach,
-    then recomputes the union bboxes; passes repeat until one merges nothing.
-    A union bbox only grows, so a pair within reach stays within reach after
-    any other merge. Every merge made here is therefore forced in any merge
-    order, and the result is the partition that closest-pair-first merging
-    reaches. Clusters and their members are sorted by (y, x, h, w); members
-    with equal boxes keep their input order.
+    is at most d_merge. Each pass sweeps the boxes in order of their low edge
+    on one axis, merges with ``union_roots`` every pair within reach among
+    those whose extents on that axis come within d_merge, then recomputes the
+    union bboxes; passes repeat until one merges nothing. A union bbox only
+    grows, so a pair within reach stays within reach after any other merge.
+    Every merge made here is therefore forced in any merge order, and the
+    result is the partition that closest-pair-first merging reaches. Clusters
+    and their members are sorted by (y, x, h, w); members with equal boxes
+    keep their input order.
     """
     if not d_merge >= 0:  # also rejects NaN
         raise ConfigurationError(f"d_merge must be non-negative, got {d_merge}")
@@ -103,18 +99,27 @@ def cluster_regions(regions: list[Region], d_merge: float) -> list[Cluster]:
     ).reshape(-1, 4)
     owner = np.arange(len(ordered))
     while len(boxes) > 1:
-        parent = list(range(len(boxes)))
-        for i in range(len(boxes) - 1):
-            lo = np.maximum(boxes[i, :2], boxes[i + 1 :, :2])
-            hi = np.minimum(boxes[i, 2:], boxes[i + 1 :, 2:])
+        # Box order[i + k] can lie within d_merge of box order[i] only while
+        # i + k < reach[i]; sweep the axis with fewer such pairs, k by k.
+        sweeps = []
+        for axis in (0, 1):
+            order = np.argsort(boxes[:, axis])
+            reach = np.searchsorted(boxes[order, axis], boxes[order, axis + 2] + d_merge, "right")
+            sweeps.append((reach.sum(), axis, order, reach))
+        _, _, order, reach = min(sweeps)
+        swept = boxes[order]
+        root, rows, k = np.arange(len(boxes)), np.arange(len(boxes)), 1
+        while (rows := rows[rows + k < reach[rows]]).size:
+            a, b = swept[rows], swept[rows + k]
+            lo = np.maximum(a[:, :2], b[:, :2])
+            hi = np.minimum(a[:, 2:], b[:, 2:])
             gap = np.maximum(lo - hi, 0)
-            near = np.sqrt((gap * gap).sum(axis=1)) <= d_merge
-            for j in (np.flatnonzero(near) + i + 1).tolist():
-                parent[_root(parent, j)] = _root(parent, i)
-        roots = [_root(parent, i) for i in range(len(boxes))]
-        if len(set(roots)) == len(boxes):
+            near = rows[np.sqrt((gap * gap).sum(axis=1)) <= d_merge]
+            root = union_roots(root, order[near], order[near + k])
+            k += 1
+        _, group = np.unique(root, return_inverse=True)
+        if group.max() + 1 == len(boxes):
             break
-        _, group = np.unique(roots, return_inverse=True)
         lo = np.full((int(group.max()) + 1, 2), np.iinfo(np.int64).max)
         hi = np.full_like(lo, np.iinfo(np.int64).min)
         np.minimum.at(lo, group, boxes[:, :2])

@@ -2,8 +2,9 @@
 
 CSV streams hold one ``t_us,x,y,p`` row per event, with optional ``#``
 comment lines. Writers emit ``# t_start_us=`` and ``# duration_us=`` comments
-so the period bounds survive a round trip; readers fall back to deriving the
-bounds from the timestamps when the comments are absent.
+so the period bounds survive a round trip; readers reject a non-integer value
+in either and fall back to deriving the bounds from the timestamps when the
+comments are absent.
 
 Binary streams open with a 24-byte little-endian header (magic ``EVD1``,
 width u16, height u16, t_start u64, duration u64) followed by 16-byte
@@ -169,13 +170,17 @@ def _load_csv(path: Path, sensor: SensorGeometry | None) -> EventPeriod:
             if not text:
                 continue
             if text.startswith("#"):
-                body = text.lstrip("#").strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    try:
-                        meta[key.strip()] = int(value.strip())
-                    except ValueError:
-                        pass
+                # Only the period bounds are read; other comments are free-form notes.
+                key, equals, value = text.lstrip("#").partition("=")
+                key = key.strip()
+                if equals and key in ("t_start_us", "duration_us"):
+                    if not _is_int(value):
+                        raise EventFormatError(
+                            f"{key} must be an integer, got {value.strip()!r}",
+                            path=path,
+                            line=line_no,
+                        )
+                    meta[key] = int(value)
                 continue
             fields = text.split(",")
             if not header_seen and not ts and fields[0].strip() and not _is_int(fields[0]):
@@ -287,6 +292,16 @@ def write_detections(
     write_annotation(record, path)
 
 
+def _integer(record: dict, key: str) -> int:
+    """An integer field: a JSON integer or integral number, never a string or boolean."""
+    value = record[key]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 def _saliency_mass(value):
     """The ``s_s`` field of a box: a JSON number, or None when absent."""
     if value is None or (isinstance(value, (int, float)) and not isinstance(value, bool)):
@@ -304,17 +319,17 @@ def load_annotations(path) -> AnnotationRecord:
     try:
         boxes = tuple(
             BoxRecord(
-                bbox=BBox(int(b["x"]), int(b["y"]), int(b["w"]), int(b["h"])),
-                s_p=None if b.get("s_p") is None else int(b["s_p"]),
+                bbox=BBox(*(_integer(b, key) for key in "xywh")),
+                s_p=None if b.get("s_p") is None else _integer(b, "s_p"),
                 s_s=_saliency_mass(b.get("s_s")),
             )
             for b in payload["boxes"]
         )
         return AnnotationRecord(
             file=str(payload["file"]),
-            width=int(payload["width"]),
-            height=int(payload["height"]),
-            duration_us=int(payload["duration_us"]),
+            width=_integer(payload, "width"),
+            height=_integer(payload, "height"),
+            duration_us=_integer(payload, "duration_us"),
             boxes=boxes,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as err:

@@ -147,16 +147,31 @@ def threshold_mask(smap: SaliencyMap, tau_s: int) -> np.ndarray:
     return smap.gray > tau_s
 
 
+def union_roots(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Merge the links (a[k], b[k]) into ``root`` and return it, overwritten.
+
+    ``root`` maps each node to its root, with root[i] <= i. Hooking the larger
+    root of each link onto the smaller closes no cycle; pointers are then
+    jumped until every root is its own parent (Shiloach & Vishkin, J. Algorithms 1982).
+    """
+    while True:
+        ra, rb = root[a], root[b]
+        if np.array_equal(ra, rb):
+            return root
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(root, jumped := root[root]):
+            root = jumped
+
+
 def connected_components(mask: np.ndarray) -> list[Region]:
     """8-connected components of a binary mask, ordered by bbox top-left.
 
     Works on the horizontal runs of the mask. A run on row r and one on row
     r + 1 touch when their [x0, x1) extents overlap or meet at a corner, and
     the runs of row r + 1 that touch a given run form one contiguous block.
-    Linked runs are merged by hooking the larger root onto the smaller and
-    jumping pointers until every root is its own parent (Shiloach & Vishkin,
-    J. Algorithms 1982). Each component is then labelled by its first run in
-    scan order, so ties in the bbox order fall in first-pixel order.
+    ``union_roots`` merges the linked runs. Each component is then labelled
+    by its first run in scan order, so ties in the bbox order fall in
+    first-pixel order.
     """
     m = np.asarray(mask)
     if m.ndim != 2:
@@ -175,15 +190,7 @@ def connected_components(mask: np.ndarray) -> list[Region]:
     links = hi - lo  # one link per touching pair (a, b)
     a = np.repeat(np.arange(row.size), links)
     b = np.arange(a.size) + np.repeat(lo - (np.cumsum(links) - links), links)
-    # root[i] <= i always holds, so hooking never closes a cycle.
-    root = np.arange(row.size)
-    while True:
-        ra, rb = root[a], root[b]
-        if np.array_equal(ra, rb):
-            break
-        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
-        while not np.array_equal(root, jumped := root[root]):
-            root = jumped
+    root = union_roots(np.arange(row.size), a, b)
     # The stable sort keeps each component's runs, and so its pixels, in scan order.
     order = np.argsort(root, kind="stable")
     row, x0, x1 = row[order], x0[order], x1[order]

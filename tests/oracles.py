@@ -76,6 +76,27 @@ def ndimage_components(mask):
     return regions
 
 
+def union_find_roots(n, links):
+    """Smallest node of each node's component after merging the links.
+
+    links is a sequence of (a, b) node pairs.  A plain union-find whose
+    find walks parent pointers one step at a time and whose union sets the
+    larger root's parent to the smaller root, so every root is the smallest
+    node of its set.  Returns a list of n roots.
+    """
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return [find(i) for i in range(n)]
+
+
 def saliency_counts(events, t_start, duration, n, width, height):
     """Per-pixel count of the slices in which a pixel fired both polarities.
 

@@ -286,16 +286,9 @@ class TestDetect:
             assert lines[1].startswith("0,0,")
 
     def test_detect_defaults_match_the_library_config(self):
+        # detect with no config flags builds exactly the library default
         args = build_parser().parse_args(["detect", "--input", "x.evd"])
-        config = DetectorConfig()
-        assert args.tau_s == config.tau_s
-        assert args.tau_p == config.tau_p
-        assert args.k == config.k_top
-        assert args.d_merge == config.d_merge
-        assert args.smooth_window == config.smooth_window
-        assert args.margin == config.region_margin
-        assert args.n_slices == config.n_slices
-        assert args.m_slices == config.m_slices
+        assert cli._config_from(args) == DetectorConfig()
 
     def test_help_lists_the_thresholds(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -560,24 +553,34 @@ def detect_calls(draw):
     return argv, {name: content}
 
 
+EVAL_GT = {"file": "p0", "width": 64, "height": 48, "duration_us": 20000,
+           "boxes": [{"x": 10, "y": 10, "w": 20, "h": 20}]}
+EVAL_PRED = dict(EVAL_GT, boxes=[{"x": 12, "y": 9, "w": 20, "h": 20, "s_p": 5, "s_s": 700.0}])
+EVAL_ARGV = ["eval", "--pred={root}/pred", "--gt={root}/gt"]
+
+
+def eval_files(pred=EVAL_PRED, gt=EVAL_GT):
+    return {"pred/p0.json": json.dumps(pred).encode(), "gt/p0.json": json.dumps(gt).encode()}
+
+
 @st.composite
 def eval_calls(draw):
-    gt = {"file": "p0", "width": 64, "height": 48, "duration_us": 20000,
-          "boxes": [{"x": 10, "y": 10, "w": 20, "h": 20}]}
-    pred = dict(gt, boxes=[{"x": 12, "y": 9, "w": 20, "h": 20, "s_p": 5, "s_s": 700.0}])
-    files = {"pred/p0.json": json.dumps(pred).encode(), "gt/p0.json": json.dumps(gt).encode()}
-    argv = ["eval", "--pred={root}/pred", "--gt={root}/gt"]
+    gt, pred, files, argv = EVAL_GT, EVAL_PRED, eval_files(), list(EVAL_ARGV)
     poison = draw(st.sampled_from(["json", "field", "box", "orphan", "iou", "missing"]))
     target = draw(st.sampled_from(["pred/p0.json", "gt/p0.json"]))
     if poison == "json":
         files[target] = draw(st.sampled_from([b"", b"{", b"[1,", b"nul", b"{\"a\": \xff}"]))
-    elif poison == "field":
+    elif poison == "field":  # a record field goes missing or holds no integer
         record = dict(pred if target.startswith("pred") else gt)
-        del record[draw(st.sampled_from(["file", "width", "height", "duration_us", "boxes"]))]
+        key = draw(st.sampled_from(["file", "width", "height", "duration_us", "boxes"]))
+        if key == "file" or draw(st.booleans()):
+            del record[key]
+        else:
+            record[key] = draw(st.sampled_from([64.5, "48", True, 20000.5]))
         files[target] = json.dumps(record).encode()
     elif poison == "box":
         record = pred if target.startswith("pred") else gt
-        bad = draw(st.sampled_from(['"a"', "1e400", "[1]", "null"]))
+        bad = draw(st.sampled_from(['"a"', "1e400", "[1]", "null", "1.5", '"12"', "true"]))
         files[target] = json.dumps(record).replace('"x": ', f'"x": {bad}, "ignored": ', 1).encode()
     elif poison == "orphan":
         files[target.replace("p0", "p1")] = files[target]
@@ -613,6 +616,8 @@ class TestErrorContract:
     @example((["bench", "--events", "0", "--seed", "-1"], {}))
     @example((["eval", "--pred", "{root}/absent", "--gt", "{root}/absent"], {}))
     @example((["eval", "--pred", "{root}", "--gt", "{root}", "--iou", "nan"], {}))
+    @example((EVAL_ARGV, eval_files(dict(EVAL_PRED, duration_us=20000.5))))
+    @example((EVAL_ARGV, eval_files(gt=dict(EVAL_GT, boxes=[dict(x=1.5, y=10, w=20.9, h=True)]))))
     def test_bad_calls_end_in_one_error_line(self, call):
         """A bad value or file ends in exit 1 or 2 and one error line, never a traceback."""
         argv, files = call

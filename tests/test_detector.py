@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,35 @@ def rect_region(x, y, w, h):
 
 def cluster_count(rects, d_merge):
     return len(cluster_regions([rect_region(*r) for r in rects], d_merge))
+
+
+# Region layouts that make clustering costly, as (rects, d_merge, cluster boxes).
+ADVERSARIAL_LAYOUTS = {
+    # A 1x3 seed, then 1x1 regions alternating between rows 0 and 2. Each one
+    # touches only the union box of all the earlier ones: one pass per link.
+    "chain of 401": (
+        [(0, 0, 1, 3)] + [(x, 2 - 2 * (x % 2), 1, 1) for x in range(1, 401)],
+        0.0,
+        [(0, 0, 401, 3)],
+    ),
+    # Pixels two apart: each is 1 from its row and column neighbours.
+    "lattice of 9800": (
+        [(2 * i, 2 * j, 1, 1) for j in range(98) for i in range(100)],
+        1.0,
+        [(0, 0, 199, 195)],
+    ),
+    # Touching pairs of pixels, 1 apart: 5000 clusters, all on one row or column.
+    "row of 10000": (
+        [(i + i // 2, 0, 1, 1) for i in range(10_000)],
+        0.0,
+        [(3 * k, 0, 2, 1) for k in range(5000)],
+    ),
+    "column of 10000": (
+        [(0, i + i // 2, 1, 1) for i in range(10_000)],
+        0.0,
+        [(0, 3 * k, 1, 2) for k in range(5000)],
+    ),
+}
 
 
 class TestRectMinDistance:
@@ -200,6 +230,24 @@ class TestClustering:
         clusters = cluster_regions(regions, 50.0)
         assert time.perf_counter() - started < 2.0
         assert sum(len(c.members) for c in clusters) == len(regions)
+
+    @pytest.mark.parametrize("name", list(ADVERSARIAL_LAYOUTS))
+    def test_adversarial_layouts_cluster_in_bounded_time_and_memory(self, name):
+        layout, d_merge, expected = ADVERSARIAL_LAYOUTS[name]
+        regions = [rect_region(*rect) for rect in layout]
+        started = time.perf_counter()
+        clusters = cluster_regions(regions, d_merge)
+        elapsed = time.perf_counter() - started
+        tracemalloc.start()
+        try:
+            cluster_regions(regions, d_merge)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [c.bbox.as_tuple() for c in clusters] == expected
+        assert sum(len(c.members) for c in clusters) == len(regions)
+        assert elapsed < 1.0
+        assert peak < 32 * 2**20
 
 
 # A hand-built scene with one periodic blob and one constant blob. The

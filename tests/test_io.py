@@ -118,6 +118,22 @@ def test_csv_explicit_window_overrides_metadata(tmp_path):
     assert (period.t_start, period.duration) == (30, 500)
 
 
+@pytest.mark.parametrize("line", ["# duration_us=20000.5", "# t_start_us=abc", "#t_start_us= 1e3"])
+def test_csv_malformed_period_bound_reports_line(tmp_path, line):
+    # without the check the bounds fell back silently to the 5..900 us timestamps
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# t_start_us=0\n{line}\n5,1,1,1\n900,2,2,0\n")
+    with pytest.raises(EventFormatError, match=r"bad\.csv:2: (duration|t_start)_us must be an integer"):
+        load_events(path, SMALL)
+
+
+def test_csv_other_comments_stay_free_form(tmp_path):
+    path = tmp_path / "notes.csv"
+    path.write_text("# note=rotor 1.5 m away\n# t_start_us = 0\n# duration_us=1000\n5,1,1,1\n")
+    period = load_events(path, SMALL)
+    assert (period.t_start, period.duration) == (0, 1000)
+
+
 def test_csv_unsorted_rows_are_flagged(tmp_path):
     path = tmp_path / "unsorted.csv"
     path.write_text("# t_start_us=0\n# duration_us=100\n90,1,1,1\n10,2,2,0\n")
@@ -287,6 +303,43 @@ class TestAnnotations:
             path.write_text(text)
             with pytest.raises(EventFormatError, match="field"):
                 load_annotations(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("x", 1.5),
+            ("y", "2"),
+            ("w", 20.9),
+            ("h", True),
+            ("s_p", 2.7),
+            ("s_p", "3"),
+            ("width", 64.5),
+            ("height", False),
+            ("duration_us", "20000"),
+            ("duration_us", 20000.5),
+        ],
+    )
+    def test_non_integral_field_is_a_format_error(self, tmp_path, field, value):
+        # int() used to load these as the truncated or converted integer
+        box = {"x": 1, "y": 2, "w": 20, "h": 1, "s_p": 2}
+        record = {"file": "a", "width": 64, "height": 48, "duration_us": 20000, "boxes": [box]}
+        if field in box:
+            record["boxes"] = [dict(box, **{field: value})]
+        else:
+            record[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(EventFormatError, match=f"{field} must be an integer"):
+            load_annotations(path)
+
+    def test_integral_numbers_still_load(self, tmp_path):
+        box = {"x": 1.0, "y": 2, "w": 20.0, "h": 1, "s_p": 2.0}
+        record = {"file": "a", "width": 64.0, "height": 48, "duration_us": 2e4, "boxes": [box]}
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(record))
+        loaded = load_annotations(path)
+        assert loaded == AnnotationRecord("a", 64, 48, 20000, (BoxRecord(BBox(1, 2, 20, 1), s_p=2),))
+        assert all(type(v) is int for v in (loaded.width, loaded.duration_us, loaded.boxes[0].s_p))
 
 
 class TestPgm:

@@ -20,10 +20,15 @@ from evrotor import (
     saliency_map,
     threshold_mask,
 )
-from evrotor.saliency import render_gray, slice_indices
+from evrotor.saliency import render_gray, slice_indices, union_roots
 
 from conftest import SMALL, make_period
-from oracles import flood_fill_components, ndimage_components, saliency_counts
+from oracles import (
+    flood_fill_components,
+    ndimage_components,
+    saliency_counts,
+    union_find_roots,
+)
 
 
 def rows_strategy(max_x=SMALL.width - 1, max_y=SMALL.height - 1, max_size=60):
@@ -373,6 +378,44 @@ class TestComponents:
             Region(bbox=BBox(0, 0, 2, 2), pixels=np.array([[5, 5]]))
         with pytest.raises(ValidationError):
             Region(bbox=BBox(0, 0, 2, 2), pixels=np.empty((0, 2), np.int32))
+
+
+def links_strategy(n):
+    node = st.integers(0, n - 1)
+    return st.lists(st.tuples(node, node), max_size=3 * n)
+
+
+class TestUnionRoots:
+    """The hook-and-jump merge shared by labeling and clustering."""
+
+    @staticmethod
+    def merge(root, links):
+        pairs = np.array(links, dtype=np.int64).reshape(-1, 2)
+        return union_roots(root, pairs[:, 0], pairs[:, 1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), links_strategy(n))))
+    @example((1, []))
+    @example((6, [(5, 4), (4, 3), (3, 2), (2, 1), (1, 0)]))
+    def test_links_into_singletons_match_the_oracle(self, case):
+        n, links = case
+        root = self.merge(np.arange(n), links)
+        assert root.tolist() == union_find_roots(n, links)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.tuples(st.just(n), links_strategy(n), links_strategy(n))
+        )
+    )
+    @example((8, [(0, 7), (1, 6)], [(6, 7), (2, 3)]))
+    def test_links_into_a_merged_forest_match_the_oracle(self, case):
+        n, earlier, later = case
+        forest = np.array(union_find_roots(n, earlier))
+        root = self.merge(forest, later)
+        assert root.tolist() == union_find_roots(n, earlier + later)
+        assert np.array_equal(root[root], root)
+        assert (root <= np.arange(n)).all()
 
 
 class TestInvariants:
