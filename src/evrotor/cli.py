@@ -106,22 +106,22 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--width", type=int, default=640)
     synth.add_argument("--height", type=int, default=480)
     synth.add_argument("--duration-ms", type=int, default=20)
-    synth.add_argument("--rpm", type=float, default=10_000.0)
-    synth.add_argument("--blades", type=int, default=2)
+    synth.add_argument("--rpm", type=float, default=PropellerSpec.rpm)
+    synth.add_argument("--blades", type=int, default=PropellerSpec.blades)
     synth.add_argument("--radius", type=int, default=50)
     synth.add_argument("--center", default=None, metavar="X,Y",
                        help="rotor center (default: frame center)")
-    synth.add_argument("--aspect", type=float, default=0.8,
+    synth.add_argument("--aspect", type=float, default=PropellerSpec.aspect,
                        help="projected minor/major axis ratio of the blade disk")
     synth.add_argument("--background-only", action="store_true",
                        help="omit the rotor")
-    synth.add_argument("--edges", type=int, default=0,
+    synth.add_argument("--edges", type=int, default=BackgroundSpec.edge_count,
                        help="translating background edges")
-    synth.add_argument("--speed", type=float, default=2.0,
+    synth.add_argument("--speed", type=float, default=BackgroundSpec.speed,
                        help="background edge speed, px per ms")
-    synth.add_argument("--noise-rate", type=float, default=0.0,
+    synth.add_argument("--noise-rate", type=float, default=BackgroundSpec.noise_rate,
                        help="uniform noise events per ms over the frame")
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=int, default=SynthScene.seed)
     synth.set_defaults(func=cmd_synth)
 
     evaluate = sub.add_parser(
@@ -284,8 +284,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.reps < 1:
         raise ConfigurationError(f"reps must be at least 1, got {args.reps}")
-    if args.events < 0:
-        raise ConfigurationError(f"events must be non-negative, got {args.events}")
     period, _ = benchmark_period(args.events, seed=args.seed)
     config = DetectorConfig()
     detections = run_pipeline(period, config).detections  # warmup, untimed

@@ -67,11 +67,12 @@ class FeatureSeries:
             raise ValidationError(
                 "consecutive-slice series must be one shorter than the density series"
             )
-        if f_d.size and f_d.min() < 0:
-            raise ValidationError("densities must be non-negative")
-        if f_s.size and (f_s.min() < -1.0 or f_s.max() > 1.0):
+        # "Not inside" tests, so that NaN, which fails every comparison, fails them.
+        if not ((f_d >= 0.0) & (f_d < np.inf)).all():
+            raise ValidationError("densities must be finite and non-negative")
+        if not ((f_s >= -1.0) & (f_s <= 1.0)).all():
             raise ValidationError("structural similarities must lie in [-1, 1]")
-        if f_p.size and (f_p.min() < 0.0 or f_p.max() > 1.0):
+        if not ((f_p >= 0.0) & (f_p <= 1.0)).all():
             raise ValidationError("direction similarities must lie in [0, 1]")
         for series in (f_d, f_s, f_p):
             series.setflags(write=False)

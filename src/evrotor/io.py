@@ -14,6 +14,7 @@ records (t u64, x u16, y u16, p u8, 3 pad bytes).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -303,10 +304,15 @@ def _integer(record: dict, key: str) -> int:
 
 
 def _saliency_mass(value):
-    """The ``s_s`` field of a box: a JSON number, or None when absent."""
-    if value is None or (isinstance(value, (int, float)) and not isinstance(value, bool)):
+    """The ``s_s`` field of a box: a finite JSON number, or None when absent.
+
+    Python's json reads ``NaN`` and ``Infinity``; a NaN mass has no rank order.
+    """
+    if value is None or (isinstance(value, int) and not isinstance(value, bool)) or (
+        isinstance(value, float) and math.isfinite(value)
+    ):
         return value
-    raise ValueError(f"s_s must be a number, got {value!r}")
+    raise ValueError(f"s_s must be a finite number, got {value!r}")
 
 
 def load_annotations(path) -> AnnotationRecord:

@@ -7,7 +7,10 @@ after it, with per-edge counts drawn from a Poisson law. The blade disk is
 projected with an aspect ratio below one (an out-of-plane view) and blade
 emissivity depends on blade angle, so event density, slice structure, and
 principal directions all modulate at the blade-pass frequency, as a real
-rotor's do.
+rotor's do. The emission model is fixed: each edge emits
+``_EVENTS_PER_EDGE * (1 + _GAIN_MOD_DEPTH * cos(phi)**2)`` events on average
+at blade-plane angle phi, so blades aligned with the disk's major axis (the
+image x axis) shine brightest.
 
 Background edges translate across the frame and give each crossed pixel one
 positive event and one much later negative event, so they build no polarity
@@ -34,25 +37,31 @@ _MAX_CROSSING_S = 500e-6
 
 _EDGE_BAND_PX = (20.0, 60.0)
 
-# Most noise events one background may draw on average. Their columns would
-# fill about 36 GB; numpy's Poisson sampler only fails near 2**63.
-_MAX_NOISE_EVENTS = 2**31
+# Mean events per blade edge crossing, and the depth of their modulation
+# with blade angle.
+_EVENTS_PER_EDGE = 2.0
+_GAIN_MOD_DEPTH = 0.8
+
+# Most events one part of a scene (a rotor, the edges, the noise or the
+# benchmark pad) may ask for. Their columns would fill about 36 GB; numpy's
+# Poisson sampler only fails near 2**63.
+_MAX_EVENTS = 2**31
 
 
 @dataclass(frozen=True)
 class PropellerSpec:
-    """Geometry and emission model of one synthetic rotor."""
+    """Geometry of one synthetic rotor.
+
+    The blade disk's major axis lies along the image x axis. Emission follows
+    the module constants ``_EVENTS_PER_EDGE`` and ``_GAIN_MOD_DEPTH``.
+    """
 
     center: tuple[int, int]
     radius: int
     blades: int = 2
     rpm: float = 10_000.0
     phase: float = 0.0
-    events_per_edge: float = 2.0
     aspect: float = 0.8
-    tilt: float = 0.0
-    gain_mod_depth: float = 0.8
-    gain_mod_axis: float = 0.0
 
     def __post_init__(self) -> None:
         if self.radius < 5:
@@ -63,21 +72,8 @@ class PropellerSpec:
             raise ValidationError(
                 f"rpm must be within {RPM_MIN:.0f}..{RPM_MAX:.0f}, got {self.rpm}"
             )
-        if self.events_per_edge <= 0:
-            raise ValidationError(
-                f"events_per_edge must be positive, got {self.events_per_edge}"
-            )
         if not 0.0 < self.aspect <= 1.0:
             raise ValidationError(f"aspect must be in (0, 1], got {self.aspect}")
-        if self.gain_mod_depth < 0:
-            raise ValidationError(
-                f"gain_mod_depth must be non-negative, got {self.gain_mod_depth}"
-            )
-
-    @property
-    def blade_pass_hz(self) -> float:
-        """Blade crossings per second at a fixed point."""
-        return self.rpm / 60.0 * self.blades
 
 
 @dataclass(frozen=True)
@@ -111,8 +107,8 @@ class SynthScene:
     name: str = "scene"
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValidationError(f"duration must be positive, got {self.duration}")
+        if not 0 < self.duration < 2**63:  # timestamps are int64
+            raise ValidationError(f"duration must be within 1..2**63-1 us, got {self.duration}")
         if self.seed < 0:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
@@ -123,6 +119,23 @@ def _empty_columns() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         np.empty(0, dtype=np.int32),
         np.empty(0, dtype=np.int32),
         np.empty(0, dtype=np.uint8),
+    )
+
+
+def _check_event_count(expected: float, what: str) -> None:
+    if not expected < _MAX_EVENTS:
+        raise ValidationError(
+            f"{what} expects {expected:.3g} events, more than the {_MAX_EVENTS} a scene may hold"
+        )
+
+
+def _uniform_events(rng, count: int, duration_us: int, sensor: SensorGeometry):
+    """``count`` events uniform over [0, duration_us), the sensor and both polarities."""
+    return (
+        rng.integers(0, duration_us, count, dtype=np.int64),
+        rng.integers(0, sensor.width, count, dtype=np.int64).astype(np.int32),
+        rng.integers(0, sensor.height, count, dtype=np.int64).astype(np.int32),
+        rng.integers(0, 2, count, dtype=np.int64).astype(np.uint8),
     )
 
 
@@ -151,35 +164,36 @@ def generate_propeller_events(
     omega = 2.0 * math.pi * spec.rpm / 60.0
     rev_s = 2.0 * math.pi / omega
     duration_s = duration_us * 1e-6
-    cos_t = math.cos(spec.tilt)
-    sin_t = math.sin(spec.tilt)
     # Image-plane half extents of the projected blade disk.
-    half_x = spec.radius * math.hypot(cos_t, spec.aspect * sin_t)
-    half_y = spec.radius * math.hypot(sin_t, spec.aspect * cos_t)
+    half_x = spec.radius
+    half_y = spec.radius * spec.aspect
     x0 = max(int(math.floor(cx - half_x)), 0)
     x1 = min(int(math.ceil(cx + half_x)) + 1, sensor.width)
     y0 = max(int(math.floor(cy - half_y)), 0)
     y1 = min(int(math.ceil(cy + half_y)) + 1, sensor.height)
+    # A bound: each pixel of the box sees at most duration / rev + 1 passes of
+    # each blade, and a pass emits 2 * _EVENTS_PER_EDGE * gain events on average.
+    _check_event_count(
+        (x1 - x0) * (y1 - y0) * spec.blades * (duration_s / rev_s + 1.0)
+        * 2.0 * _EVENTS_PER_EDGE * (1.0 + _GAIN_MOD_DEPTH),
+        f"a rotor over {duration_us / 1000.0:g} ms",
+    )
     gxs, gys = np.meshgrid(np.arange(x0, x1), np.arange(y0, y1))
     gxs = gxs.ravel()
     gys = gys.ravel()
     dx = gxs - float(cx)
     dy = gys - float(cy)
     # Undo the projection to recover blade-plane polar coordinates.
-    u = dx * cos_t + dy * sin_t
-    v = (-dx * sin_t + dy * cos_t) / spec.aspect
+    u = dx
+    v = dy / spec.aspect
     r_plane = np.hypot(u, v)
     keep = (r_plane >= 1.0) & (r_plane <= spec.radius)
-    if not keep.any():
-        t, x, y, p = _empty_columns()
-        return t, x, y, p, gt
     px = gxs[keep].astype(np.int32)
     py = gys[keep].astype(np.int32)
     phi = np.arctan2(v[keep], u[keep])
     r_plane = r_plane[keep]
     crossing_s = np.minimum(1.0 / (np.maximum(r_plane, 1.0) * omega), _MAX_CROSSING_S)
-    gain = 1.0 + spec.gain_mod_depth * np.cos(phi - spec.gain_mod_axis) ** 2
-    lam = spec.events_per_edge * gain
+    lam = _EVENTS_PER_EDGE * (1.0 + _GAIN_MOD_DEPTH * np.cos(phi) ** 2)
     parts_t: list[np.ndarray] = []
     parts_i: list[np.ndarray] = []
     parts_p: list[int] = []
@@ -237,11 +251,13 @@ def generate_background_events(
         raise ValidationError(f"duration must be positive, got {duration_us}")
     rng = np.random.default_rng(seed)
     duration_ms = duration_us / 1000.0
-    parts_t: list[np.ndarray] = []
-    parts_x: list[np.ndarray] = []
-    parts_y: list[np.ndarray] = []
-    parts_p: list[np.ndarray] = []
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
     if spec.edge_count:
+        # Each edge gives a pixel at most one event of each polarity.
+        _check_event_count(
+            2.0 * spec.edge_count * sensor.width * sensor.height,
+            f"{spec.edge_count} edge(s) over a {sensor.width}x{sensor.height} sensor",
+        )
         gxs, gys = np.meshgrid(
             np.arange(sensor.width, dtype=np.float64),
             np.arange(sensor.height, dtype=np.float64),
@@ -262,29 +278,21 @@ def generate_background_events(
             for mask, times_ms, code in ((lead, t_lead_ms, 1), (trail, t_trail_ms, 0)):
                 if not mask.any():
                     continue
-                parts_t.append((times_ms[mask] * 1000.0).astype(np.int64))
-                parts_x.append(gxs[mask].astype(np.int32))
-                parts_y.append(gys[mask].astype(np.int32))
-                parts_p.append(np.full(int(mask.sum()), code, dtype=np.uint8))
+                parts.append((
+                    (times_ms[mask] * 1000.0).astype(np.int64),
+                    gxs[mask].astype(np.int32),
+                    gys[mask].astype(np.int32),
+                    np.full(int(mask.sum()), code, dtype=np.uint8),
+                ))
     if spec.noise_rate > 0:
         expected = spec.noise_rate * duration_ms
-        if expected >= _MAX_NOISE_EVENTS:
-            raise ValidationError(
-                f"noise rate {spec.noise_rate} per ms over {duration_ms:g} ms expects "
-                f"{expected:.3g} events, more than the {_MAX_NOISE_EVENTS} a scene may hold"
-            )
-        count = int(rng.poisson(expected))
-        if count:
-            parts_t.append(rng.integers(0, duration_us, count, dtype=np.int64))
-            parts_x.append(rng.integers(0, sensor.width, count, dtype=np.int64).astype(np.int32))
-            parts_y.append(rng.integers(0, sensor.height, count, dtype=np.int64).astype(np.int32))
-            parts_p.append(rng.integers(0, 2, count, dtype=np.int64).astype(np.uint8))
-    if not parts_t:
+        _check_event_count(
+            expected, f"noise rate {spec.noise_rate} per ms over {duration_ms:g} ms"
+        )
+        parts.append(_uniform_events(rng, int(rng.poisson(expected)), duration_us, sensor))
+    if not parts:
         return _empty_columns()
-    t = np.concatenate(parts_t)
-    x = np.concatenate(parts_x)
-    y = np.concatenate(parts_y)
-    p = np.concatenate(parts_p)
+    t, x, y, p = (np.concatenate(cols) for cols in zip(*parts))
     order = np.argsort(t, kind="stable")
     return t[order], x[order], y[order], p[order]
 
@@ -301,16 +309,9 @@ def generate_scene(scene: SynthScene) -> tuple[EventPeriod, AnnotationRecord]:
     parts.append(
         generate_background_events(scene.background, scene.duration, seeds[-1], scene.sensor)
     )
-    t = np.concatenate([part[0] for part in parts])
-    x = np.concatenate([part[1] for part in parts])
-    y = np.concatenate([part[2] for part in parts])
-    p = np.concatenate([part[3] for part in parts])
-    order = np.argsort(t, kind="stable")
+    # EventPeriod merges the time-sorted parts with one stable sort.
     period = EventPeriod(
-        t[order],
-        x[order],
-        y[order],
-        p[order],
+        *(np.concatenate(cols) for cols in zip(*parts)),
         t_start=0,
         duration=scene.duration,
         sensor=scene.sensor,
@@ -325,26 +326,23 @@ def generate_scene(scene: SynthScene) -> tuple[EventPeriod, AnnotationRecord]:
     return period, annotation
 
 
-def benchmark_period(
-    event_target: int,
-    seed: int = 0,
-    sensor: SensorGeometry = SensorGeometry(640, 480),
-    duration_us: int = 20_000,
-) -> tuple[EventPeriod, AnnotationRecord]:
-    """A standard scene padded or thinned to exactly ``event_target`` events.
+def benchmark_period(event_target: int, seed: int = 0) -> tuple[EventPeriod, AnnotationRecord]:
+    """A standard 640x480, 20 ms scene padded or thinned to exactly ``event_target`` events.
 
-    The rotor radius is sized so the rotor supplies roughly half the target;
-    uniform noise makes up the difference. Thinning, when needed, drops a
-    uniform random subset.
+    The rotor radius is sized from ``_EVENTS_PER_EDGE`` and ``_GAIN_MOD_DEPTH``
+    so the rotor supplies roughly half the target; uniform noise makes up the
+    difference. Thinning, when needed, drops a uniform random subset.
     """
-    if event_target < 0:
-        raise ValidationError(f"event target must be non-negative, got {event_target}")
+    if not 0 <= event_target < _MAX_EVENTS:
+        raise ValidationError(
+            f"event target must be within 0..{_MAX_EVENTS - 1}, got {event_target}"
+        )
+    sensor = SensorGeometry(640, 480)
+    duration_us = 20_000
     # Size the rotor from the default emission model so it supplies roughly
     # half the requested events.
     passes = duration_us * 1e-6 * PropellerSpec.rpm / 60.0 * PropellerSpec.blades
-    per_pixel = (
-        passes * 2.0 * PropellerSpec.events_per_edge * (1.0 + PropellerSpec.gain_mod_depth / 2.0)
-    )
+    per_pixel = passes * 2.0 * _EVENTS_PER_EDGE * (1.0 + _GAIN_MOD_DEPTH / 2.0)
     radius = math.sqrt(max(event_target, 1) * 0.55 / (math.pi * PropellerSpec.aspect * per_pixel))
     radius = int(min(max(radius, 15), 100))
     prop = PropellerSpec(
@@ -363,19 +361,11 @@ def benchmark_period(
     rng = np.random.default_rng(np.random.SeedSequence((seed, event_target)))
     deficit = event_target - len(period)
     if deficit > 0:
-        t = np.concatenate([period.t, rng.integers(0, duration_us, deficit, dtype=np.int64)])
-        x = np.concatenate(
-            [period.x, rng.integers(0, sensor.width, deficit, dtype=np.int64).astype(np.int32)]
-        )
-        y = np.concatenate(
-            [period.y, rng.integers(0, sensor.height, deficit, dtype=np.int64).astype(np.int32)]
-        )
-        p = np.concatenate(
-            [period.p, rng.integers(0, 2, deficit, dtype=np.int64).astype(np.uint8)]
-        )
-        order = np.argsort(t, kind="stable")
+        pad = _uniform_events(rng, deficit, duration_us, sensor)
         period = EventPeriod(
-            t[order], x[order], y[order], p[order],
+            *(np.concatenate([col, extra]) for col, extra in zip(
+                (period.t, period.x, period.y, period.p), pad
+            )),
             t_start=0, duration=duration_us, sensor=sensor,
         )
     elif deficit < 0:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import struct
 import subprocess
 import sys
@@ -12,7 +13,15 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from evrotor import DetectorConfig, EventPeriod, SensorGeometry, write_events
+from evrotor import (
+    BackgroundSpec,
+    DetectorConfig,
+    EventPeriod,
+    PropellerSpec,
+    SensorGeometry,
+    SynthScene,
+    write_events,
+)
 from evrotor import cli
 from evrotor.cli import build_parser, main
 
@@ -356,6 +365,36 @@ class TestSynth:
         assert code == 1
         assert "center" in err
 
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            # 1000 s of rotor passes, or edges over 10**12 pixels, would need
+            # terabytes of columns
+            (["--duration-ms", "1000000000"], "rotor"),
+            (["--width", "1000000", "--height", "1000000", "--radius", "400000"], "rotor"),
+            (["--width", "1000000", "--height", "1000000", "--edges", "1",
+              "--background-only"], "edge"),
+            # int64 timestamps, and the .evd header, end near 2**63 us
+            (["--duration-ms", str(10**17), "--background-only"], "duration"),
+            (["--duration-ms", str(10**400)], "duration"),
+        ],
+    )
+    def test_scene_beyond_what_it_may_hold_is_reported(self, tmp_path, capsys, flags, reason):
+        out = tmp_path / "x.evd"
+        code, _, err = run_cli(["synth", "--out-events", str(out), *flags], capsys)
+        assert code == 1
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert reason in err
+        assert not out.exists()
+
+    def test_synth_defaults_match_the_library_specs(self):
+        # synth with no rotor, background or seed flags builds the spec defaults
+        args = build_parser().parse_args(["synth", "--out-events", "x.evd"])
+        prop = PropellerSpec(center=(0, 0), radius=args.radius)
+        assert (args.rpm, args.blades, args.aspect) == (prop.rpm, prop.blades, prop.aspect)
+        assert BackgroundSpec(args.edges, args.speed, args.noise_rate) == BackgroundSpec()
+        assert args.seed == SynthScene(sensor=SensorGeometry(1, 1), duration=1).seed
+
 
 class TestEval:
     def make_dirs(self, tmp_path, perfect=True):
@@ -423,6 +462,13 @@ class TestBench:
         code, _, err = run_cli(["bench", "--reps", "0"], capsys)
         assert code == 1
         assert "reps" in err
+
+    def test_event_target_beyond_a_scene_is_reported(self, capsys):
+        # the uniform pad alone would need terabytes of columns
+        code, _, err = run_cli(["bench", "--events", "1000000000000", "--reps", "1"], capsys)
+        assert code == 1
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "event target" in err
 
 
 # Each drawn call is valid except for exactly one poisoned value or file, and
@@ -618,6 +664,7 @@ class TestErrorContract:
     @example((["eval", "--pred", "{root}", "--gt", "{root}", "--iou", "nan"], {}))
     @example((EVAL_ARGV, eval_files(dict(EVAL_PRED, duration_us=20000.5))))
     @example((EVAL_ARGV, eval_files(gt=dict(EVAL_GT, boxes=[dict(x=1.5, y=10, w=20.9, h=True)]))))
+    @example((EVAL_ARGV, eval_files(dict(EVAL_PRED, boxes=[dict(EVAL_PRED["boxes"][0], s_s=math.nan)]))))
     def test_bad_calls_end_in_one_error_line(self, call):
         """A bad value or file ends in exit 1 or 2 and one error line, never a traceback."""
         argv, files = call

@@ -505,6 +505,16 @@ class TestComputeFeatures:
             FeatureSeries(f_d=np.ones(4), f_s=np.zeros(3), f_p=np.full(3, 2.0))
         with pytest.raises(ValidationError):
             FeatureSeries(f_d=-np.ones(4), f_s=np.zeros(3), f_p=np.zeros(3))
+        # NaN fails every comparison, so it must not pass as "not out of range"
+        nan = math.nan
+        for f_d, f_s, f_p in (
+            ([1, nan, 3, 1, 3, 1, 3], np.full(6, nan), np.full(6, nan)),
+            ([1, math.inf, 3], np.zeros(2), np.zeros(2)),
+            (np.ones(3), [0.0, nan], np.zeros(2)),
+            (np.ones(3), np.zeros(2), [nan, 0.0]),
+        ):
+            with pytest.raises(ValidationError):
+                FeatureSeries(f_d=f_d, f_s=f_s, f_p=f_p)
 
 
 class TestMovingAverage:

@@ -1,6 +1,7 @@
 """Event stream files, annotation JSON, and PGM dumps."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -296,8 +297,9 @@ class TestAnnotations:
             json.dumps(dict(record, boxes=[dict(box, x="abc")])),
             # 1e400 parses to inf, which has no integer value
             json.dumps(record).replace('"width": 64', '"width": 1e400'),
-            # s_s must be a number
-            *(json.dumps(dict(record, boxes=[dict(box, s_s=s_s)])) for s_s in ("abc", [1])),
+            # s_s must be a finite number; Python's json reads NaN and Infinity
+            *(json.dumps(dict(record, boxes=[dict(box, s_s=s_s)]))
+              for s_s in ("abc", [1], math.nan, math.inf, -math.inf)),
         ]
         for text in texts:
             path.write_text(text)
