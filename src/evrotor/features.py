@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, ValidationError
 from .events import BBox, EventPeriod, SensorGeometry
-from .saliency import Region, SaliencyMap, check_slice_count
+from .saliency import Region, SaliencyMap, check_slice_count, sorted_runs
 
 
 class PrincipalDirection(NamedTuple):
@@ -177,13 +177,8 @@ def extract_local_slices(
     key *= window.w
     key += period.x[inside] - window.x
     key.sort()
-    # A run of equal ids starts at the first id and wherever the id changes.
-    change = np.empty(key.size, dtype=bool)
-    change[:1] = True
-    np.not_equal(key[1:], key[:-1], out=change[1:])
-    starts = np.flatnonzero(change)
-    counts = np.diff(starts, append=key.size)
-    return LocalSlices(shape=(m, window.h, window.w), cells=key[starts], counts=counts)
+    cells, counts = sorted_runs(key)
+    return LocalSlices(shape=(m, window.h, window.w), cells=cells, counts=counts)
 
 
 def _major_axes(cxx, cxy, cyy) -> tuple[np.ndarray, np.ndarray]:

@@ -32,6 +32,8 @@ _RECORD_DTYPE = np.dtype(
     [("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1"), ("pad", "V3")]
 )
 _CSV_HEADER = "t_us,x,y,p"
+# Largest sensor side of either format: the .evd header stores it as u16.
+_SIDE_MAX = 0xFFFF
 # Inclusive value ranges of the t (int64) and x, y (int32) columns; p is uint8.
 _T_MIN, _T_MAX = -(2**63), 2**63 - 1
 _XY_MIN, _XY_MAX = -(2**31), 2**31 - 1
@@ -80,8 +82,8 @@ def _write_csv(period: EventPeriod, path: Path) -> None:
 
 
 def _write_binary(period: EventPeriod, path: Path) -> None:
-    if period.sensor.width > 0xFFFF or period.sensor.height > 0xFFFF:
-        raise ValidationError("binary format caps sensor dimensions at 65535")
+    if max(period.sensor.width, period.sensor.height) > _SIDE_MAX:
+        raise ValidationError(f"binary format caps sensor dimensions at {_SIDE_MAX}")
     records = np.zeros(len(period), dtype=_RECORD_DTYPE)
     records["t"] = period.t
     records["x"] = period.x
@@ -104,9 +106,10 @@ def load_events(path, sensor: SensorGeometry | None = None) -> EventPeriod:
     """Load a period from a CSV or binary event file.
 
     Binary files carry their own geometry and period bounds; a ``sensor``
-    argument must then agree with the header. CSV files need ``sensor``, and
-    take period bounds from the metadata comments or, failing those, from
-    the timestamp range.
+    argument must then agree with the header. CSV files need ``sensor``, at
+    most 65535 pixels per side as in the binary header, and take period
+    bounds from the metadata comments or, failing those, from the timestamp
+    range.
     """
     path = Path(path)
     with open(path, "rb") as handle:
@@ -156,6 +159,10 @@ def _load_binary(path: Path, sensor: SensorGeometry | None) -> EventPeriod:
 def _load_csv(path: Path, sensor: SensorGeometry | None) -> EventPeriod:
     if sensor is None:
         raise ValidationError("CSV event streams need explicit sensor geometry")
+    if max(sensor.width, sensor.height) > _SIDE_MAX:
+        raise ValidationError(
+            f"sensor {sensor.width}x{sensor.height} exceeds {_SIDE_MAX} pixels per side"
+        )
     meta: dict[str, int] = {}
     ts: list[int] = []
     xs: list[int] = []

@@ -9,11 +9,14 @@ suppressing camera-motion clutter and background noise.
 
 The counts come from one sorted integer key per event, (slice, pixel,
 polarity), rather than from per-slice pixel grids, so memory grows with the
-events and the pixels only, never with slices times pixels.
+events and the pixels only, never with slices times pixels. Only the hit
+pixels, those with at least one salient slice, are counted and rendered;
+the rest of the map stays zero, so no pass walks every pixel of the sensor.
 
 Thresholding the rendered map and labeling its 8-connected components gives
-the salient regions. Labeling works on the horizontal runs of the mask, with
-numpy passes over the runs only.
+the salient regions. Labeling reads the horizontal runs of the mask from the
+flat ids of its set pixels, with numpy passes over those ids and the runs
+only.
 """
 
 from __future__ import annotations
@@ -55,13 +58,8 @@ class Region:
         pixels = np.ascontiguousarray(self.pixels, dtype=np.int32)
         if pixels.ndim != 2 or pixels.shape[1] != 2 or pixels.shape[0] < 1:
             raise ValidationError("region pixels must form a non-empty (k, 2) array")
-        xs, ys = pixels[:, 0], pixels[:, 1]
-        if (
-            int(xs.min()) < self.bbox.x
-            or int(xs.max()) >= self.bbox.right
-            or int(ys.min()) < self.bbox.y
-            or int(ys.max()) >= self.bbox.bottom
-        ):
+        (x0, y0), (x1, y1) = pixels.min(axis=0).tolist(), pixels.max(axis=0).tolist()
+        if x0 < self.bbox.x or x1 >= self.bbox.right or y0 < self.bbox.y or y1 >= self.bbox.bottom:
             raise ValidationError("region pixels fall outside the region bbox")
         pixels.setflags(write=False)
         object.__setattr__(self, "pixels", pixels)
@@ -106,6 +104,18 @@ def slice_indices(period: EventPeriod, n: int) -> np.ndarray:
     return s
 
 
+def sorted_runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a sorted id array and how often each occurs.
+
+    A run of equal ids starts at the first id and wherever the id changes.
+    """
+    change = np.empty(ids.size, dtype=bool)
+    change[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=change[1:])
+    starts = np.flatnonzero(change)
+    return ids[starts], np.diff(starts, append=ids.size)
+
+
 def render_gray(counts: np.ndarray, n_slices: int) -> np.ndarray:
     """Scale intersection counts to 8-bit gray: round(255 * count / n), capped."""
     if n_slices < 1:
@@ -122,7 +132,9 @@ def saliency_map(period: EventPeriod, n: int) -> SaliencyMap:
     an even key 2c is followed directly by 2c + 1, that is, when two
     neighbouring keys differ in the lowest bit only; so each cell counts once.
     Every key is below 2 * n * H * W, so keys are int32 while that is below
-    2**31, else int64.
+    2**31, else int64. The hit cells' pixel ids, sorted, give the hit pixels
+    and their counts; only those pixels are counted and rendered, and the
+    rest of both grids stays zero.
     """
     height, width = period.sensor.shape
     pixels = height * width
@@ -135,9 +147,17 @@ def saliency_map(period: EventPeriod, n: int) -> SaliencyMap:
     key |= period.p
     key.sort()
     hits = key[np.flatnonzero((key[1:] ^ key[:-1]) == 1)]
-    counts = np.bincount((hits >> 1) % pixels, minlength=pixels)
-    counts = counts.astype(np.int32).reshape(height, width)
-    return SaliencyMap(counts=counts, gray=render_gray(counts, n), n_slices=n)
+    hits >>= 1
+    hits %= pixels
+    hits.sort()
+    ids, hit_counts = sorted_runs(hits)
+    counts = np.zeros(pixels, np.int32)
+    counts[ids] = hit_counts
+    gray = np.zeros(pixels, np.uint8)
+    gray[ids] = render_gray(hit_counts, n)
+    return SaliencyMap(
+        counts=counts.reshape(height, width), gray=gray.reshape(height, width), n_slices=n
+    )
 
 
 def threshold_mask(smap: SaliencyMap, tau_s: int) -> np.ndarray:
@@ -166,9 +186,12 @@ def union_roots(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def connected_components(mask: np.ndarray) -> list[Region]:
     """8-connected components of a binary mask, ordered by bbox top-left.
 
-    Works on the horizontal runs of the mask. A run on row r and one on row
-    r + 1 touch when their [x0, x1) extents overlap or meet at a corner, and
-    the runs of row r + 1 that touch a given run form one contiguous block.
+    Works on the horizontal runs of the mask, read from the sorted flat ids
+    of its set pixels: a run ends where the ids skip or a row ends, since the
+    last pixel of a row and the first of the next have consecutive ids. A
+    run on row r and one on row r + 1 touch when their [x0, x1) extents
+    overlap or meet at a corner, and the runs of row r + 1 that touch a
+    given run form one contiguous block.
     ``union_roots`` merges the linked runs. Each component is then labelled
     by its first run in scan order, so ties in the bbox order fall in
     first-pixel order.
@@ -176,12 +199,17 @@ def connected_components(mask: np.ndarray) -> list[Region]:
     m = np.asarray(mask)
     if m.ndim != 2:
         raise ValidationError("mask must be two-dimensional")
-    if m.dtype != bool:
-        m = m != 0
-    rows, cols = np.nonzero(np.diff(m, axis=1, prepend=False, append=False))
-    row, x0, x1 = rows[::2], cols[::2], cols[1::2]
-    if row.size == 0:
+    ids = np.flatnonzero(m)
+    if ids.size == 0:
         return []
+    # A run starts where the flat ids break, or where a row starts.
+    start = np.empty(ids.size, dtype=bool)
+    start[:1] = True
+    np.not_equal(ids[1:], ids[:-1] + 1, out=start[1:])
+    start |= ids % m.shape[1] == 0
+    starts = np.flatnonzero(start)
+    row, x0 = np.divmod(ids[starts], m.shape[1])
+    x1 = x0 + np.diff(starts, append=ids.size)
     # Keys row * stride + x sort runs in scan order: x never reaches stride.
     # Run i's block is [lo, hi): the next-row runs with x1' >= x0 and x0' <= x1.
     stride = m.shape[1] + 2

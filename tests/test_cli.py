@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,25 @@ class TestDetect:
             assert code == 1
             assert err.startswith(f"error: {path}: ") and what in err
             assert err.count(str(path)) == 1
+
+    def test_oversized_csv_sensor_is_reported_before_any_grid(self, tmp_path, capsys):
+        """A 10**6 x 10**6 sensor would need terabytes of saliency grid."""
+        path = tmp_path / "two_events.csv"
+        path.write_text("0,1,1,1\n5,1,1,0\n", encoding="ascii")
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(
+                ["detect", "--input", str(path), "--width", "1000000", "--height", "1000000",
+                 "--output", str(tmp_path / "d.json")],
+                capsys,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {path}: ")
+        assert "exceeds 65535 pixels per side" in err
+        assert peak < 1_000_000
 
     def test_long_declared_period_needs_no_slice_volume(self, tmp_path, capsys):
         """2**33 us is 8.6 million slices: a per-slice 8x8 volume would take gigabytes."""
@@ -659,6 +679,9 @@ class TestErrorContract:
     @example((SYNTH_A + ["--edges", "3", "--noise-rate", "1e300"], {}))
     @example((SYNTH_A + ["--edges", "3", "--noise-rate", "nan"], {}))
     @example((SYNTH_A + ["--seed", "-1"], {}))
+    @example((["detect", "--input={root}/two_events.csv", "--width=1000000",
+               "--height=1000000", "--output={root}/d.json"],
+              {"two_events.csv": b"0,1,1,1\n5,1,1,0\n"}))
     @example((["bench", "--events", "0", "--seed", "-1"], {}))
     @example((["eval", "--pred", "{root}/absent", "--gt", "{root}/absent"], {}))
     @example((["eval", "--pred", "{root}", "--gt", "{root}", "--iou", "nan"], {}))

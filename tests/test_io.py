@@ -72,6 +72,15 @@ def test_csv_needs_sensor_geometry(tmp_path):
         load_events(path)
 
 
+def test_csv_sensor_is_bounded_like_the_binary_header(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_text("10,1,1,1\n")
+    assert load_events(path, SensorGeometry(65535, 65535)).sensor.shape == (65535, 65535)
+    for sensor in (SensorGeometry(65536, 8), SensorGeometry(8, 65536)):
+        with pytest.raises(ValidationError, match="exceeds 65535 pixels per side"):
+            load_events(path, sensor)
+
+
 def test_csv_wrong_field_count_reports_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t_us,x,y,p\n10,1,1,1\n20,2,2\n")

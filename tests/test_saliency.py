@@ -123,6 +123,30 @@ class TestRendering:
         assert not smap.counts.any()
         assert not smap.gray.any()
 
+    @pytest.mark.parametrize("n", [2, 6, 10, 30])
+    def test_every_count_renders_as_the_dense_map(self, n):
+        """Pixel i meets both polarities in exactly i of n slices, i = 0..n.
+
+        That reaches every gray level of n slices, the half-way ties 127.5,
+        42.5 and 25.5 among them. The other slices give pixel i a positive
+        event only, and the rest of the sensor stays untouched.
+        """
+        rows = []
+        for i in range(n + 1):
+            x, y = i % SMALL.width, i // SMALL.width
+            for j in range(n):
+                rows.append((j * 100 + 10, x, y, 1))
+                if j < i:
+                    rows.append((j * 100 + 20 + i % 7, x, y, 0))
+        rows.sort()
+        duration = n * 100
+        smap = saliency_map(make_period(rows, duration=duration), n)
+        want = np.array(saliency_counts(rows, 0, duration, n, SMALL.width, SMALL.height))
+        assert list(want.ravel()[: n + 1]) == list(range(n + 1))
+        assert np.array_equal(smap.counts, want)
+        assert np.array_equal(smap.gray, render_gray(want, n))
+        assert not smap.gray.ravel()[n + 1 :].any()
+
     def test_render_gray_caps_at_255(self):
         gray = render_gray(np.array([[30]]), 20)
         assert gray[0, 0] == 255
@@ -353,7 +377,9 @@ class TestComponents:
                 masks += 1
         assert masks == 20
 
-    @pytest.mark.parametrize("name", ["full", "serpentine comb", "spiral", "diagonal stripes"])
+    @pytest.mark.parametrize(
+        "name", ["full", "serpentine comb", "spiral", "diagonal stripes", "lattice", "half fill"]
+    )
     def test_adversarial_vga_masks_label_fast_and_exactly(self, name):
         ys, xs = np.mgrid[:480, :640]
         mask = {
@@ -364,12 +390,33 @@ class TestComponents:
             "spiral": spiral_mask(480, 640),
             # 280 one-pixel diagonals: every run is one pixel, the boxes overlap widely
             "diagonal stripes": (xs - ys) % 4 == 0,
+            # two crossing families of one-pixel diagonals: about 88k runs, one component
+            "lattice": ((xs + ys) % 4 == 0) | ((xs - ys) % 7 == 0),
+            "half fill": np.random.default_rng(11).random((480, 640)) < 0.5,
         }[name]
         start = time.perf_counter()
         regions = connected_components(mask)
         elapsed = time.perf_counter() - start
         assert_same_regions(regions, ndimage_components(mask))
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # a run ends at the last column and the next row starts at column 0:
+            # the flat ids run on across the row break, the runs must not
+            ["..##", "##..", "...."],
+            ["####", "####", "####"],
+            ["...#", "#...", "...#", "#..."],
+            ["#..#", "#..#"],
+            # width 1: every pixel starts a row
+            ["#", "#", ".", "#"],
+            ["#"],
+        ],
+    )
+    def test_runs_split_at_row_breaks(self, rows):
+        mask = np.array([[c == "#" for c in row] for row in rows])
+        assert_same_regions(connected_components(mask), ndimage_components(mask))
 
     def test_region_validates_pixels_inside_bbox(self):
         from evrotor import BBox
