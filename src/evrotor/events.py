@@ -1,7 +1,8 @@
 """Core domain types: bounded event periods, boxes, detector config.
 
 Event periods keep their events in columnar numpy arrays. All detector math
-runs on whole columns.
+runs on whole columns; ``bin_events`` is the one rule that gives an event
+its (slice, row, column) cell id, for saliency and feature windows alike.
 """
 
 from __future__ import annotations
@@ -203,16 +204,59 @@ class DetectorConfig:
             )
 
     def slicing_for(self, period: EventPeriod) -> tuple[int, int]:
-        """Resolve (n, m) slice counts for one period."""
+        """Resolve (n, m) slice counts for one period; the stages check their windows' ids."""
         duration_ms = max(1, round(period.duration / 1000))
         n = self.n_slices if self.n_slices is not None else max(2, duration_ms)
         m = self.m_slices if self.m_slices is not None else max(4, 2 * duration_ms)
-        if n > period.duration:
-            raise ConfigurationError(
-                f"n_slices={n} exceeds the period duration of {period.duration} us"
-            )
-        if m > period.duration:
-            raise ConfigurationError(
-                f"m_slices={m} exceeds the period duration of {period.duration} us"
-            )
+        _id_dtype(period, n, 1, 2, "n_slices")
+        _id_dtype(period, m, 1, 4, "m_slices")
         return n, m
+
+
+def _id_dtype(period: EventPeriod, k: int, cells: int, minimum: int, what: str) -> type:
+    """Check a k-way split of the period with ids below k * cells; return the id dtype.
+
+    ``minimum`` <= k <= duration, and (t - t_start) * k and the ids stay below 2**63.
+    """
+    if k < minimum:
+        raise ConfigurationError(f"{what} must be at least {minimum}, got {k}")
+    if k > period.duration:
+        raise ConfigurationError(f"{what} {k} exceeds the period duration of {period.duration} us")
+    if period.duration * k >= 2**63 or k * cells >= 2**63:
+        raise ConfigurationError(
+            f"{what} {k} over a {period.duration} us period overflows 64-bit slice arithmetic"
+        )
+    return np.int32 if k * cells < 2**31 else np.int64
+
+
+def bin_events(
+    period: EventPeriod,
+    k: int,
+    window: BBox,
+    index: np.ndarray | None = None,
+    *,
+    bits: int = 0,
+    minimum: int = 2,
+    what: str = "slice count",
+) -> np.ndarray:
+    """Cell ids of the events ``index`` (all when None) for a k-way split over a window.
+
+    An event inside the window falls in slice (t - t_start) * k // duration,
+    and its cell (slice, y, x) in window coordinates gets the id
+    ((slice * h + y) * w + x) << bits; the caller may fill the low bits.
+    Ids are int32 while (k * h * w) << bits is below 2**31, else int64, and
+    every Horner step runs in that dtype, so none wraps.
+    """
+    dtype = _id_dtype(period, k, (window.h * window.w) << bits, minimum, what)
+    key = (period.t if index is None else period.t[index]) - period.t_start
+    key *= k
+    key //= period.duration
+    key = key.astype(dtype, copy=False)
+    for size, coord, origin in ((window.h, period.y, window.y), (window.w, period.x, window.x)):
+        if index is not None:
+            coord = coord[index]
+        key *= size
+        key += coord - origin if origin else coord
+    if bits:
+        key <<= bits
+    return key

@@ -2,14 +2,15 @@
 
 A candidate region is re-sliced at a finer temporal resolution, keeping only
 positive events inside its margin-dilated bbox. The local slices are held
-sparsely, as the sorted ids and counts of their nonzero (slice, pixel)
-cells, read from one sorted key per event. Three series are read off them:
-event density, structural similarity between consecutive slices, and
-similarity of consecutive principal point-cloud directions. All three come
-from per-slice integer sums over the nonzero cells, so their cost follows
-the window's events rather than its slices times pixels. A rotor modulates
-all three periodically; the periodicity score counts how many of the
-smoothed series show repeated peaks and valleys.
+sparsely, as the sorted ids and counts of their nonzero cells; the ids are
+the saliency keys' (slice, row, column) ids from ``events.bin_events``.
+Three series are read off them: event density, structural similarity
+between consecutive slices, and similarity of consecutive principal
+point-cloud directions. All three come from per-slice integer sums over
+the nonzero cells, so their cost follows the window's events rather than
+its slices times pixels. A rotor modulates all three periodically; the
+periodicity score counts how many of the smoothed series show repeated
+peaks and valleys.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, ValidationError
-from .events import BBox, EventPeriod, SensorGeometry
-from .saliency import Region, SaliencyMap, check_slice_count, sorted_runs
+from .events import BBox, EventPeriod, SensorGeometry, bin_events
+from .saliency import Region, SaliencyMap, sorted_runs
 
 
 class PrincipalDirection(NamedTuple):
@@ -85,10 +86,11 @@ class FeatureSeries:
 class LocalSlices:
     """Positive-event counts of m local slices of an h x w window, nonzero cells only.
 
-    Cell (s, y, x) of the window has the flat id (s * h + y) * w + x.
-    ``cells`` holds the sorted ids of the nonzero cells and ``counts`` their
-    counts, both int64. The counts total less than 2**31, which bounds every
-    int64 sum that compute_features forms from them.
+    Cell (s, y, x) of the window has the flat id (s * h + y) * w + x, as
+    ``events.bin_events`` forms it. ``cells`` holds the sorted ids of the
+    nonzero cells and ``counts`` their counts, both int64. The counts total
+    less than 2**31, which bounds every int64 sum that compute_features
+    forms from them.
     """
 
     shape: tuple[int, int, int]
@@ -152,13 +154,11 @@ def extract_local_slices(
 ) -> LocalSlices:
     """Positive-event counts over m slices of the dilated region window.
 
-    Each positive event inside the window becomes the id of its cell,
-    (slice * h + y) * w + x in window coordinates. One sort brings equal ids
-    together, and their runs give the nonzero cells and their counts, so
-    memory follows the window's events, never m * h * w. Ids are int32 while
-    m * h * w is below 2**31, else int64.
+    Each positive event inside the window becomes the id of its cell from
+    ``bin_events``. One sort brings equal ids together, and their runs give
+    the nonzero cells and their counts, so memory follows the window's
+    events, never m * h * w.
     """
-    check_slice_count(period, m, minimum=4, what="local slice count")
     bbox = region.bbox if isinstance(region, Region) else region
     window = dilated_window(bbox, margin, period.sensor)
     inside = np.flatnonzero(  # indices gather several times faster than a boolean mask
@@ -168,14 +168,7 @@ def extract_local_slices(
         & (period.y >= window.y)
         & (period.y < window.bottom)
     )
-    key = period.t[inside] - period.t_start
-    key *= m
-    key //= period.duration
-    key = key.astype(np.int32 if m * window.h * window.w < 2**31 else np.int64, copy=False)
-    key *= window.h
-    key += period.y[inside] - window.y
-    key *= window.w
-    key += period.x[inside] - window.x
+    key = bin_events(period, m, window, inside, minimum=4, what="local slice count")
     key.sort()
     cells, counts = sorted_runs(key)
     return LocalSlices(shape=(m, window.h, window.w), cells=cells, counts=counts)

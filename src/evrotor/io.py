@@ -345,6 +345,8 @@ def load_annotations(path) -> AnnotationRecord:
             duration_us=_integer(payload, "duration_us"),
             boxes=boxes,
         )
+    except ValidationError as err:  # the BBox checks
+        raise ValidationError(f"{path}: {err}") from None
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise EventFormatError(f"missing or malformed field: {err}", path=path) from None
 

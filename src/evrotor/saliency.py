@@ -7,8 +7,9 @@ polarities land in different slices. Counting, per pixel, how many slices
 have both polarities present therefore highlights rotor regions while
 suppressing camera-motion clutter and background noise.
 
-The counts come from one sorted integer key per event, (slice, pixel,
-polarity), rather than from per-slice pixel grids, so memory grows with the
+The counts come from one sorted integer key per event, its (slice, row,
+column) cell id from ``events.bin_events`` with the polarity as the lowest
+bit, rather than from per-slice pixel grids, so memory grows with the
 events and the pixels only, never with slices times pixels. Only the hit
 pixels, those with at least one salient slice, are counted and rendered;
 the rest of the map stays zero, so no pass walks every pixel of the sensor.
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .events import BBox, EventPeriod
+from .events import BBox, EventPeriod, bin_events
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,41 +70,6 @@ class Region:
         return int(self.pixels.shape[0])
 
 
-# Slice arithmetic runs in int64: the product (t - t_start) * k and the
-# saliency key 2 * (k * H * W) must both stay below this.
-_INT64_LIMIT = 2**63
-
-
-def check_slice_count(
-    period: EventPeriod, k: int, minimum: int = 2, what: str = "slice count"
-) -> None:
-    """Reject a k-way split of the period that is too fine or overflows int64.
-
-    Shared by ``slice_indices`` and ``features.extract_local_slices``.
-    """
-    if k < minimum:
-        raise ConfigurationError(f"{what} must be at least {minimum}, got {k}")
-    if k > period.duration:
-        raise ConfigurationError(
-            f"{what} {k} exceeds the period duration of {period.duration} us"
-        )
-    height, width = period.sensor.shape
-    if period.duration * k >= _INT64_LIMIT or 2 * k * height * width >= _INT64_LIMIT:
-        raise ConfigurationError(
-            f"{what} {k} over a {period.duration} us period on a "
-            f"{width}x{height} sensor overflows 64-bit slice arithmetic"
-        )
-
-
-def slice_indices(period: EventPeriod, n: int) -> np.ndarray:
-    """0-based slice index of every event for an n-way split of the period."""
-    check_slice_count(period, n)
-    s = period.t - period.t_start
-    s *= n
-    s //= period.duration
-    return s
-
-
 def sorted_runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of a sorted id array and how often each occurs.
 
@@ -127,23 +93,17 @@ def render_gray(counts: np.ndarray, n_slices: int) -> np.ndarray:
 def saliency_map(period: EventPeriod, n: int) -> SaliencyMap:
     """Build the full saliency map for an n-way split of the period.
 
-    Each event becomes the key ((slice * H * W + pixel) << 1) | polarity.
-    After one sort, a (slice, pixel) cell holds both polarities exactly when
-    an even key 2c is followed directly by 2c + 1, that is, when two
-    neighbouring keys differ in the lowest bit only; so each cell counts once.
-    Every key is below 2 * n * H * W, so keys are int32 while that is below
-    2**31, else int64. The hit cells' pixel ids, sorted, give the hit pixels
-    and their counts; only those pixels are counted and rendered, and the
-    rest of both grids stays zero.
+    Each event becomes the key (cell << 1) | polarity, where cell is its
+    (slice, y, x) id from ``bin_events`` over the whole sensor. After one
+    sort, a cell holds both polarities exactly when an even key 2c is
+    followed directly by 2c + 1, that is, when two neighbouring keys differ
+    in the lowest bit only; so each cell counts once. The hit cells' pixel
+    ids, sorted, give the hit pixels and their counts; only those pixels are
+    counted and rendered, and the rest of both grids stays zero.
     """
     height, width = period.sensor.shape
     pixels = height * width
-    key_dtype = np.int32 if 2 * n * pixels < 2**31 else np.int64
-    key = slice_indices(period, n).astype(key_dtype, copy=False)
-    key *= pixels
-    key += period.y * width
-    key += period.x
-    key <<= 1
+    key = bin_events(period, n, BBox(0, 0, width, height), bits=1)
     key |= period.p
     key.sort()
     hits = key[np.flatnonzero((key[1:] ^ key[:-1]) == 1)]

@@ -1,5 +1,7 @@
 """Core domain types: events, periods, boxes, and configuration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +14,7 @@ from evrotor import (
     SensorGeometry,
     ValidationError,
 )
+from evrotor.events import bin_events
 
 from conftest import SMALL, make_period
 
@@ -204,3 +207,53 @@ class TestDetectorConfig:
         period = make_period([], duration=50)
         with pytest.raises(ConfigurationError):
             DetectorConfig(n_slices=100, m_slices=4).slicing_for(period)
+
+
+def python_ids(rows, t_start, duration, k, window, bits=0):
+    """Cell ids in Python ints: ((slice * h + y) * w + x) << bits, window-relative."""
+    return [
+        ((((t - t_start) * k // duration) * window.h + y - window.y) * window.w + x - window.x)
+        << bits
+        for t, x, y, _ in rows
+    ]
+
+
+class TestBinEvents:
+    def test_ids_on_the_largest_sensor_do_not_wrap(self):
+        """On 65535x65535, y * width passes 2**31: y = 40000 once wrapped to -1673567296."""
+        side = 65535
+        sensor = SensorGeometry(side, side)
+        rows = [(0, 0, 0, 1), (10, 7, 40000, 0), (500, side - 1, 40000, 1),
+                (999, side - 1, side - 1, 0)]
+        period = make_period(rows, sensor=sensor, duration=1000)
+        window = BBox(0, 0, side, side)
+        tracemalloc.start()
+        try:
+            for bits in (0, 1):
+                ids = bin_events(period, 2, window, bits=bits)
+                assert ids.dtype == np.int64
+                assert ids.tolist() == python_ids(rows, 0, 1000, 2, window, bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ids[-1] == (2 * side * side - 1) << 1
+        assert peak < 1 << 20  # one H*W byte grid would take 4 GiB
+
+    @pytest.mark.parametrize("bits", [0, 1])
+    def test_ids_switch_to_int64_at_2_to_the_31(self, bits):
+        # 2**15 slices of a 256 x 128 window reach 2**30 ids, 2**31 once shifted by one
+        sensor = SensorGeometry(300, 200)
+        duration = 2**16
+        rows = [(0, 20, 30, 1), (duration // 2, 100, 100, 1), (duration - 1, 275, 157, 0)]
+        period = make_period(rows, sensor=sensor, duration=duration)
+        window = BBox(20, 30, 256, 128)
+        for k, dtype in ((2**15 - 1, np.int32), (2**15, np.int32 if bits == 0 else np.int64)):
+            ids = bin_events(period, k, window, bits=bits)
+            assert ids.dtype == dtype
+            assert ids.tolist() == python_ids(rows, 0, duration, k, window, bits)
+
+    def test_ids_past_2_to_the_63_are_rejected(self):
+        # 2**31 slices of a 2**31 x 2**31 window reach 2**93, though time alone fits
+        period = make_period([], duration=2**31)
+        with pytest.raises(ConfigurationError, match="overflows"):
+            bin_events(period, 2**31, BBox(0, 0, 2**31, 2**31))

@@ -158,6 +158,21 @@ class TestWindowing:
         with pytest.raises(ConfigurationError, match="overflows"):
             extract_local_slices(period, BBox(0, 0, 5, 5), round(2**40 / 500))
 
+    def test_overflow_bound_follows_the_window_not_the_sensor(self):
+        # 2 * m * H * W passes 2**63 on this sensor, but the 5x5 window's
+        # ids stay below m * 25, so the cells come back exact.
+        side = 65535
+        sensor = SensorGeometry(side, side)
+        duration, m = 2**31, 2**30 + 2**16
+        rows = [(0, side - 5, side - 5, 1), (7, side - 1, side - 1, 1), (7, side - 1, side - 1, 1),
+                (2**30 + 3, side - 3, side - 2, 1), (2**30 + 4, 0, 0, 1),
+                (duration - 1, side - 1, side - 1, 1), (duration - 1, side - 2, side - 1, 0)]
+        period = make_period(rows, sensor=sensor, duration=duration)
+        window = BBox(side - 5, side - 5, 5, 5)
+        local = extract_local_slices(period, window, m)
+        assert local.cells[-1] == m * 25 - 1
+        assert_cells_match_the_oracle(local, rows, 0, duration, window)
+
 
 class TestBounds:
     def test_memory_grows_with_events_not_cells(self):

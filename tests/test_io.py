@@ -343,6 +343,15 @@ class TestAnnotations:
         with pytest.raises(EventFormatError, match=f"{field} must be an integer"):
             load_annotations(path)
 
+    def test_box_errors_name_the_file(self, tmp_path):
+        box = {"x": 1, "y": 1, "w": 0, "h": 3}
+        record = {"file": "a", "width": 64, "height": 48, "duration_us": 20000, "boxes": [box]}
+        path = tmp_path / "pred_7.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(ValidationError) as err:
+            load_annotations(path)
+        assert str(err.value) == f"{path}: box size must be positive, got 0x3"
+
     def test_integral_numbers_still_load(self, tmp_path):
         box = {"x": 1.0, "y": 2, "w": 20.0, "h": 1, "s_p": 2.0}
         record = {"file": "a", "width": 64.0, "height": 48, "duration_us": 2e4, "boxes": [box]}

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as npst
 
 from evrotor import (
+    BBox,
     ConfigurationError,
     DetectorConfig,
     Region,
@@ -20,7 +21,8 @@ from evrotor import (
     saliency_map,
     threshold_mask,
 )
-from evrotor.saliency import render_gray, slice_indices, union_roots
+from evrotor.events import bin_events
+from evrotor.saliency import render_gray, union_roots
 
 from conftest import SMALL, make_period
 from oracles import (
@@ -47,14 +49,16 @@ class TestSlicing:
     def test_twenty_ms_splits_into_twenty_slices(self):
         rows = [(j * 1000 + 37 + dt, 1, 1, p) for j in range(20) for dt, p in ((0, 1), (1, 0))]
         period = make_period(rows, duration=20_000)
-        assert list(slice_indices(period, 20)) == [j for j in range(20) for _ in (0, 1)]
+        # over a 1x1 window at the events' pixel, the cell id is the slice index
+        ids = bin_events(period, 20, BBox(1, 1, 1, 1))
+        assert list(ids) == [j for j in range(20) for _ in (0, 1)]
         smap = saliency_map(period, 20)
         assert smap.n_slices == 20
         assert smap.counts[1, 1] == 20  # both polarities in each of 20 slices
 
     def test_event_at_window_start_lands_in_first_slice(self):
         period = make_period([(0, 3, 4, 1)], duration=1000)
-        assert list(slice_indices(period, 4)) == [0]
+        assert list(bin_events(period, 4, BBox(3, 4, 1, 1))) == [0]
         # the first slice of 4 covers t < 250: a partner at 249 meets it
         # there, one at 250 lands in the second slice and does not
         with_partner = make_period([(0, 3, 4, 1), (249, 3, 4, 0)], duration=1000)
@@ -77,10 +81,11 @@ class TestSlicing:
 
     def test_rejects_bad_slice_counts(self):
         period = make_period([], duration=100)
-        with pytest.raises(ConfigurationError):
-            slice_indices(period, 1)
-        with pytest.raises(ConfigurationError):
-            slice_indices(period, 101)
+        for n in (1, 101):
+            with pytest.raises(ConfigurationError):
+                bin_events(period, n, BBox(0, 0, 1, 1))
+            with pytest.raises(ConfigurationError):
+                saliency_map(period, n)
 
 
 class TestIntersection:
@@ -184,14 +189,14 @@ class TestBounds:
         # (t - t_start) * n would wrap in int64: 2**40 us at one slice per ms
         long = make_period([(0, 1, 1, 1), (2**40, 2, 2, 0)], duration=2**40 + 1)
         with pytest.raises(ConfigurationError, match="overflows"):
-            slice_indices(long, round(2**40 / 1000))
+            bin_events(long, round(2**40 / 1000), BBox(0, 0, 1, 1))
         with pytest.raises(ConfigurationError, match="overflows"):
             saliency_map(long, round(2**40 / 1000))
         # just inside the limit the products stay exact
         edge = make_period([(2**62 - 2, 1, 1, 1)], duration=2**62 - 1)
-        assert list(slice_indices(edge, 2)) == [1]
+        assert list(bin_events(edge, 2, BBox(1, 1, 1, 1))) == [1]
         with pytest.raises(ConfigurationError, match="overflows"):
-            slice_indices(make_period([], duration=2**62), 2)
+            bin_events(make_period([], duration=2**62), 2, BBox(0, 0, 1, 1))
         # the saliency key 2 * n * H * W would wrap on a huge sensor
         wide = make_period([], sensor=SensorGeometry(65535, 65535), duration=2**31)
         with pytest.raises(ConfigurationError, match="overflows"):
