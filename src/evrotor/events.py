@@ -1,8 +1,11 @@
 """Core domain types: bounded event periods, boxes, detector config.
 
-Event periods keep their events in columnar numpy arrays. All detector math
-runs on whole columns; ``bin_events`` is the one rule that gives an event
-its (slice, row, column) cell id, for saliency and feature windows alike.
+Event periods keep their events in columnar numpy arrays, sorted by time.
+All detector math runs on whole columns; ``bin_events`` is the one rule that
+gives an event its (slice, row, column) cell id, for saliency and feature
+windows alike. It finds the slices from the time order, by one binary search
+per slice boundary, and divides per event only when there are more slices
+than events.
 """
 
 from __future__ import annotations
@@ -244,14 +247,35 @@ def bin_events(
     An event inside the window falls in slice (t - t_start) * k // duration,
     and its cell (slice, y, x) in window coordinates gets the id
     ((slice * h + y) * w + x) << bits; the caller may fill the low bits.
+    ``index`` must be ascending, so that the binned events stay time-sorted.
+
+    The slices are found in one of two exact ways. While k is at most the
+    number of binned events, slice s starts at t_start + ceil(s * duration / k),
+    so k - 1 binary searches of the sorted times give each slice's run of
+    events, and the ids repeat each slice number over its run: O(k log N)
+    to find the runs, and no division per event. Above that, the division
+    runs per event, which costs O(events) where the boundaries would cost
+    O(k).
     Ids are int32 while (k * h * w) << bits is below 2**31, else int64, and
     every Horner step runs in that dtype, so none wraps.
     """
     dtype = _id_dtype(period, k, (window.h * window.w) << bits, minimum, what)
-    key = (period.t if index is None else period.t[index]) - period.t_start
-    key *= k
-    key //= period.duration
-    key = key.astype(dtype, copy=False)
+    binned = period.t.size if index is None else index.size
+    if k <= binned:
+        # Last microsecond of slices 0..k-2; s * duration < 2**63 (checked above),
+        # and the cap keeps t_start + offset from wrapping past 2**63 - 1.
+        s = np.arange(1, k, dtype=np.int64)
+        offset = -(-s * period.duration // k) - 1
+        last = np.minimum(offset, 2**63 - 1 - period.t_start) + period.t_start
+        ends = np.searchsorted(period.t, last, side="right")
+        if index is not None:
+            ends = np.searchsorted(index, ends)
+        key = np.repeat(np.arange(k, dtype=dtype), np.diff(ends, prepend=0, append=binned))
+    else:
+        key = (period.t if index is None else period.t[index]) - period.t_start
+        key *= k
+        key //= period.duration
+        key = key.astype(dtype, copy=False)
     for size, coord, origin in ((window.h, period.y, window.y), (window.w, period.x, window.x)):
         if index is not None:
             coord = coord[index]

@@ -6,11 +6,13 @@ sparsely, as the sorted ids and counts of their nonzero cells; the ids are
 the saliency keys' (slice, row, column) ids from ``events.bin_events``.
 Three series are read off them: event density, structural similarity
 between consecutive slices, and similarity of consecutive principal
-point-cloud directions. All three come from per-slice integer sums over
-the nonzero cells, so their cost follows the window's events rather than
-its slices times pixels. A rotor modulates all three periodically; the
-periodicity score counts how many of the smoothed series show repeated
-peaks and valleys.
+point-cloud directions. All three come from integer sums over the runs of
+nonzero cells of the nonempty slices only, scattered into the m-long
+series; every other slice, and every pair of slices with an empty side,
+reads 0. So their cost follows the window's events, not its slices times
+pixels, and beyond the three series themselves not m either. A rotor
+modulates all three periodically; the periodicity score counts how many of
+the smoothed series show repeated peaks and valleys.
 """
 
 from __future__ import annotations
@@ -232,34 +234,45 @@ def compute_features(local: LocalSlices) -> FeatureSeries:
     # The record bounds the counts' total below 2**31, and with it every
     # int64 sum below, the squares and cross products included.
     cells, v = local.cells, local.counts
-    y, x = np.divmod(cells % hw, w)
-    # cells is sorted, so each slice owns one run of it.
-    bounds = np.searchsorted(cells, np.arange(m + 1) * hw)
+    # cells is sorted, so each nonempty slice owns one run of it; the other
+    # slices, and every pair with an empty side, keep 0 in every series.
+    slices, n = sorted_runs(cells // hw)
+    starts = np.cumsum(n) - n
+    pair = np.flatnonzero(slices[1:] == slices[:-1] + 1)  # nonempty (s, s + 1) at pair, pair + 1
 
     def per_slice(values: np.ndarray) -> np.ndarray:
         # Python ints, so the products below cannot overflow.
-        total = np.concatenate(([0], np.cumsum(values)))
-        return (total[bounds[1:]] - total[bounds[:-1]]).astype(object)
+        return np.add.reduceat(values, starts).astype(object)
 
-    n = np.diff(bounds).astype(object)
+    n = n.astype(object)
     s1 = per_slice(v)
     # The same pixel one slice later is cell + h*w.
     partner = np.minimum(np.searchsorted(cells, cells + hw), cells.size - 1)
-    cross = per_slice(np.where(cells[partner] == cells + hw, v * v[partner], 0))[:-1]
+    cross = per_slice(np.where(cells[partner] == cells + hw, v * v[partner], 0))[pair]
     var = (hw * per_slice(v * v) - s1 * s1).astype(np.float64)  # (h*w)^2 * variance
-    cov = (hw * cross - s1[:-1] * s1[1:]).astype(np.float64)
-    denom = np.sqrt(var[:-1] * var[1:])
-    f_s = np.divide(cov, denom, out=np.zeros(m - 1), where=denom > 0.0)
+    cov = (hw * cross - s1[pair] * s1[pair + 1]).astype(np.float64)
+    denom = np.sqrt(var[pair] * var[pair + 1])
+    f_s = np.zeros(m - 1)
+    f_s[slices[pair]] = np.clip(
+        np.divide(cov, denom, out=np.zeros(pair.size), where=denom > 0.0), -1.0, 1.0
+    )
 
+    y, x = np.divmod(cells % hw, w)
     sx, sy = per_slice(x), per_slice(y)
     axes, _ = _major_axes(  # n^2 times each slice's occupancy covariance
         (n * per_slice(x * x) - sx * sx).astype(np.float64),
         (n * per_slice(x * y) - sx * sy).astype(np.float64),
         (n * per_slice(y * y) - sy * sy).astype(np.float64),
     )
-    f_p = np.minimum(np.abs((axes[:-1] * axes[1:]).sum(axis=1)), 1.0)
-    f_p[(n[:-1] < 2) | (n[1:] < 2)] = 0.0  # no direction below two cells
-    return FeatureSeries(f_d=s1.astype(np.float64), f_s=np.clip(f_s, -1.0, 1.0), f_p=f_p)
+    f_p = np.zeros(m - 1)
+    f_p[slices[pair]] = np.where(  # no direction below two cells
+        (n[pair] < 2) | (n[pair + 1] < 2),
+        0.0,
+        np.minimum(np.abs((axes[pair] * axes[pair + 1]).sum(axis=1)), 1.0),
+    )
+    f_d = np.zeros(m)
+    f_d[slices] = s1.astype(np.float64)
+    return FeatureSeries(f_d=f_d, f_s=f_s, f_p=f_p)
 
 
 def moving_average(series, window: int) -> np.ndarray:

@@ -194,16 +194,25 @@ def evaluate_dataset(
     """Evaluate directories of prediction and ground-truth JSON records.
 
     Files pair up by name; any file present on only one side is an error.
+    On the ground-truth side, ``X.gt.json`` (as ``synth`` writes it) stands
+    for ``X.json`` and wins over a plain ``X.json``; on the prediction side,
+    ``*.gt.json`` files are skipped. So ``synth`` and ``detect`` output kept
+    in one directory can be scored with that directory on both sides.
     """
     pred_dir = Path(pred_dir)
     gt_dir = Path(gt_dir)
     for directory in (pred_dir, gt_dir):
         if not directory.is_dir():  # glob would find no file and report an empty dataset
             raise NotADirectoryError(errno.ENOTDIR, "not a directory", str(directory))
-    pred_files = {p.name: p for p in pred_dir.glob("*.json")}
-    gt_files = {p.name: p for p in gt_dir.glob("*.json")}
+    pred_files = {p.name: p for p in pred_dir.glob("*.json") if not p.name.endswith(".gt.json")}
+    gt_files: dict[str, Path] = {}
+    for p in gt_dir.glob("*.json"):
+        if p.name.endswith(".gt.json"):
+            gt_files[p.name[: -len(".gt.json")] + ".json"] = p
+        else:
+            gt_files.setdefault(p.name, p)
     only_pred = sorted(set(pred_files) - set(gt_files))
-    only_gt = sorted(set(gt_files) - set(pred_files))
+    only_gt = sorted(gt_files[name].name for name in set(gt_files) - set(pred_files))
     if only_pred or only_gt:
         problems = []
         if only_pred:

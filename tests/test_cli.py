@@ -455,6 +455,21 @@ class TestEval:
         payload = json.loads(report_path.read_text())
         assert payload["tp"] == 1 and payload["iou_thr"] == 0.5
 
+    def test_synth_and_detect_output_in_one_directory_is_scored(self, tmp_path, capsys):
+        # synth writes clip.gt.json next to clip.evd, detect writes clip.json
+        events = tmp_path / "clip.evd"
+        assert main(["synth", "--out-events", str(events), "--width", "160", "--height", "120",
+                     "--duration-ms", "10", "--radius", "20", "--seed", "3"]) == 0
+        assert main(["detect", "--input", str(events)]) == 0
+        report_path = tmp_path / "report.json"
+        code, _, err = run_cli(
+            ["eval", "--pred", str(tmp_path), "--gt", str(tmp_path), "--json", str(report_path)],
+            capsys,
+        )
+        assert code == 0, err
+        payload = json.loads(report_path.read_text())
+        assert payload["periods"] == 1 and payload["recall"] == 1.0
+
     def test_mismatched_directories_are_reported(self, tmp_path, capsys):
         pred_dir, gt_dir = self.make_dirs(tmp_path)
         (pred_dir / "orphan.json").write_text(

@@ -257,3 +257,55 @@ class TestBinEvents:
         period = make_period([], duration=2**31)
         with pytest.raises(ConfigurationError, match="overflows"):
             bin_events(period, 2**31, BBox(0, 0, 2**31, 2**31))
+
+    @given(st.data())
+    def test_ids_match_python_ints_on_both_sides_of_the_slice_search(self, data):
+        # Boundary search while k <= binned events, division above; the start
+        # may sit so close to 2**63 that the later slices begin past it.
+        duration = data.draw(st.integers(100, 10**7))
+        t_start = data.draw(st.integers(0, 10**6) | st.integers(2**63 - 2 * duration, 2**63 - 1))
+        last = min(duration, 2**63 - t_start) - 1
+        wx = data.draw(st.integers(0, SMALL.width - 1))
+        wy = data.draw(st.integers(0, SMALL.height - 1))
+        window = BBox(wx, wy, data.draw(st.integers(1, SMALL.width - wx)),
+                      data.draw(st.integers(1, SMALL.height - wy)))
+        offsets = data.draw(st.lists(st.integers(0, last), max_size=40).map(sorted))
+        rows = [
+            (t_start + dt, data.draw(st.integers(wx, window.right - 1)),
+             data.draw(st.integers(wy, window.bottom - 1)), 1)
+            for dt in offsets
+        ]
+        index = data.draw(st.none() | st.sets(st.integers(0, max(len(rows) - 1, 0)),
+                                              max_size=len(rows)).map(sorted))
+        binned = rows if index is None else [rows[i] for i in index]
+        if len(binned) >= 2 and data.draw(st.booleans()):
+            k = data.draw(st.integers(2, len(binned)))
+        else:
+            k = data.draw(st.integers(max(2, len(binned) + 1), duration))
+        bits = data.draw(st.integers(0, 1))
+        period = make_period(rows, t_start=t_start, duration=duration)
+        if index is not None:
+            index = np.array(index, dtype=np.intp)
+        ids = bin_events(period, k, window, index, bits=bits)
+        assert ids.tolist() == python_ids(binned, t_start, duration, k, window, bits)
+
+    def test_slice_starts_past_2_to_the_63_do_not_wrap(self):
+        # Slice 1 would start at 2**63 + 2**60 - 1000: every event is in slice 0.
+        t_start = 2**63 - 1000
+        rows = [(t_start, 1, 1, 1), (t_start + 500, 1, 1, 0), (2**63 - 1, 1, 1, 1)]
+        period = make_period(rows, t_start=t_start, duration=2**61)
+        assert bin_events(period, 2, BBox(1, 1, 1, 1)).tolist() == [0, 0, 0]
+        assert bin_events(period, 2, BBox(1, 1, 1, 1), np.array([0, 2])).tolist() == [0, 0]
+
+    def test_many_slices_over_few_events_need_no_boundaries(self):
+        # 2**24 slice boundaries would take about 400 MB; 3 events need a few bytes.
+        period = make_period([(0, 1, 1, 1), (2**23, 1, 1, 0), (2**24 - 1, 1, 1, 1)],
+                             duration=2**24)
+        tracemalloc.start()
+        try:
+            ids = bin_events(period, 2**24, BBox(1, 1, 1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ids.tolist() == [0, 2**23, 2**24 - 1]
+        assert peak < 1 << 20

@@ -216,6 +216,28 @@ class TestBounds:
         assert np.abs(series.f_p - want_p).max() <= 1e-12
         assert np.count_nonzero(series.f_s) >= 20
 
+    def test_feature_memory_follows_the_nonempty_slices(self):
+        """64 events in 2**20 slices of an 8x8 window: per-slice sums over all m took 219 MB."""
+        m = 2**20
+        duration = 2 * m
+        rng = np.random.default_rng(3)
+        rows = []
+        for j in 4 * rng.choice(m // 4, 16, replace=False):
+            for s in (j, j + 1):  # neighbouring slices, two pixels each; pairs 4 slices apart
+                for pixel in rng.choice(64, 2, replace=False).tolist():
+                    rows.append((2 * s + int(rng.integers(0, 2)), pixel % 8, pixel // 8, 1))
+        period = make_period(sorted(rows), sensor=SensorGeometry(8, 8), duration=duration)
+        local = extract_local_slices(period, BBox(0, 0, 8, 8), m)
+        tracemalloc.start()
+        try:
+            series = compute_features(local)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48_000_000  # the three float64 series alone take 24 MB
+        assert series.f_d.sum() == 64 and np.count_nonzero(series.f_d) == 32
+        assert np.count_nonzero(series.f_s) == 16
+
 
 class TestDensity:
     def test_counts_positive_events(self):

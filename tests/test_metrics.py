@@ -236,6 +236,18 @@ class TestEvaluateDataset:
         with pytest.raises(ValidationError, match="extra"):
             evaluate_dataset(pred_dir, gt_dir)
 
+    def test_ground_truth_suffix_pairs_with_the_plain_name(self, tmp_path):
+        # One directory on both sides: p0.gt.json is the truth for p0.json and
+        # is not itself a prediction; p0.json is not taken as its own truth.
+        write_annotation(record([(5, 5, 12, 12)], file="p0"), tmp_path / "p0.gt.json")
+        write_annotation(record([(30, 30, 8, 8)], scores=[(5, 800.0)], file="p0"),
+                         tmp_path / "p0.json")
+        report = evaluate_dataset(tmp_path, tmp_path, iou_thr=0.5)
+        assert (report.periods, report.tp, report.fp, report.fn) == (1, 0, 1, 1)
+        write_annotation(record([], file="p1"), tmp_path / "p1.gt.json")
+        with pytest.raises(ValidationError, match=r"without predictions: p1\.gt\.json"):
+            evaluate_dataset(tmp_path, tmp_path)
+
     def test_orphan_ground_truth_is_named(self, tmp_path):
         pred_dir = tmp_path / "pred"
         gt_dir = tmp_path / "gt"
