@@ -3,10 +3,12 @@
 Thresholded saliency components are agglomerated into clusters whenever the
 minimum distance between their union bboxes stays within d_merge. Merging
 runs in passes to a fixpoint; since union bboxes only grow, that fixpoint is
-the partition that closest-pair-first merging reaches too. The top K clusters
-by saliency mass are scored for periodicity; candidates that clear tau_p are
-refined against one Gaussian shape prior fitted to all their pixels, which
-cuts the member components whose centroids fall outside its 2-sigma ellipse.
+the partition that closest-pair-first merging reaches too. Each pass tests
+its candidate pairs in bounded batches, not one numpy round per region or
+per offset. The top K clusters by saliency mass, summed for all clusters at
+once, are scored for periodicity; candidates that clear tau_p are refined
+against one Gaussian shape prior fitted to all their pixels, which cuts the
+member components whose centroids fall outside its 2-sigma ellipse.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from .features import (
     compute_features,
     extract_local_slices,
     periodicity_score,
-    saliency_score,
+    saliency_masses,
 )
 from .saliency import Region, SaliencyMap, connected_components, saliency_map
-from .saliency import threshold_mask, union_roots
+from .saliency import box_order, gray_at, threshold_mask, union_roots
 
 
 @dataclass
@@ -72,6 +74,11 @@ class PipelineResult:
     candidate_features: list[FeatureSeries]
 
 
+# Most candidate pairs one clustering sweep expands at a time: enough that a
+# batch's numpy calls run long, few enough that a batch stays a few MB.
+_PAIR_BATCH = 2**14
+
+
 def _bbox_key(bbox: BBox) -> tuple[int, int, int, int]:
     return (bbox.y, bbox.x, bbox.h, bbox.w)
 
@@ -81,42 +88,57 @@ def cluster_regions(regions: list[Region], d_merge: float) -> list[Cluster]:
 
     Two clusters merge when the shortest distance between their union bboxes
     is at most d_merge. Each pass sweeps the boxes in order of their low edge
-    on one axis, merges with ``union_roots`` every pair within reach among
-    those whose extents on that axis come within d_merge, then recomputes the
-    union bboxes; passes repeat until one merges nothing. A union bbox only
-    grows, so a pair within reach stays within reach after any other merge.
-    Every merge made here is therefore forced in any merge order, and the
-    result is the partition that closest-pair-first merging reaches. Clusters
+    on one axis and takes as candidates the pairs whose extents on that axis
+    come within d_merge. It numbers those pairs and tests them in batches of
+    at most ``_PAIR_BATCH``, merging each batch's pairs within reach with one
+    ``union_roots`` call, then recomputes the union bboxes; passes repeat
+    until one merges nothing. A union bbox only grows, so a pair within
+    reach stays within reach after any other merge. Every merge made here is
+    therefore forced in any merge order, and the result, whatever the batch
+    size, is the partition that closest-pair-first merging reaches. Clusters
     and their members are sorted by (y, x, h, w); members with equal boxes
     keep their input order.
     """
     if not d_merge >= 0:  # also rejects NaN
         raise ConfigurationError(f"d_merge must be non-negative, got {d_merge}")
-    ordered = sorted(regions, key=lambda r: _bbox_key(r.bbox))
+    boxes = np.array([r.bbox.as_tuple() for r in regions], np.int64).reshape(-1, 4)
+    sort = box_order(boxes)
+    ordered = [regions[k] for k in sort.tolist()]
     # One (x0, y0, x1, y1) row per cluster, and the cluster row of each region.
-    boxes = np.array(
-        [(r.bbox.x, r.bbox.y, r.bbox.right, r.bbox.bottom) for r in ordered], np.int64
-    ).reshape(-1, 4)
+    boxes = boxes[sort]
+    boxes[:, 2:] += boxes[:, :2]
     owner = np.arange(len(ordered))
     while len(boxes) > 1:
-        # Box order[i + k] can lie within d_merge of box order[i] only while
-        # i + k < reach[i]; sweep the axis with fewer such pairs, k by k.
+        # Box order[j] can lie within d_merge of box order[i], i < j, only
+        # while j < reach[i]; sweep the axis with fewer such pairs.
         sweeps = []
         for axis in (0, 1):
             order = np.argsort(boxes[:, axis])
             reach = np.searchsorted(boxes[order, axis], boxes[order, axis + 2] + d_merge, "right")
             sweeps.append((reach.sum(), axis, order, reach))
-        _, _, order, reach = min(sweeps)
-        swept = boxes[order]
-        root, rows, k = np.arange(len(boxes)), np.arange(len(boxes)), 1
-        while (rows := rows[rows + k < reach[rows]]).size:
-            a, b = swept[rows], swept[rows + k]
-            lo = np.maximum(a[:, :2], b[:, :2])
-            hi = np.minimum(a[:, 2:], b[:, 2:])
-            gap = np.maximum(lo - hi, 0)
-            near = rows[np.sqrt((gap * gap).sum(axis=1)) <= d_merge]
-            root = union_roots(root, order[near], order[near + k])
-            k += 1
+        _, axis, order, reach = min(sweeps)
+        # Edges in sweep order: low and high along the sweep axis, then across it.
+        low, high, low_across, high_across = np.ascontiguousarray(
+            boxes[order][:, [axis, axis + 2, 1 - axis, 3 - axis]].T
+        )
+        # Number the pairs row by row: row i holds the pairs (i, j), j from
+        # i + 1 up to reach[i], and they end before pair number ends[i].
+        ends = np.cumsum(reach - np.arange(1, len(boxes) + 1))
+        total = int(ends[-1])
+        root = np.arange(len(boxes))
+        for first in range(0, total, _PAIR_BATCH):
+            last = min(first + _PAIR_BATCH, total)
+            top, bottom = np.searchsorted(ends, [first, last - 1], "right")
+            rows = np.arange(top, bottom + 1)
+            taken = np.diff(np.clip(ends[rows], first, last), prepend=first)
+            i = np.repeat(rows, taken)
+            j = np.arange(first, last) + np.repeat(reach[rows] - ends[rows], taken)
+            # low[i] <= low[j], so along the sweep axis only box j can lie past box i.
+            along = np.maximum(low[j] - high[i], 0)
+            across = np.maximum(low_across[j] - high_across[i], low_across[i] - high_across[j])
+            np.maximum(across, 0, out=across)
+            near = np.sqrt(along * along + across * across) <= d_merge
+            root = union_roots(root, order[i[near]], order[j[near]])
         _, group = np.unique(root, return_inverse=True)
         if group.max() + 1 == len(boxes):
             break
@@ -129,12 +151,12 @@ def cluster_regions(regions: list[Region], d_merge: float) -> list[Cluster]:
     members: list[list[Region]] = [[] for _ in boxes]
     for region, index in zip(ordered, owner.tolist()):
         members[index].append(region)
-    clusters = [
-        Cluster(members=tuple(group), bbox=BBox(x0, y0, x1 - x0, y1 - y0))
-        for group, (x0, y0, x1, y1) in zip(members, boxes.tolist())
+    boxes[:, 2:] -= boxes[:, :2]
+    rects = boxes.tolist()
+    return [
+        Cluster(members=tuple(members[k]), bbox=BBox(*rects[k]))
+        for k in box_order(boxes).tolist()
     ]
-    clusters.sort(key=lambda c: _bbox_key(c.bbox))
-    return clusters
 
 
 def _score_clusters(
@@ -149,8 +171,8 @@ def _score_clusters(
     feature series in the same order.
     """
     _, m = config.slicing_for(period)
-    for cluster in clusters:
-        mass = sum(saliency_score(region, smap) for region in cluster.members)
+    masses = saliency_masses([cluster.members for cluster in clusters], smap)
+    for cluster, mass in zip(clusters, masses):
         cluster.scores = RegionScores(s_s=mass)
     ranked = sorted(
         clusters,
@@ -189,7 +211,7 @@ def gaussian_fine_refine(candidate: Cluster, smap: SaliencyMap) -> Detection:
     members = candidate.members
     pixels = np.concatenate([region.pixels for region in members])
     member = np.repeat(np.arange(len(members)), [region.area for region in members])
-    w = smap.gray[pixels[:, 1], pixels[:, 0]].astype(np.float64)
+    w = gray_at(smap, pixels).astype(np.float64)
     # Measured from the pixels' low corner, the moments of any candidate under
     # 2400 px across are integers below 2**53, so the float64 sums are exact
     # and collinear pixels give det == 0 exactly.

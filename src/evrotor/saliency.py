@@ -17,7 +17,7 @@ the rest of the map stays zero, so no pass walks every pixel of the sensor.
 Thresholding the rendered map and labeling its 8-connected components gives
 the salient regions. Labeling reads the horizontal runs of the mask from the
 flat ids of its set pixels, with numpy passes over those ids and the runs
-only.
+only; it checks all regions' pixels against their boxes in one pass too.
 """
 
 from __future__ import annotations
@@ -59,15 +59,40 @@ class Region:
         pixels = np.ascontiguousarray(self.pixels, dtype=np.int32)
         if pixels.ndim != 2 or pixels.shape[1] != 2 or pixels.shape[0] < 1:
             raise ValidationError("region pixels must form a non-empty (k, 2) array")
-        (x0, y0), (x1, y1) = pixels.min(axis=0).tolist(), pixels.max(axis=0).tolist()
-        if x0 < self.bbox.x or x1 >= self.bbox.right or y0 < self.bbox.y or y1 >= self.bbox.bottom:
-            raise ValidationError("region pixels fall outside the region bbox")
+        box = self.bbox
+        check_inside(pixels, np.array([[box.x, box.y, box.right, box.bottom]]), np.zeros(1, int))
         pixels.setflags(write=False)
         object.__setattr__(self, "pixels", pixels)
 
     @property
     def area(self) -> int:
         return int(self.pixels.shape[0])
+
+
+def check_inside(pixels: np.ndarray, bounds: np.ndarray, starts: np.ndarray) -> None:
+    """Raise unless every region's pixels lie inside its box.
+
+    ``pixels`` holds the (x, y) pixels of several regions back to back,
+    region k's from row starts[k] on; bounds[k] is its (x0, y0, x1, y1) box
+    with exclusive x1 and y1. Every region needs at least one pixel.
+    """
+    low = np.minimum.reduceat(pixels, starts)
+    high = np.maximum.reduceat(pixels, starts)
+    if (low < bounds[:, :2]).any() or (high >= bounds[:, 2:]).any():
+        raise ValidationError("region pixels fall outside the region bbox")
+
+
+def _labelled_region(bbox: BBox, pixels: np.ndarray) -> Region:
+    """A Region whose read-only int32 pixels ``check_inside`` already passed."""
+    region = object.__new__(Region)
+    object.__setattr__(region, "bbox", bbox)
+    object.__setattr__(region, "pixels", pixels)
+    return region
+
+
+def box_order(boxes: np.ndarray) -> np.ndarray:
+    """Stable order of (x, y, w, h) box rows by (y, x, h, w), the region order."""
+    return np.lexsort((boxes[:, 2], boxes[:, 3], boxes[:, 0], boxes[:, 1]))
 
 
 def sorted_runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,6 +143,15 @@ def saliency_map(period: EventPeriod, n: int) -> SaliencyMap:
     return SaliencyMap(
         counts=counts.reshape(height, width), gray=gray.reshape(height, width), n_slices=n
     )
+
+
+def gray_at(smap: SaliencyMap, pixels: np.ndarray) -> np.ndarray:
+    """The map's gray values at (x, y) pixels, which must lie inside the map."""
+    height, width = smap.gray.shape
+    x, y = pixels[:, 0], pixels[:, 1]
+    if x.size and (pixels.min() < 0 or x.max() >= width or y.max() >= height):
+        raise ValidationError("region pixels fall outside the saliency map")
+    return smap.gray.reshape(-1)[y.astype(np.intp) * width + x]
 
 
 def threshold_mask(smap: SaliencyMap, tau_s: int) -> np.ndarray:
@@ -185,16 +219,20 @@ def connected_components(mask: np.ndarray) -> list[Region]:
     first = np.flatnonzero(np.diff(root[order], prepend=-1))
     last = np.append(first[1:], row.size) - 1
     left = np.minimum.reduceat(x0, first)
-    width = np.maximum.reduceat(x1, first) - left
-    height = row[last] - row[first] + 1
+    right = np.maximum.reduceat(x1, first)
+    top, bottom = row[first], row[last] + 1
     length = x1 - x0
     ends = np.cumsum(length)
     xs = np.arange(ends[-1]) - np.repeat(ends - length - x0, length)
     pixels = np.column_stack([xs, np.repeat(row, length)]).astype(np.int32)
-    boxes = zip(left.tolist(), row[first].tolist(), width.tolist(), height.tolist())
-    regions = [
-        Region(bbox=BBox(*box), pixels=px)
-        for box, px in zip(boxes, np.split(pixels, ends[last[:-1]]))
+    pixels.setflags(write=False)
+    starts = np.append(0, ends[last[:-1]])
+    check_inside(pixels, np.column_stack([left, top, right, bottom]), starts)
+    # box_order is stable, so regions with equal boxes stay in first-pixel order.
+    boxes = np.column_stack([left, top, right - left, bottom - top])
+    order = box_order(boxes)
+    cuts = np.append(starts, pixels.shape[0]).tolist()
+    return [
+        _labelled_region(BBox(*box), pixels[cuts[k] : cuts[k + 1]])
+        for box, k in zip(boxes[order].tolist(), order.tolist())
     ]
-    regions.sort(key=lambda r: (r.bbox.y, r.bbox.x, r.bbox.h, r.bbox.w))
-    return regions

@@ -34,7 +34,9 @@ from evrotor import (
     generate_background_events,
     generate_propeller_events,
     match_detections,
+    saliency_score,
 )
+from evrotor import detector
 from evrotor.metrics import iou
 
 from conftest import VGA, make_period
@@ -153,7 +155,7 @@ class TestClustering:
         clusters = cluster_regions(regions, 0.0)
         assert [c.bbox.as_tuple() for c in clusters] == [(0, 0, 10, 5), (11, 0, 5, 5)]
 
-    def test_matches_brute_force_oracle(self):
+    def test_matches_brute_force_oracle(self, monkeypatch):
         rng = np.random.default_rng(42)
         # Gaps exactly at the reach: a (30, 40) gap is 50 px, a (3, 4) gap 5 px.
         cases = [
@@ -178,21 +180,25 @@ class TestClustering:
                     seen.add(key)
                     rects.append(rect)
             cases.append((rects, float(rng.choice([0.0, 10.0, 30.0, 60.0]))))
-        for rects, d_merge in cases:
-            got = cluster_regions([rect_region(*r) for r in rects], d_merge)
-            got_sig = sorted(
-                (
-                    tuple(sorted(m.bbox.as_tuple() for m in c.members)),
-                    c.bbox.as_tuple(),
+        # Layouts of ten boxes have up to 45 candidate pairs per sweep, so
+        # batches of 1 and 4 pairs split a sweep, and rows of pairs, many times.
+        for batch in (detector._PAIR_BATCH, 4, 1):
+            monkeypatch.setattr(detector, "_PAIR_BATCH", batch)
+            for rects, d_merge in cases:
+                got = cluster_regions([rect_region(*r) for r in rects], d_merge)
+                got_sig = sorted(
+                    (
+                        tuple(sorted(m.bbox.as_tuple() for m in c.members)),
+                        c.bbox.as_tuple(),
+                    )
+                    for c in got
                 )
-                for c in got
-            )
-            want = greedy_union_clusters(rects, d_merge)
-            want_sig = sorted(
-                (tuple(sorted(rects[i] for i in members)), rect)
-                for members, rect in want
-            )
-            assert got_sig == want_sig
+                want = greedy_union_clusters(rects, d_merge)
+                want_sig = sorted(
+                    (tuple(sorted(rects[i] for i in members)), rect)
+                    for members, rect in want
+                )
+                assert got_sig == want_sig
 
     def test_partition_and_separation_properties(self):
         rng = np.random.default_rng(9)
@@ -329,6 +335,29 @@ class TestCoarseStage:
         assert result.candidates == []
         assert result.detections == []
 
+    def test_cluster_mass_sums_the_member_scores(self):
+        # Dense noise labels into hundreds of regions; at d_merge 5 some
+        # clusters gather several of them.
+        scene = SynthScene(
+            sensor=VGA,
+            duration=20_000,
+            background=BackgroundSpec(noise_rate=8_000.0),
+            seed=3,
+        )
+        period, _ = generate_scene(scene)
+        result = run_pipeline(period, DetectorConfig(tau_s=10, d_merge=5.0))
+        assert len(result.regions) >= 200
+        assert any(len(c.members) > 1 for c in result.clusters)
+        gray = result.saliency.gray
+        for cluster in result.clusters:
+            s_s = cluster.scores.s_s
+            assert type(s_s) is int
+            assert s_s == sum(saliency_score(r, result.saliency) for r in cluster.members)
+            assert s_s == sum(
+                int(gray[r.pixels[:, 1], r.pixels[:, 0]].sum(dtype=np.int64))
+                for r in cluster.members
+            )
+
     def test_coarse_select_returns_scored_clusters(self):
         result = run_pipeline(blob_period(), BLOB_CONFIG)
         candidates = result.candidates
@@ -435,6 +464,19 @@ class TestFineStage:
         detection = gaussian_fine_refine(candidate, gray_map((60, 60), [disk]))
         assert detection.bbox == disk.bbox
         assert detection.pixels.shape[0] == disk.area
+
+    @pytest.mark.parametrize("pixel", [(-1, 1), (1, -1), (4, 1), (1, 4)])
+    def test_pixels_outside_the_map_are_rejected(self, pixel):
+        # Negative coordinates must not wrap around to the far edge of the map.
+        region = line_region([(1, 1), (2, 1), (1, 2), pixel])
+        candidate = Cluster(
+            members=(region,), bbox=region.bbox, scores=RegionScores(s_s=800.0, s_p=4)
+        )
+        smap = SaliencyMap(
+            counts=np.ones((4, 4), np.int32), gray=np.full((4, 4), 200, np.uint8), n_slices=20
+        )
+        with pytest.raises(ValidationError, match="outside the saliency map"):
+            gaussian_fine_refine(candidate, smap)
 
     def test_unscored_candidate_is_rejected(self):
         disk = disk_region(25, 25, 8)

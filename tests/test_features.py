@@ -709,6 +709,16 @@ class TestSaliencyScore:
         with pytest.raises(ValidationError):
             saliency_score(region_of(6, 6, 3, 3), self.make_map(gray))
 
+    def test_negative_pixel_coordinates_are_rejected(self):
+        # gray[0, -1] would read the last column of row 0 instead of raising.
+        smap = self.make_map(np.arange(16, dtype=np.uint8).reshape(4, 4) * 14)
+        for region in (
+            Region(BBox(-1, 0, 2, 1), np.array([[-1, 0], [0, 0]])),
+            Region(BBox(0, -1, 1, 2), np.array([[0, -1], [0, 0]])),
+        ):
+            with pytest.raises(ValidationError, match="outside the saliency map"):
+                saliency_score(region, smap)
+
 
 class TestRegionScores:
     def test_validation(self):

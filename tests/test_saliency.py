@@ -22,7 +22,7 @@ from evrotor import (
     threshold_mask,
 )
 from evrotor.events import bin_events
-from evrotor.saliency import render_gray, union_roots
+from evrotor.saliency import check_inside, render_gray, union_roots
 
 from conftest import SMALL, make_period
 from oracles import (
@@ -422,6 +422,29 @@ class TestComponents:
     def test_runs_split_at_row_breaks(self, rows):
         mask = np.array([[c == "#" for c in row] for row in rows])
         assert_same_regions(connected_components(mask), ndimage_components(mask))
+
+    def test_labelled_regions_survive_reconstruction(self):
+        mask = np.random.default_rng(5).random((60, 80)) < 0.3
+        regions = connected_components(mask)
+        assert len(regions) > 20
+        for region in regions:
+            assert not region.pixels.flags.writeable
+            rebuilt = Region(bbox=region.bbox, pixels=region.pixels)
+            assert_same_regions([rebuilt], [region])
+
+    def test_batched_containment_rejects_a_box_missing_a_pixel(self):
+        regions = connected_components(np.random.default_rng(6).random((40, 50)) < 0.3)
+        pixels = np.concatenate([r.pixels for r in regions])
+        starts = np.cumsum([0] + [r.area for r in regions[:-1]])
+        bounds = np.array([(r.bbox.x, r.bbox.y, r.bbox.right, r.bbox.bottom) for r in regions])
+        check_inside(pixels, bounds, starts)
+        # A labelled box is tight: moving any one side inwards leaves a pixel out.
+        k = len(regions) // 2
+        for side, step in ((0, 1), (1, 1), (2, -1), (3, -1)):
+            shrunk = bounds.copy()
+            shrunk[k, side] += step
+            with pytest.raises(ValidationError, match="outside the region bbox"):
+                check_inside(pixels, shrunk, starts)
 
     def test_region_validates_pixels_inside_bbox(self):
         from evrotor import BBox
