@@ -215,7 +215,8 @@ def gaussian_fine_refine(candidate: Cluster, smap: SaliencyMap) -> Detection:
     # Measured from the pixels' low corner, the moments of any candidate under
     # 2400 px across are integers below 2**53, so the float64 sums are exact
     # and collinear pixels give det == 0 exactly.
-    x, y = (pixels - pixels.min(axis=0)).T.astype(np.float64)
+    # Per-column reductions: numpy reduces a (N, 2) array over axis 0 far slower.
+    x, y = ((c - c.min()).astype(np.float64) for c in (pixels[:, 0], pixels[:, 1]))
     wx, wy = w * x, w * y
     mass, sx, sy = (np.bincount(member, v, len(members)) for v in (w, wx, wy))
     total, sum_x, sum_y = (int(v.sum()) for v in (mass, sx, sy))
@@ -233,8 +234,7 @@ def gaussian_fine_refine(candidate: Cluster, smap: SaliencyMap) -> Detection:
         keep = (mass > 0.0) & (quad <= 4.0 * det * mass * mass)
         if not keep.all():
             pixels = pixels[keep[member]]
-            x0, y0 = pixels.min(axis=0).tolist()
-            x1, y1 = pixels.max(axis=0).tolist()
+            (x0, x1), (y0, y1) = ((int(c.min()), int(c.max())) for c in pixels.T)
             return Detection(BBox(x0, y0, x1 - x0 + 1, y1 - y0 + 1), s_p, s_s, pixels)
     return Detection(candidate.bbox, s_p, s_s, pixels)
 

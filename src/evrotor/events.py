@@ -4,8 +4,9 @@ Event periods keep their events in columnar numpy arrays, sorted by time.
 All detector math runs on whole columns; ``bin_events`` is the one rule that
 gives an event its (slice, row, column) cell id, for saliency and feature
 windows alike. It finds the slices from the time order, by one binary search
-per slice boundary, and divides per event only when there are more slices
-than events.
+per slice boundary (``slice_starts``), and divides per event only when there
+are more slices than events. A contiguous run of the time order is binned
+through views of the columns, so a caller can bin a period block by block.
 """
 
 from __future__ import annotations
@@ -232,12 +233,34 @@ def _id_dtype(period: EventPeriod, k: int, cells: int, minimum: int, what: str) 
     return np.int32 if k * cells < 2**31 else np.int64
 
 
+def slice_starts(
+    period: EventPeriod, k: int, *, minimum: int = 2, what: str = "slice count"
+) -> np.ndarray:
+    """Where each of the k slices' run of events starts in the time order, then len(period).
+
+    Slice s starts at t_start + ceil(s * duration / k), so k - 1 binary
+    searches of the sorted times give the k + 1 ascending entries: slice s
+    holds the events starts[s]:starts[s + 1].
+    """
+    _id_dtype(period, k, 1, minimum, what)
+    # Last microsecond of slices 0..k-2; s * duration < 2**63 (checked above),
+    # and the cap keeps t_start + offset from wrapping past 2**63 - 1.
+    s = np.arange(1, k, dtype=np.int64)
+    offset = -(-s * period.duration // k) - 1
+    last = np.minimum(offset, 2**63 - 1 - period.t_start) + period.t_start
+    starts = np.empty(k + 1, dtype=np.intp)
+    starts[0], starts[k] = 0, period.t.size
+    starts[1:k] = np.searchsorted(period.t, last, side="right")
+    return starts
+
+
 def bin_events(
     period: EventPeriod,
     k: int,
     window: BBox,
-    index: np.ndarray | None = None,
+    index: np.ndarray | slice | None = None,
     *,
+    starts: np.ndarray | None = None,
     bits: int = 0,
     minimum: int = 2,
     what: str = "slice count",
@@ -247,38 +270,48 @@ def bin_events(
     An event inside the window falls in slice (t - t_start) * k // duration,
     and its cell (slice, y, x) in window coordinates gets the id
     ((slice * h + y) * w + x) << bits; the caller may fill the low bits.
-    ``index`` must be ascending, so that the binned events stay time-sorted.
+    ``index`` is an ascending index array, so that the binned events stay
+    time-sorted, or a ``slice`` of the time order, whose columns are read
+    through views rather than gathered.
 
-    The slices are found in one of two exact ways. While k is at most the
-    number of binned events, slice s starts at t_start + ceil(s * duration / k),
-    so k - 1 binary searches of the sorted times give each slice's run of
-    events, and the ids repeat each slice number over its run: O(k log N)
-    to find the runs, and no division per event. Above that, the division
-    runs per event, which costs O(events) where the boundaries would cost
-    O(k).
+    The slices are found in one of two exact ways. With ``starts`` from
+    ``slice_starts``, which a caller binning several runs of one split
+    passes once for all of them, or while k is at most the number of binned
+    events, the ids repeat each slice number over its run of events: two
+    binary searches of the starts place a contiguous run, one search per
+    slice an index array, and no division runs per event. Above that, the
+    division runs per event, which costs O(events) where the boundaries
+    would cost O(k).
     Ids are int32 while (k * h * w) << bits is below 2**31, else int64, and
     every Horner step runs in that dtype, so none wraps.
     """
     dtype = _id_dtype(period, k, (window.h * window.w) << bits, minimum, what)
-    binned = period.t.size if index is None else index.size
-    if k <= binned:
-        # Last microsecond of slices 0..k-2; s * duration < 2**63 (checked above),
-        # and the cap keeps t_start + offset from wrapping past 2**63 - 1.
-        s = np.arange(1, k, dtype=np.int64)
-        offset = -(-s * period.duration // k) - 1
-        last = np.minimum(offset, 2**63 - 1 - period.t_start) + period.t_start
-        ends = np.searchsorted(period.t, last, side="right")
-        if index is not None:
-            ends = np.searchsorted(index, ends)
-        key = np.repeat(np.arange(k, dtype=dtype), np.diff(ends, prepend=0, append=binned))
+    if index is None:
+        index = slice(0, period.t.size)
+    if isinstance(index, slice):
+        lo, hi, _ = index.indices(period.t.size)
+        binned = hi - lo
     else:
-        key = (period.t if index is None else period.t[index]) - period.t_start
+        binned = index.size
+    if starts is None and k <= binned:
+        starts = slice_starts(period, k, minimum=minimum, what=what)
+    if starts is None:
+        key = period.t[index] - period.t_start
         key *= k
         key //= period.duration
         key = key.astype(dtype, copy=False)
+    elif isinstance(index, slice):
+        # Slices first..last-1 hold the run (none when it is empty), and only
+        # their outer starts can lie outside it; the run's own ends replace them.
+        first = int(np.searchsorted(starts, lo, side="right")) - 1
+        last = max(int(np.searchsorted(starts, hi)), first)
+        runs = starts[first : last + 1].copy()
+        runs[0], runs[-1] = lo, hi
+        key = np.repeat(np.arange(first, last, dtype=dtype), np.diff(runs))
+    else:
+        key = np.repeat(np.arange(k, dtype=dtype), np.diff(np.searchsorted(index, starts)))
     for size, coord, origin in ((window.h, period.y, window.y), (window.w, period.x, window.x)):
-        if index is not None:
-            coord = coord[index]
+        coord = coord[index]
         key *= size
         key += coord - origin if origin else coord
     if bits:

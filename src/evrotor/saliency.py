@@ -9,10 +9,12 @@ suppressing camera-motion clutter and background noise.
 
 The counts come from one sorted integer key per event, its (slice, row,
 column) cell id from ``events.bin_events`` with the polarity as the lowest
-bit, rather than from per-slice pixel grids, so memory grows with the
-events and the pixels only, never with slices times pixels. Only the hit
-pixels, those with at least one salient slice, are counted and rendered;
-the rest of the map stays zero, so no pass walks every pixel of the sensor.
+bit, rather than from per-slice pixel grids. The keys are formed and sorted
+one block of whole slices at a time, and only the hit pixel ids outlive a
+block, so working memory follows one block and the hits: never the whole
+period's events, never slices times pixels. Only the hit pixels, those with
+at least one salient slice, are counted and rendered; the rest of the map
+stays zero, so no pass walks every pixel of the sensor.
 
 Thresholding the rendered map and labeling its 8-connected components gives
 the salient regions. Labeling reads the horizontal runs of the mask from the
@@ -27,7 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .events import BBox, EventPeriod, bin_events
+from .events import BBox, EventPeriod, bin_events, slice_starts
+
+# Events per saliency block, unless one slice alone holds more.
+_BLOCK_EVENTS = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,23 +120,50 @@ def render_gray(counts: np.ndarray, n_slices: int) -> np.ndarray:
     return np.clip(gray, 0, 255).astype(np.uint8)
 
 
+def _block_cuts(starts: np.ndarray) -> list[int]:
+    """Event cuts of the blocks of whole slices, given the slices' ``starts``.
+
+    A block takes the slices that start within ``_BLOCK_EVENTS`` events of
+    its first one, or its first slice alone when that is larger.
+    """
+    cuts = [0]
+    total = int(starts[-1])
+    while cuts[-1] < total:
+        lo = cuts[-1]
+        hi = int(starts[np.searchsorted(starts, lo + _BLOCK_EVENTS, side="right") - 1])
+        if hi == lo:
+            hi = int(starts[np.searchsorted(starts, lo, side="right")])
+        cuts.append(hi)
+    return cuts
+
+
 def saliency_map(period: EventPeriod, n: int) -> SaliencyMap:
     """Build the full saliency map for an n-way split of the period.
 
     Each event becomes the key (cell << 1) | polarity, where cell is its
-    (slice, y, x) id from ``bin_events`` over the whole sensor. After one
-    sort, a cell holds both polarities exactly when an even key 2c is
-    followed directly by 2c + 1, that is, when two neighbouring keys differ
-    in the lowest bit only; so each cell counts once. The hit cells' pixel
-    ids, sorted, give the hit pixels and their counts; only those pixels are
-    counted and rendered, and the rest of both grids stays zero.
+    (slice, y, x) id from ``bin_events`` over the whole sensor. The keys are
+    formed, sorted and tested one block of whole slices at a time, so no
+    cell spans two blocks. After a block's sort, a cell holds both
+    polarities exactly when an even key 2c is followed directly by 2c + 1,
+    that is, when two neighbouring keys differ in the lowest bit only; so
+    each cell counts once, and only the hit cells' pixel ids outlive their
+    block. Those ids, sorted, give the hit pixels and their counts; only
+    those pixels are counted and rendered, and the rest of both grids stays
+    zero. With more slices than events the period is one block, binned by
+    division.
     """
     height, width = period.sensor.shape
     pixels = height * width
-    key = bin_events(period, n, BBox(0, 0, width, height), bits=1)
-    key |= period.p
-    key.sort()
-    hits = key[np.flatnonzero((key[1:] ^ key[:-1]) == 1)]
+    sensor = BBox(0, 0, width, height)
+    starts = slice_starts(period, n) if n <= len(period) else None
+    cuts = [0, len(period)] if starts is None else _block_cuts(starts)
+    blocks = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        key = bin_events(period, n, sensor, slice(lo, hi), starts=starts, bits=1)
+        key |= period.p[lo:hi]
+        key.sort()
+        blocks.append(key[np.flatnonzero((key[1:] ^ key[:-1]) == 1)])
+    hits = np.concatenate(blocks)
     hits >>= 1
     hits %= pixels
     hits.sort()

@@ -14,7 +14,7 @@ from evrotor import (
     SensorGeometry,
     ValidationError,
 )
-from evrotor.events import bin_events
+from evrotor.events import bin_events, slice_starts
 
 from conftest import SMALL, make_period
 
@@ -288,6 +288,31 @@ class TestBinEvents:
             index = np.array(index, dtype=np.intp)
         ids = bin_events(period, k, window, index, bits=bits)
         assert ids.tolist() == python_ids(binned, t_start, duration, k, window, bits)
+
+    @given(st.data())
+    def test_runs_read_through_views_match_python_ints(self, data):
+        # A contiguous run binned with the period's slice starts, as saliency
+        # bins its blocks, whatever slices it cuts and however few events it holds.
+        duration = data.draw(st.integers(2, 10**7))
+        t_start = data.draw(st.integers(0, 10**6) | st.integers(2**63 - 2 * duration, 2**63 - 1))
+        last = min(duration, 2**63 - t_start) - 1
+        offsets = data.draw(st.lists(st.integers(0, last), max_size=40).map(sorted))
+        rows = [
+            (t_start + dt, data.draw(st.integers(0, SMALL.width - 1)),
+             data.draw(st.integers(0, SMALL.height - 1)), 1)
+            for dt in offsets
+        ]
+        k = data.draw(st.integers(2, min(duration, 2 * len(rows) + 2)))
+        lo = data.draw(st.integers(0, len(rows)))
+        hi = data.draw(st.integers(lo, len(rows)))
+        bits = data.draw(st.integers(0, 1))
+        period = make_period(rows, t_start=t_start, duration=duration)
+        window = BBox(0, 0, SMALL.width, SMALL.height)
+        starts = slice_starts(period, k)
+        slices = [(t - t_start) * k // duration for t, *_ in rows]
+        assert starts.tolist() == [sum(j < s for j in slices) for s in range(k)] + [len(rows)]
+        ids = bin_events(period, k, window, slice(lo, hi), starts=starts, bits=bits)
+        assert ids.tolist() == python_ids(rows[lo:hi], t_start, duration, k, window, bits)
 
     def test_slice_starts_past_2_to_the_63_do_not_wrap(self):
         # Slice 1 would start at 2**63 + 2**60 - 1000: every event is in slice 0.

@@ -14,6 +14,7 @@ from evrotor import (
     BBox,
     ConfigurationError,
     DetectorConfig,
+    EventPeriod,
     Region,
     SensorGeometry,
     ValidationError,
@@ -21,10 +22,11 @@ from evrotor import (
     saliency_map,
     threshold_mask,
 )
+from evrotor import saliency
 from evrotor.events import bin_events
 from evrotor.saliency import check_inside, render_gray, union_roots
 
-from conftest import SMALL, make_period
+from conftest import SMALL, VGA, make_period
 from oracles import (
     flood_fill_components,
     ndimage_components,
@@ -179,6 +181,62 @@ class TestRendering:
             assert np.array_equal(smap.gray, render_gray(np.array(want), n))
 
 
+@st.composite
+def blocked_periods(draw):
+    """A period, its slice count and rows, shaped to stress the block cuts.
+
+    Events gather on a 3x2 patch, so both polarities often share a cell and
+    a block cut of a few events falls between them. Slices may hold more
+    events than a block, or none; the period may be empty, hold fewer events
+    than slices (binned by division), or start near 2**63.
+    """
+    duration = draw(st.integers(2, 400))
+    t_start = draw(st.integers(0, 10**6) | st.integers(2**63 - 2 * duration, 2**63 - 1))
+    n = draw(st.integers(2, duration))
+    last = min(duration, 2**63 - t_start) - 1
+    rows = draw(
+        st.lists(
+            st.tuples(st.integers(0, last), st.integers(0, 2), st.integers(0, 1), st.integers(0, 1)),
+            max_size=40,
+        )
+    )
+    rows = sorted((t_start + dt, x, y, p) for dt, x, y, p in rows)
+    return make_period(rows, t_start=t_start, duration=duration), n, rows
+
+
+# One slice of six events, then an empty one, in the last 100 us before 2**63.
+TOP_ROWS = [(2**63 - 100 + dt, 1, 1, dt % 2) for dt in range(6)]
+
+
+class TestBlocks:
+    @settings(max_examples=200)
+    @example(blocked=(make_period([], duration=10), 3, []))
+    @example(blocked=(make_period(TOP_ROWS, t_start=2**63 - 100, duration=100), 2, TOP_ROWS))
+    @given(blocked=blocked_periods())
+    def test_every_block_size_matches_the_oracle(self, blocked):
+        period, n, rows = blocked
+        want = np.array(saliency_counts(rows, period.t_start, period.duration, n,
+                                        SMALL.width, SMALL.height))
+        for block in (saliency._BLOCK_EVENTS, 1, 3, 7):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(saliency, "_BLOCK_EVENTS", block)
+                smap = saliency_map(period, n)
+            assert np.array_equal(smap.counts, want)
+            assert np.array_equal(smap.gray, render_gray(want, n))
+
+    def test_blocks_hold_whole_slices(self, monkeypatch):
+        """Slices of 5, 0, 2, 9 and 1 events, cut into blocks of up to 4 events."""
+        sizes = [5, 0, 2, 9, 1]
+        rows = [(j * 100 + e, 1, 1, e % 2) for j, size in enumerate(sizes) for e in range(size)]
+        period = make_period(rows, duration=500)
+        starts = np.cumsum([0, *sizes])
+        monkeypatch.setattr(saliency, "_BLOCK_EVENTS", 4)
+        assert saliency._block_cuts(starts) == [0, 5, 7, 16, 17]
+        monkeypatch.setattr(saliency, "_BLOCK_EVENTS", 7)
+        assert saliency._block_cuts(starts) == [0, 7, 16, 17]
+        assert saliency_map(period, 5).counts[1, 1] == 3  # the last slice has no + event
+
+
 def slice_start(j, t_start, duration, n):
     """First microsecond of slice j of an n-way split."""
     return t_start + -(-j * duration // n)
@@ -227,6 +285,28 @@ class TestBounds:
         for _, x, y in cells:
             want[y, x] += 1
         assert np.array_equal(smap.counts, want)
+
+    def test_memory_follows_a_block_not_the_period(self):
+        """2M events in 250 slices of VGA: one key per event would take 8 MB alone."""
+        rng = np.random.default_rng(11)
+        count, duration = 2_000_000, 250_000
+        period = EventPeriod(
+            t=np.sort(rng.integers(0, duration, count)),
+            x=rng.integers(0, VGA.width, count, dtype=np.int32),
+            y=rng.integers(0, VGA.height, count, dtype=np.int32),
+            p=rng.integers(0, 2, count, dtype=np.uint8),
+            t_start=0,
+            duration=duration,
+            sensor=VGA,
+        )
+        tracemalloc.start()
+        try:
+            smap = saliency_map(period, 250)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        assert smap.counts.sum() > 0
 
     @pytest.mark.parametrize(
         "width, height, n",
