@@ -31,6 +31,16 @@ _EXIT_INVALID = 1
 _EXIT_IO = 2
 
 
+class _DefaultsFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Shows each flag's default once: help that names its own default, or a
+    flag that is unset by default (None), gets no "(default: ...)" appended."""
+
+    def _get_help_string(self, action: argparse.Action) -> str | None:
+        if action.default is None or "(default:" in (action.help or ""):
+            return action.help
+        return super()._get_help_string(action)
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     defaults = DetectorConfig()
     parser.add_argument("--n-slices", type=int, default=defaults.n_slices,
@@ -74,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     detect = sub.add_parser(
         "detect",
         help="detect rotors in event files",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_DefaultsFormatter,
     )
     detect.add_argument("--input", nargs="+", required=True,
                         help="event file(s), CSV or binary")
@@ -97,18 +107,20 @@ def build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser(
         "synth",
         help="generate a synthetic scene with ground truth",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_DefaultsFormatter,
     )
     synth.add_argument("--out-events", required=True,
                        help="event output path; .evd or .bin selects binary, else CSV")
     synth.add_argument("--out-gt", default=None,
                        help="ground-truth JSON path (default: <out-events>.gt.json)")
-    synth.add_argument("--width", type=int, default=640)
-    synth.add_argument("--height", type=int, default=480)
-    synth.add_argument("--duration-ms", type=int, default=20)
-    synth.add_argument("--rpm", type=float, default=PropellerSpec.rpm)
-    synth.add_argument("--blades", type=int, default=PropellerSpec.blades)
-    synth.add_argument("--radius", type=int, default=50)
+    synth.add_argument("--width", type=int, default=640, help="sensor width, px")
+    synth.add_argument("--height", type=int, default=480, help="sensor height, px")
+    synth.add_argument("--duration-ms", type=int, default=20, help="period length, ms")
+    synth.add_argument("--rpm", type=float, default=PropellerSpec.rpm,
+                       help="rotor speed, revolutions per minute")
+    synth.add_argument("--blades", type=int, default=PropellerSpec.blades,
+                       help="blades per rotor")
+    synth.add_argument("--radius", type=int, default=50, help="rotor radius, px")
     synth.add_argument("--center", default=None, metavar="X,Y",
                        help="rotor center (default: frame center)")
     synth.add_argument("--aspect", type=float, default=PropellerSpec.aspect,
@@ -121,13 +133,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="background edge speed, px per ms")
     synth.add_argument("--noise-rate", type=float, default=BackgroundSpec.noise_rate,
                        help="uniform noise events per ms over the frame")
-    synth.add_argument("--seed", type=int, default=SynthScene.seed)
+    synth.add_argument("--seed", type=int, default=SynthScene.seed,
+                       help="random seed; one seed always writes the same bytes")
     synth.set_defaults(func=cmd_synth)
 
     evaluate = sub.add_parser(
         "eval",
         help="score detections against ground truth",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_DefaultsFormatter,
     )
     evaluate.add_argument("--pred", required=True, help="directory of detection JSON files")
     evaluate.add_argument("--gt", required=True, help="directory of ground-truth JSON files")
@@ -139,12 +152,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         help="measure detection latency on a standard scene",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_DefaultsFormatter,
     )
     bench.add_argument("--events", type=int, default=200_000,
                        help="events in the generated 640x480, 20 ms scene")
     bench.add_argument("--reps", type=int, default=50, help="timed repetitions")
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--seed", type=int, default=0, help="scene seed")
     bench.set_defaults(func=cmd_bench)
 
     return parser

@@ -22,8 +22,8 @@ from .events import BBox, DetectorConfig, EventPeriod
 from .features import (
     FeatureSeries,
     RegionScores,
+    _window_slices,
     compute_features,
-    extract_local_slices,
     periodicity_score,
     saliency_masses,
 )
@@ -179,10 +179,11 @@ def _score_clusters(
         key=lambda c: (-c.scores.s_s, -c.area, _bbox_key(c.bbox)),
     )
     top = ranked[: config.k_top]
+    # One walk of the period bins all K windows; each window's cells are
+    # featurized, and dropped, before the next window's exist.
+    windows = _window_slices(period, [c.bbox for c in top], m, config.region_margin)
     features: list[FeatureSeries] = []
-    for cluster in top:
-        local = extract_local_slices(period, cluster.bbox, m, config.region_margin)
-        series = compute_features(local)
+    for cluster, series in zip(top, map(compute_features, windows)):
         s_p = periodicity_score(series, config.smooth_window)
         cluster.scores = RegionScores(s_s=cluster.scores.s_s, s_p=s_p)
         features.append(series)

@@ -4,27 +4,34 @@ A candidate region is re-sliced at a finer temporal resolution, keeping only
 positive events inside its margin-dilated bbox. The local slices are held
 sparsely, as the sorted ids and counts of their nonzero cells; the ids are
 the saliency keys' (slice, row, column) ids from ``events.bin_events``.
-Three series are read off them: event density, structural similarity
+The top-K windows are binned in one walk of the period, one block of
+events at a time, and then sorted and featurized one window at a time, so
+working memory follows a block and one window's events, never the period.
+Three series are read off the cells: event density, structural similarity
 between consecutive slices, and similarity of consecutive principal
 point-cloud directions. All three come from integer sums over the runs of
 nonzero cells of the nonempty slices only, scattered into the m-long
 series; every other slice, and every pair of slices with an empty side,
-reads 0. So their cost follows the window's events, not its slices times
-pixels, and beyond the three series themselves not m either. A rotor
-modulates all three periodically; the periodicity score counts how many of
-the smoothed series show repeated peaks and valleys.
+reads 0. Each cell finds the same pixel one slice later by one sort of
+tagged ids, not by a binary search per cell. So their cost follows the
+window's events, not its slices times pixels, and beyond the three series
+themselves not m either. A rotor modulates all three periodically; the
+periodicity score counts how many of the smoothed series show repeated
+peaks and valleys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, ValidationError
-from .events import BBox, EventPeriod, SensorGeometry, bin_events
+from . import saliency
+from .events import BBox, EventPeriod, SensorGeometry, bin_events, slice_starts
 from .saliency import Region, SaliencyMap, gray_at, sorted_runs
 
 
@@ -157,24 +164,64 @@ def extract_local_slices(
 ) -> LocalSlices:
     """Positive-event counts over m slices of the dilated region window.
 
-    Each positive event inside the window becomes the id of its cell from
-    ``bin_events``. One sort brings equal ids together, and their runs give
-    the nonzero cells and their counts, so memory follows the window's
-    events, never m * h * w.
+    The one-window case of the pass that bins all top-K windows together:
+    the period is walked in blocks of ``saliency._BLOCK_EVENTS`` events,
+    each positive event inside the window becomes the id of its cell from
+    ``bin_events``, and one sort of the window's ids brings equal ones
+    together. Their runs give the nonzero cells and their counts, so
+    memory follows one block and the window's events, never the period's
+    events or m * h * w.
     """
     bbox = region.bbox if isinstance(region, Region) else region
-    window = dilated_window(bbox, margin, period.sensor)
-    inside = np.flatnonzero(  # indices gather several times faster than a boolean mask
-        (period.p == 1)
-        & (period.x >= window.x)
-        & (period.x < window.right)
-        & (period.y >= window.y)
-        & (period.y < window.bottom)
-    )
-    key = bin_events(period, m, window, inside, minimum=4, what="local slice count")
+    return next(_window_slices(period, [bbox], m, margin))
+
+
+def _window_slices(
+    period: EventPeriod, boxes: Sequence[BBox], m: int, margin: int
+) -> Iterator[LocalSlices]:
+    """The LocalSlices of each box's dilated window, in order, from one walk of the period.
+
+    Each block of the time order tests every window with one unsigned
+    compare per axis and bins the window's positive events. A window's
+    keys are joined and sorted only when its turn comes, so the caller can
+    featurize one window before the next window's cells exist.
+    """
+    windows = [dilated_window(box, margin, period.sensor) for box in boxes]
+    what = "local slice count"
+    bin_window = partial(bin_events, period, m, minimum=4, what=what)
+    parts: list[list[np.ndarray]] = [[] for _ in windows]
+    bounds = [(np.uint32(w.x), w.w, np.uint32(w.y), w.h) for w in windows]
+    block = saliency._BLOCK_EVENTS
+    starts = None
+    for lo in range(0, len(period), block):
+        x = period.x[lo : lo + block].view(np.uint32)
+        y = period.y[lo : lo + block].view(np.uint32)
+        positive = period.p[lo : lo + block].view(bool)
+        for window, (x0, w, y0, h), keys in zip(windows, bounds, parts):
+            # x - x0 wraps below x0, so one compare tests both edges of an axis.
+            inside = np.flatnonzero((x - x0 < w) & (y - y0 < h) & positive)
+            if not inside.size:
+                continue
+            inside += lo
+            # The slice starts cost O(m): searched once, and passed only for a
+            # block giving the window m events; the other blocks divide.
+            if inside.size >= m and starts is None:
+                starts = slice_starts(period, m, minimum=4, what=what)
+            keys.append(bin_window(window, inside, starts=starts if inside.size >= m else None))
+    for window, keys in zip(windows, parts):
+        if not keys:  # binning no events still checks m and the window's id bound
+            keys.append(bin_window(window, np.empty(0, np.intp)))
+        yield _sorted_cells(keys, (m, window.h, window.w))
+
+
+def _sorted_cells(keys: list[np.ndarray], shape: tuple[int, int, int]) -> LocalSlices:
+    """The LocalSlices of a window from its key parts, which it empties."""
+    key = np.concatenate(keys)
+    keys.clear()
     key.sort()
     cells, counts = sorted_runs(key)
-    return LocalSlices(shape=(m, window.h, window.w), cells=cells, counts=counts)
+    del key
+    return LocalSlices(shape=shape, cells=cells, counts=counts)
 
 
 def _major_axes(cxx, cxy, cyy) -> tuple[np.ndarray, np.ndarray]:
@@ -220,11 +267,43 @@ def principal_direction(points: np.ndarray) -> PrincipalDirection:
     return PrincipalDirection(v, bool(isotropic))
 
 
+def _next_slice_partners(cells: np.ndarray, hw: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) with cells[j] == cells[i] + hw, for sorted unique int64 cells.
+
+    One sort joins the tags 2c of the cells and the tags 2(c + hw) + 1 of
+    their needles, two ascending runs. A needle whose partner exists sorts
+    directly after the partner's tag and differs from it in the low bit
+    only. The running count of needles up to the partner's tag is then i,
+    since needle i belongs to cell i, and the other tags before it number j.
+    Only cells with c + hw <= cells[-1] need a needle, which also leaves
+    out the last slice, so every tag stays below 2**64; the tags are int32
+    when they fit, else uint64.
+    """
+    top = int(cells[-1]) if cells.size else -1
+    needles = int(np.searchsorted(cells, top - hw, side="right"))
+    if not needles:
+        return np.empty(0, np.intp), np.empty(0, np.intp)
+    tags = np.empty(cells.size + needles, np.int32 if 2 * top + 1 < 2**31 else np.uint64)
+    tags[: cells.size] = cells
+    tags[cells.size :] = cells[:needles]
+    tags[cells.size :] += hw
+    tags <<= 1
+    tags[cells.size :] |= 1
+    tags.sort(kind="stable")  # two sorted runs: one merge
+    partner = np.flatnonzero((tags[1:] ^ tags[:-1]) == 1)
+    tags &= 1
+    np.cumsum(tags, out=tags)
+    i = tags[partner].astype(np.intp)
+    return i, partner - i
+
+
 def compute_features(local: LocalSlices) -> FeatureSeries:
     """The feature series of local slices, from exact per-slice sums over their nonzero cells.
 
     f_s correlates consecutive slices over all h*w cells (0.0 if either is constant); f_p is
     the |cos| of their cells' principal directions (0.0 if either has under two cells).
+    The cross sums of f_s pair each cell with the same pixel one slice later, found for all
+    cells by one sort (``_next_slice_partners``).
     """
     if not isinstance(local, LocalSlices):
         raise ValidationError(f"expected LocalSlices, got {type(local).__name__}")
@@ -248,8 +327,11 @@ def compute_features(local: LocalSlices) -> FeatureSeries:
     n = n.astype(object)
     s1 = per_slice(v)
     # The same pixel one slice later is cell + h*w.
-    partner = np.minimum(np.searchsorted(cells, cells + hw), cells.size - 1)
-    cross = per_slice(np.where(cells[partner] == cells + hw, v * v[partner], 0))[pair]
+    cell, later = _next_slice_partners(cells, hw)
+    products = np.zeros(cells.size, np.int64)
+    products[cell] = v[cell] * v[later]
+    cross = per_slice(products)[pair]
+    del products, cell, later  # before the moments below take their own cell-sized arrays
     var = (hw * per_slice(v * v) - s1 * s1).astype(np.float64)  # (h*w)^2 * variance
     cov = (hw * cross - s1[pair] * s1[pair + 1]).astype(np.float64)
     denom = np.sqrt(var[pair] * var[pair + 1])

@@ -328,6 +328,37 @@ class TestDetect:
         assert "--d-merge" in text and "default: 50.0" in text
 
 
+def help_entries(command, capsys):
+    """The --help text of a command, one whitespace-normalized entry per flag."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    entries = []
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("  -"):
+            entries.append(line)
+        elif entries and line.startswith("    "):
+            entries[-1] += line  # help wrapped onto the next line
+    return {entry.split()[0].rstrip(","): " ".join(entry.split()) for entry in entries}
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", ["detect", "synth", "eval", "bench"])
+    def test_each_default_shows_once(self, command, capsys):
+        entries = help_entries(command, capsys)
+        assert entries
+        for entry in entries.values():
+            assert entry.count("(default:") <= 1, entry
+            assert "(default: None)" not in entry, entry
+
+    def test_synth_scene_flags_show_their_defaults(self, capsys):
+        entries = help_entries("synth", capsys)
+        args = build_parser().parse_args(["synth", "--out-events", "x.evd"])
+        for dest in ("width", "height", "duration_ms", "rpm", "blades", "radius", "seed"):
+            flag = "--" + dest.replace("_", "-")
+            assert f"(default: {getattr(args, dest)})" in entries[flag], entries[flag]
+
+
 class TestSynth:
     def test_same_seed_writes_identical_bytes(self, tmp_path, capsys):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]

@@ -5,13 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.signal import peak_prominences
 
 from evrotor import (
     BBox,
     ConfigurationError,
     DegenerateInputError,
+    EventPeriod,
     FeatureSeries,
     LocalSlices,
     Region,
@@ -24,8 +25,11 @@ from evrotor import (
     periodicity_score,
     saliency_score,
 )
+from evrotor import saliency
 from evrotor.features import (
+    _next_slice_partners,
     _prominences,
+    _window_slices,
     dilated_window,
     moving_average,
     peaks_valleys,
@@ -174,6 +178,96 @@ class TestWindowing:
         assert_cells_match_the_oracle(local, rows, 0, duration, window)
 
 
+@st.composite
+def windowed_periods(draw):
+    """A period, its rows, a slice count m, and boxes with a margin for the windowed pass.
+
+    Events gather at the two far corners of the sensor, so windows clamped
+    at its edges hold many of them, and a block of a few events can give one
+    window m events and another fewer. Boxes may overlap or hold no event,
+    and m may exceed the events, so that they are binned by division.
+    """
+    duration = draw(st.integers(4, 400))
+    t_start = draw(st.integers(0, 10**6))
+    m = draw(st.integers(4, min(duration, 12)) | st.integers(4, duration))
+    pixel = (st.tuples(st.integers(0, 4), st.integers(0, 3))
+             | st.tuples(st.integers(60, 63), st.integers(44, 47))
+             | st.tuples(st.integers(0, 63), st.integers(0, 47)))
+    rows = draw(st.lists(st.tuples(st.integers(0, duration - 1), pixel, st.integers(0, 1)),
+                         max_size=60))
+    rows = sorted((t_start + dt, x, y, p) for dt, (x, y), p in rows)
+    box = st.builds(BBox, st.integers(0, 63), st.integers(0, 47), st.integers(1, 8),
+                    st.integers(1, 8))
+    boxes = draw(st.lists(box, min_size=1, max_size=4))
+    margin = draw(st.integers(0, 3))
+    return make_period(rows, t_start=t_start, duration=duration), rows, m, boxes, margin
+
+
+# Five positive events at (1, 1), then two at (62, 46), then more at both
+# corners: a block of 7 gives the corner windows 5 and 2 events at m = 4.
+CORNER_ROWS = ([(t, 1, 1, 1) for t in range(5)] + [(t, 62, 46, 1) for t in (5, 6)]
+               + [(t, 62, 46, t % 2) for t in range(7, 20)] + [(t, 1, 1, 0) for t in range(20, 25)])
+CORNER_BOXES = [BBox(0, 0, 3, 3), BBox(1, 1, 3, 3), BBox(60, 44, 4, 4), BBox(30, 20, 2, 2)]
+
+
+class TestWindowPass:
+    @settings(max_examples=150, deadline=None)
+    @example(windowed=(make_period(CORNER_ROWS, duration=40), CORNER_ROWS, 4, CORNER_BOXES, 2))
+    @example(windowed=(make_period(CORNER_ROWS, duration=400), CORNER_ROWS, 100, CORNER_BOXES, 0))
+    @given(windowed=windowed_periods())
+    def test_every_window_matches_the_cell_oracle(self, windowed):
+        period, rows, m, boxes, margin = windowed
+        for block in (saliency._BLOCK_EVENTS, 1, 3, 7):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(saliency, "_BLOCK_EVENTS", block)
+                locals_ = list(_window_slices(period, boxes, m, margin))
+            assert len(locals_) == len(boxes)
+            for local, box in zip(locals_, boxes):
+                window = dilated_window(box, margin, SMALL)
+                assert local.shape == (m, window.h, window.w)
+                assert_cells_match_the_oracle(local, rows, period.t_start, period.duration, window)
+
+
+def searched_partners(cells, hw):
+    """(i, j) with cells[j] == cells[i] + hw, from np.searchsorted(cells, cells + hw).
+
+    Searched in uint64, where cells + hw cannot wrap for ids below 2**63.
+    """
+    ids = cells.astype(np.uint64)
+    wanted = ids + np.uint64(hw)
+    j = np.searchsorted(ids, wanted)
+    found = j < ids.size
+    found[found] = ids[j[found]] == wanted[found]
+    return np.flatnonzero(found), j[found]
+
+
+class TestPartnerJoin:
+    @settings(max_examples=200, deadline=None)
+    @example(base=0, hw=1, picks=[])
+    @example(base=0, hw=5, picks=[3])
+    @example(base=2**63 - 81, hw=7, picks=[66, 73, 80])
+    @given(
+        # ids from 0, around the int32 tag switch at cells[-1] = 2**30, or up to 2**63 - 1
+        base=st.sampled_from([0, 2**30 - 40, 2**30 + 1, 2**63 - 81]),
+        hw=st.integers(1, 12),
+        picks=st.lists(st.integers(0, 80), unique=True, max_size=60),
+    )
+    def test_matches_the_binary_search(self, base, hw, picks):
+        cells = np.array([base + k for k in sorted(picks)], np.int64)
+        i, j = _next_slice_partners(cells, hw)
+        want_i, want_j = searched_partners(cells, hw)
+        assert i.tolist() == want_i.tolist() and j.tolist() == want_j.tolist()
+
+    def test_random_sorted_cells(self):
+        rng = np.random.default_rng(11)
+        for m, hw, size in [(50, 400, 6000), (3, 2, 6), (500, 1911, 100_000)]:
+            cells = np.sort(rng.choice(m * hw, size, replace=False)).astype(np.int64)
+            i, j = _next_slice_partners(cells, hw)
+            want_i, want_j = searched_partners(cells, hw)
+            assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+            assert i.size > 0
+
+
 class TestBounds:
     def test_memory_grows_with_events_not_cells(self):
         """10,000 local slices of a 40x25 window: a dense grid would hold 10M cells."""
@@ -215,6 +309,27 @@ class TestBounds:
         assert np.abs(series.f_s - want_s).max() <= 1e-12
         assert np.abs(series.f_p - want_p).max() <= 1e-12
         assert np.count_nonzero(series.f_s) >= 20
+
+    def test_window_memory_follows_a_block_not_the_period(self):
+        """2M uniform VGA events over 250 ms: a 20x20 window holds about 1300 of them."""
+        rng = np.random.default_rng(12)
+        events = 2_000_000
+        period = EventPeriod(
+            np.sort(rng.integers(0, 250_000, events)), rng.integers(0, 640, events),
+            rng.integers(0, 480, events), rng.integers(0, 2, events),
+            t_start=0, duration=250_000, sensor=SensorGeometry(640, 480),
+        )
+        window = BBox(300, 200, 20, 20)
+        tracemalloc.start()
+        try:
+            local = extract_local_slices(period, window, 500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # masks of the whole period took 4 MB
+        inside = ((period.p == 1) & (period.x >= 300) & (period.x < 320)
+                  & (period.y >= 200) & (period.y < 220))
+        assert local.counts.sum() == np.count_nonzero(inside)
 
     def test_feature_memory_follows_the_nonempty_slices(self):
         """64 events in 2**20 slices of an 8x8 window: per-slice sums over all m took 219 MB."""
