@@ -1,8 +1,10 @@
 """Training-free rotor detection in event-camera streams.
 
-The pipeline slices an event period, intersects positive and negative pixel
-occupancy per slice, and accumulates the intersections into a saliency map.
-Thresholded components are clustered and scored for blade-pass periodicity.
+The pipeline slices an event period and counts, per pixel, the slices in
+which the pixel fired both polarities; one sorted (slice, pixel, polarity)
+key per event finds them. The saliency map holds only the pixels with such
+a slice. The components of its pixels above a gray threshold are clustered
+and scored for blade-pass periodicity.
 Each candidate is refined with one Gaussian shape prior over its pixels,
 which cuts the member components that fall outside the prior's 2-sigma
 ellipse.

@@ -27,8 +27,8 @@ from .features import (
     periodicity_score,
     saliency_masses,
 )
-from .saliency import Region, SaliencyMap, connected_components, saliency_map
-from .saliency import box_order, gray_at, threshold_mask, union_roots
+from .saliency import Region, SaliencyMap, saliency_map, salient_regions
+from .saliency import box_order, region_gray, union_roots
 
 
 @dataclass
@@ -63,11 +63,13 @@ class Detection:
 
 @dataclass
 class PipelineResult:
-    """Full intermediate state of one detection run, for inspection and dumps."""
+    """Full intermediate state of one detection run, for inspection and dumps.
+
+    The salient pixels are those of ``threshold_mask(saliency, tau_s)``.
+    """
 
     detections: list[Detection]
     saliency: SaliencyMap
-    mask: np.ndarray
     regions: list[Region]
     clusters: list[Cluster]
     candidates: list[Cluster]
@@ -212,7 +214,7 @@ def gaussian_fine_refine(candidate: Cluster, smap: SaliencyMap) -> Detection:
     members = candidate.members
     pixels = np.concatenate([region.pixels for region in members])
     member = np.repeat(np.arange(len(members)), [region.area for region in members])
-    w = gray_at(smap, pixels).astype(np.float64)
+    w = region_gray(members, smap).astype(np.float64)
     # Measured from the pixels' low corner, the moments of any candidate under
     # 2400 px across are integers below 2**53, so the float64 sums are exact
     # and collinear pixels give det == 0 exactly.
@@ -246,15 +248,13 @@ def run_pipeline(period: EventPeriod, config: DetectorConfig | None = None) -> P
         config = DetectorConfig()
     n, _ = config.slicing_for(period)
     smap = saliency_map(period, n)
-    mask = threshold_mask(smap, config.tau_s)
-    regions = connected_components(mask)
+    regions = salient_regions(smap, config.tau_s)
     clusters = cluster_regions(regions, config.d_merge)
     candidates, features = _score_clusters(clusters, period, smap, config)
     detections = [gaussian_fine_refine(candidate, smap) for candidate in candidates]
     return PipelineResult(
         detections=detections,
         saliency=smap,
-        mask=mask,
         regions=regions,
         clusters=clusters,
         candidates=candidates,

@@ -12,19 +12,24 @@ column) cell id from ``events.bin_events`` with the polarity as the lowest
 bit, rather than from per-slice pixel grids. The keys are formed and sorted
 one block of whole slices at a time, and only the hit pixel ids outlive a
 block, so working memory follows one block and the hits: never the whole
-period's events, never slices times pixels. Only the hit pixels, those with
-at least one salient slice, are counted and rendered; the rest of the map
-stays zero, so no pass walks every pixel of the sensor.
+period's events, never slices times pixels. The map itself holds only the
+hit pixels, those with at least one salient slice: their sorted flat ids,
+counts and gray. Every other pixel reads 0, and the dense grids are built
+only when asked for, so nothing on the detection path grows with the
+sensor's height times its width.
 
-Thresholding the rendered map and labeling its 8-connected components gives
-the salient regions. Labeling reads the horizontal runs of the mask from the
-flat ids of its set pixels, with numpy passes over those ids and the runs
-only; it checks all regions' pixels against their boxes in one pass too.
+Labeling takes the sorted flat ids of the salient pixels, those whose gray
+exceeds the threshold, and reads their horizontal runs from the ids, with
+numpy passes over the ids and the runs only; it checks all regions' pixels
+against their boxes in one pass too. A region labelled from a map knows
+where each of its pixels sits among the map's hit ids, since a run is
+contiguous there, so its gray is read by position rather than searched.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -37,17 +42,65 @@ _BLOCK_EVENTS = 2**16
 
 @dataclass(frozen=True, eq=False)
 class SaliencyMap:
-    """Per-pixel intersection counts plus their 8-bit rendering."""
+    """Intersection counts and their 8-bit rendering at the hit pixels of a map.
 
-    counts: np.ndarray
-    gray: np.ndarray
+    ``shape`` is (height, width). ``ids`` holds the sorted flat ids
+    y * width + x of the hit pixels, those with at least one salient slice,
+    and ``hit_counts`` and ``hit_gray`` their counts, 1..n_slices, and gray
+    values. Every other pixel reads 0 in both. The ``counts`` and ``gray``
+    grids are dense views built on each access, for inspection and dumps;
+    the detector never builds them.
+    """
+
+    shape: tuple[int, int]
+    ids: np.ndarray
+    hit_counts: np.ndarray
+    hit_gray: np.ndarray
     n_slices: int
 
     def __post_init__(self) -> None:
-        if self.counts.shape != self.gray.shape or self.counts.ndim != 2:
-            raise ValidationError("saliency grids must be two-dimensional and congruent")
         if self.n_slices < 1:
             raise ValidationError(f"slice count must be positive, got {self.n_slices}")
+        height, width = self.shape
+        if height < 1 or width < 1:
+            raise ValidationError(f"saliency map shape must be positive, got {self.shape}")
+        arrays = [np.asarray(a) for a in (self.ids, self.hit_counts, self.hit_gray)]
+        if any(a.ndim != 1 or a.dtype.kind not in "iu" for a in arrays):
+            raise ValidationError("saliency hit arrays must be one-dimensional integer arrays")
+        if not arrays[0].size == arrays[1].size == arrays[2].size:
+            raise ValidationError("saliency hit arrays must have equal length")
+        ids, counts, gray = arrays
+        if ids.size:
+            # Test the input dtype: casting first would wrap huge unsigned ids.
+            if not (ids[1:] > ids[:-1]).all():
+                raise ValidationError("saliency hit ids must be strictly increasing")
+            if ids[0] < 0 or ids[-1] >= height * width:
+                raise ValidationError(f"saliency hit ids must lie within 0..{height * width - 1}")
+            if counts.min() < 1 or counts.max() > self.n_slices:
+                raise ValidationError(f"saliency hit counts must lie within 1..{self.n_slices}")
+            if gray.min() < 0 or gray.max() > 255:
+                raise ValidationError("saliency gray values must lie within 0..255")
+        ids = ids.astype(np.intp, copy=False)
+        gray = gray.astype(np.uint8, copy=False)
+        for name, values in (("ids", ids), ("hit_counts", counts), ("hit_gray", gray)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+        object.__setattr__(self, "shape", (int(height), int(width)))
+
+    def _dense(self, values: np.ndarray, dtype) -> np.ndarray:
+        grid = np.zeros(self.shape[0] * self.shape[1], dtype)
+        grid[self.ids] = values
+        return grid.reshape(self.shape)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The dense (height, width) int32 grid of intersection counts."""
+        return self._dense(self.hit_counts, np.int32)
+
+    @property
+    def gray(self) -> np.ndarray:
+        """The dense (height, width) uint8 grid of gray values."""
+        return self._dense(self.hit_gray, np.uint8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +112,11 @@ class Region:
 
     bbox: BBox
     pixels: np.ndarray
+    # Set by labeling a map's salient pixels: that map's ``ids`` array, and
+    # the index of each pixel in it.
+    _hits: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         pixels = np.ascontiguousarray(self.pixels, dtype=np.int32)
@@ -87,11 +145,12 @@ def check_inside(pixels: np.ndarray, bounds: np.ndarray, starts: np.ndarray) -> 
         raise ValidationError("region pixels fall outside the region bbox")
 
 
-def _labelled_region(bbox: BBox, pixels: np.ndarray) -> Region:
+def _labelled_region(bbox: BBox, pixels: np.ndarray, hits) -> Region:
     """A Region whose read-only int32 pixels ``check_inside`` already passed."""
     region = object.__new__(Region)
     object.__setattr__(region, "bbox", bbox)
     object.__setattr__(region, "pixels", pixels)
+    object.__setattr__(region, "_hits", hits)
     return region
 
 
@@ -109,7 +168,11 @@ def sorted_runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     change[:1] = True
     np.not_equal(ids[1:], ids[:-1], out=change[1:])
     starts = np.flatnonzero(change)
-    return ids[starts], np.diff(starts, append=ids.size)
+    del change
+    lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1:] = ids.size - starts[-1:]
+    return ids[starts], lengths
 
 
 def render_gray(counts: np.ndarray, n_slices: int) -> np.ndarray:
@@ -138,7 +201,7 @@ def _block_cuts(starts: np.ndarray) -> list[int]:
 
 
 def saliency_map(period: EventPeriod, n: int) -> SaliencyMap:
-    """Build the full saliency map for an n-way split of the period.
+    """Build the saliency map of an n-way split of the period.
 
     Each event becomes the key (cell << 1) | polarity, where cell is its
     (slice, y, x) id from ``bin_events`` over the whole sensor. The keys are
@@ -147,13 +210,11 @@ def saliency_map(period: EventPeriod, n: int) -> SaliencyMap:
     polarities exactly when an even key 2c is followed directly by 2c + 1,
     that is, when two neighbouring keys differ in the lowest bit only; so
     each cell counts once, and only the hit cells' pixel ids outlive their
-    block. Those ids, sorted, give the hit pixels and their counts; only
-    those pixels are counted and rendered, and the rest of both grids stays
-    zero. With more slices than events the period is one block, binned by
-    division.
+    block. Those ids, sorted, give the hit pixels and their counts, which
+    are rendered to gray; the map holds nothing else. With more slices than
+    events the period is one block, binned by division.
     """
     height, width = period.sensor.shape
-    pixels = height * width
     sensor = BBox(0, 0, width, height)
     starts = slice_starts(period, n) if n <= len(period) else None
     cuts = [0, len(period)] if starts is None else _block_cuts(starts)
@@ -165,32 +226,74 @@ def saliency_map(period: EventPeriod, n: int) -> SaliencyMap:
         blocks.append(key[np.flatnonzero((key[1:] ^ key[:-1]) == 1)])
     hits = np.concatenate(blocks)
     hits >>= 1
-    hits %= pixels
+    hits %= height * width
     hits.sort()
-    ids, hit_counts = sorted_runs(hits)
-    counts = np.zeros(pixels, np.int32)
-    counts[ids] = hit_counts
-    gray = np.zeros(pixels, np.uint8)
-    gray[ids] = render_gray(hit_counts, n)
+    ids, counts = sorted_runs(hits)
     return SaliencyMap(
-        counts=counts.reshape(height, width), gray=gray.reshape(height, width), n_slices=n
+        shape=(height, width),
+        ids=ids,
+        hit_counts=counts,
+        hit_gray=render_gray(counts, n),
+        n_slices=n,
     )
 
 
 def gray_at(smap: SaliencyMap, pixels: np.ndarray) -> np.ndarray:
-    """The map's gray values at (x, y) pixels, which must lie inside the map."""
-    height, width = smap.gray.shape
+    """The map's gray values at (x, y) pixels, which must lie inside the map.
+
+    Each pixel's flat id is searched among the sorted hit ids; a pixel that
+    is not a hit reads 0.
+    """
+    height, width = smap.shape
     x, y = pixels[:, 0], pixels[:, 1]
     if x.size and (pixels.min() < 0 or x.max() >= width or y.max() >= height):
         raise ValidationError("region pixels fall outside the saliency map")
-    return smap.gray.reshape(-1)[y.astype(np.intp) * width + x]
+    if not smap.ids.size:
+        return np.zeros(x.size, np.uint8)
+    flat = y.astype(np.intp) * width + x
+    at = np.searchsorted(smap.ids, flat)
+    np.minimum(at, smap.ids.size - 1, out=at)
+    gray = smap.hit_gray[at]
+    gray[smap.ids[at] != flat] = 0
+    return gray
+
+
+def region_gray(regions: Sequence[Region], smap: SaliencyMap) -> np.ndarray:
+    """The map's gray values at the pixels of ``regions``, back to back.
+
+    Regions labelled from this map read their gray by position among its
+    hit pixels; any other regions go through ``gray_at``. ``regions`` must
+    not be empty.
+    """
+    if all(r._hits is not None and r._hits[0] is smap.ids for r in regions):
+        return smap.hit_gray[np.concatenate([r._hits[1] for r in regions])]
+    return gray_at(smap, np.concatenate([r.pixels for r in regions]))
+
+
+def _check_threshold(tau_s: int) -> None:
+    if not 0 <= tau_s <= 255:
+        raise ConfigurationError(f"tau_s must be within 0..255, got {tau_s}")
 
 
 def threshold_mask(smap: SaliencyMap, tau_s: int) -> np.ndarray:
-    """Pixels whose gray value strictly exceeds tau_s."""
-    if not 0 <= tau_s <= 255:
-        raise ConfigurationError(f"tau_s must be within 0..255, got {tau_s}")
+    """The dense (height, width) mask of the pixels whose gray strictly exceeds tau_s.
+
+    For inspection; ``salient_regions`` labels the same pixels without it.
+    """
+    _check_threshold(tau_s)
     return smap.gray > tau_s
+
+
+def salient_regions(smap: SaliencyMap, tau_s: int) -> list[Region]:
+    """8-connected components of the pixels whose gray strictly exceeds tau_s.
+
+    Labels the salient hit ids directly, so no (height, width) array is
+    formed, and records where each region pixel sits among the map's hit
+    ids. The regions are those of ``connected_components(threshold_mask(smap, tau_s))``.
+    """
+    _check_threshold(tau_s)
+    salient = np.flatnonzero(smap.hit_gray > tau_s)
+    return _label(smap.ids[salient], smap.shape[1], (smap.ids, salient))
 
 
 def union_roots(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -212,33 +315,45 @@ def union_roots(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def connected_components(mask: np.ndarray) -> list[Region]:
     """8-connected components of a binary mask, ordered by bbox top-left.
 
-    Works on the horizontal runs of the mask, read from the sorted flat ids
-    of its set pixels: a run ends where the ids skip or a row ends, since the
-    last pixel of a row and the first of the next have consecutive ids. A
-    run on row r and one on row r + 1 touch when their [x0, x1) extents
-    overlap or meet at a corner, and the runs of row r + 1 that touch a
-    given run form one contiguous block.
-    ``union_roots`` merges the linked runs. Each component is then labelled
-    by its first run in scan order, so ties in the bbox order fall in
-    first-pixel order.
+    Labels the sorted flat ids of the mask's set pixels, as
+    ``salient_regions`` labels a map's salient pixels.
     """
     m = np.asarray(mask)
     if m.ndim != 2:
         raise ValidationError("mask must be two-dimensional")
-    ids = np.flatnonzero(m)
+    return _label(np.flatnonzero(m), m.shape[1])
+
+
+def _label(ids: np.ndarray, width: int, hits=None) -> list[Region]:
+    """8-connected components of the pixels with sorted flat ``ids``, by bbox top-left.
+
+    Works on the horizontal runs of the pixels, read from their ids: a run
+    ends where the ids skip or a row ends, since the last pixel of a row
+    and the first of the next have consecutive ids. A run on row r and one
+    on row r + 1 touch when their [x0, x1) extents overlap or meet at a
+    corner, and the runs of row r + 1 that touch a given run form one
+    contiguous block.
+    ``union_roots`` merges the linked runs. Each component is then labelled
+    by its first run in scan order, so ties in the bbox order fall in
+    first-pixel order.
+
+    With ``hits``, (the map's hit ids, the index among them of each of
+    ``ids``), each region records where its pixels sit among the hit ids:
+    a run's pixels are contiguous in ``ids``.
+    """
     if ids.size == 0:
         return []
     # A run starts where the flat ids break, or where a row starts.
     start = np.empty(ids.size, dtype=bool)
     start[:1] = True
     np.not_equal(ids[1:], ids[:-1] + 1, out=start[1:])
-    start |= ids % m.shape[1] == 0
+    start |= ids % width == 0
     starts = np.flatnonzero(start)
-    row, x0 = np.divmod(ids[starts], m.shape[1])
+    row, x0 = np.divmod(ids[starts], width)
     x1 = x0 + np.diff(starts, append=ids.size)
     # Keys row * stride + x sort runs in scan order: x never reaches stride.
     # Run i's block is [lo, hi): the next-row runs with x1' >= x0 and x0' <= x1.
-    stride = m.shape[1] + 2
+    stride = width + 2
     lo = np.searchsorted(row * stride + x1, (row + 1) * stride + x0)
     hi = np.searchsorted(row * stride + x0, (row + 1) * stride + x1, side="right")
     links = hi - lo  # one link per touching pair (a, b)
@@ -247,7 +362,7 @@ def connected_components(mask: np.ndarray) -> list[Region]:
     root = union_roots(np.arange(row.size), a, b)
     # The stable sort keeps each component's runs, and so its pixels, in scan order.
     order = np.argsort(root, kind="stable")
-    row, x0, x1 = row[order], x0[order], x1[order]
+    row, x0, x1, starts = row[order], x0[order], x1[order], starts[order]
     first = np.flatnonzero(np.diff(root[order], prepend=-1))
     last = np.append(first[1:], row.size) - 1
     left = np.minimum.reduceat(x0, first)
@@ -258,13 +373,22 @@ def connected_components(mask: np.ndarray) -> list[Region]:
     xs = np.arange(ends[-1]) - np.repeat(ends - length - x0, length)
     pixels = np.column_stack([xs, np.repeat(row, length)]).astype(np.int32)
     pixels.setflags(write=False)
-    starts = np.append(0, ends[last[:-1]])
-    check_inside(pixels, np.column_stack([left, top, right, bottom]), starts)
+    if hits is not None:
+        # A run's pixels are as contiguous in ids as they are in x.
+        source, index = hits
+        at = index[np.arange(ends[-1]) - np.repeat(ends - length - starts, length)]
+        at.setflags(write=False)
+    region_starts = np.append(0, ends[last[:-1]])
+    check_inside(pixels, np.column_stack([left, top, right, bottom]), region_starts)
     # box_order is stable, so regions with equal boxes stay in first-pixel order.
     boxes = np.column_stack([left, top, right - left, bottom - top])
     order = box_order(boxes)
-    cuts = np.append(starts, pixels.shape[0]).tolist()
+    cuts = np.append(region_starts, pixels.shape[0]).tolist()
     return [
-        _labelled_region(BBox(*box), pixels[cuts[k] : cuts[k + 1]])
+        _labelled_region(
+            BBox(*box),
+            pixels[cuts[k] : cuts[k + 1]],
+            None if hits is None else (source, at[cuts[k] : cuts[k + 1]]),
+        )
         for box, k in zip(boxes[order].tolist(), order.tolist())
     ]

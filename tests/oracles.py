@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import ndimage
 
-from evrotor import BBox, DegenerateInputError, LocalSlices, Region
+from evrotor import BBox, DegenerateInputError, LocalSlices, Region, SaliencyMap
 from evrotor.features import principal_direction
 
 
@@ -74,6 +74,27 @@ def ndimage_components(mask):
         regions.append(Region(bbox=bbox, pixels=np.column_stack([xs, ys])))
     regions.sort(key=lambda r: (r.bbox.y, r.bbox.x, r.bbox.h, r.bbox.w))
     return regions
+
+
+def sparse_saliency(gray, counts=None, n_slices=255):
+    """The SaliencyMap whose dense ``gray`` and ``counts`` grids are the given ones.
+
+    The hit pixels are those with a positive count, and every other pixel
+    must have gray 0. Without ``counts``, a pixel's count is its gray value,
+    out of 255 slices by default.
+    """
+    gray = np.asarray(gray, np.uint8)
+    counts = gray.astype(np.int64) if counts is None else np.asarray(counts)
+    assert counts.shape == gray.shape and gray.ndim == 2
+    assert not gray[counts == 0].any(), "only hit pixels may have gray"
+    ids = np.flatnonzero(counts)
+    return SaliencyMap(
+        shape=gray.shape,
+        ids=ids,
+        hit_counts=counts.ravel()[ids],
+        hit_gray=gray.ravel()[ids],
+        n_slices=n_slices,
+    )
 
 
 def union_find_roots(n, links):

@@ -15,7 +15,6 @@ from evrotor import (
     DetectorConfig,
     Region,
     RegionScores,
-    SaliencyMap,
     SensorGeometry,
     ValidationError,
     cluster_regions,
@@ -40,7 +39,7 @@ from evrotor import detector
 from evrotor.metrics import iou
 
 from conftest import VGA, make_period
-from oracles import gaussian_keep, greedy_union_clusters, rect_gap
+from oracles import gaussian_keep, greedy_union_clusters, rect_gap, sparse_saliency
 
 
 def rect_region(x, y, w, h):
@@ -391,7 +390,7 @@ def gray_map(shape, regions, level=200):
     gray = np.zeros(shape, np.uint8)
     for region in regions:
         gray[region.pixels[:, 1], region.pixels[:, 0]] = level
-    return SaliencyMap(counts=gray.astype(np.int32), gray=gray, n_slices=20)
+    return sparse_saliency(gray)
 
 
 def disk_region(cx, cy, radius):
@@ -472,9 +471,7 @@ class TestFineStage:
         candidate = Cluster(
             members=(region,), bbox=region.bbox, scores=RegionScores(s_s=800.0, s_p=4)
         )
-        smap = SaliencyMap(
-            counts=np.ones((4, 4), np.int32), gray=np.full((4, 4), 200, np.uint8), n_slices=20
-        )
+        smap = sparse_saliency(np.full((4, 4), 200), counts=np.ones((4, 4), int), n_slices=20)
         with pytest.raises(ValidationError, match="outside the saliency map"):
             gaussian_fine_refine(candidate, smap)
 
@@ -516,7 +513,7 @@ class TestFineStage:
         bbox = members[0].bbox
         for member in members[1:]:
             bbox = bbox.union(member.bbox)
-        smap = SaliencyMap(counts=gray.astype(np.int32), gray=gray, n_slices=20)
+        smap = sparse_saliency(gray)
         candidate = Cluster(members=members, bbox=bbox, scores=RegionScores(s_s=1.0, s_p=3))
         detection = gaussian_fine_refine(candidate, smap)
 
@@ -681,7 +678,9 @@ class TestEndToEnd:
     def test_pipeline_intermediates_are_consistent(self):
         period, _ = generate_scene(default_scene())
         result = run_pipeline(period)
-        assert np.array_equal(result.mask, threshold_mask(result.saliency, 50))
+        salient = {tuple(p) for r in result.regions for p in r.pixels.tolist()}
+        ys, xs = np.nonzero(threshold_mask(result.saliency, 50))
+        assert salient == set(zip(xs.tolist(), ys.tolist()))
         assert sum(len(c.members) for c in result.clusters) == len(result.regions)
         assert len(result.candidate_features) == len(result.candidates)
         ranks = [(-d.s_p, -d.s_s) for d in result.detections]

@@ -17,7 +17,6 @@ from evrotor import (
     LocalSlices,
     Region,
     RegionScores,
-    SaliencyMap,
     SensorGeometry,
     ValidationError,
     compute_features,
@@ -798,7 +797,7 @@ class TestPeriodicityScore:
 
 class TestSaliencyScore:
     def make_map(self, gray):
-        return SaliencyMap(counts=gray.astype(np.int32), gray=gray, n_slices=20)
+        return oracles.sparse_saliency(gray)
 
     def test_direct_sum(self):
         gray = np.zeros(SMALL.shape, np.uint8)

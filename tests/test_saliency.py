@@ -16,6 +16,7 @@ from evrotor import (
     DetectorConfig,
     EventPeriod,
     Region,
+    SaliencyMap,
     SensorGeometry,
     ValidationError,
     connected_components,
@@ -23,14 +24,24 @@ from evrotor import (
     threshold_mask,
 )
 from evrotor import saliency
+from evrotor.detector import run_pipeline
 from evrotor.events import bin_events
-from evrotor.saliency import check_inside, render_gray, union_roots
+from evrotor.saliency import (
+    check_inside,
+    gray_at,
+    region_gray,
+    render_gray,
+    salient_regions,
+    sorted_runs,
+    union_roots,
+)
 
 from conftest import SMALL, VGA, make_period
 from oracles import (
     flood_fill_components,
     ndimage_components,
     saliency_counts,
+    sparse_saliency,
     union_find_roots,
 )
 
@@ -343,15 +354,76 @@ class TestBounds:
             assert np.array_equal(smap.gray, render_gray(want, n))
 
 
+class TestRecord:
+    """The map holds its hit pixels only; the dense grids are views."""
+
+    @staticmethod
+    def make(ids=(1, 5, 11), counts=(1, 2, 3), gray=(85, 170, 255), n_slices=3, shape=(3, 4)):
+        return SaliencyMap(
+            shape=shape,
+            ids=np.array(ids),
+            hit_counts=np.array(counts),
+            hit_gray=np.array(gray),
+            n_slices=n_slices,
+        )
+
+    def test_dense_views_scatter_the_hits(self):
+        smap = self.make()
+        assert smap.counts.dtype == np.int32 and smap.gray.dtype == np.uint8
+        assert smap.counts.tolist() == [[0, 1, 0, 0], [0, 2, 0, 0], [0, 0, 0, 3]]
+        assert smap.gray.tolist() == [[0, 85, 0, 0], [0, 170, 0, 0], [0, 0, 0, 255]]
+        for values in (smap.ids, smap.hit_counts, smap.hit_gray):
+            assert not values.flags.writeable
+
+    def test_empty_map_reads_zero(self):
+        empty = np.empty(0, np.int64)
+        smap = self.make(ids=empty, counts=empty, gray=empty)
+        assert smap.counts.shape == (3, 4) and not smap.counts.any()
+        assert gray_at(smap, np.array([[3, 2]])).tolist() == [0]
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"ids": (5, 1, 11)}, "strictly increasing"),
+            ({"ids": (1, 5, 5)}, "strictly increasing"),
+            ({"ids": (-1, 5, 11)}, "within 0..11"),
+            ({"ids": (1, 5, 12)}, "within 0..11"),
+            ({"ids": np.array([1, 5, 2**64 - 1], np.uint64)}, "within 0..11"),
+            ({"counts": (0, 2, 3)}, "within 1..3"),
+            ({"counts": (1, 2, 4)}, "within 1..3"),
+            ({"counts": (1, 2)}, "equal length"),
+            ({"gray": (85, 170)}, "equal length"),
+            ({"ids": (1, 5)}, "equal length"),
+            ({"gray": (85, 170, 256)}, "within 0..255"),
+            ({"gray": (1.0, 2.0, 3.0)}, "integer"),
+            ({"ids": [[1, 5, 11]]}, "one-dimensional"),
+            ({"n_slices": 0}, "slice count"),
+            ({"shape": (0, 4), "ids": [], "counts": [], "gray": []}, "shape"),
+        ],
+    )
+    def test_rejects_malformed_records(self, fields, message):
+        with pytest.raises(ValidationError, match=message):
+            self.make(**fields)
+
+
+class TestSortedRuns:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-5, 5), max_size=40))
+    def test_matches_unique_counts(self, values):
+        ids = np.sort(np.array(values, np.int64))
+        got_ids, got_counts = sorted_runs(ids)
+        want_ids, want_counts = np.unique(ids, return_counts=True)
+        assert got_ids.tolist() == want_ids.tolist()
+        assert got_counts.tolist() == want_counts.tolist()
+        assert got_counts.dtype == np.intp
+
+
 class TestThreshold:
     def test_threshold_is_strict(self):
-        smap = saliency_map(make_period([], duration=1000), 2)
-        gray = smap.gray.copy()
+        gray = np.zeros(SMALL.shape, np.uint8)
         gray[3, 3] = 50
         gray[4, 4] = 51
-        strict = threshold_mask(
-            type(smap)(counts=smap.counts, gray=gray, n_slices=2), 50
-        )
+        strict = threshold_mask(sparse_saliency(gray), 50)
         assert not strict[3, 3]
         assert strict[4, 4]
         assert strict.sum() == 1
@@ -533,6 +605,60 @@ class TestComponents:
             Region(bbox=BBox(0, 0, 2, 2), pixels=np.array([[5, 5]]))
         with pytest.raises(ValidationError):
             Region(bbox=BBox(0, 0, 2, 2), pixels=np.empty((0, 2), np.int32))
+
+
+class TestSalientRegions:
+    """Labeling the salient hit ids directly, and reading gray by position."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=rows_strategy(max_size=120), n=st.integers(2, 6), tau=st.integers(0, 200))
+    def test_matches_the_dense_mask(self, rows, n, tau):
+        smap = saliency_map(make_period(rows), n)
+        regions = salient_regions(smap, tau)
+        assert_same_regions(regions, connected_components(threshold_mask(smap, tau)))
+        if regions:
+            dense = smap.gray
+            pixels = np.concatenate([r.pixels for r in regions])
+            want = dense[pixels[:, 1], pixels[:, 0]]
+            assert np.array_equal(region_gray(regions, smap), want)
+            assert np.array_equal(gray_at(smap, pixels), want)
+
+    def test_gray_of_another_map_is_looked_up(self):
+        rows = [(10, 5, 5, 1), (12, 5, 5, 0), (10, 6, 5, 1), (12, 6, 5, 0)]
+        smap = saliency_map(make_period(rows, duration=1000), 2)
+        regions = salient_regions(smap, 0)
+        gray = np.zeros(SMALL.shape, np.uint8)
+        gray[5, 5], gray[5, 7] = 40, 90
+        other = sparse_saliency(gray)
+        assert region_gray(regions, smap).tolist() == [128, 128]
+        assert region_gray(regions, other).tolist() == [40, 0]
+
+    def test_rejects_out_of_range_threshold(self):
+        smap = saliency_map(make_period([], duration=1000), 2)
+        with pytest.raises(ConfigurationError):
+            salient_regions(smap, -1)
+
+    def test_huge_sensor_pipeline_holds_no_dense_grid(self):
+        """A 65535 x 65535 period: one int32 grid of it would take 16 GiB."""
+        sensor = SensorGeometry(65535, 65535)
+        pixels = [(3, 7), (65534, 65534)]
+        assert 65534 * 65535 + 65534 >= 2**31
+        rows = [(t, x, y, p) for x, y in pixels for t, p in ((100, 1), (101, 0))]
+        period = make_period(rows, sensor=sensor, duration=20_000)
+        config = DetectorConfig(n_slices=2, tau_p=0)
+        tracemalloc.start()
+        try:
+            result = run_pipeline(period, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        assert result.saliency.ids.tolist() == [7 * 65535 + 3, 65534 * 65535 + 65534]
+        assert result.saliency.hit_gray.tolist() == [128, 128]
+        boxes = [(x, y, 1, 1) for x, y in pixels]
+        assert [r.bbox.as_tuple() for r in result.regions] == boxes
+        assert sorted(d.bbox.as_tuple() for d in result.detections) == boxes
+        assert [d.s_s for d in result.detections] == [128, 128]
 
 
 def links_strategy(n):
