@@ -28,7 +28,7 @@ from .features import (
     saliency_masses,
 )
 from .saliency import Region, SaliencyMap, saliency_map, salient_regions
-from .saliency import box_order, region_gray, union_roots
+from .saliency import box_order, gray_at, union_roots
 
 
 @dataclass
@@ -214,7 +214,7 @@ def gaussian_fine_refine(candidate: Cluster, smap: SaliencyMap) -> Detection:
     members = candidate.members
     pixels = np.concatenate([region.pixels for region in members])
     member = np.repeat(np.arange(len(members)), [region.area for region in members])
-    w = region_gray(members, smap).astype(np.float64)
+    w = gray_at(smap, pixels).astype(np.float64)
     # Measured from the pixels' low corner, the moments of any candidate under
     # 2400 px across are integers below 2**53, so the float64 sums are exact
     # and collinear pixels give det == 0 exactly.

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateInputError, ValidationError
 from . import saliency
 from .events import BBox, EventPeriod, SensorGeometry, bin_events, slice_starts
-from .saliency import Region, SaliencyMap, region_gray, sorted_runs
+from .saliency import Region, SaliencyMap, gray_at, sorted_runs
 
 
 class PrincipalDirection(NamedTuple):
@@ -458,18 +458,17 @@ def periodicity_score(features: FeatureSeries, smooth_window: int = 3) -> int:
 def saliency_masses(groups: Sequence[Sequence[Region]], smap: SaliencyMap) -> list[int]:
     """Saliency mass of each group of regions: the sum of gray over their pixels.
 
-    One gray read over all the groups' pixels, by position for regions
-    labelled from ``smap``, then two ``np.add.reduceat`` calls, per region
-    and then per group, so the cost follows the pixels and not one numpy
-    round per region. Each group holds at least one region, as every
-    cluster does.
+    One checked gray gather over all the groups' pixels, then two
+    ``np.add.reduceat`` calls, per region and then per group, so the cost
+    follows the pixels and not one numpy round per region. Each group holds
+    at least one region, as every cluster does.
     """
     sizes = [len(group) for group in groups]
     if not sizes:
         return []
     regions = [region for group in groups for region in group]
     areas = [len(region.pixels) for region in regions]
-    gray = region_gray(regions, smap)
+    gray = gray_at(smap, np.concatenate([region.pixels for region in regions]))
     per_region = np.add.reduceat(gray, list(accumulate(areas[:-1], initial=0)), dtype=np.int64)
     return np.add.reduceat(per_region, list(accumulate(sizes[:-1], initial=0))).tolist()
 

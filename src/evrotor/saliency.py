@@ -21,15 +21,13 @@ sensor's height times its width.
 Labeling takes the sorted flat ids of the salient pixels, those whose gray
 exceeds the threshold, and reads their horizontal runs from the ids, with
 numpy passes over the ids and the runs only; it checks all regions' pixels
-against their boxes in one pass too. A region labelled from a map knows
-where each of its pixels sits among the map's hit ids, since a run is
-contiguous there, so its gray is read by position rather than searched.
+against their boxes in one pass too. A region's gray is read by searching
+its pixels' flat ids among the map's sorted hit ids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +48,10 @@ class SaliencyMap:
     values. Every other pixel reads 0 in both. The ``counts`` and ``gray``
     grids are dense views built on each access, for inspection and dumps;
     the detector never builds them.
+
+    The record does not copy its hit arrays. It keeps read-only views of
+    them, so writes through the record fail, while the caller's own arrays
+    stay writable and must not be changed afterwards.
     """
 
     shape: tuple[int, int]
@@ -83,6 +85,7 @@ class SaliencyMap:
         ids = ids.astype(np.intp, copy=False)
         gray = gray.astype(np.uint8, copy=False)
         for name, values in (("ids", ids), ("hit_counts", counts), ("hit_gray", gray)):
+            values = values.view()
             values.setflags(write=False)
             object.__setattr__(self, name, values)
         object.__setattr__(self, "shape", (int(height), int(width)))
@@ -112,11 +115,6 @@ class Region:
 
     bbox: BBox
     pixels: np.ndarray
-    # Set by labeling a map's salient pixels: that map's ``ids`` array, and
-    # the index of each pixel in it.
-    _hits: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         pixels = np.ascontiguousarray(self.pixels, dtype=np.int32)
@@ -145,12 +143,11 @@ def check_inside(pixels: np.ndarray, bounds: np.ndarray, starts: np.ndarray) -> 
         raise ValidationError("region pixels fall outside the region bbox")
 
 
-def _labelled_region(bbox: BBox, pixels: np.ndarray, hits) -> Region:
+def _labelled_region(bbox: BBox, pixels: np.ndarray) -> Region:
     """A Region whose read-only int32 pixels ``check_inside`` already passed."""
     region = object.__new__(Region)
     object.__setattr__(region, "bbox", bbox)
     object.__setattr__(region, "pixels", pixels)
-    object.__setattr__(region, "_hits", hits)
     return region
 
 
@@ -258,18 +255,6 @@ def gray_at(smap: SaliencyMap, pixels: np.ndarray) -> np.ndarray:
     return gray
 
 
-def region_gray(regions: Sequence[Region], smap: SaliencyMap) -> np.ndarray:
-    """The map's gray values at the pixels of ``regions``, back to back.
-
-    Regions labelled from this map read their gray by position among its
-    hit pixels; any other regions go through ``gray_at``. ``regions`` must
-    not be empty.
-    """
-    if all(r._hits is not None and r._hits[0] is smap.ids for r in regions):
-        return smap.hit_gray[np.concatenate([r._hits[1] for r in regions])]
-    return gray_at(smap, np.concatenate([r.pixels for r in regions]))
-
-
 def _check_threshold(tau_s: int) -> None:
     if not 0 <= tau_s <= 255:
         raise ConfigurationError(f"tau_s must be within 0..255, got {tau_s}")
@@ -288,12 +273,10 @@ def salient_regions(smap: SaliencyMap, tau_s: int) -> list[Region]:
     """8-connected components of the pixels whose gray strictly exceeds tau_s.
 
     Labels the salient hit ids directly, so no (height, width) array is
-    formed, and records where each region pixel sits among the map's hit
-    ids. The regions are those of ``connected_components(threshold_mask(smap, tau_s))``.
+    formed. The regions are those of ``connected_components(threshold_mask(smap, tau_s))``.
     """
     _check_threshold(tau_s)
-    salient = np.flatnonzero(smap.hit_gray > tau_s)
-    return _label(smap.ids[salient], smap.shape[1], (smap.ids, salient))
+    return _label(smap.ids[smap.hit_gray > tau_s], smap.shape[1])
 
 
 def union_roots(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -324,7 +307,7 @@ def connected_components(mask: np.ndarray) -> list[Region]:
     return _label(np.flatnonzero(m), m.shape[1])
 
 
-def _label(ids: np.ndarray, width: int, hits=None) -> list[Region]:
+def _label(ids: np.ndarray, width: int) -> list[Region]:
     """8-connected components of the pixels with sorted flat ``ids``, by bbox top-left.
 
     Works on the horizontal runs of the pixels, read from their ids: a run
@@ -336,10 +319,6 @@ def _label(ids: np.ndarray, width: int, hits=None) -> list[Region]:
     ``union_roots`` merges the linked runs. Each component is then labelled
     by its first run in scan order, so ties in the bbox order fall in
     first-pixel order.
-
-    With ``hits``, (the map's hit ids, the index among them of each of
-    ``ids``), each region records where its pixels sit among the hit ids:
-    a run's pixels are contiguous in ``ids``.
     """
     if ids.size == 0:
         return []
@@ -362,7 +341,7 @@ def _label(ids: np.ndarray, width: int, hits=None) -> list[Region]:
     root = union_roots(np.arange(row.size), a, b)
     # The stable sort keeps each component's runs, and so its pixels, in scan order.
     order = np.argsort(root, kind="stable")
-    row, x0, x1, starts = row[order], x0[order], x1[order], starts[order]
+    row, x0, x1 = row[order], x0[order], x1[order]
     first = np.flatnonzero(np.diff(root[order], prepend=-1))
     last = np.append(first[1:], row.size) - 1
     left = np.minimum.reduceat(x0, first)
@@ -373,22 +352,13 @@ def _label(ids: np.ndarray, width: int, hits=None) -> list[Region]:
     xs = np.arange(ends[-1]) - np.repeat(ends - length - x0, length)
     pixels = np.column_stack([xs, np.repeat(row, length)]).astype(np.int32)
     pixels.setflags(write=False)
-    if hits is not None:
-        # A run's pixels are as contiguous in ids as they are in x.
-        source, index = hits
-        at = index[np.arange(ends[-1]) - np.repeat(ends - length - starts, length)]
-        at.setflags(write=False)
-    region_starts = np.append(0, ends[last[:-1]])
-    check_inside(pixels, np.column_stack([left, top, right, bottom]), region_starts)
+    starts = np.append(0, ends[last[:-1]])
+    check_inside(pixels, np.column_stack([left, top, right, bottom]), starts)
     # box_order is stable, so regions with equal boxes stay in first-pixel order.
     boxes = np.column_stack([left, top, right - left, bottom - top])
     order = box_order(boxes)
-    cuts = np.append(region_starts, pixels.shape[0]).tolist()
+    cuts = np.append(starts, pixels.shape[0]).tolist()
     return [
-        _labelled_region(
-            BBox(*box),
-            pixels[cuts[k] : cuts[k + 1]],
-            None if hits is None else (source, at[cuts[k] : cuts[k + 1]]),
-        )
+        _labelled_region(BBox(*box), pixels[cuts[k] : cuts[k + 1]])
         for box, k in zip(boxes[order].tolist(), order.tolist())
     ]

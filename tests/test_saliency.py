@@ -1,6 +1,10 @@
 """Polarity-intersection saliency: slicing, accumulation, components."""
 
+import json
+import os
+import subprocess
 import sys
+import textwrap
 import time
 import tracemalloc
 from pathlib import Path
@@ -24,12 +28,10 @@ from evrotor import (
     threshold_mask,
 )
 from evrotor import saliency
-from evrotor.detector import run_pipeline
 from evrotor.events import bin_events
 from evrotor.saliency import (
     check_inside,
     gray_at,
-    region_gray,
     render_gray,
     salient_regions,
     sorted_runs,
@@ -375,6 +377,13 @@ class TestRecord:
         for values in (smap.ids, smap.hit_counts, smap.hit_gray):
             assert not values.flags.writeable
 
+    def test_callers_arrays_stay_writable(self):
+        ids, counts, gray = np.array([1, 5, 11]), np.array([1, 2, 3]), np.array([85, 170, 255], np.uint8)
+        smap = SaliencyMap(shape=(3, 4), ids=ids, hit_counts=counts, hit_gray=gray, n_slices=3)
+        for mine, held in ((ids, smap.ids), (counts, smap.hit_counts), (gray, smap.hit_gray)):
+            assert mine.flags.writeable and not held.flags.writeable
+            assert np.shares_memory(mine, held)
+
     def test_empty_map_reads_zero(self):
         empty = np.empty(0, np.int64)
         smap = self.make(ids=empty, counts=empty, gray=empty)
@@ -608,7 +617,7 @@ class TestComponents:
 
 
 class TestSalientRegions:
-    """Labeling the salient hit ids directly, and reading gray by position."""
+    """Labeling the salient hit ids directly, and reading their gray."""
 
     @settings(max_examples=100, deadline=None)
     @given(rows=rows_strategy(max_size=120), n=st.integers(2, 6), tau=st.integers(0, 200))
@@ -620,18 +629,17 @@ class TestSalientRegions:
             dense = smap.gray
             pixels = np.concatenate([r.pixels for r in regions])
             want = dense[pixels[:, 1], pixels[:, 0]]
-            assert np.array_equal(region_gray(regions, smap), want)
             assert np.array_equal(gray_at(smap, pixels), want)
 
     def test_gray_of_another_map_is_looked_up(self):
         rows = [(10, 5, 5, 1), (12, 5, 5, 0), (10, 6, 5, 1), (12, 6, 5, 0)]
         smap = saliency_map(make_period(rows, duration=1000), 2)
-        regions = salient_regions(smap, 0)
+        pixels = np.concatenate([r.pixels for r in salient_regions(smap, 0)])
         gray = np.zeros(SMALL.shape, np.uint8)
         gray[5, 5], gray[5, 7] = 40, 90
         other = sparse_saliency(gray)
-        assert region_gray(regions, smap).tolist() == [128, 128]
-        assert region_gray(regions, other).tolist() == [40, 0]
+        assert gray_at(smap, pixels).tolist() == [128, 128]
+        assert gray_at(other, pixels).tolist() == [40, 0]
 
     def test_rejects_out_of_range_threshold(self):
         smap = saliency_map(make_period([], duration=1000), 2)
@@ -639,26 +647,59 @@ class TestSalientRegions:
             salient_regions(smap, -1)
 
     def test_huge_sensor_pipeline_holds_no_dense_grid(self):
-        """A 65535 x 65535 period: one int32 grid of it would take 16 GiB."""
-        sensor = SensorGeometry(65535, 65535)
-        pixels = [(3, 7), (65534, 65534)]
+        """A 65535 x 65535 period: one int32 grid of it would take 16 GiB.
+
+        The pipeline runs in a child process whose address space may grow by
+        at most 1 GiB, so a dense grid fails there with a MemoryError rather
+        than exhausting the host's memory.
+        """
+        pytest.importorskip("resource")
+        if not Path("/proc/self/statm").exists():
+            pytest.skip("needs /proc/self/statm to size the address-space limit")
         assert 65534 * 65535 + 65534 >= 2**31
-        rows = [(t, x, y, p) for x, y in pixels for t, p in ((100, 1), (101, 0))]
-        period = make_period(rows, sensor=sensor, duration=20_000)
-        config = DetectorConfig(n_slices=2, tau_p=0)
-        tracemalloc.start()
-        try:
+        child = textwrap.dedent(
+            """
+            import json, os, resource, tracemalloc
+            from evrotor import DetectorConfig, EventPeriod, SensorGeometry
+            from evrotor.detector import run_pipeline
+
+            pixels = [(3, 7), (65534, 65534)]
+            rows = [(t, x, y, p) for x, y in pixels for t, p in ((100, 1), (101, 0))]
+            t, x, y, p = zip(*rows)
+            period = EventPeriod(
+                t, x, y, p, t_start=0, duration=20_000, sensor=SensorGeometry(65535, 65535)
+            )
+            config = DetectorConfig(n_slices=2, tau_p=0)
+            with open("/proc/self/statm") as statm:
+                in_use = int(statm.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+            resource.setrlimit(resource.RLIMIT_AS, (in_use + 2**30, resource.RLIM_INFINITY))
+            tracemalloc.start()
             result = run_pipeline(period, config)
             peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2_000_000
-        assert result.saliency.ids.tolist() == [7 * 65535 + 3, 65534 * 65535 + 65534]
-        assert result.saliency.hit_gray.tolist() == [128, 128]
-        boxes = [(x, y, 1, 1) for x, y in pixels]
-        assert [r.bbox.as_tuple() for r in result.regions] == boxes
-        assert sorted(d.bbox.as_tuple() for d in result.detections) == boxes
-        assert [d.s_s for d in result.detections] == [128, 128]
+            print(json.dumps({
+                "peak": peak,
+                "ids": result.saliency.ids.tolist(),
+                "gray": result.saliency.hit_gray.tolist(),
+                "regions": [r.bbox.as_tuple() for r in result.regions],
+                "detections": sorted(d.bbox.as_tuple() for d in result.detections),
+                "s_s": [d.s_s for d in result.detections],
+            }))
+            """
+        )
+        src = str(Path(saliency.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert got["peak"] < 2_000_000
+        assert got["ids"] == [7 * 65535 + 3, 65534 * 65535 + 65534]
+        assert got["gray"] == [128, 128]
+        boxes = [[3, 7, 1, 1], [65534, 65534, 1, 1]]
+        assert got["regions"] == boxes
+        assert got["detections"] == boxes
+        assert got["s_s"] == [128, 128]
 
 
 def links_strategy(n):
