@@ -223,10 +223,12 @@ def gaussian_fine_refine(candidate: Cluster, smap: SaliencyMap) -> Detection:
     wx, wy = w * x, w * y
     mass, sx, sy = (np.bincount(member, v, len(members)) for v in (w, wx, wy))
     total, sum_x, sum_y = (int(v.sum()) for v in (mass, sx, sy))
-    # T = total**2 times the prior covariance, in Python integers.
-    cxx = total * int(wx @ x) - sum_x * sum_x
-    cxy = total * int(wx @ y) - sum_x * sum_y
-    cyy = total * int(wy @ y) - sum_y * sum_y
+    # T = total**2 times the prior covariance, in Python integers. einsum
+    # sums the products itself: a float64 dot would go to BLAS, which runs
+    # it on threads above about 10k pixels at many times the cost.
+    cxx = total * int(np.einsum("i,i->", wx, x)) - sum_x * sum_x
+    cxy = total * int(np.einsum("i,i->", wx, y)) - sum_x * sum_y
+    cyy = total * int(np.einsum("i,i->", wy, y)) - sum_y * sum_y
     det = cxx * cyy - cxy * cxy
     if det > 0:
         # Row k of u is total * mass_k times member k's centroid offset from

@@ -278,10 +278,10 @@ def bin_events(
     ``slice_starts``, which a caller binning several runs of one split
     passes once for all of them, or while k is at most the number of binned
     events, the ids repeat each slice number over its run of events: two
-    binary searches of the starts place a contiguous run, one search per
-    slice an index array, and no division runs per event. Above that, the
-    division runs per event, which costs O(events) where the boundaries
-    would cost O(k).
+    binary searches of the starts place a contiguous run, and an index array
+    takes one search per slice from its first event's to its last event's;
+    no division runs per event. Above that, the division runs per event,
+    which costs O(events) where the boundaries would cost O(k).
     Ids are int32 while (k * h * w) << bits is below 2**31, else int64, and
     every Horner step runs in that dtype, so none wraps.
     """
@@ -309,7 +309,11 @@ def bin_events(
         runs[0], runs[-1] = lo, hi
         key = np.repeat(np.arange(first, last, dtype=dtype), np.diff(runs))
     else:
-        key = np.repeat(np.arange(k, dtype=dtype), np.diff(np.searchsorted(index, starts)))
+        # Only the slices from the first binned event's to the last one's
+        # hold binned events, so only their starts are searched.
+        first, last = np.searchsorted(starts, index[[0, -1]], side="right") if binned else (1, 0)
+        runs = np.searchsorted(index, starts[first - 1 : last + 1])
+        key = np.repeat(np.arange(first - 1, last, dtype=dtype), runs[1:] - runs[:-1])
     for size, coord, origin in ((window.h, period.y, window.y), (window.w, period.x, window.x)):
         coord = coord[index]
         key *= size

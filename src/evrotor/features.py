@@ -2,11 +2,14 @@
 
 A candidate region is re-sliced at a finer temporal resolution, keeping only
 positive events inside its margin-dilated bbox. The local slices are held
-sparsely, as the sorted ids and counts of their nonzero cells; the ids are
-the saliency keys' (slice, row, column) ids from ``events.bin_events``.
-The top-K windows are binned in one walk of the period, one block of
-events at a time, and then sorted and featurized one window at a time, so
-working memory follows a block and one window's events, never the period.
+sparsely, as the sorted ids and counts of their nonzero cells, 4 bytes each;
+the ids are the saliency keys' (slice, row, column) ids from
+``events.bin_events``. The top-K windows are binned in one walk of the
+period, in the blocks of whole slices that saliency walks. Each block's
+window keys are sorted and reduced to cells right away, and no cell spans
+two blocks, so the block's cells join the window's as they are. Working
+memory follows one block and the K windows' nonzero cells, never the
+period's events or any window's events.
 Three series are read off the cells: event density, structural similarity
 between consecutive slices, and similarity of consecutive principal
 point-cloud directions. All three come from integer sums over the runs of
@@ -14,10 +17,11 @@ nonzero cells of the nonempty slices only, scattered into the m-long
 series; every other slice, and every pair of slices with an empty side,
 reads 0. Each cell finds the same pixel one slice later by one sort of
 tagged ids, not by a binary search per cell. So their cost follows the
-window's events, not its slices times pixels, and beyond the three series
-themselves not m either. A rotor modulates all three periodically; the
-periodicity score counts how many of the smoothed series show repeated
-peaks and valleys.
+window's nonzero cells, not its slices times pixels, and beyond the three
+series themselves not m either; every cell-sized array they form takes at
+most 4 bytes a cell while the products it holds fit in int32. A rotor
+modulates all three periodically; the periodicity score counts how many of
+the smoothed series show repeated peaks and valleys.
 """
 
 from __future__ import annotations
@@ -98,9 +102,14 @@ class LocalSlices:
 
     Cell (s, y, x) of the window has the flat id (s * h + y) * w + x, as
     ``events.bin_events`` forms it. ``cells`` holds the sorted ids of the
-    nonzero cells and ``counts`` their counts, both int64. The counts total
-    less than 2**31, which bounds every int64 sum that compute_features
-    forms from them.
+    nonzero cells in the window's id dtype, as ``bin_events`` picks it:
+    int32 while m * h * w is below 2**31, else int64. ``counts`` holds
+    their counts as int32. The counts total less than 2**31, which bounds
+    every int64 sum that compute_features forms from them.
+
+    Arrays given in those dtypes are not copied. The record keeps read-only
+    views of them, so writes through the record fail, while the caller's
+    own arrays stay writable and must not be changed afterwards.
     """
 
     shape: tuple[int, int, int]
@@ -119,19 +128,19 @@ class LocalSlices:
             )
         if cells.ndim != 1 or counts.shape != cells.shape:
             raise ValidationError("local slice cells and counts must be congruent 1-d arrays")
-        # Checked in the input dtypes, before narrowing to int64.
+        # Checked in the input dtypes, before the casts below.
+        size = shape[0] * shape[1] * shape[2]
         if cells.size and (
-            cells[0] < 0
-            or cells[-1] >= shape[0] * shape[1] * shape[2]
-            or not (cells[1:] > cells[:-1]).all()
+            cells[0] < 0 or cells[-1] >= size or not (cells[1:] > cells[:-1]).all()
         ):
             raise ValidationError("local slice cells must be sorted, unique ids inside the shape")
         if cells.size and counts.min() < 1:
             raise ValidationError("local slice counts must be positive")
         if counts.sum(dtype=np.float64) >= 2**31:
             raise ValidationError("local slice counts must total less than 2**31")
-        for name, values in (("cells", cells), ("counts", counts)):
-            values = np.ascontiguousarray(values, dtype=np.int64)
+        ids = np.int32 if size < 2**31 else np.int64
+        for name, values, dtype in (("cells", cells, ids), ("counts", counts, np.int32)):
+            values = np.ascontiguousarray(values, dtype=dtype).view()
             values.setflags(write=False)
             object.__setattr__(self, name, values)
         object.__setattr__(self, "shape", shape)
@@ -165,12 +174,11 @@ def extract_local_slices(
     """Positive-event counts over m slices of the dilated region window.
 
     The one-window case of the pass that bins all top-K windows together:
-    the period is walked in blocks of ``saliency._BLOCK_EVENTS`` events,
-    each positive event inside the window becomes the id of its cell from
-    ``bin_events``, and one sort of the window's ids brings equal ones
-    together. Their runs give the nonzero cells and their counts, so
-    memory follows one block and the window's events, never the period's
-    events or m * h * w.
+    the period is walked in blocks of whole slices, each positive event
+    inside the window becomes the id of its cell from ``bin_events``, and
+    each block's ids are sorted and reduced to the block's nonzero cells
+    and their counts. So memory follows one block and the window's nonzero
+    cells, never the period's events or m * h * w.
     """
     bbox = region.bbox if isinstance(region, Region) else region
     return next(_window_slices(period, [bbox], m, margin))
@@ -181,47 +189,85 @@ def _window_slices(
 ) -> Iterator[LocalSlices]:
     """The LocalSlices of each box's dilated window, in order, from one walk of the period.
 
-    Each block of the time order tests every window with one unsigned
-    compare per axis and bins the window's positive events. A window's
-    keys are joined and sorted only when its turn comes, so the caller can
-    featurize one window before the next window's cells exist.
+    The walk takes the blocks of whole slices of ``saliency._block_cuts``,
+    or the whole period, binned by division, when m exceeds its events.
+    One window at a time, each block finds the window's positive events
+    (``_events_inside``, in chunks of at most ``saliency._BLOCK_EVENTS``
+    events, as one slice may hold more), bins them, sorts their keys and
+    reduces them to the block's nonzero cells and their int32 counts. A
+    cell's slice is the major part of its id, so the blocks' cells follow
+    each other in order and never repeat: joined, they are the window's
+    sorted, unique cells.
     """
     windows = [dilated_window(box, margin, period.sensor) for box in boxes]
     what = "local slice count"
     bin_window = partial(bin_events, period, m, minimum=4, what=what)
-    parts: list[list[np.ndarray]] = [[] for _ in windows]
-    bounds = [(np.uint32(w.x), w.w, np.uint32(w.y), w.h) for w in windows]
-    block = saliency._BLOCK_EVENTS
-    starts = None
-    for lo in range(0, len(period), block):
-        x = period.x[lo : lo + block].view(np.uint32)
-        y = period.y[lo : lo + block].view(np.uint32)
-        positive = period.p[lo : lo + block].view(bool)
-        for window, (x0, w, y0, h), keys in zip(windows, bounds, parts):
-            # x - x0 wraps below x0, so one compare tests both edges of an axis.
-            inside = np.flatnonzero((x - x0 < w) & (y - y0 < h) & positive)
-            if not inside.size:
+    # Binning no events checks m and each window's id bound before the walk,
+    # and gives the cells of a window that no event reaches.
+    empty = [bin_window(window, np.empty(0, np.intp)) for window in windows]
+    starts = slice_starts(period, m, minimum=4, what=what) if m <= len(period) else None
+    cuts = [0, len(period)] if starts is None else saliency._block_cuts(starts)
+    size = max(min(saliency._BLOCK_EVENTS, int(np.diff(cuts).max())), 1)
+    scratch = np.empty(size, np.uint32), np.empty(size, bool)
+    bounds = [tuple(np.uint32(v) for v in window.as_tuple()) for window in windows]
+    cells: list[list[np.ndarray]] = [[] for _ in windows]
+    counts: list[list[np.ndarray]] = [[] for _ in windows]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        for k, window in enumerate(windows):
+            index = _events_inside(period, bounds[k], lo, hi, scratch)
+            if not index.size:
                 continue
-            inside += lo
-            # The slice starts cost O(m): searched once, and passed only for a
-            # block giving the window m events; the other blocks divide.
-            if inside.size >= m and starts is None:
-                starts = slice_starts(period, m, minimum=4, what=what)
-            keys.append(bin_window(window, inside, starts=starts if inside.size >= m else None))
-    for window, keys in zip(windows, parts):
-        if not keys:  # binning no events still checks m and the window's id bound
-            keys.append(bin_window(window, np.empty(0, np.intp)))
-        yield _sorted_cells(keys, (m, window.h, window.w))
+            key = bin_window(window, index, starts=starts)
+            del index
+            key.sort()
+            block_cells, block_counts = sorted_runs(key)
+            del key
+            cells[k].append(block_cells)
+            counts[k].append(block_counts.astype(np.int32))
+    del scratch, starts  # the caller featurizes the windows while this frame lives
+    for k, window in enumerate(windows):
+        yield LocalSlices(
+            shape=(m, window.h, window.w),
+            cells=_joined(cells[k] or [empty[k]]),
+            counts=_joined(counts[k] or [np.empty(0, np.int32)]),
+        )
 
 
-def _sorted_cells(keys: list[np.ndarray], shape: tuple[int, int, int]) -> LocalSlices:
-    """The LocalSlices of a window from its key parts, which it empties."""
-    key = np.concatenate(keys)
-    keys.clear()
-    key.sort()
-    cells, counts = sorted_runs(key)
-    del key
-    return LocalSlices(shape=shape, cells=cells, counts=counts)
+def _events_inside(
+    period: EventPeriod,
+    bounds: tuple[np.uint32, ...],
+    lo: int,
+    hi: int,
+    scratch: tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """Ascending indexes of the positive events lo:hi inside the (x, y, w, h) ``bounds``.
+
+    The events are tested in chunks of the length of ``scratch``, a uint32
+    and a bool array: one unsigned compare per axis, with the offsets and
+    the mask written into them, so the test allocates little beyond the
+    indexes it finds.
+    """
+    x0, y0, w, h = bounds
+    step = scratch[0].size
+    parts = []
+    for a in range(lo, hi, step):
+        b = min(a + step, hi)
+        offset, inside = scratch[0][: b - a], scratch[1][: b - a]
+        # x - x0 wraps below x0, so one compare tests both edges of an axis.
+        np.less(np.subtract(period.x[a:b].view(np.uint32), x0, out=offset), w, out=inside)
+        inside &= np.subtract(period.y[a:b].view(np.uint32), y0, out=offset) < h
+        inside &= period.p[a:b].view(bool)
+        index = np.flatnonzero(inside)
+        index += a
+        parts.append(index)
+    return _joined(parts) if parts else np.empty(0, np.intp)
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts end to end, one of them as it is; empties the list, so they go with it."""
+    joined = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    parts.clear()
+    return joined
 
 
 def _major_axes(cxx, cxy, cyy) -> tuple[np.ndarray, np.ndarray]:
@@ -268,21 +314,23 @@ def principal_direction(points: np.ndarray) -> PrincipalDirection:
 
 
 def _next_slice_partners(cells: np.ndarray, hw: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j) with cells[j] == cells[i] + hw, for sorted unique int64 cells.
+    """int32 index pairs (i, j) with cells[j] == cells[i] + hw, for sorted unique cells.
 
     One sort joins the tags 2c of the cells and the tags 2(c + hw) + 1 of
-    their needles, two ascending runs. A needle whose partner exists sorts
-    directly after the partner's tag and differs from it in the low bit
-    only. The running count of needles up to the partner's tag is then i,
-    since needle i belongs to cell i, and the other tags before it number j.
-    Only cells with c + hw <= cells[-1] need a needle, which also leaves
-    out the last slice, so every tag stays below 2**64; the tags are int32
-    when they fit, else uint64.
+    their needles, two ascending runs. The tags are unique, so two
+    neighbours with equal halves are a partner's tag followed by its
+    needle's. The running count of needles up to the partner's tag is then
+    i, since needle i belongs to cell i, and the other tags before it
+    number j. The halves and the low bits are compared and counted in
+    place, beside two bool arrays. Only cells with c + hw <= cells[-1] need
+    a needle, which also leaves out the last slice, so every tag stays below
+    2**64; the tags are int32 when they fit, else uint64. Fewer than 2**31
+    cells index into int32.
     """
     top = int(cells[-1]) if cells.size else -1
     needles = int(np.searchsorted(cells, top - hw, side="right"))
     if not needles:
-        return np.empty(0, np.intp), np.empty(0, np.intp)
+        return np.empty(0, np.int32), np.empty(0, np.int32)
     tags = np.empty(cells.size + needles, np.int32 if 2 * top + 1 < 2**31 else np.uint64)
     tags[: cells.size] = cells
     tags[cells.size :] = cells[:needles]
@@ -290,11 +338,17 @@ def _next_slice_partners(cells: np.ndarray, hw: int) -> tuple[np.ndarray, np.nda
     tags <<= 1
     tags[cells.size :] |= 1
     tags.sort(kind="stable")  # two sorted runs: one merge
-    partner = np.flatnonzero((tags[1:] ^ tags[:-1]) == 1)
-    tags &= 1
+    needle = np.empty(tags.size, bool)
+    np.bitwise_and(tags, 1, out=needle, casting="unsafe")
+    tags >>= 1
+    partner = np.flatnonzero(tags[1:] == tags[:-1]).astype(np.int32)
+    np.copyto(tags, needle)
+    del needle
     np.cumsum(tags, out=tags)
-    i = tags[partner].astype(np.intp)
-    return i, partner - i
+    i = tags[partner].astype(np.int32, copy=False)
+    del tags
+    partner -= i
+    return i, partner
 
 
 def compute_features(local: LocalSlices) -> FeatureSeries:
@@ -303,7 +357,9 @@ def compute_features(local: LocalSlices) -> FeatureSeries:
     f_s correlates consecutive slices over all h*w cells (0.0 if either is constant); f_p is
     the |cos| of their cells' principal directions (0.0 if either has under two cells).
     The cross sums of f_s pair each cell with the same pixel one slice later, found for all
-    cells by one sort (``_next_slice_partners``).
+    cells by one sort (``_next_slice_partners``). Slices and pixel coordinates come from the
+    cells in their own dtype, and every summed array takes int32 while its per-slice sums
+    fit, so from int32 cells no cell-sized int64 array is made.
     """
     if not isinstance(local, LocalSlices):
         raise ValidationError(f"expected LocalSlices, got {type(local).__name__}")
@@ -319,20 +375,31 @@ def compute_features(local: LocalSlices) -> FeatureSeries:
     slices, n = sorted_runs(cells // hw)
     starts = np.cumsum(n) - n
     pair = np.flatnonzero(slices[1:] == slices[:-1] + 1)  # nonempty (s, s + 1) at pair, pair + 1
+    longest = int(n.max()) if n.size else 0
+
+    def sum_dtype(top: int) -> type:
+        # int32 when any slice's sum of values at most top fits in it.
+        return np.int32 if top * longest < 2**31 else np.int64
 
     def per_slice(values: np.ndarray) -> np.ndarray:
-        # Python ints, so the products below cannot overflow.
-        return np.add.reduceat(values, starts).astype(object)
+        # Summed in the values' own dtype, as reduceat would cast a copy of
+        # them to any other; then Python ints, so the products below cannot overflow.
+        return np.add.reduceat(values, starts, dtype=values.dtype).astype(object)
+
+    def per_slice_products(a: np.ndarray, b: np.ndarray, top: int) -> np.ndarray:
+        return per_slice(np.multiply(a, b, dtype=sum_dtype(top)))
 
     n = n.astype(object)
-    s1 = per_slice(v)
+    s1 = per_slice(v)  # the counts total below 2**31
+    top = int(v.max()) ** 2 if v.size else 0
     # The same pixel one slice later is cell + h*w.
     cell, later = _next_slice_partners(cells, hw)
-    products = np.zeros(cells.size, np.int64)
-    products[cell] = v[cell] * v[later]
+    products = np.zeros(cells.size, sum_dtype(top))
+    products[cell] = np.multiply(v[cell], v[later], dtype=products.dtype)
+    del cell, later
     cross = per_slice(products)[pair]
-    del products, cell, later  # before the moments below take their own cell-sized arrays
-    var = (hw * per_slice(v * v) - s1 * s1).astype(np.float64)  # (h*w)^2 * variance
+    del products  # before the moments below take their own cell-sized arrays
+    var = (hw * per_slice_products(v, v, top) - s1 * s1).astype(np.float64)  # (h*w)^2 * variance
     cov = (hw * cross - s1[pair] * s1[pair + 1]).astype(np.float64)
     denom = np.sqrt(var[pair] * var[pair + 1])
     f_s = np.zeros(m - 1)
@@ -340,12 +407,15 @@ def compute_features(local: LocalSlices) -> FeatureSeries:
         np.divide(cov, denom, out=np.zeros(pair.size), where=denom > 0.0), -1.0, 1.0
     )
 
-    y, x = np.divmod(cells % hw, w)
+    x = (cells % w).astype(sum_dtype(w - 1), copy=False)
+    y = cells // w
+    y %= h
+    y = y.astype(sum_dtype(h - 1), copy=False)
     sx, sy = per_slice(x), per_slice(y)
     axes, _ = _major_axes(  # n^2 times each slice's occupancy covariance
-        (n * per_slice(x * x) - sx * sx).astype(np.float64),
-        (n * per_slice(x * y) - sx * sy).astype(np.float64),
-        (n * per_slice(y * y) - sy * sy).astype(np.float64),
+        (n * per_slice_products(x, x, (w - 1) ** 2) - sx * sx).astype(np.float64),
+        (n * per_slice_products(x, y, (w - 1) * (h - 1)) - sx * sy).astype(np.float64),
+        (n * per_slice_products(y, y, (h - 1) ** 2) - sy * sy).astype(np.float64),
     )
     f_p = np.zeros(m - 1)
     f_p[slices[pair]] = np.where(  # no direction below two cells

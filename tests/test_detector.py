@@ -480,6 +480,33 @@ class TestFineStage:
         with pytest.raises(ValidationError):
             gaussian_fine_refine(Cluster(members=(disk,), bbox=disk.bbox), gray_map((60, 60), [disk]))
 
+    def test_candidate_above_10k_pixels_matches_the_oracle(self):
+        # Moments over more than 10k pixels, where a float64 dot would run in BLAS.
+        rng = np.random.default_rng(4)
+        members = (
+            disk_region(100, 100, 64),
+            line_region([(200, y) for y in range(10, 190)]),
+            rect_region(20, 180, 12, 12),
+            disk_region(175, 40, 6),
+        )
+        gray = np.zeros((220, 240), np.uint8)
+        for member in members:
+            x, y = member.pixels[:, 0], member.pixels[:, 1]
+            gray[y, x] = rng.integers(1, 256, x.size)
+        bbox = members[0].bbox
+        for member in members[1:]:
+            bbox = bbox.union(member.bbox)
+        candidate = Cluster(members=members, bbox=bbox, scores=RegionScores(s_s=1.0, s_p=4))
+        assert sum(member.area for member in members) > 13_000
+        detection = gaussian_fine_refine(candidate, sparse_saliency(gray))
+        expected = gaussian_keep([member.pixels.tolist() for member in members], gray)
+        detected = set(map(tuple, detection.pixels.tolist()))
+        kept = [tuple(member.pixels[0].tolist()) in detected for member in members]
+        assert all(abs(d2 - 4.0) > 1e-3 for _, d2 in expected)
+        assert kept == [want for want, _ in expected] == [True, False, False, False]
+        assert detection.bbox == members[0].bbox
+        assert detection.pixels.shape[0] == members[0].area
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_kept_members_match_the_oracle(self, data):

@@ -34,6 +34,7 @@ from evrotor.features import (
     peaks_valleys,
     principal_direction,
 )
+from evrotor.events import slice_starts
 from evrotor.saliency import render_gray
 
 import oracles
@@ -94,7 +95,8 @@ class TestWindowing:
         # cells (slice, y, x) = (0, 0, 0) and (2, 1, 1) have ids 0 and (2 * 5 + 1) * 5 + 1
         assert local.cells.tolist() == [0, 56]
         assert local.counts.tolist() == [2, 1]
-        assert local.cells.dtype == local.counts.dtype == np.int64
+        assert local.cells.dtype == local.counts.dtype == np.int32  # 4 * 5 * 5 ids fit int32
+        assert not local.cells.flags.writeable and not local.counts.flags.writeable
 
     def test_region_input_uses_its_bbox(self):
         period = make_period([(100, 10, 10, 1)], duration=1000)
@@ -226,6 +228,25 @@ class TestWindowPass:
                 assert local.shape == (m, window.h, window.w)
                 assert_cells_match_the_oracle(local, rows, period.t_start, period.duration, window)
 
+    def test_a_slice_above_a_block_is_binned_whole(self):
+        """Slice 1 of 4 holds more events than a block: its block of whole slices outgrows it."""
+        rng = np.random.default_rng(5)
+        crowded = saliency._BLOCK_EVENTS + 4_000
+        t = np.sort(np.concatenate([rng.integers(100, 200, crowded), rng.integers(0, 400, 600)]))
+        x, y = rng.integers(0, 10, t.size), rng.integers(0, 8, t.size)
+        rows = list(zip(t.tolist(), x.tolist(), y.tolist(), rng.integers(0, 2, t.size).tolist()))
+        period = make_period(rows, duration=400)
+        boxes = [BBox(0, 0, 5, 4), BBox(3, 2, 7, 6), BBox(40, 30, 3, 3)]
+        for block in (saliency._BLOCK_EVENTS, 1000):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(saliency, "_BLOCK_EVENTS", block)
+                cuts = saliency._block_cuts(slice_starts(period, 4, minimum=4))
+                locals_ = list(_window_slices(period, boxes, 4, 1))
+            assert max(np.diff(cuts)) > crowded > block
+            for local, box in zip(locals_, boxes):
+                window = dilated_window(box, 1, SMALL)
+                assert_cells_match_the_oracle(local, rows, 0, 400, window)
+
 
 def searched_partners(cells, hw):
     """(i, j) with cells[j] == cells[i] + hw, from np.searchsorted(cells, cells + hw).
@@ -329,6 +350,42 @@ class TestBounds:
         inside = ((period.p == 1) & (period.x >= 300) & (period.x < 320)
                   & (period.y >= 200) & (period.y < 220))
         assert local.counts.sum() == np.count_nonzero(inside)
+
+    def test_window_and_features_hold_few_bytes_per_nonzero_cell(self):
+        """About 100k nonzero cells of a 60x60 window over 200 slices, among 500k events."""
+        rng = np.random.default_rng(19)
+        m, duration, window = 200, 100_000, BBox(200, 150, 60, 60)
+        ids = rng.choice(m * 3600, 100_000, replace=False)
+        hits = np.repeat(ids, rng.integers(1, 4, ids.size))
+        s, pixel = np.divmod(hits, 3600)
+        noise = 300_000
+        x = np.concatenate([window.x + pixel % 60, rng.integers(0, 640, noise)])
+        y = np.concatenate([window.y + pixel // 60, rng.integers(0, 480, noise)])
+        t = np.concatenate([s * duration // m + rng.integers(0, duration // m, hits.size),
+                            rng.integers(0, duration, noise)])
+        outside = (x[-noise:] - window.x) % 640 >= 60
+        outside |= (y[-noise:] - window.y) % 480 >= 60
+        p = np.concatenate([np.ones(hits.size, int), rng.integers(0, 2, noise) * outside])
+        order = np.argsort(t, kind="stable")
+        period = EventPeriod(t[order], x[order], y[order], p[order], t_start=0,
+                             duration=duration, sensor=SensorGeometry(640, 480))
+        tracemalloc.start()
+        try:
+            local = extract_local_slices(period, window, m)
+            window_peak = tracemalloc.get_traced_memory()[1]
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            compute_features(local)
+            feature_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        cells, counts = np.unique(s * 3600 + pixel, return_counts=True)
+        assert np.array_equal(local.cells, cells) and np.array_equal(local.counts, counts)
+        # The cells and counts take 4 bytes each, and one block of the walk
+        # about 13 bytes an event; int64 records and the whole window's key
+        # join took 2.9 MB here, and the features 25 bytes a cell above them.
+        assert window_peak < 8 * cells.size + 20 * saliency._BLOCK_EVENTS
+        assert feature_peak < 16 * cells.size
 
     def test_feature_memory_follows_the_nonempty_slices(self):
         """64 events in 2**20 slices of an 8x8 window: per-slice sums over all m took 219 MB."""
@@ -599,6 +656,60 @@ class TestComputeFeatures:
         assert np.abs(got.f_s - f_s).max() <= 1e-12
         assert np.abs(got.f_p - f_p).max() <= 1e-12
 
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.sampled_from([(256, 256), (255, 257), (97, 1021)]), data=st.data())
+    def test_id_dtypes_around_2_to_the_31_give_the_oracle_series(self, shape, data):
+        # A few slices at the top of the largest int32 shape, so that the ids
+        # reach just below 2**31; one slice more makes the shape's ids int64.
+        # The same cells, as int32 or int64 ids, must give the same series.
+        h, w = shape
+        below = (2**31 - 1) // (h * w)
+        m0 = data.draw(st.integers(2, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        grids = np.zeros((m0, h, w), np.int64)
+        for j in range(m0):
+            k = data.draw(st.sampled_from([0, 1, 2, 40]))
+            grids[j].flat[rng.choice(h * w, k, replace=False)] = rng.integers(1, 4, k)
+        flat = grids.reshape(-1)
+        ids = np.flatnonzero(flat) + (below - m0) * h * w
+        f_d, f_s, f_p = oracles.compute_features(grids)
+        got = []
+        for m in (below, below + 1):
+            for ids_dtype in (np.int32, np.int64):
+                local = LocalSlices((m, h, w), ids.astype(ids_dtype), flat[flat > 0])
+                assert local.cells.dtype == (np.int32 if m == below else np.int64)
+                series = compute_features(local)
+                lo = below - m0
+                assert np.array_equal(series.f_d[lo:below], f_d)
+                assert np.abs(series.f_s[lo : below - 1] - f_s).max() <= 1e-12
+                assert np.abs(series.f_p[lo : below - 1] - f_p).max() <= 1e-12
+                for tail in (series.f_d[:lo], series.f_s[:lo], series.f_p[:lo],
+                             series.f_d[below:], series.f_s[below - 1 :], series.f_p[below - 1 :]):
+                    assert not tail.any()
+                got.append(series)
+        for series in got[1:]:
+            assert np.array_equal(series.f_d[:below], got[0].f_d)
+            assert np.array_equal(series.f_s[: below - 1], got[0].f_s)
+            assert np.array_equal(series.f_p[: below - 1], got[0].f_p)
+
+    def test_sums_past_int32_stay_exact(self):
+        # Counts near 2**30 square past 2**59, and columns near 65535 past 2**32,
+        # so these sums take int64 where narrower ones take int32.
+        heavy = np.zeros((3, 2, 3), np.int64)
+        heavy[0, 0, 1] = heavy[1, 0, 1] = 2**30 - 8
+        heavy[0, 1, 2] = heavy[1, 1, 0] = heavy[2, 0, 0] = 3
+        wide = np.zeros((3, 2, 65535), np.int64)
+        wide[0, 0, [65534, 65533, 3]] = [1, 2, 3]
+        wide[1, 1, [65534, 65530]] = [2, 1]
+        wide[1, 0, 65534] = 5
+        for grids in (heavy, wide):
+            got = compute_features(local_slices(grids))
+            f_d, f_s, f_p = oracles.compute_features(grids)
+            assert np.array_equal(got.f_d, f_d)
+            assert np.abs(got.f_s - f_s).max() <= 1e-12
+            assert np.abs(got.f_p - f_p).max() <= 1e-12
+            assert got.f_s[0] != 0.0
+
     def test_rejects_non_integer_and_oversized_counts(self):
         with pytest.raises(ValidationError, match="integer"):
             local_slices(np.ones((3, 2, 2)))
@@ -623,14 +734,23 @@ class TestComputeFeatures:
         with pytest.raises(ValidationError):
             LocalSlices(shape=(3, 2, 4), cells=np.array(cells), counts=np.array(counts))
 
-    def test_record_holds_read_only_int64_arrays(self):
-        local = LocalSlices(
-            shape=(3, 2, 4), cells=np.array([0, 23], np.uint16), counts=np.array([2, 5], np.uint8)
-        )
-        assert local.size == 24
-        for values in (local.cells, local.counts):
-            assert values.dtype == np.int64
-            assert not values.flags.writeable
+    def test_record_holds_read_only_arrays_of_the_id_dtype(self):
+        # ids take int32 while m * h * w is below 2**31, as bin_events picks them
+        for shape, cells_dtype in [
+            ((3, 2, 4), np.int32), ((2**30 - 1, 2, 1), np.int32), ((2**30, 2, 1), np.int64)
+        ]:
+            local = LocalSlices(
+                shape=shape, cells=np.array([0, 5], np.uint16), counts=np.array([2, 5], np.uint8)
+            )
+            assert local.size == shape[0] * shape[1] * shape[2]
+            assert local.cells.dtype == cells_dtype
+            assert local.counts.dtype == np.int32
+            for values in (local.cells, local.counts):
+                assert not values.flags.writeable
+        cells, counts = np.array([0, 5], np.int32), np.array([2, 5], np.int32)
+        local = LocalSlices(shape=(3, 2, 4), cells=cells, counts=counts)
+        assert np.shares_memory(local.cells, cells) and np.shares_memory(local.counts, counts)
+        assert cells.flags.writeable and counts.flags.writeable
 
     def test_series_lengths_and_ranges(self):
         rng = np.random.default_rng(3)
