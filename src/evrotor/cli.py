@@ -183,7 +183,10 @@ def _detect_one(
 ) -> tuple[list[Detection], SensorGeometry, int]:
     """Detect rotors in one input file; returns what its JSON record needs."""
     period = load_events(path, sensor)
-    result = run_pipeline(period, config)
+    try:
+        result = run_pipeline(period, config)
+    except EvrotorError as err:
+        raise type(err)(f"{path}: {err}") from None
     if dump_saliency:
         write_pgm(result.saliency.gray, dump_saliency)
     if dump_features:

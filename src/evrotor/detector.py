@@ -22,9 +22,8 @@ from .events import BBox, DetectorConfig, EventPeriod
 from .features import (
     FeatureSeries,
     RegionScores,
-    _window_slices,
-    compute_features,
-    periodicity_score,
+    _periodicity_scores,
+    _window_features,
     saliency_masses,
 )
 from .saliency import Region, SaliencyMap, saliency_map, salient_regions
@@ -181,14 +180,11 @@ def _score_clusters(
         key=lambda c: (-c.scores.s_s, -c.area, _bbox_key(c.bbox)),
     )
     top = ranked[: config.k_top]
-    # One walk of the period bins all K windows; each window's cells are
-    # featurized, and dropped, before the next window's exist.
-    windows = _window_slices(period, [c.bbox for c in top], m, config.region_margin)
-    features: list[FeatureSeries] = []
-    for cluster, series in zip(top, map(compute_features, windows)):
-        s_p = periodicity_score(series, config.smooth_window)
+    # One walk of the period bins all K windows, featurizing each batch of
+    # cells as it is reduced; one extrema search then scores all K.
+    features = _window_features(period, [c.bbox for c in top], m, config.region_margin)
+    for cluster, s_p in zip(top, _periodicity_scores(features, config.smooth_window)):
         cluster.scores = RegionScores(s_s=cluster.scores.s_s, s_p=s_p)
-        features.append(series)
     passed = sorted(
         (i for i, c in enumerate(top) if c.scores.s_p >= config.tau_p),
         key=lambda i: (-top[i].scores.s_p, -top[i].scores.s_s, _bbox_key(top[i].bbox)),

@@ -212,6 +212,12 @@ class DetectorConfig:
         duration_ms = max(1, round(period.duration / 1000))
         n = self.n_slices if self.n_slices is not None else max(2, duration_ms)
         m = self.m_slices if self.m_slices is not None else max(4, 2 * duration_ms)
+        defaulted = [k for k, given in ((n, self.n_slices), (m, self.m_slices)) if given is None]
+        if defaulted and max(defaulted) > period.duration:
+            raise ConfigurationError(
+                f"the period of {period.duration} us is shorter than the {max(defaulted)} us"
+                " that default slicing needs"
+            )
         _id_dtype(period, n, 1, 2, "n_slices")
         _id_dtype(period, m, 1, 4, "m_slices")
         return n, m

@@ -1,34 +1,35 @@
 """Spatio-temporal periodicity features for salient regions.
 
 A candidate region is re-sliced at a finer temporal resolution, keeping only
-positive events inside its margin-dilated bbox. The local slices are held
-sparsely, as the sorted ids and counts of their nonzero cells, 4 bytes each;
-the ids are the saliency keys' (slice, row, column) ids from
-``events.bin_events``. The top-K windows are binned in one walk of the
-period, in the blocks of whole slices that saliency walks. Each block's
-window keys are sorted and reduced to cells right away, and no cell spans
-two blocks, so the block's cells join the window's as they are. Working
-memory follows one block and the K windows' nonzero cells, never the
-period's events or any window's events.
-Three series are read off the cells: event density, structural similarity
-between consecutive slices, and similarity of consecutive principal
-point-cloud directions. All three come from integer sums over the runs of
+positive events inside its margin-dilated bbox. A window's cells are the
+(slice, row, column) ids of ``events.bin_events`` with a nonzero count. The
+top-K windows are binned in one walk of the period, in the blocks of whole
+slices that saliency walks. Each window's binned keys wait until they hold
+``_FLUSH_EVENTS`` events; they are then sorted and reduced to one batch of
+whole slices' cells and counts, which goes straight into the window's
+accumulator of exact per-slice integer sums. So the feature stage's working
+memory follows one block, the windows' pending keys and one batch: never
+the period's events, and never a window's cells whole.
+Three series are read off the per-slice sums: event density, structural
+similarity between consecutive slices, and similarity of consecutive
+principal point-cloud directions. All three come from integer sums over the
 nonzero cells of the nonempty slices only, scattered into the m-long
 series; every other slice, and every pair of slices with an empty side,
 reads 0. Each cell finds the same pixel one slice later by one sort of
-tagged ids, not by a binary search per cell. So their cost follows the
-window's nonzero cells, not its slices times pixels, and beyond the three
-series themselves not m either; every cell-sized array they form takes at
-most 4 bytes a cell while the products it holds fit in int32. A rotor
-modulates all three periodically; the periodicity score counts how many of
-the smoothed series show repeated peaks and valleys.
+tagged ids per batch, not by a binary search per cell. The float math runs
+once per window, on the concatenated sums, so the series are the same
+wherever the batches were cut. A ``LocalSlices`` record holds a window's
+cells whole, for ``extract_local_slices`` and inspection; ``compute_features``
+feeds it to the same accumulator as one batch. A rotor
+modulates all three series periodically; the periodicity score counts how
+many of the smoothed series show repeated peaks and valleys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -37,6 +38,9 @@ from .errors import ConfigurationError, DegenerateInputError, ValidationError
 from . import saliency
 from .events import BBox, EventPeriod, SensorGeometry, bin_events, slice_starts
 from .saliency import Region, SaliencyMap, gray_at, sorted_runs
+
+# Window events the walk holds per window before it reduces them to cells.
+_FLUSH_EVENTS = 2**15
 
 
 class PrincipalDirection(NamedTuple):
@@ -107,6 +111,10 @@ class LocalSlices:
     their counts as int32. The counts total less than 2**31, which bounds
     every int64 sum that compute_features forms from them.
 
+    The record holds a window's cells whole, so it is built for
+    ``extract_local_slices``, inspection and tests; the detector never
+    builds one, and featurizes each window's cells batch by batch.
+
     Arrays given in those dtypes are not copied. The record keeps read-only
     views of them, so writes through the record fail, while the caller's
     own arrays stay writable and must not be changed afterwards.
@@ -173,82 +181,109 @@ def extract_local_slices(
 ) -> LocalSlices:
     """Positive-event counts over m slices of the dilated region window.
 
-    The one-window case of the pass that bins all top-K windows together:
-    the period is walked in blocks of whole slices, each positive event
-    inside the window becomes the id of its cell from ``bin_events``, and
-    each block's ids are sorted and reduced to the block's nonzero cells
-    and their counts. So memory follows one block and the window's nonzero
-    cells, never the period's events or m * h * w.
+    The batches that one walk of the period (``_window_batches``) reduces
+    for the window, joined: memory follows one block of the walk and the
+    window's nonzero cells, never the period's events or m * h * w.
     """
     bbox = region.bbox if isinstance(region, Region) else region
-    return next(_window_slices(period, [bbox], m, margin))
+    window = dilated_window(bbox, margin, period.sensor)
+    cells: list[np.ndarray] = []
+    counts: list[np.ndarray] = []
+    for _, batch_cells, batch_counts in _window_batches(period, [window], m):
+        cells.append(batch_cells)
+        counts.append(batch_counts)
+    return LocalSlices(
+        shape=(m, window.h, window.w),
+        cells=_joined(cells or [np.empty(0, np.int32)]),
+        counts=_joined(counts or [np.empty(0, np.int32)]),
+    )
 
 
-def _window_slices(
+def _window_features(
     period: EventPeriod, boxes: Sequence[BBox], m: int, margin: int
-) -> Iterator[LocalSlices]:
-    """The LocalSlices of each box's dilated window, in order, from one walk of the period.
+) -> list[FeatureSeries]:
+    """The feature series of each box's dilated window, from one walk of the period.
+
+    Each batch of cells the walk reduces goes straight into its window's
+    ``_SliceSums``, so no window's cells exist whole.
+    """
+    windows = [dilated_window(box, margin, period.sensor) for box in boxes]
+    sums = [_SliceSums((m, window.h, window.w)) for window in windows]
+    for k, cells, counts in _window_batches(period, windows, m):
+        sums[k].add(cells, counts)
+        del cells, counts  # before the walk forms the next batch
+    return [window_sums.series() for window_sums in sums]
+
+
+def _window_batches(
+    period: EventPeriod, windows: Sequence[BBox], m: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(k, cells, counts) batches of whole slices of each window k, from one walk of the period.
 
     The walk takes the blocks of whole slices of ``saliency._block_cuts``,
     or the whole period, binned by division, when m exceeds its events.
-    One window at a time, each block finds the window's positive events
-    (``_events_inside``, in chunks of at most ``saliency._BLOCK_EVENTS``
-    events, as one slice may hold more), bins them, sorts their keys and
-    reduces them to the block's nonzero cells and their int32 counts. A
-    cell's slice is the major part of its id, so the blocks' cells follow
-    each other in order and never repeat: joined, they are the window's
+    Each block finds each window's positive events (``_events_inside``, in
+    chunks of at most ``saliency._BLOCK_EVENTS`` events, as one slice may
+    hold more) and bins them. A window's keys wait until they number
+    ``_FLUSH_EVENTS``, and at the end of the walk; they are then sorted and
+    reduced to their nonzero cells and int32 counts, one batch. A cell's
+    slice is the major part of its id and no slice spans two blocks, so a
+    batch holds whole slices, and a window's batches, in order, are its
     sorted, unique cells.
     """
-    windows = [dilated_window(box, margin, period.sensor) for box in boxes]
     what = "local slice count"
     bin_window = partial(bin_events, period, m, minimum=4, what=what)
-    # Binning no events checks m and each window's id bound before the walk,
-    # and gives the cells of a window that no event reaches.
-    empty = [bin_window(window, np.empty(0, np.intp)) for window in windows]
+    # Binning no events checks m and each window's id bound before the walk.
+    for window in windows:
+        bin_window(window, np.empty(0, np.intp))
     starts = slice_starts(period, m, minimum=4, what=what) if m <= len(period) else None
     cuts = [0, len(period)] if starts is None else saliency._block_cuts(starts)
-    size = max(min(saliency._BLOCK_EVENTS, int(np.diff(cuts).max())), 1)
-    scratch = np.empty(size, np.uint32), np.empty(size, bool)
     bounds = [tuple(np.uint32(v) for v in window.as_tuple()) for window in windows]
-    cells: list[list[np.ndarray]] = [[] for _ in windows]
-    counts: list[list[np.ndarray]] = [[] for _ in windows]
+    pending: list[list[np.ndarray]] = [[] for _ in windows]
+    held = [0 for _ in windows]
+
+    def batch(k: int) -> tuple[int, np.ndarray, np.ndarray]:
+        key = _joined(pending[k])
+        held[k] = 0
+        key.sort()
+        cells, counts = sorted_runs(key, np.int32)
+        return k, cells, counts
+
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         for k, window in enumerate(windows):
-            index = _events_inside(period, bounds[k], lo, hi, scratch)
+            index = _events_inside(period, bounds[k], lo, hi)
             if not index.size:
                 continue
-            key = bin_window(window, index, starts=starts)
+            pending[k].append(bin_window(window, index, starts=starts))
+            held[k] += index.size
             del index
-            key.sort()
-            block_cells, block_counts = sorted_runs(key)
-            del key
-            cells[k].append(block_cells)
-            counts[k].append(block_counts.astype(np.int32))
-    del scratch, starts  # the caller featurizes the windows while this frame lives
-    for k, window in enumerate(windows):
-        yield LocalSlices(
-            shape=(m, window.h, window.w),
-            cells=_joined(cells[k] or [empty[k]]),
-            counts=_joined(counts[k] or [np.empty(0, np.int32)]),
-        )
+            if held[k] >= _FLUSH_EVENTS:
+                yield batch(k)
+    for k in range(len(windows)):
+        if pending[k]:
+            yield batch(k)
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts end to end, one of them as it is; empties the list, so they go with it."""
+    joined = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    parts.clear()
+    return joined
 
 
 def _events_inside(
-    period: EventPeriod,
-    bounds: tuple[np.uint32, ...],
-    lo: int,
-    hi: int,
-    scratch: tuple[np.ndarray, np.ndarray],
+    period: EventPeriod, bounds: tuple[np.uint32, ...], lo: int, hi: int
 ) -> np.ndarray:
     """Ascending indexes of the positive events lo:hi inside the (x, y, w, h) ``bounds``.
 
-    The events are tested in chunks of the length of ``scratch``, a uint32
-    and a bool array: one unsigned compare per axis, with the offsets and
-    the mask written into them, so the test allocates little beyond the
-    indexes it finds.
+    The events are tested in chunks of at most ``saliency._BLOCK_EVENTS``:
+    one unsigned compare per axis, with the offsets and the mask written
+    into one uint32 and one bool array, which are freed on return, so the
+    test holds little beyond the indexes it finds.
     """
     x0, y0, w, h = bounds
-    step = scratch[0].size
+    step = saliency._BLOCK_EVENTS
+    scratch = np.empty(min(step, hi - lo), np.uint32), np.empty(min(step, hi - lo), bool)
     parts = []
     for a in range(lo, hi, step):
         b = min(a + step, hi)
@@ -261,13 +296,6 @@ def _events_inside(
         index += a
         parts.append(index)
     return _joined(parts) if parts else np.empty(0, np.intp)
-
-
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """The parts end to end, one of them as it is; empties the list, so they go with it."""
-    joined = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    parts.clear()
-    return joined
 
 
 def _major_axes(cxx, cxy, cyy) -> tuple[np.ndarray, np.ndarray]:
@@ -356,76 +384,149 @@ def compute_features(local: LocalSlices) -> FeatureSeries:
 
     f_s correlates consecutive slices over all h*w cells (0.0 if either is constant); f_p is
     the |cos| of their cells' principal directions (0.0 if either has under two cells).
-    The cross sums of f_s pair each cell with the same pixel one slice later, found for all
-    cells by one sort (``_next_slice_partners``). Slices and pixel coordinates come from the
-    cells in their own dtype, and every summed array takes int32 while its per-slice sums
-    fit, so from int32 cells no cell-sized int64 array is made.
+    The record's cells go to one ``_SliceSums`` as one batch.
     """
     if not isinstance(local, LocalSlices):
         raise ValidationError(f"expected LocalSlices, got {type(local).__name__}")
     m, h, w = local.shape
     if m < 2:
         raise ValidationError(f"need at least 2 local slices, got {m}")
-    hw = h * w
-    # The record bounds the counts' total below 2**31, and with it every
-    # int64 sum below, the squares and cross products included.
-    cells, v = local.cells, local.counts
-    # cells is sorted, so each nonempty slice owns one run of it; the other
-    # slices, and every pair with an empty side, keep 0 in every series.
-    slices, n = sorted_runs(cells // hw)
-    starts = np.cumsum(n) - n
-    pair = np.flatnonzero(slices[1:] == slices[:-1] + 1)  # nonempty (s, s + 1) at pair, pair + 1
-    longest = int(n.max()) if n.size else 0
+    sums = _SliceSums(local.shape)
+    sums.add(local.cells, local.counts)
+    return sums.series()
 
-    def sum_dtype(top: int) -> type:
-        # int32 when any slice's sum of values at most top fits in it.
-        return np.int32 if top * longest < 2**31 else np.int64
 
-    def per_slice(values: np.ndarray) -> np.ndarray:
-        # Summed in the values' own dtype, as reduceat would cast a copy of
-        # them to any other; then Python ints, so the products below cannot overflow.
-        return np.add.reduceat(values, starts, dtype=values.dtype).astype(object)
+class _SliceSums:
+    """Exact per-slice integer sums of one window's nonzero cells, fed in batches of whole slices.
 
-    def per_slice_products(a: np.ndarray, b: np.ndarray, top: int) -> np.ndarray:
-        return per_slice(np.multiply(a, b, dtype=sum_dtype(top)))
+    ``add`` takes the next batch: the cells of some whole slices, past every
+    earlier batch's, and their int32 counts. It keeps the record's guarantees per
+    batch (ids sorted, unique and inside the (m, h, w) shape, counts
+    positive, their running total below 2**31, which bounds every int64 sum
+    below) and reduces the batch to its nonempty slices' sums of n, the
+    counts v, v**2, x, y, x**2, xy and y**2, and of v times the count of the
+    same pixel one slice earlier. The partner join runs inside the batch;
+    the pair of slices that straddles two batches is joined from the
+    previous batch's last slice, carried over. Slices and pixel coordinates
+    come from floor division alone, in the cells' own dtype, and every
+    summed array takes int32 while its per-slice sums fit: from int32 cells
+    no cell-sized int64 array is made.
 
-    n = n.astype(object)
-    s1 = per_slice(v)  # the counts total below 2**31
-    top = int(v.max()) ** 2 if v.size else 0
-    # The same pixel one slice later is cell + h*w.
-    cell, later = _next_slice_partners(cells, hw)
-    products = np.zeros(cells.size, sum_dtype(top))
-    products[cell] = np.multiply(v[cell], v[later], dtype=products.dtype)
-    del cell, later
-    cross = per_slice(products)[pair]
-    del products  # before the moments below take their own cell-sized arrays
-    var = (hw * per_slice_products(v, v, top) - s1 * s1).astype(np.float64)  # (h*w)^2 * variance
-    cov = (hw * cross - s1[pair] * s1[pair + 1]).astype(np.float64)
-    denom = np.sqrt(var[pair] * var[pair + 1])
-    f_s = np.zeros(m - 1)
-    f_s[slices[pair]] = np.clip(
-        np.divide(cov, denom, out=np.zeros(pair.size), where=denom > 0.0), -1.0, 1.0
-    )
+    ``series`` does the float math once, on the concatenated sums. The sums
+    are exact integers wherever the batches were cut, so the series are too.
+    """
 
-    x = (cells % w).astype(sum_dtype(w - 1), copy=False)
-    y = cells // w
-    y %= h
-    y = y.astype(sum_dtype(h - 1), copy=False)
-    sx, sy = per_slice(x), per_slice(y)
-    axes, _ = _major_axes(  # n^2 times each slice's occupancy covariance
-        (n * per_slice_products(x, x, (w - 1) ** 2) - sx * sx).astype(np.float64),
-        (n * per_slice_products(x, y, (w - 1) * (h - 1)) - sx * sy).astype(np.float64),
-        (n * per_slice_products(y, y, (h - 1) ** 2) - sy * sy).astype(np.float64),
-    )
-    f_p = np.zeros(m - 1)
-    f_p[slices[pair]] = np.where(  # no direction below two cells
-        (n[pair] < 2) | (n[pair + 1] < 2),
-        0.0,
-        np.minimum(np.abs((axes[pair] * axes[pair + 1]).sum(axis=1)), 1.0),
-    )
-    f_d = np.zeros(m)
-    f_d[slices] = s1.astype(np.float64)
-    return FeatureSeries(f_d=f_d, f_s=f_s, f_p=f_p)
+    def __init__(self, shape: tuple[int, int, int]) -> None:
+        self.shape = shape
+        self.ids = np.int32 if shape[0] * shape[1] * shape[2] < 2**31 else np.int64
+        self.last = -1  # the largest cell id fed so far
+        self.total = 0
+        self.carry: tuple[int, np.ndarray, np.ndarray] | None = None
+        self.sums: list[tuple[np.ndarray, ...]] = []
+
+    def add(self, cells: np.ndarray, counts: np.ndarray) -> None:
+        if not cells.size:
+            return
+        m, h, w = self.shape
+        hw = h * w
+        if cells[0] <= self.last or cells[-1] >= m * hw or not (cells[1:] > cells[:-1]).all():
+            raise ValidationError("local slice cells must be sorted, unique ids inside the shape")
+        if counts.min() < 1:
+            raise ValidationError("local slice counts must be positive")
+        # int32 counts sum exactly in int64.
+        self.total += int(np.add.reduce(counts, dtype=np.int64))
+        if self.total >= 2**31:
+            raise ValidationError("local slice counts must total less than 2**31")
+        self.last = int(cells[-1])
+        cells, v = cells.astype(self.ids, copy=False), counts
+        # (s * h + y) * w + x: floor division alone, which numpy runs far faster than %.
+        x = cells // w  # s * h + y
+        y = x // h  # s
+        slices, n = sorted_runs(y)
+        starts = np.cumsum(n) - n
+        longest = int(n.max())
+        # The previous batch's last slice, when it pairs with this batch's first.
+        carry = self.carry if self.carry is not None and self.carry[0] + 1 == slices[0] else None
+        top = int(v.max() if carry is None else max(v.max(), carry[2].max())) ** 2
+
+        def sum_dtype(top: int) -> type:
+            # int32 when any slice's sum of values at most top fits in it.
+            return np.int32 if top * longest < 2**31 else np.int64
+
+        def per_slice(values: np.ndarray) -> np.ndarray:
+            # Summed in the values' own dtype, as reduceat would cast a copy of them to any other.
+            return np.add.reduceat(values, starts, dtype=values.dtype).astype(np.int64, copy=False)
+
+        def per_slice_products(a: np.ndarray, b: np.ndarray, top: int) -> np.ndarray:
+            return per_slice(np.multiply(a, b, dtype=sum_dtype(top)))
+
+        y *= h
+        np.subtract(x, y, out=y)
+        x *= w
+        np.subtract(cells, x, out=x)
+        x = x.astype(sum_dtype(w - 1), copy=False)
+        y = y.astype(sum_dtype(h - 1), copy=False)
+        moments = (
+            per_slice(x), per_slice(y),
+            per_slice_products(x, x, (w - 1) ** 2),
+            per_slice_products(x, y, (w - 1) * (h - 1)),
+            per_slice_products(y, y, (h - 1) ** 2),
+        )
+        del x, y  # before the partner join takes its own cell-sized arrays
+        # Each cell's count times that of the same pixel one slice earlier,
+        # cell - h*w, summed on the later slice.
+        earlier, cell = _next_slice_partners(cells, hw)
+        products = np.zeros(cells.size, sum_dtype(top))
+        products[cell] = np.multiply(v[earlier], v[cell], dtype=products.dtype)
+        del earlier, cell
+        if carry is not None:
+            # One slice on each side: a binary search per carried cell is cheap.
+            _, carry_cells, carry_v = carry
+            first = cells[: n[0]]
+            needles = carry_cells + hw
+            cell = np.searchsorted(first, needles)
+            np.minimum(cell, first.size - 1, out=cell)
+            found = first[cell] == needles
+            cell = cell[found]
+            products[cell] = np.multiply(carry_v[found], v[cell], dtype=products.dtype)
+        cross = per_slice(products)
+        del products
+        self.sums.append((slices, n, per_slice(v), per_slice_products(v, v, top), cross, *moments))
+        last = cells.size - int(n[-1])
+        self.carry = int(slices[-1]), cells[last:].copy(), v[last:].copy()
+
+    def series(self) -> FeatureSeries:
+        m, h, w = self.shape
+        hw = h * w
+        if not self.sums:
+            return FeatureSeries(f_d=np.zeros(m), f_s=np.zeros(m - 1), f_p=np.zeros(m - 1))
+        slices, *sums = (np.concatenate(column) for column in zip(*self.sums))
+        # Python ints, so the products below cannot overflow.
+        n, s1, s2, cross, sx, sy, sxx, sxy, syy = (values.astype(object) for values in sums)
+        # Nonempty (s, s + 1) at pair, pair + 1; the other slices, and every
+        # pair with an empty side, keep 0 in every series.
+        pair = np.flatnonzero(slices[1:] == slices[:-1] + 1)
+        var = (hw * s2 - s1 * s1).astype(np.float64)  # (h*w)^2 * variance
+        cov = (hw * cross[pair + 1] - s1[pair] * s1[pair + 1]).astype(np.float64)
+        denom = np.sqrt(var[pair] * var[pair + 1])
+        f_s = np.zeros(m - 1)
+        f_s[slices[pair]] = np.clip(
+            np.divide(cov, denom, out=np.zeros(pair.size), where=denom > 0.0), -1.0, 1.0
+        )
+        axes, _ = _major_axes(  # n^2 times each slice's occupancy covariance
+            (n * sxx - sx * sx).astype(np.float64),
+            (n * sxy - sx * sy).astype(np.float64),
+            (n * syy - sy * sy).astype(np.float64),
+        )
+        f_p = np.zeros(m - 1)
+        f_p[slices[pair]] = np.where(  # no direction below two cells
+            (n[pair] < 2) | (n[pair + 1] < 2),
+            0.0,
+            np.minimum(np.abs((axes[pair] * axes[pair + 1]).sum(axis=1)), 1.0),
+        )
+        f_d = np.zeros(m)
+        f_d[slices] = s1.astype(np.float64)
+        return FeatureSeries(f_d=f_d, f_s=f_s, f_p=f_p)
 
 
 def moving_average(series, window: int) -> np.ndarray:
@@ -511,18 +612,30 @@ def periodicity_score(features: FeatureSeries, smooth_window: int = 3) -> int:
     """Sum of peak and valley flags over the three smoothed series, 0..6.
 
     The smoothing window shrinks (to the next odd length) for series shorter
-    than the configured window.
+    than the configured window. The one-window case of ``_periodicity_scores``.
     """
+    return _periodicity_scores([features], smooth_window)[0]
+
+
+def _periodicity_scores(features: Sequence[FeatureSeries], smooth_window: int = 3) -> list[int]:
+    """periodicity_score of each window's series, from one extrema search over all of them."""
     if smooth_window < 1 or smooth_window % 2 == 0:
         raise ConfigurationError(
             f"smooth_window must be an odd integer >= 1, got {smooth_window}"
         )
-    smoothed = [  # x.size - 1 + x.size % 2 is the longest odd window that fits
-        moving_average(x, max(min(smooth_window, x.size - 1 + x.size % 2), 1))
-        for x in (features.f_d, features.f_s, features.f_p)
-        if x.size
+    smoothed = [
+        [  # x.size - 1 + x.size % 2 is the longest odd window that fits
+            moving_average(x, max(min(smooth_window, x.size - 1 + x.size % 2), 1))
+            for x in (series.f_d, series.f_s, series.f_p)
+            if x.size
+        ]
+        for series in features
     ]
-    return int(np.count_nonzero(_extrema_flags(smoothed)))
+    if not smoothed:
+        return []
+    # Two flags, peaks and valleys, per series, in window order.
+    flags = iter(_extrema_flags([x for window in smoothed for x in window]).tolist())
+    return [sum(islice(flags, 2 * len(window))) for window in smoothed]
 
 
 def saliency_masses(groups: Sequence[Sequence[Region]], smap: SaliencyMap) -> list[int]:

@@ -156,8 +156,8 @@ def box_order(boxes: np.ndarray) -> np.ndarray:
     return np.lexsort((boxes[:, 2], boxes[:, 3], boxes[:, 0], boxes[:, 1]))
 
 
-def sorted_runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of a sorted id array and how often each occurs.
+def sorted_runs(ids: np.ndarray, dtype: type = np.intp) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a sorted id array and how often each occurs, in ``dtype``.
 
     A run of equal ids starts at the first id and wherever the id changes.
     """
@@ -166,8 +166,8 @@ def sorted_runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.not_equal(ids[1:], ids[:-1], out=change[1:])
     starts = np.flatnonzero(change)
     del change
-    lengths = np.empty_like(starts)
-    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths = np.empty(starts.size, dtype)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1], casting="unsafe")
     lengths[-1:] = ids.size - starts[-1:]
     return ids[starts], lengths
 
@@ -221,7 +221,9 @@ def saliency_map(period: EventPeriod, n: int) -> SaliencyMap:
         key |= period.p[lo:hi]
         key.sort()
         blocks.append(key[np.flatnonzero((key[1:] ^ key[:-1]) == 1)])
+        del key  # before the next block's key exists
     hits = np.concatenate(blocks)
+    del blocks  # before the sort and the runs below take their own arrays
     hits >>= 1
     hits %= height * width
     hits.sort()

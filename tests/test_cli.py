@@ -161,6 +161,29 @@ class TestDetect:
             assert err.startswith(f"error: {path}: ") and what in err
             assert err.count(str(path)) == 1
 
+    def test_detection_errors_name_the_file_and_the_default_slicing(self, tmp_path, capsys):
+        # Three events over 3 us: the default 4 feature slices need 4 us.
+        good, short = tmp_path / "good.csv", tmp_path / "short.csv"
+        good.write_text("0,1,1,1\n9,1,1,0\n", encoding="ascii")
+        short.write_text("0,1,1,1\n1,2,2,0\n2,3,3,1\n", encoding="ascii")
+        code, _, err = run_cli(
+            ["detect", "--input", str(good), str(short), "--width", "8", "--height", "8",
+             "--output", str(tmp_path / "d")],
+            capsys,
+        )
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {short}: ")
+        assert "period of 3 us is shorter than the 4 us that default slicing needs" in err
+        assert str(good) not in err
+        # A slice count the user set keeps its own message, with the file in front.
+        code, _, err = run_cli(
+            ["detect", "--input", str(short), "--width", "8", "--height", "8",
+             "--n-slices", "2", "--m-slices", "5", "--output", str(tmp_path / "e.json")],
+            capsys,
+        )
+        assert code == 1
+        assert err == f"error: {short}: m_slices 5 exceeds the period duration of 3 us\n"
+
     def test_oversized_csv_sensor_is_reported_before_any_grid(self, tmp_path, capsys):
         """A 10**6 x 10**6 sensor would need terabytes of saliency grid."""
         path = tmp_path / "two_events.csv"
@@ -728,6 +751,9 @@ class TestErrorContract:
     @example((["detect", "--input={root}/two_events.csv", "--width=1000000",
                "--height=1000000", "--output={root}/d.json"],
               {"two_events.csv": b"0,1,1,1\n5,1,1,0\n"}))
+    @example((["detect", "--input={root}/short.csv", "--width=8", "--height=8",
+               "--output={root}/d.json"],
+              {"short.csv": b"0,1,1,1\n1,2,2,0\n2,3,3,1\n"}))
     @example((["bench", "--events", "0", "--seed", "-1"], {}))
     @example((["eval", "--pred", "{root}/absent", "--gt", "{root}/absent"], {}))
     @example((["eval", "--pred", "{root}", "--gt", "{root}", "--iou", "nan"], {}))

@@ -202,10 +202,14 @@ class TestDetectorConfig:
 
     def test_slicing_rejects_more_slices_than_microseconds(self):
         tiny = make_period([], duration=3)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="shorter than the 4 us that default slicing"):
             DetectorConfig().slicing_for(tiny)
+        with pytest.raises(ConfigurationError, match="shorter than the 4 us that default slicing"):
+            DetectorConfig(n_slices=2).slicing_for(tiny)
+        with pytest.raises(ConfigurationError, match="m_slices 5 exceeds"):
+            DetectorConfig(n_slices=2, m_slices=5).slicing_for(tiny)
         period = make_period([], duration=50)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="n_slices 100 exceeds"):
             DetectorConfig(n_slices=100, m_slices=4).slicing_for(period)
 
 

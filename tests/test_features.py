@@ -25,10 +25,14 @@ from evrotor import (
     saliency_score,
 )
 from evrotor import saliency
+from evrotor import features
+from evrotor.detector import Cluster, _score_clusters
+from evrotor.events import DetectorConfig
 from evrotor.features import (
+    _SliceSums,
     _next_slice_partners,
     _prominences,
-    _window_slices,
+    _window_batches,
     dilated_window,
     moving_average,
     peaks_valleys,
@@ -211,6 +215,29 @@ CORNER_ROWS = ([(t, 1, 1, 1) for t in range(5)] + [(t, 62, 46, 1) for t in (5, 6
 CORNER_BOXES = [BBox(0, 0, 3, 3), BBox(1, 1, 3, 3), BBox(60, 44, 4, 4), BBox(30, 20, 2, 2)]
 
 
+def walked(period, boxes, m, margin):
+    """Each box's LocalSlices, joined from the batches of one walk of the period.
+
+    Checks on the way that every batch holds whole slices, past the window's
+    earlier batches.
+    """
+    windows = [dilated_window(box, margin, period.sensor) for box in boxes]
+    cells = [[] for _ in windows]
+    counts = [[] for _ in windows]
+    for k, batch_cells, batch_counts in _window_batches(period, windows, m):
+        hw = windows[k].h * windows[k].w
+        if cells[k]:
+            assert batch_cells[0] // hw > cells[k][-1][-1] // hw
+        cells[k].append(batch_cells)
+        counts[k].append(batch_counts)
+    return [
+        LocalSlices((m, window.h, window.w),
+                    np.concatenate(cells[k] or [np.empty(0, np.int64)]),
+                    np.concatenate(counts[k] or [np.empty(0, np.int32)]))
+        for k, window in enumerate(windows)
+    ]
+
+
 class TestWindowPass:
     @settings(max_examples=150, deadline=None)
     @example(windowed=(make_period(CORNER_ROWS, duration=40), CORNER_ROWS, 4, CORNER_BOXES, 2))
@@ -218,15 +245,20 @@ class TestWindowPass:
     @given(windowed=windowed_periods())
     def test_every_window_matches_the_cell_oracle(self, windowed):
         period, rows, m, boxes, margin = windowed
-        for block in (saliency._BLOCK_EVENTS, 1, 3, 7):
+        for block, flush in ((saliency._BLOCK_EVENTS, features._FLUSH_EVENTS), (1, 1), (3, 2),
+                             (7, 5), (1, 4)):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(saliency, "_BLOCK_EVENTS", block)
-                locals_ = list(_window_slices(period, boxes, m, margin))
+                patch.setattr(features, "_FLUSH_EVENTS", flush)
+                locals_ = walked(period, boxes, m, margin)
+                singles = [extract_local_slices(period, box, m, margin) for box in boxes]
             assert len(locals_) == len(boxes)
-            for local, box in zip(locals_, boxes):
+            for local, single, box in zip(locals_, singles, boxes):
                 window = dilated_window(box, margin, SMALL)
-                assert local.shape == (m, window.h, window.w)
+                assert local.shape == single.shape == (m, window.h, window.w)
                 assert_cells_match_the_oracle(local, rows, period.t_start, period.duration, window)
+                assert np.array_equal(single.cells, local.cells)
+                assert np.array_equal(single.counts, local.counts)
 
     def test_a_slice_above_a_block_is_binned_whole(self):
         """Slice 1 of 4 holds more events than a block: its block of whole slices outgrows it."""
@@ -241,11 +273,35 @@ class TestWindowPass:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(saliency, "_BLOCK_EVENTS", block)
                 cuts = saliency._block_cuts(slice_starts(period, 4, minimum=4))
-                locals_ = list(_window_slices(period, boxes, 4, 1))
+                locals_ = walked(period, boxes, 4, 1)
             assert max(np.diff(cuts)) > crowded > block
             for local, box in zip(locals_, boxes):
                 window = dilated_window(box, 1, SMALL)
                 assert_cells_match_the_oracle(local, rows, 0, 400, window)
+
+    def test_window_events_past_a_flush_in_one_block(self):
+        """One block puts more than _FLUSH_EVENTS events in a window: they form one batch."""
+        rng = np.random.default_rng(21)
+        inside = features._FLUSH_EVENTS + 3_000
+        t = np.sort(np.concatenate([rng.integers(0, 100, inside), rng.integers(0, 400, 2_000)]))
+        x, y = rng.integers(0, 12, t.size), rng.integers(0, 9, t.size)
+        p = np.ones(t.size, int)
+        p[-2_000:] = rng.integers(0, 2, 2_000)  # some late events of the slices 0..3 are negative
+        rows = list(zip(t.tolist(), x.tolist(), y.tolist(), p.tolist()))
+        period = make_period(rows, duration=400)
+        boxes = [BBox(0, 0, 12, 9), BBox(2, 3, 4, 4)]
+        cuts = saliency._block_cuts(slice_starts(period, 8, minimum=4))
+        events = [((period.t[lo:hi] < 100) & (period.p[lo:hi] == 1)).sum()
+                  for lo, hi in zip(cuts[:-1], cuts[1:])]
+        assert max(events) > features._FLUSH_EVENTS
+        batches = _window_batches(period, boxes, 8)
+        assert max(int(counts.sum()) for _, _, counts in batches) > features._FLUSH_EVENTS
+        locals_ = walked(period, boxes, 8, 0)
+        for local, box in zip(locals_, boxes):
+            assert_cells_match_the_oracle(local, rows, 0, 400, box)
+            single = extract_local_slices(period, box, 8)
+            assert np.array_equal(single.cells, local.cells)
+            assert np.array_equal(single.counts, local.counts)
 
 
 def searched_partners(cells, hw):
@@ -386,6 +442,38 @@ class TestBounds:
         # join took 2.9 MB here, and the features 25 bytes a cell above them.
         assert window_peak < 8 * cells.size + 20 * saliency._BLOCK_EVENTS
         assert feature_peak < 16 * cells.size
+
+    def test_scoring_memory_follows_a_flush_not_the_window(self):
+        """m fixed, four times the nonzero cells of one window: the stage's peak barely moves."""
+        m, duration, window = 100, 100_000, BBox(100, 100, 100, 100)
+        sensor = SensorGeometry(640, 480)
+        smap = saliency.SaliencyMap((480, 640), np.empty(0, int), np.empty(0, int),
+                                    np.empty(0, int), n_slices=100)
+        cluster = Cluster(members=(region_of(100, 100, 100, 100),), bbox=window)
+        config = DetectorConfig(m_slices=m, k_top=1, tau_p=0, region_margin=0)
+        peaks = []
+        for cells in (60_000, 240_000):
+            rng = np.random.default_rng(cells)
+            ids = rng.choice(m * 10_000, cells, replace=False)
+            s, pixel = np.divmod(ids, 10_000)
+            noise = 3 * cells  # events outside the window, so a block holds a quarter of it
+            t = np.concatenate([s * (duration // m) + rng.integers(0, duration // m, cells),
+                                rng.integers(0, duration, noise)])
+            x = np.concatenate([window.x + pixel % 100, rng.integers(300, 640, noise)])
+            y = np.concatenate([window.y + pixel // 100, rng.integers(0, 480, noise)])
+            order = np.argsort(t, kind="stable")
+            period = EventPeriod(t[order], x[order], y[order], np.ones(t.size, int), t_start=0,
+                                 duration=duration, sensor=sensor)
+            tracemalloc.start()
+            try:
+                _, [series] = _score_clusters([cluster], period, smap, config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert series.f_d.sum() == cells
+        # Holding the window's cells whole (8 bytes a cell) and featurizing
+        # them at once (about 13 more) makes the peak grow about fourfold.
+        assert peaks[1] < 1.25 * peaks[0]
 
     def test_feature_memory_follows_the_nonempty_slices(self):
         """64 events in 2**20 slices of an 8x8 window: per-slice sums over all m took 219 MB."""
@@ -786,6 +874,90 @@ class TestComputeFeatures:
         ):
             with pytest.raises(ValidationError):
                 FeatureSeries(f_d=f_d, f_s=f_s, f_p=f_p)
+
+
+@st.composite
+def batched_cells(draw):
+    """(shape, cells, counts, cuts, grids, low): cells cut into batches of whole slices.
+
+    The cells are those of dense (m0, h, w) count ``grids``, some slices of
+    them empty, placed from slice ``low`` on of an (m, h, w) shape. Ids are
+    int32 or int64, and in one draw in three the shape passes 2**31 cells,
+    so the record's ids are int64. The cuts fall at slice starts: every
+    slice alone, at an empty slice, or between two nonempty neighbours.
+    """
+    wide = draw(st.integers(0, 2)) == 0
+    h, w = (256, 256) if wide else (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    m0 = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grids = np.zeros((m0, h, w), np.int64)
+    for j in range(m0):
+        k = min(draw(st.sampled_from([0, 1, 2, 5, 40])), h * w)
+        grids[j].flat[rng.choice(h * w, k, replace=False)] = rng.integers(1, 4, k)
+    low = (2**31 // (h * w) + 1 if wide else 0) + draw(st.integers(0, 2))
+    m = low + m0 + draw(st.integers(0, 2))
+    flat = grids.reshape(-1)
+    cells = (np.flatnonzero(flat) + low * h * w).astype(draw(st.sampled_from([np.int32, np.int64]))
+                                                       if not wide else np.int64)
+    counts = flat[flat > 0].astype(np.int32)
+    starts = np.flatnonzero(np.diff(cells // (h * w), prepend=-1))
+    cuts = sorted({0, cells.size} | {int(c) for c in starts if draw(st.booleans())})
+    return (m, h, w), cells, counts, cuts, grids, low
+
+
+def fed(shape, cells, counts, cuts):
+    sums = _SliceSums(shape)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        sums.add(cells[lo:hi], counts[lo:hi])
+    return sums.series()
+
+
+def series_bytes(series):
+    return series.f_d.tobytes(), series.f_s.tobytes(), series.f_p.tobytes()
+
+
+# Slices 0, 1 and 3 of 4 hold cells; the cuts split the neighbours 0 and 1
+# and fall at the empty slice 2.
+GAP_GRIDS = np.array([[[1, 2], [0, 3]], [[2, 0], [1, 1]], [[0, 0], [0, 0]], [[4, 1], [1, 0]]])
+GAP_CELLS = np.flatnonzero(GAP_GRIDS).astype(np.int32)
+GAP_BATCHES = ((4, 2, 2), GAP_CELLS, GAP_GRIDS.reshape(-1)[GAP_CELLS].astype(np.int32),
+               [0, 3, 6, 9], GAP_GRIDS, 0)
+
+
+class TestSliceSums:
+    @settings(max_examples=150, deadline=None)
+    @example(batched=GAP_BATCHES, every_slice=False)
+    @given(batched=batched_cells(), every_slice=st.booleans())
+    def test_batch_cuts_give_the_one_batch_series(self, batched, every_slice):
+        shape, cells, counts, cuts, grids, low = batched
+        if every_slice:  # one slice per batch
+            cuts = [0, *np.flatnonzero(np.diff(cells // (shape[1] * shape[2]))) + 1, cells.size]
+        got = fed(shape, cells, counts, cuts)
+        assert series_bytes(got) == series_bytes(fed(shape, cells, counts, [0, cells.size]))
+        assert series_bytes(got) == series_bytes(compute_features(LocalSlices(shape, cells, counts)))
+        m0 = grids.shape[0]
+        f_d, f_s, f_p = oracles.compute_features(grids)
+        assert np.array_equal(got.f_d[low : low + m0], f_d)
+        assert np.abs(got.f_s[low : low + m0 - 1] - f_s).max() <= 1e-12
+        assert np.abs(got.f_p[low : low + m0 - 1] - f_p).max() <= 1e-12
+        assert not got.f_d[:low].any() and not got.f_d[low + m0 :].any()
+
+    def test_checks_hold_across_batches(self):
+        sums = _SliceSums((4, 2, 3))
+        sums.add(np.array([0, 4], np.int32), np.array([2**30, 5], np.int32))
+        with pytest.raises(ValidationError, match="sorted, unique"):
+            sums.add(np.array([4, 7], np.int32), np.array([1, 1], np.int32))  # repeats 4
+        with pytest.raises(ValidationError, match="sorted, unique"):
+            sums.add(np.array([7, 24], np.int32), np.array([1, 1], np.int32))  # past 4 * 2 * 3
+        with pytest.raises(ValidationError, match="positive"):
+            sums.add(np.array([7, 9], np.int32), np.array([1, 0], np.int32))
+        with pytest.raises(ValidationError, match="2\\*\\*31"):
+            sums.add(np.array([12], np.int32), np.array([2**30], np.int32))
+        total = _SliceSums((4, 2, 3))
+        total.add(np.array([0], np.int32), np.array([2**30], np.int32))
+        total.add(np.array([6], np.int32), np.array([2**30 - 1], np.int32))  # 2**31 - 1 passes
+        with pytest.raises(ValidationError, match="2\\*\\*31"):
+            total.add(np.array([12], np.int32), np.array([1], np.int32))
 
 
 class TestMovingAverage:
