@@ -14,6 +14,7 @@ member components whose centroids fall outside its 2-sigma ellipse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -209,7 +210,7 @@ def gaussian_fine_refine(candidate: Cluster, smap: SaliencyMap) -> Detection:
     s_p, s_s = candidate.scores.s_p, candidate.scores.s_s
     members = candidate.members
     pixels = np.concatenate([region.pixels for region in members])
-    member = np.repeat(np.arange(len(members)), [region.area for region in members])
+    areas = [region.area for region in members]
     w = gray_at(smap, pixels).astype(np.float64)
     # Measured from the pixels' low corner, the moments of any candidate under
     # 2400 px across are integers below 2**53, so the float64 sums are exact
@@ -217,7 +218,9 @@ def gaussian_fine_refine(candidate: Cluster, smap: SaliencyMap) -> Detection:
     # Per-column reductions: numpy reduces a (N, 2) array over axis 0 far slower.
     x, y = ((c - c.min()).astype(np.float64) for c in (pixels[:, 0], pixels[:, 1]))
     wx, wy = w * x, w * y
-    mass, sx, sy = (np.bincount(member, v, len(members)) for v in (w, wx, wy))
+    # Each member is a run of the pixels, and every region has a pixel.
+    runs = list(accumulate(areas[:-1], initial=0))
+    mass, sx, sy = (np.add.reduceat(v, runs) for v in (w, wx, wy))
     total, sum_x, sum_y = (int(v.sum()) for v in (mass, sx, sy))
     # T = total**2 times the prior covariance, in Python integers. einsum
     # sums the products itself: a float64 dot would go to BLAS, which runs
@@ -234,7 +237,7 @@ def gaussian_fine_refine(candidate: Cluster, smap: SaliencyMap) -> Detection:
         quad = np.einsum("ki,ij,kj->k", u, adj, u)
         keep = (mass > 0.0) & (quad <= 4.0 * det * mass * mass)
         if not keep.all():
-            pixels = pixels[keep[member]]
+            pixels = pixels[np.repeat(keep, areas)]
             (x0, x1), (y0, y1) = ((int(c.min()), int(c.max())) for c in pixels.T)
             return Detection(BBox(x0, y0, x1 - x0 + 1, y1 - y0 + 1), s_p, s_s, pixels)
     return Detection(candidate.bbox, s_p, s_s, pixels)

@@ -4,9 +4,9 @@ Event periods keep their events in columnar numpy arrays, sorted by time.
 All detector math runs on whole columns; ``bin_events`` is the one rule that
 gives an event its (slice, row, column) cell id, for saliency and feature
 windows alike. It finds the slices from the time order, by one binary search
-per slice boundary (``slice_starts``), and divides per event only when there
-are more slices than events. A contiguous run of the time order is binned
-through views of the columns, so a caller can bin a period block by block.
+per slice boundary (``slice_starts``), or per event by division. Saliency
+and the feature windows walk the period in the blocks of whole slices of
+``slice_blocks``, and bin each block through views of the columns.
 """
 
 from __future__ import annotations
@@ -16,6 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
+
+# Events per block of a period walk, unless one slice alone holds more.
+_BLOCK_EVENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -64,11 +67,6 @@ class BBox:
     def area(self) -> int:
         return self.w * self.h
 
-    def union(self, other: "BBox") -> "BBox":
-        x = min(self.x, other.x)
-        y = min(self.y, other.y)
-        return BBox(x, y, max(self.right, other.right) - x, max(self.bottom, other.bottom) - y)
-
     def clamped(self, sensor: SensorGeometry) -> "BBox":
         """Intersection with the sensor frame. Raises if nothing remains."""
         x0 = max(self.x, 0)
@@ -86,11 +84,11 @@ class BBox:
 class EventPeriod:
     """A bounded time window of events in columnar, timestamp-sorted form.
 
-    Columns are read-only after construction. ``resorted`` is True when the
-    input needed a stable reorder to become time-sorted.
+    Unsorted input is put in time order by a stable sort. Columns are
+    read-only after construction.
     """
 
-    __slots__ = ("t", "x", "y", "p", "t_start", "duration", "sensor", "resorted")
+    __slots__ = ("t", "x", "y", "p", "t_start", "duration", "sensor")
 
     def __init__(
         self,
@@ -136,11 +134,9 @@ class EventPeriod:
         x = np.ascontiguousarray(x, dtype=np.int32)
         y = np.ascontiguousarray(y, dtype=np.int32)
         p = np.ascontiguousarray(p, dtype=np.uint8)
-        resorted = False
         if t.size > 1 and bool(np.any(np.diff(t) < 0)):
             order = np.argsort(t, kind="stable")
             t, x, y, p = t[order], x[order], y[order], p[order]
-            resorted = True
         for col in (t, x, y, p):
             col.setflags(write=False)
         self.t = t
@@ -150,12 +146,6 @@ class EventPeriod:
         self.t_start = int(t_start)
         self.duration = int(duration)
         self.sensor = sensor
-        self.resorted = resorted
-
-    @property
-    def t_end(self) -> int:
-        """First microsecond past the period."""
-        return self.t_start + self.duration
 
     def __len__(self) -> int:
         return self.t.size
@@ -260,6 +250,29 @@ def slice_starts(
     return starts
 
 
+def slice_blocks(
+    period: EventPeriod, k: int, *, minimum: int = 2, what: str = "slice count"
+) -> tuple[np.ndarray | None, list[int]]:
+    """The k-way split's ``slice_starts`` and the event cuts of its blocks of whole slices.
+
+    A block takes the slices that start within ``_BLOCK_EVENTS`` events of
+    its first one, or its first slice alone when that is larger. With more
+    slices than events there are no starts, and the period is one block.
+    """
+    if k > len(period):
+        _id_dtype(period, k, 1, minimum, what)
+        return None, [0, len(period)]
+    starts = slice_starts(period, k, minimum=minimum, what=what)
+    cuts = [0]
+    while cuts[-1] < len(period):
+        lo = cuts[-1]
+        hi = int(starts[np.searchsorted(starts, lo + _BLOCK_EVENTS, side="right") - 1])
+        if hi == lo:
+            hi = int(starts[np.searchsorted(starts, lo, side="right")])
+        cuts.append(hi)
+    return starts, cuts
+
+
 def bin_events(
     period: EventPeriod,
     k: int,
@@ -282,31 +295,23 @@ def bin_events(
 
     The slices are found in one of two exact ways. With ``starts`` from
     ``slice_starts``, which a caller binning several runs of one split
-    passes once for all of them, or while k is at most the number of binned
-    events, the ids repeat each slice number over its run of events: two
-    binary searches of the starts place a contiguous run, and an index array
-    takes one search per slice from its first event's to its last event's;
-    no division runs per event. Above that, the division runs per event,
-    which costs O(events) where the boundaries would cost O(k).
+    passes once for all of them, the ids repeat each slice number over its
+    run of events: two binary searches of the starts place a contiguous run,
+    and an index array takes one search per slice from its first event's to
+    its last event's. Without them, the division runs per event.
     Ids are int32 while (k * h * w) << bits is below 2**31, else int64, and
     every Horner step runs in that dtype, so none wraps.
     """
     dtype = _id_dtype(period, k, (window.h * window.w) << bits, minimum, what)
     if index is None:
         index = slice(0, period.t.size)
-    if isinstance(index, slice):
-        lo, hi, _ = index.indices(period.t.size)
-        binned = hi - lo
-    else:
-        binned = index.size
-    if starts is None and k <= binned:
-        starts = slice_starts(period, k, minimum=minimum, what=what)
     if starts is None:
         key = period.t[index] - period.t_start
         key *= k
         key //= period.duration
         key = key.astype(dtype, copy=False)
     elif isinstance(index, slice):
+        lo, hi, _ = index.indices(period.t.size)
         # Slices first..last-1 hold the run (none when it is empty), and only
         # their outer starts can lie outside it; the run's own ends replace them.
         first = int(np.searchsorted(starts, lo, side="right")) - 1
@@ -317,7 +322,7 @@ def bin_events(
     else:
         # Only the slices from the first binned event's to the last one's
         # hold binned events, so only their starts are searched.
-        first, last = np.searchsorted(starts, index[[0, -1]], side="right") if binned else (1, 0)
+        first, last = np.searchsorted(starts, index[[0, -1]], "right") if index.size else (1, 0)
         runs = np.searchsorted(index, starts[first - 1 : last + 1])
         key = np.repeat(np.arange(first - 1, last, dtype=dtype), runs[1:] - runs[:-1])
     for size, coord, origin in ((window.h, period.y, window.y), (window.w, period.x, window.x)):

@@ -4,9 +4,9 @@ A candidate region is re-sliced at a finer temporal resolution, keeping only
 positive events inside its margin-dilated bbox. A window's cells are the
 (slice, row, column) ids of ``events.bin_events`` with a nonzero count. The
 top-K windows are binned in one walk of the period, in the blocks of whole
-slices that saliency walks. Each window's binned keys wait until they hold
-``_FLUSH_EVENTS`` events; they are then sorted and reduced to one batch of
-whole slices' cells and counts, which goes straight into the window's
+slices of ``events.slice_blocks``. Each window's binned keys wait until they
+hold ``_FLUSH_EVENTS`` events; they are then sorted and reduced to one batch
+of whole slices' cells and counts, which goes straight into the window's
 accumulator of exact per-slice integer sums. So the feature stage's working
 memory follows one block, the windows' pending keys and one batch: never
 the period's events, and never a window's cells whole.
@@ -20,9 +20,9 @@ tagged ids per batch, not by a binary search per cell. The float math runs
 once per window, on the concatenated sums, so the series are the same
 wherever the batches were cut. A ``LocalSlices`` record holds a window's
 cells whole, for ``extract_local_slices`` and inspection; ``compute_features``
-feeds it to the same accumulator as one batch. A rotor
-modulates all three series periodically; the periodicity score counts how
-many of the smoothed series show repeated peaks and valleys.
+feeds it to the same accumulator as one batch. A rotor modulates all three
+series periodically; the periodicity score counts how many of the smoothed
+series show repeated peaks and valleys.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, ValidationError
-from . import saliency
-from .events import BBox, EventPeriod, SensorGeometry, bin_events, slice_starts
+from . import events
+from .events import BBox, EventPeriod, SensorGeometry, bin_events, slice_blocks
 from .saliency import Region, SaliencyMap, gray_at, sorted_runs
 
 # Window events the walk holds per window before it reduces them to cells.
@@ -138,14 +138,7 @@ class LocalSlices:
             raise ValidationError("local slice cells and counts must be congruent 1-d arrays")
         # Checked in the input dtypes, before the casts below.
         size = shape[0] * shape[1] * shape[2]
-        if cells.size and (
-            cells[0] < 0 or cells[-1] >= size or not (cells[1:] > cells[:-1]).all()
-        ):
-            raise ValidationError("local slice cells must be sorted, unique ids inside the shape")
-        if cells.size and counts.min() < 1:
-            raise ValidationError("local slice counts must be positive")
-        if counts.sum(dtype=np.float64) >= 2**31:
-            raise ValidationError("local slice counts must total less than 2**31")
+        _check_cells(cells, counts, -1, size, 0)
         ids = np.int32 if size < 2**31 else np.int64
         for name, values, dtype in (("cells", cells, ids), ("counts", counts, np.int32)):
             values = np.ascontiguousarray(values, dtype=dtype).view()
@@ -158,6 +151,25 @@ class LocalSlices:
         """Cells of the window, m * h * w, nonzero or not."""
         m, h, w = self.shape
         return m * h * w
+
+
+def _check_cells(cells: np.ndarray, counts: np.ndarray, after: int, size: int, total: int) -> int:
+    """The running count total past this batch of cells, once the batch is checked.
+
+    The cells must be sorted, unique ids in after + 1..size - 1 and their
+    counts positive, with ``total`` plus the counts below 2**31. The counts
+    are summed in float64, which no integer dtype's total can wrap.
+    """
+    if not cells.size:
+        return total
+    if cells[0] <= after or cells[-1] >= size or not (cells[1:] > cells[:-1]).all():
+        raise ValidationError("local slice cells must be sorted, unique ids inside the shape")
+    if counts.min() < 1:
+        raise ValidationError("local slice counts must be positive")
+    total += counts.sum(dtype=np.float64)
+    if total >= 2**31:
+        raise ValidationError("local slice counts must total less than 2**31")
+    return int(total)
 
 
 def dilated_window(bbox: BBox, margin: int, sensor: SensorGeometry) -> BBox:
@@ -220,10 +232,9 @@ def _window_batches(
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """(k, cells, counts) batches of whole slices of each window k, from one walk of the period.
 
-    The walk takes the blocks of whole slices of ``saliency._block_cuts``,
-    or the whole period, binned by division, when m exceeds its events.
+    The walk takes the blocks of whole slices of ``events.slice_blocks``.
     Each block finds each window's positive events (``_events_inside``, in
-    chunks of at most ``saliency._BLOCK_EVENTS`` events, as one slice may
+    chunks of at most ``events._BLOCK_EVENTS`` events, as one slice may
     hold more) and bins them. A window's keys wait until they number
     ``_FLUSH_EVENTS``, and at the end of the walk; they are then sorted and
     reduced to their nonzero cells and int32 counts, one batch. A cell's
@@ -236,8 +247,7 @@ def _window_batches(
     # Binning no events checks m and each window's id bound before the walk.
     for window in windows:
         bin_window(window, np.empty(0, np.intp))
-    starts = slice_starts(period, m, minimum=4, what=what) if m <= len(period) else None
-    cuts = [0, len(period)] if starts is None else saliency._block_cuts(starts)
+    starts, cuts = slice_blocks(period, m, minimum=4, what=what)
     bounds = [tuple(np.uint32(v) for v in window.as_tuple()) for window in windows]
     pending: list[list[np.ndarray]] = [[] for _ in windows]
     held = [0 for _ in windows]
@@ -276,13 +286,13 @@ def _events_inside(
 ) -> np.ndarray:
     """Ascending indexes of the positive events lo:hi inside the (x, y, w, h) ``bounds``.
 
-    The events are tested in chunks of at most ``saliency._BLOCK_EVENTS``:
+    The events are tested in chunks of at most ``events._BLOCK_EVENTS``:
     one unsigned compare per axis, with the offsets and the mask written
     into one uint32 and one bool array, which are freed on return, so the
     test holds little beyond the indexes it finds.
     """
     x0, y0, w, h = bounds
-    step = saliency._BLOCK_EVENTS
+    step = events._BLOCK_EVENTS
     scratch = np.empty(min(step, hi - lo), np.uint32), np.empty(min(step, hi - lo), bool)
     parts = []
     for a in range(lo, hi, step):
@@ -400,12 +410,11 @@ class _SliceSums:
     """Exact per-slice integer sums of one window's nonzero cells, fed in batches of whole slices.
 
     ``add`` takes the next batch: the cells of some whole slices, past every
-    earlier batch's, and their int32 counts. It keeps the record's guarantees per
-    batch (ids sorted, unique and inside the (m, h, w) shape, counts
-    positive, their running total below 2**31, which bounds every int64 sum
-    below) and reduces the batch to its nonempty slices' sums of n, the
-    counts v, v**2, x, y, x**2, xy and y**2, and of v times the count of the
-    same pixel one slice earlier. The partner join runs inside the batch;
+    earlier batch's, and their int32 counts. It checks each batch as the
+    record checks its cells (``_check_cells``; the running total below 2**31
+    bounds every int64 sum below) and reduces the batch to its nonempty
+    slices' sums of n, the counts v, v**2, x, y, x**2, xy and y**2, and of v
+    times the count of the same pixel one slice earlier. The partner join runs inside the batch;
     the pair of slices that straddles two batches is joined from the
     previous batch's last slice, carried over. Slices and pixel coordinates
     come from floor division alone, in the cells' own dtype, and every
@@ -429,14 +438,7 @@ class _SliceSums:
             return
         m, h, w = self.shape
         hw = h * w
-        if cells[0] <= self.last or cells[-1] >= m * hw or not (cells[1:] > cells[:-1]).all():
-            raise ValidationError("local slice cells must be sorted, unique ids inside the shape")
-        if counts.min() < 1:
-            raise ValidationError("local slice counts must be positive")
-        # int32 counts sum exactly in int64.
-        self.total += int(np.add.reduce(counts, dtype=np.int64))
-        if self.total >= 2**31:
-            raise ValidationError("local slice counts must total less than 2**31")
+        self.total = _check_cells(cells, counts, self.last, m * hw, self.total)
         self.last = int(cells[-1])
         cells, v = cells.astype(self.ids, copy=False), counts
         # (s * h + y) * w + x: floor division alone, which numpy runs far faster than %.
@@ -578,21 +580,13 @@ def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     return x[peaks] - np.maximum(left_base[::2], right_base[::2])
 
 
-def peaks_valleys(series) -> tuple[bool, bool]:
-    """Whether the series has at least two qualifying peaks and two valleys.
+def _extrema_flags(series: list[np.ndarray]) -> np.ndarray:
+    """Whether each series has at least two qualifying peaks, then two valleys, as flag pairs.
 
     Qualifying extrema are interior strict local extrema with prominence of
-    at least half the series standard deviation. Series shorter than 5
-    samples report (False, False).
+    at least half the series standard deviation, so series shorter than 5
+    samples get neither flag. All series are searched in one pass.
     """
-    x = np.asarray(series, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValidationError("series must be one-dimensional")
-    return tuple(bool(flag) for flag in _extrema_flags([x]))
-
-
-def _extrema_flags(series: list[np.ndarray]) -> np.ndarray:
-    """peaks_valleys of several series in one pass, as (peaks, valleys) flag pairs."""
     floors = np.array([0.5 * float(x.std()) if x.size else 0.0 for x in series])
     # The valleys of a series are the peaks of its negation. All copies go end
     # to end behind inf walls, which stop every walk as a series end would.

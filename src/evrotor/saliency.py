@@ -10,11 +10,11 @@ suppressing camera-motion clutter and background noise.
 The counts come from one sorted integer key per event, its (slice, row,
 column) cell id from ``events.bin_events`` with the polarity as the lowest
 bit, rather than from per-slice pixel grids. The keys are formed and sorted
-one block of whole slices at a time, and only the hit pixel ids outlive a
-block, so working memory follows one block and the hits: never the whole
-period's events, never slices times pixels. The map itself holds only the
+one block of whole slices (``events.slice_blocks``) at a time, and only the
+hit pixel ids outlive a block, so working memory follows one block and the
+hits: never the whole period's events, never slices times pixels. The map itself holds only the
 hit pixels, those with at least one salient slice: their sorted flat ids,
-counts and gray. Every other pixel reads 0, and the dense grids are built
+counts and gray. Every other pixel reads 0, and the dense gray grid is built
 only when asked for, so nothing on the detection path grows with the
 sensor's height times its width.
 
@@ -32,10 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .events import BBox, EventPeriod, bin_events, slice_starts
-
-# Events per saliency block, unless one slice alone holds more.
-_BLOCK_EVENTS = 2**16
+from .events import BBox, EventPeriod, bin_events, slice_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,9 +42,9 @@ class SaliencyMap:
     ``shape`` is (height, width). ``ids`` holds the sorted flat ids
     y * width + x of the hit pixels, those with at least one salient slice,
     and ``hit_counts`` and ``hit_gray`` their counts, 1..n_slices, and gray
-    values. Every other pixel reads 0 in both. The ``counts`` and ``gray``
-    grids are dense views built on each access, for inspection and dumps;
-    the detector never builds them.
+    values. Every other pixel reads 0 in both. The ``gray`` grid is a dense
+    view built on each access, for inspection and dumps; the detector never
+    builds it.
 
     The record does not copy its hit arrays. It keeps read-only views of
     them, so writes through the record fail, while the caller's own arrays
@@ -90,20 +87,12 @@ class SaliencyMap:
             object.__setattr__(self, name, values)
         object.__setattr__(self, "shape", (int(height), int(width)))
 
-    def _dense(self, values: np.ndarray, dtype) -> np.ndarray:
-        grid = np.zeros(self.shape[0] * self.shape[1], dtype)
-        grid[self.ids] = values
-        return grid.reshape(self.shape)
-
-    @property
-    def counts(self) -> np.ndarray:
-        """The dense (height, width) int32 grid of intersection counts."""
-        return self._dense(self.hit_counts, np.int32)
-
     @property
     def gray(self) -> np.ndarray:
         """The dense (height, width) uint8 grid of gray values."""
-        return self._dense(self.hit_gray, np.uint8)
+        grid = np.zeros(self.shape[0] * self.shape[1], np.uint8)
+        grid[self.ids] = self.hit_gray
+        return grid.reshape(self.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,41 +169,22 @@ def render_gray(counts: np.ndarray, n_slices: int) -> np.ndarray:
     return np.clip(gray, 0, 255).astype(np.uint8)
 
 
-def _block_cuts(starts: np.ndarray) -> list[int]:
-    """Event cuts of the blocks of whole slices, given the slices' ``starts``.
-
-    A block takes the slices that start within ``_BLOCK_EVENTS`` events of
-    its first one, or its first slice alone when that is larger.
-    """
-    cuts = [0]
-    total = int(starts[-1])
-    while cuts[-1] < total:
-        lo = cuts[-1]
-        hi = int(starts[np.searchsorted(starts, lo + _BLOCK_EVENTS, side="right") - 1])
-        if hi == lo:
-            hi = int(starts[np.searchsorted(starts, lo, side="right")])
-        cuts.append(hi)
-    return cuts
-
-
 def saliency_map(period: EventPeriod, n: int) -> SaliencyMap:
     """Build the saliency map of an n-way split of the period.
 
     Each event becomes the key (cell << 1) | polarity, where cell is its
     (slice, y, x) id from ``bin_events`` over the whole sensor. The keys are
-    formed, sorted and tested one block of whole slices at a time, so no
+    formed, sorted and tested one block of ``slice_blocks`` at a time, so no
     cell spans two blocks. After a block's sort, a cell holds both
     polarities exactly when an even key 2c is followed directly by 2c + 1,
     that is, when two neighbouring keys differ in the lowest bit only; so
     each cell counts once, and only the hit cells' pixel ids outlive their
     block. Those ids, sorted, give the hit pixels and their counts, which
-    are rendered to gray; the map holds nothing else. With more slices than
-    events the period is one block, binned by division.
+    are rendered to gray; the map holds nothing else.
     """
     height, width = period.sensor.shape
     sensor = BBox(0, 0, width, height)
-    starts = slice_starts(period, n) if n <= len(period) else None
-    cuts = [0, len(period)] if starts is None else _block_cuts(starts)
+    starts, cuts = slice_blocks(period, n)
     blocks = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         key = bin_events(period, n, sensor, slice(lo, hi), starts=starts, bits=1)

@@ -2,7 +2,9 @@
 
 Everything here is written against the observable contracts only, in the
 most literal way possible (pure python loops, recompute-from-scratch), so
-that agreement with the optimized library code is meaningful evidence.
+that agreement with the optimized library code is meaningful evidence. A
+few small helpers that only the tests need (dense count grids, box unions,
+the one-series extrema flags) live here too, not in the package.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from evrotor import BBox, DegenerateInputError, LocalSlices, Region, SaliencyMap
-from evrotor.features import principal_direction
+from evrotor.features import _extrema_flags, principal_direction
 
 
 def flood_fill_components(mask):
@@ -95,6 +97,13 @@ def sparse_saliency(gray, counts=None, n_slices=255):
         hit_gray=gray.ravel()[ids],
         n_slices=n_slices,
     )
+
+
+def dense_counts(smap):
+    """The dense (height, width) int32 grid of a SaliencyMap's intersection counts."""
+    grid = np.zeros(smap.shape, np.int32)
+    grid.flat[smap.ids] = smap.hit_counts
+    return grid
 
 
 def union_find_roots(n, links):
@@ -185,6 +194,11 @@ def _union_rect(a, b):
     x1 = max(a[0] + a[2], b[0] + b[2])
     y1 = max(a[1] + a[3], b[1] + b[3])
     return (x0, y0, x1 - x0, y1 - y0)
+
+
+def bbox_union(a, b):
+    """The smallest BBox that covers both boxes."""
+    return BBox(*_union_rect(a.as_tuple(), b.as_tuple()))
 
 
 def _rect_key(rect):
@@ -396,3 +410,11 @@ def compute_features(local_slices):
         for j in range(m - 1)
     ]
     return np.array(f_d), np.array(f_s), np.array(f_p)
+
+
+def peaks_valleys(series):
+    """Whether one series has at least two qualifying peaks and two valleys.
+
+    The one-series case of ``features._extrema_flags``.
+    """
+    return tuple(bool(flag) for flag in _extrema_flags([np.asarray(series, np.float64)]))

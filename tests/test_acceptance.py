@@ -36,7 +36,7 @@ from evrotor.events import EventPeriod
 from evrotor.features import principal_direction
 from evrotor.metrics import average_precision, evaluate_records, iou, precision_recall_f1
 
-from oracles import greedy_union_clusters
+from oracles import dense_counts, greedy_union_clusters
 
 VGA = SensorGeometry(640, 480)
 
@@ -141,17 +141,17 @@ def test_saliency_invariants_hold_exactly(capsys):
             t, x, y, p = random_period(rng, sensor, max_x=23, max_y=17)
             n = int(rng.integers(2, 7))
             period = EventPeriod(t, x, y, p, t_start=0, duration=1_000, sensor=sensor)
-            counts = saliency_map(period, n).counts
+            counts = dense_counts(saliency_map(period, n))
 
             mono = EventPeriod(
                 t, x, y, np.ones_like(p), t_start=0, duration=1_000, sensor=sensor
             )
-            assert not saliency_map(mono, n).counts.any()
+            assert not dense_counts(saliency_map(mono, n)).any()
 
             swapped = EventPeriod(
                 t, x, y, 1 - p, t_start=0, duration=1_000, sensor=sensor
             )
-            assert np.array_equal(saliency_map(swapped, n).counts, counts)
+            assert np.array_equal(dense_counts(saliency_map(swapped, n)), counts)
 
             extra = random_period(rng, sensor, max_x=23, max_y=17)
             grown = EventPeriod(
@@ -163,7 +163,7 @@ def test_saliency_invariants_hold_exactly(capsys):
                 duration=1_000,
                 sensor=sensor,
             )
-            assert np.all(saliency_map(grown, n).counts >= counts)
+            assert np.all(dense_counts(saliency_map(grown, n)) >= counts)
 
             dx = int(rng.integers(0, 9))
             dy = int(rng.integers(0, 7))
@@ -171,7 +171,7 @@ def test_saliency_invariants_hold_exactly(capsys):
                 t, x + dx, y + dy, p, t_start=0, duration=1_000, sensor=sensor
             )
             assert np.array_equal(
-                saliency_map(shifted, n).counts, np.roll(counts, (dy, dx), (0, 1))
+                dense_counts(saliency_map(shifted, n)), np.roll(counts, (dy, dx), (0, 1))
             )
 
 

@@ -39,7 +39,13 @@ from evrotor import detector
 from evrotor.metrics import iou
 
 from conftest import VGA, make_period
-from oracles import gaussian_keep, greedy_union_clusters, rect_gap, sparse_saliency
+from oracles import (
+    bbox_union,
+    gaussian_keep,
+    greedy_union_clusters,
+    rect_gap,
+    sparse_saliency,
+)
 
 
 def rect_region(x, y, w, h):
@@ -212,7 +218,7 @@ class TestClustering:
         for c in clusters:
             box = c.members[0].bbox
             for member in c.members[1:]:
-                box = box.union(member.bbox)
+                box = bbox_union(box, member.bbox)
             assert box == c.bbox
         for i in range(len(clusters)):
             for j in range(i + 1, len(clusters)):
@@ -419,7 +425,7 @@ class TestFineStage:
         streak = line_region([(60, y) for y in range(10, 60)])
         candidate = Cluster(
             members=(disk, streak),
-            bbox=disk.bbox.union(streak.bbox),
+            bbox=bbox_union(disk.bbox, streak.bbox),
             scores=RegionScores(s_s=5000.0, s_p=5),
         )
         smap = gray_map((80, 80), [disk, streak])
@@ -437,7 +443,7 @@ class TestFineStage:
         )
         candidate = Cluster(
             members=(disk, outline),
-            bbox=disk.bbox.union(outline.bbox),
+            bbox=bbox_union(disk.bbox, outline.bbox),
             scores=RegionScores(s_s=5000.0, s_p=4),
         )
         detection = gaussian_fine_refine(candidate, gray_map((90, 90), [disk, outline]))
@@ -495,7 +501,7 @@ class TestFineStage:
             gray[y, x] = rng.integers(1, 256, x.size)
         bbox = members[0].bbox
         for member in members[1:]:
-            bbox = bbox.union(member.bbox)
+            bbox = bbox_union(bbox, member.bbox)
         candidate = Cluster(members=members, bbox=bbox, scores=RegionScores(s_s=1.0, s_p=4))
         assert sum(member.area for member in members) > 13_000
         detection = gaussian_fine_refine(candidate, sparse_saliency(gray))
@@ -539,7 +545,7 @@ class TestFineStage:
         members = tuple(line_region(group) for group in groups)
         bbox = members[0].bbox
         for member in members[1:]:
-            bbox = bbox.union(member.bbox)
+            bbox = bbox_union(bbox, member.bbox)
         smap = sparse_saliency(gray)
         candidate = Cluster(members=members, bbox=bbox, scores=RegionScores(s_s=1.0, s_p=3))
         detection = gaussian_fine_refine(candidate, smap)
@@ -689,7 +695,7 @@ class TestEndToEnd:
         result = run_pipeline(period)
         assert len(result.candidates) == 1
         assert len(result.detections) == 1
-        union = annotation.boxes[0].bbox.union(annotation.boxes[1].bbox)
+        union = bbox_union(annotation.boxes[0].bbox, annotation.boxes[1].bbox)
         assert iou(result.detections[0].bbox, union) >= 0.5
 
     def test_detection_is_deterministic(self):

@@ -14,9 +14,11 @@ from evrotor import (
     SensorGeometry,
     ValidationError,
 )
-from evrotor.events import bin_events, slice_starts
+from evrotor import events, saliency_map
+from evrotor.events import bin_events, slice_blocks, slice_starts
 
 from conftest import SMALL, make_period
+from oracles import dense_counts
 
 
 class TestSensorGeometry:
@@ -53,9 +55,6 @@ class TestBBox:
         with pytest.raises(ValidationError):
             BBox(0, 0, w, h)
 
-    def test_union_covers_both(self):
-        assert BBox(0, 0, 10, 10).union(BBox(5, 20, 10, 5)) == BBox(0, 0, 15, 25)
-
     def test_clamped_trims_to_sensor(self):
         sensor = SensorGeometry(100, 80)
         assert BBox(-5, -5, 20, 20).clamped(sensor) == BBox(0, 0, 15, 15)
@@ -75,7 +74,6 @@ class TestEventPeriod:
         assert period.p.dtype == np.uint8
         rows = zip(period.t.tolist(), period.x.tolist(), period.y.tolist(), period.p.tolist())
         assert list(rows) == [(10, 1, 2, 1), (20, 3, 4, 0)]
-        assert period.t_end == period.t_start + period.duration
 
     def test_columns_are_read_only(self):
         period = make_period([(10, 1, 2, 1)])
@@ -84,16 +82,12 @@ class TestEventPeriod:
 
     def test_unsorted_input_is_repaired_and_flagged(self):
         period = make_period([(30, 1, 1, 1), (10, 2, 2, 0), (20, 3, 3, 1)])
-        assert period.resorted
         assert list(period.t) == [10, 20, 30]
         assert list(period.x) == [2, 3, 1]
 
     def test_repair_sort_is_stable_on_ties(self):
         period = make_period([(30, 9, 9, 1), (10, 1, 1, 1), (10, 2, 2, 0)])
         assert list(period.x) == [1, 2, 9]
-
-    def test_sorted_input_is_not_flagged(self):
-        assert not make_period([(10, 1, 1, 1), (10, 0, 0, 0)]).resorted
 
     def test_rejects_out_of_bounds_pixel(self):
         with pytest.raises(ValidationError, match="700"):
@@ -155,7 +149,7 @@ class TestEventPeriod:
             assert period.x.min() >= 0 and period.x.max() < SMALL.width
             assert period.y.min() >= 0 and period.y.max() < SMALL.height
             assert period.t.min() >= period.t_start
-            assert period.t.max() < period.t_end
+            assert period.t.max() < period.t_start + period.duration
 
 
 class TestDetectorConfig:
@@ -264,8 +258,9 @@ class TestBinEvents:
 
     @given(st.data())
     def test_ids_match_python_ints_on_both_sides_of_the_slice_search(self, data):
-        # Boundary search while k <= binned events, division above; the start
-        # may sit so close to 2**63 that the later slices begin past it.
+        # Searched starts while k <= binned events, as slice_blocks hands them
+        # out, division above; the start may sit so close to 2**63 that the
+        # later slices begin past it.
         duration = data.draw(st.integers(100, 10**7))
         t_start = data.draw(st.integers(0, 10**6) | st.integers(2**63 - 2 * duration, 2**63 - 1))
         last = min(duration, 2**63 - t_start) - 1
@@ -290,7 +285,8 @@ class TestBinEvents:
         period = make_period(rows, t_start=t_start, duration=duration)
         if index is not None:
             index = np.array(index, dtype=np.intp)
-        ids = bin_events(period, k, window, index, bits=bits)
+        starts = slice_starts(period, k) if k <= len(binned) else None
+        ids = bin_events(period, k, window, index, starts=starts, bits=bits)
         assert ids.tolist() == python_ids(binned, t_start, duration, k, window, bits)
 
     @given(st.data())
@@ -323,8 +319,12 @@ class TestBinEvents:
         t_start = 2**63 - 1000
         rows = [(t_start, 1, 1, 1), (t_start + 500, 1, 1, 0), (2**63 - 1, 1, 1, 1)]
         period = make_period(rows, t_start=t_start, duration=2**61)
-        assert bin_events(period, 2, BBox(1, 1, 1, 1)).tolist() == [0, 0, 0]
-        assert bin_events(period, 2, BBox(1, 1, 1, 1), np.array([0, 2])).tolist() == [0, 0]
+        starts = slice_starts(period, 2)
+        assert starts.tolist() == [0, 3, 3]
+        for known in (None, starts):
+            assert bin_events(period, 2, BBox(1, 1, 1, 1), starts=known).tolist() == [0, 0, 0]
+            index = np.array([0, 2])
+            assert bin_events(period, 2, BBox(1, 1, 1, 1), index, starts=known).tolist() == [0, 0]
 
     def test_many_slices_over_few_events_need_no_boundaries(self):
         # 2**24 slice boundaries would take about 400 MB; 3 events need a few bytes.
@@ -338,3 +338,31 @@ class TestBinEvents:
             tracemalloc.stop()
         assert ids.tolist() == [0, 2**23, 2**24 - 1]
         assert peak < 1 << 20
+
+
+class TestSliceBlocks:
+    def test_blocks_hold_whole_slices(self, monkeypatch):
+        """Slices of 5, 0, 2, 9 and 1 events, cut into blocks of up to 4 events."""
+        sizes = [5, 0, 2, 9, 1]
+        rows = [(j * 100 + e, 1, 1, e % 2) for j, size in enumerate(sizes) for e in range(size)]
+        period = make_period(rows, duration=500)
+        monkeypatch.setattr(events, "_BLOCK_EVENTS", 4)
+        starts, cuts = slice_blocks(period, 5)
+        assert starts.tolist() == [0, 5, 5, 7, 16, 17]
+        assert cuts == [0, 5, 7, 16, 17]
+        monkeypatch.setattr(events, "_BLOCK_EVENTS", 7)
+        assert slice_blocks(period, 5)[1] == [0, 7, 16, 17]
+        assert dense_counts(saliency_map(period, 5))[1, 1] == 3  # the last slice has no + event
+
+    def test_more_slices_than_events_is_one_block_without_starts(self):
+        period = make_period([(0, 1, 1, 1), (50, 2, 2, 0), (99, 3, 3, 1)], duration=100)
+        assert slice_blocks(period, 3)[1] == [0, 3]
+        assert slice_blocks(period, 4) == (None, [0, 3])
+        assert slice_blocks(make_period([], duration=100), 2) == (None, [0, 0])
+
+    def test_checks_the_split_it_cuts(self):
+        period = make_period([(0, 1, 1, 1)], duration=100)
+        with pytest.raises(ConfigurationError, match="local slice count must be at least 4, got 3"):
+            slice_blocks(period, 3, minimum=4, what="local slice count")
+        with pytest.raises(ConfigurationError, match="exceeds the period duration"):
+            slice_blocks(period, 101)

@@ -17,6 +17,7 @@ from evrotor import (
     LocalSlices,
     Region,
     RegionScores,
+    SaliencyMap,
     SensorGeometry,
     ValidationError,
     compute_features,
@@ -24,7 +25,7 @@ from evrotor import (
     periodicity_score,
     saliency_score,
 )
-from evrotor import saliency
+from evrotor import events
 from evrotor import features
 from evrotor.detector import Cluster, _score_clusters
 from evrotor.events import DetectorConfig
@@ -35,10 +36,9 @@ from evrotor.features import (
     _window_batches,
     dilated_window,
     moving_average,
-    peaks_valleys,
     principal_direction,
 )
-from evrotor.events import slice_starts
+from evrotor.events import slice_blocks
 from evrotor.saliency import render_gray
 
 import oracles
@@ -48,6 +48,7 @@ from oracles import (
     direction_similarity,
     local_cell_counts,
     local_slices,
+    peaks_valleys,
     pearson,
     principal_angle_sweep,
     structural_similarity,
@@ -245,10 +246,10 @@ class TestWindowPass:
     @given(windowed=windowed_periods())
     def test_every_window_matches_the_cell_oracle(self, windowed):
         period, rows, m, boxes, margin = windowed
-        for block, flush in ((saliency._BLOCK_EVENTS, features._FLUSH_EVENTS), (1, 1), (3, 2),
+        for block, flush in ((events._BLOCK_EVENTS, features._FLUSH_EVENTS), (1, 1), (3, 2),
                              (7, 5), (1, 4)):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(saliency, "_BLOCK_EVENTS", block)
+                patch.setattr(events, "_BLOCK_EVENTS", block)
                 patch.setattr(features, "_FLUSH_EVENTS", flush)
                 locals_ = walked(period, boxes, m, margin)
                 singles = [extract_local_slices(period, box, m, margin) for box in boxes]
@@ -263,16 +264,16 @@ class TestWindowPass:
     def test_a_slice_above_a_block_is_binned_whole(self):
         """Slice 1 of 4 holds more events than a block: its block of whole slices outgrows it."""
         rng = np.random.default_rng(5)
-        crowded = saliency._BLOCK_EVENTS + 4_000
+        crowded = events._BLOCK_EVENTS + 4_000
         t = np.sort(np.concatenate([rng.integers(100, 200, crowded), rng.integers(0, 400, 600)]))
         x, y = rng.integers(0, 10, t.size), rng.integers(0, 8, t.size)
         rows = list(zip(t.tolist(), x.tolist(), y.tolist(), rng.integers(0, 2, t.size).tolist()))
         period = make_period(rows, duration=400)
         boxes = [BBox(0, 0, 5, 4), BBox(3, 2, 7, 6), BBox(40, 30, 3, 3)]
-        for block in (saliency._BLOCK_EVENTS, 1000):
+        for block in (events._BLOCK_EVENTS, 1000):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(saliency, "_BLOCK_EVENTS", block)
-                cuts = saliency._block_cuts(slice_starts(period, 4, minimum=4))
+                patch.setattr(events, "_BLOCK_EVENTS", block)
+                _, cuts = slice_blocks(period, 4, minimum=4)
                 locals_ = walked(period, boxes, 4, 1)
             assert max(np.diff(cuts)) > crowded > block
             for local, box in zip(locals_, boxes):
@@ -290,10 +291,10 @@ class TestWindowPass:
         rows = list(zip(t.tolist(), x.tolist(), y.tolist(), p.tolist()))
         period = make_period(rows, duration=400)
         boxes = [BBox(0, 0, 12, 9), BBox(2, 3, 4, 4)]
-        cuts = saliency._block_cuts(slice_starts(period, 8, minimum=4))
-        events = [((period.t[lo:hi] < 100) & (period.p[lo:hi] == 1)).sum()
-                  for lo, hi in zip(cuts[:-1], cuts[1:])]
-        assert max(events) > features._FLUSH_EVENTS
+        _, cuts = slice_blocks(period, 8, minimum=4)
+        held = [((period.t[lo:hi] < 100) & (period.p[lo:hi] == 1)).sum()
+                for lo, hi in zip(cuts[:-1], cuts[1:])]
+        assert max(held) > features._FLUSH_EVENTS
         batches = _window_batches(period, boxes, 8)
         assert max(int(counts.sum()) for _, _, counts in batches) > features._FLUSH_EVENTS
         locals_ = walked(period, boxes, 8, 0)
@@ -440,15 +441,15 @@ class TestBounds:
         # The cells and counts take 4 bytes each, and one block of the walk
         # about 13 bytes an event; int64 records and the whole window's key
         # join took 2.9 MB here, and the features 25 bytes a cell above them.
-        assert window_peak < 8 * cells.size + 20 * saliency._BLOCK_EVENTS
+        assert window_peak < 8 * cells.size + 20 * events._BLOCK_EVENTS
         assert feature_peak < 16 * cells.size
 
     def test_scoring_memory_follows_a_flush_not_the_window(self):
         """m fixed, four times the nonzero cells of one window: the stage's peak barely moves."""
         m, duration, window = 100, 100_000, BBox(100, 100, 100, 100)
         sensor = SensorGeometry(640, 480)
-        smap = saliency.SaliencyMap((480, 640), np.empty(0, int), np.empty(0, int),
-                                    np.empty(0, int), n_slices=100)
+        smap = SaliencyMap((480, 640), np.empty(0, int), np.empty(0, int),
+                          np.empty(0, int), n_slices=100)
         cluster = Cluster(members=(region_of(100, 100, 100, 100),), bbox=window)
         config = DetectorConfig(m_slices=m, k_top=1, tau_p=0, region_margin=0)
         peaks = []

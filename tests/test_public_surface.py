@@ -1,12 +1,15 @@
 """The names ``evrotor`` exports, and the ones the benchmark harness needs."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import evrotor
 from evrotor import BBox
@@ -69,6 +72,17 @@ def test_all_lists_exactly_the_public_names():
         assert getattr(evrotor, name) is not None
 
 
+def evrotor_imports(script):
+    """(module, name) of every ``from evrotor[.module] import name`` in a script, nested too."""
+    tree = ast.parse(script.read_text(), filename=str(script))
+    return {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "evrotor"
+        for alias in node.names
+    }
+
+
 def benchmark_imports():
     """Names the perfbench scripts take from the top-level package."""
     names = set()
@@ -94,6 +108,16 @@ def test_benchmark_harness_imports_only_exported_names():
     needed = benchmark_imports()
     assert needed, "found no evrotor imports under perfbench/"
     assert needed <= set(evrotor.__all__), sorted(needed - set(evrotor.__all__))
+
+
+@pytest.mark.parametrize("script", ["tracing.py", "workloads.py"])
+def test_benchmark_modules_import_only_names_that_exist(script):
+    # Read, not run: a name dropped from src/ fails here, not in the benchmark.
+    imports = evrotor_imports(PERFBENCH / script)
+    assert imports, f"found no evrotor imports in perfbench/{script}"
+    missing = [f"{module}.{name}" for module, name in sorted(imports)
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
 
 
 def package_env():

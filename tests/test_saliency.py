@@ -27,7 +27,7 @@ from evrotor import (
     saliency_map,
     threshold_mask,
 )
-from evrotor import saliency
+from evrotor import events
 from evrotor.events import bin_events
 from evrotor.saliency import (
     check_inside,
@@ -40,6 +40,7 @@ from evrotor.saliency import (
 
 from conftest import SMALL, VGA, make_period
 from oracles import (
+    dense_counts,
     flood_fill_components,
     ndimage_components,
     saliency_counts,
@@ -69,7 +70,7 @@ class TestSlicing:
         assert list(ids) == [j for j in range(20) for _ in (0, 1)]
         smap = saliency_map(period, 20)
         assert smap.n_slices == 20
-        assert smap.counts[1, 1] == 20  # both polarities in each of 20 slices
+        assert dense_counts(smap)[1, 1] == 20  # both polarities in each of 20 slices
 
     def test_event_at_window_start_lands_in_first_slice(self):
         period = make_period([(0, 3, 4, 1)], duration=1000)
@@ -77,21 +78,21 @@ class TestSlicing:
         # the first slice of 4 covers t < 250: a partner at 249 meets it
         # there, one at 250 lands in the second slice and does not
         with_partner = make_period([(0, 3, 4, 1), (249, 3, 4, 0)], duration=1000)
-        assert saliency_map(with_partner, 4).counts[4, 3] == 1
+        assert dense_counts(saliency_map(with_partner, 4))[4, 3] == 1
         too_late = make_period([(0, 3, 4, 1), (250, 3, 4, 0)], duration=1000)
-        assert not saliency_map(too_late, 4).counts.any()
+        assert not dense_counts(saliency_map(too_late, 4)).any()
 
     def test_occupancy_is_binary_not_counted(self):
         rows = [(10, 5, 5, 1), (11, 5, 5, 1), (12, 5, 5, 0), (13, 5, 5, 0)]
-        counts = saliency_map(make_period(rows, duration=1000), 2).counts
+        counts = dense_counts(saliency_map(make_period(rows, duration=1000), 2))
         assert counts[5, 5] == 1
         assert counts.sum() == 1
 
     def test_polarities_land_in_separate_grids(self):
         apart = make_period([(10, 1, 1, 1), (20, 2, 2, 0)], duration=1000)
-        assert not saliency_map(apart, 2).counts.any()
+        assert not dense_counts(saliency_map(apart, 2)).any()
         rows = [(10, 1, 1, 1), (20, 2, 2, 0), (30, 1, 1, 0)]
-        counts = saliency_map(make_period(rows, duration=1000), 2).counts
+        counts = dense_counts(saliency_map(make_period(rows, duration=1000), 2))
         assert counts[1, 1] == 1 and counts[2, 2] == 0
 
     def test_rejects_bad_slice_counts(self):
@@ -106,16 +107,16 @@ class TestSlicing:
 class TestIntersection:
     def test_single_polarity_pixel_is_excluded(self):
         period = make_period([(10, 5, 5, 1)], duration=1000)
-        assert not saliency_map(period, 2).counts.any()
+        assert not dense_counts(saliency_map(period, 2)).any()
 
     def test_pixel_with_both_polarities_is_kept(self):
         period = make_period([(10, 5, 5, 1), (12, 5, 5, 0)], duration=1000)
-        counts = saliency_map(period, 2).counts
+        counts = dense_counts(saliency_map(period, 2))
         assert counts[5, 5] == 1 and counts.sum() == 1
 
     def test_all_zero_pos_annihilates(self):
         period = make_period([(10, 5, 5, 0), (12, 6, 6, 0)], duration=1000)
-        assert not saliency_map(period, 2).counts.any()
+        assert not dense_counts(saliency_map(period, 2)).any()
 
 
 class TestRendering:
@@ -125,7 +126,7 @@ class TestRendering:
             rows.append((t_slice * 1000 + 100, 7, 7, 1))
             rows.append((t_slice * 1000 + 200, 7, 7, 0))
         smap = saliency_map(make_period(rows, duration=20_000), 20)
-        assert smap.counts[7, 7] == 20
+        assert dense_counts(smap)[7, 7] == 20
         assert smap.gray[7, 7] == 255
 
     def test_partial_intersection_renders_rounded(self):
@@ -134,13 +135,13 @@ class TestRendering:
             rows.append((t_slice * 1000 + 100, 7, 7, 1))
             rows.append((t_slice * 1000 + 200, 7, 7, 0))
         smap = saliency_map(make_period(rows, duration=20_000), 20)
-        assert smap.counts[7, 7] == 4
+        assert dense_counts(smap)[7, 7] == 4
         assert smap.gray[7, 7] == 51  # round(255 * 4 / 20)
 
     def test_single_polarity_stream_yields_zero_map(self):
         rows = [(t, t % SMALL.width, 3, 1) for t in range(0, 900, 30)]
         smap = saliency_map(make_period(rows, duration=1000), 4)
-        assert not smap.counts.any()
+        assert not dense_counts(smap).any()
         assert not smap.gray.any()
 
     @pytest.mark.parametrize("n", [2, 6, 10, 30])
@@ -163,7 +164,7 @@ class TestRendering:
         smap = saliency_map(make_period(rows, duration=duration), n)
         want = np.array(saliency_counts(rows, 0, duration, n, SMALL.width, SMALL.height))
         assert list(want.ravel()[: n + 1]) == list(range(n + 1))
-        assert np.array_equal(smap.counts, want)
+        assert np.array_equal(dense_counts(smap), want)
         assert np.array_equal(smap.gray, render_gray(want, n))
         assert not smap.gray.ravel()[n + 1 :].any()
 
@@ -190,7 +191,7 @@ class TestRendering:
             period = make_period(rows, t_start=t_start, duration=duration)
             smap = saliency_map(period, n)
             want = saliency_counts(rows, t_start, duration, n, SMALL.width, SMALL.height)
-            assert np.array_equal(smap.counts, np.array(want))
+            assert np.array_equal(dense_counts(smap), np.array(want))
             assert np.array_equal(smap.gray, render_gray(np.array(want), n))
 
 
@@ -230,24 +231,12 @@ class TestBlocks:
         period, n, rows = blocked
         want = np.array(saliency_counts(rows, period.t_start, period.duration, n,
                                         SMALL.width, SMALL.height))
-        for block in (saliency._BLOCK_EVENTS, 1, 3, 7):
+        for block in (events._BLOCK_EVENTS, 1, 3, 7):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(saliency, "_BLOCK_EVENTS", block)
+                patch.setattr(events, "_BLOCK_EVENTS", block)
                 smap = saliency_map(period, n)
-            assert np.array_equal(smap.counts, want)
+            assert np.array_equal(dense_counts(smap), want)
             assert np.array_equal(smap.gray, render_gray(want, n))
-
-    def test_blocks_hold_whole_slices(self, monkeypatch):
-        """Slices of 5, 0, 2, 9 and 1 events, cut into blocks of up to 4 events."""
-        sizes = [5, 0, 2, 9, 1]
-        rows = [(j * 100 + e, 1, 1, e % 2) for j, size in enumerate(sizes) for e in range(size)]
-        period = make_period(rows, duration=500)
-        starts = np.cumsum([0, *sizes])
-        monkeypatch.setattr(saliency, "_BLOCK_EVENTS", 4)
-        assert saliency._block_cuts(starts) == [0, 5, 7, 16, 17]
-        monkeypatch.setattr(saliency, "_BLOCK_EVENTS", 7)
-        assert saliency._block_cuts(starts) == [0, 7, 16, 17]
-        assert saliency_map(period, 5).counts[1, 1] == 3  # the last slice has no + event
 
 
 def slice_start(j, t_start, duration, n):
@@ -297,7 +286,7 @@ class TestBounds:
         want = np.zeros((8, 8), np.int32)
         for _, x, y in cells:
             want[y, x] += 1
-        assert np.array_equal(smap.counts, want)
+        assert np.array_equal(dense_counts(smap), want)
 
     def test_memory_follows_a_block_not_the_period(self):
         """2M events in 250 slices of VGA: one key per event would take 8 MB alone."""
@@ -319,7 +308,7 @@ class TestBounds:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
-        assert smap.counts.sum() > 0
+        assert dense_counts(smap).sum() > 0
 
     @pytest.mark.parametrize(
         "width, height, n",
@@ -352,7 +341,7 @@ class TestBounds:
             smap = saliency_map(period, n)
             want = np.array(saliency_counts(rows, t_start, duration, n, width, height))
             assert want[corner[1], corner[0]] >= 1
-            assert np.array_equal(smap.counts, want)
+            assert np.array_equal(dense_counts(smap), want)
             assert np.array_equal(smap.gray, render_gray(want, n))
 
 
@@ -371,8 +360,8 @@ class TestRecord:
 
     def test_dense_views_scatter_the_hits(self):
         smap = self.make()
-        assert smap.counts.dtype == np.int32 and smap.gray.dtype == np.uint8
-        assert smap.counts.tolist() == [[0, 1, 0, 0], [0, 2, 0, 0], [0, 0, 0, 3]]
+        assert smap.gray.dtype == np.uint8
+        assert dense_counts(smap).tolist() == [[0, 1, 0, 0], [0, 2, 0, 0], [0, 0, 0, 3]]
         assert smap.gray.tolist() == [[0, 85, 0, 0], [0, 170, 0, 0], [0, 0, 0, 255]]
         for values in (smap.ids, smap.hit_counts, smap.hit_gray):
             assert not values.flags.writeable
@@ -387,7 +376,7 @@ class TestRecord:
     def test_empty_map_reads_zero(self):
         empty = np.empty(0, np.int64)
         smap = self.make(ids=empty, counts=empty, gray=empty)
-        assert smap.counts.shape == (3, 4) and not smap.counts.any()
+        assert smap.gray.shape == (3, 4) and not smap.gray.any()
         assert gray_at(smap, np.array([[3, 2]])).tolist() == [0]
 
     @pytest.mark.parametrize(
@@ -686,7 +675,7 @@ class TestSalientRegions:
             }))
             """
         )
-        src = str(Path(saliency.__file__).resolve().parents[1])
+        src = str(Path(events.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run(
             [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120
@@ -746,7 +735,7 @@ class TestInvariants:
     def test_single_polarity_annihilation(self, rows, n):
         positive_only = [(t, x, y, 1) for t, x, y, _ in rows]
         smap = saliency_map(make_period(positive_only), n)
-        assert not smap.counts.any()
+        assert not dense_counts(smap).any()
 
     @settings(max_examples=120, deadline=None)
     @given(rows=rows_strategy(), n=st.integers(2, 6))
@@ -754,7 +743,7 @@ class TestInvariants:
         flipped = [(t, x, y, 1 - p) for t, x, y, p in rows]
         a = saliency_map(make_period(rows), n)
         b = saliency_map(make_period(flipped), n)
-        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(dense_counts(a), dense_counts(b))
 
     @settings(max_examples=120, deadline=None)
     @given(rows=rows_strategy(max_size=40), extra=rows_strategy(max_size=15),
@@ -762,7 +751,7 @@ class TestInvariants:
     def test_adding_events_never_decreases_counts(self, rows, extra, n):
         base = saliency_map(make_period(rows), n)
         grown = saliency_map(make_period(rows + extra), n)
-        assert np.all(grown.counts >= base.counts)
+        assert np.all(dense_counts(grown) >= dense_counts(base))
 
     @settings(max_examples=120, deadline=None)
     @given(rows=rows_strategy(max_x=SMALL.width - 9, max_y=SMALL.height - 7),
@@ -771,7 +760,7 @@ class TestInvariants:
         shifted = [(t, x + dx, y + dy, p) for t, x, y, p in rows]
         a = saliency_map(make_period(rows), n)
         b = saliency_map(make_period(shifted), n)
-        assert np.array_equal(np.roll(a.counts, (dy, dx), axis=(0, 1)), b.counts)
+        assert np.array_equal(np.roll(dense_counts(a), (dy, dx), axis=(0, 1)), dense_counts(b))
         mask_a = threshold_mask(a, 0)
         mask_b = threshold_mask(b, 0)
         boxes_a = {r.bbox.as_tuple() for r in connected_components(mask_a)}
@@ -782,5 +771,5 @@ class TestInvariants:
     @given(rows=rows_strategy(), n=st.integers(2, 6))
     def test_counts_bounded_by_slice_count(self, rows, n):
         smap = saliency_map(make_period(rows), n)
-        assert smap.counts.max(initial=0) <= n
+        assert dense_counts(smap).max(initial=0) <= n
         assert smap.gray.max(initial=0) <= 255
