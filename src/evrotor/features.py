@@ -4,12 +4,14 @@ A candidate region is re-sliced at a finer temporal resolution, keeping only
 positive events inside its margin-dilated bbox. A window's cells are the
 (slice, row, column) ids of ``events.bin_events`` with a nonzero count. The
 top-K windows are binned in one walk of the period, in the blocks of whole
-slices of ``events.slice_blocks``. Each window's binned keys wait until they
-hold ``_FLUSH_EVENTS`` events; they are then sorted and reduced to one batch
-of whole slices' cells and counts, which goes straight into the window's
-accumulator of exact per-slice integer sums. So the feature stage's working
-memory follows one block, the windows' pending keys and one batch: never
-the period's events, and never a window's cells whole.
+slices of ``events.slice_blocks``. The binned keys of all windows share one
+budget of ``_FLUSH_EVENTS`` events: once their total reaches it, the keys of
+the window that holds the most are sorted and reduced to one batch of whole
+slices' cells and counts, which goes straight into the window's accumulator
+of exact per-slice integer sums. So the feature stage's working memory
+follows one block, one budget of pending keys, however many windows there
+are, and one batch: never the period's events, and never a window's cells
+whole.
 Three series are read off the per-slice sums: event density, structural
 similarity between consecutive slices, and similarity of consecutive
 principal point-cloud directions. All three come from integer sums over the
@@ -39,7 +41,7 @@ from . import events
 from .events import BBox, EventPeriod, SensorGeometry, bin_events, slice_blocks
 from .saliency import Region, SaliencyMap, gray_at, sorted_runs
 
-# Window events the walk holds per window before it reduces them to cells.
+# Window events the walk holds, over all windows, before it reduces some to cells.
 _FLUSH_EVENTS = 2**15
 
 
@@ -235,12 +237,15 @@ def _window_batches(
     The walk takes the blocks of whole slices of ``events.slice_blocks``.
     Each block finds each window's positive events (``_events_inside``, in
     chunks of at most ``events._BLOCK_EVENTS`` events, as one slice may
-    hold more) and bins them. A window's keys wait until they number
-    ``_FLUSH_EVENTS``, and at the end of the walk; they are then sorted and
-    reduced to their nonzero cells and int32 counts, one batch. A cell's
-    slice is the major part of its id and no slice spans two blocks, so a
-    batch holds whole slices, and a window's batches, in order, are its
-    sorted, unique cells.
+    hold more) and bins them. The windows' keys wait until they number
+    ``_FLUSH_EVENTS`` in all; the keys of the window that holds the most
+    (the lowest k on a tie) are then sorted and reduced to their nonzero
+    cells and int32 counts, one batch. So the pending keys stay below
+    ``_FLUSH_EVENTS`` plus one block's keys of one window, whatever the
+    number of windows. At the end of the walk each window's rest forms one
+    batch, in window order. A cell's slice is the major part of its id and
+    no slice spans two blocks, so a batch holds whole slices, and a window's
+    batches, in order, are its sorted, unique cells.
     """
     what = "local slice count"
     bin_window = partial(bin_events, period, m, minimum=4, what=what)
@@ -251,6 +256,7 @@ def _window_batches(
     bounds = [tuple(np.uint32(v) for v in window.as_tuple()) for window in windows]
     pending: list[list[np.ndarray]] = [[] for _ in windows]
     held = [0 for _ in windows]
+    total = 0  # sum(held)
 
     def batch(k: int) -> tuple[int, np.ndarray, np.ndarray]:
         key = _joined(pending[k])
@@ -266,9 +272,12 @@ def _window_batches(
                 continue
             pending[k].append(bin_window(window, index, starts=starts))
             held[k] += index.size
+            total += index.size
             del index
-            if held[k] >= _FLUSH_EVENTS:
-                yield batch(k)
+            while total >= _FLUSH_EVENTS:
+                largest = held.index(max(held))  # the lowest k on a tie
+                total -= held[largest]
+                yield batch(largest)
     for k in range(len(windows)):
         if pending[k]:
             yield batch(k)
@@ -409,17 +418,18 @@ def compute_features(local: LocalSlices) -> FeatureSeries:
 class _SliceSums:
     """Exact per-slice integer sums of one window's nonzero cells, fed in batches of whole slices.
 
-    ``add`` takes the next batch: the cells of some whole slices, past every
-    earlier batch's, and their int32 counts. It checks each batch as the
-    record checks its cells (``_check_cells``; the running total below 2**31
-    bounds every int64 sum below) and reduces the batch to its nonempty
-    slices' sums of n, the counts v, v**2, x, y, x**2, xy and y**2, and of v
-    times the count of the same pixel one slice earlier. The partner join runs inside the batch;
-    the pair of slices that straddles two batches is joined from the
-    previous batch's last slice, carried over. Slices and pixel coordinates
-    come from floor division alone, in the cells' own dtype, and every
-    summed array takes int32 while its per-slice sums fit: from int32 cells
-    no cell-sized int64 array is made.
+    ``add`` takes the next batch: the cells of some whole slices, in the
+    window's id dtype and past every earlier batch's, and their int32
+    counts. It checks each batch as the record checks its cells
+    (``_check_cells``; the running total below 2**31 bounds every int64 sum
+    below) and reduces the batch to its nonempty slices' sums of n, the
+    counts v, v**2, x, y, x**2, xy and y**2, and of v times the count of the
+    same pixel one slice earlier. ``_next_slice_partners`` pairs the cells
+    inside the batch, and once more the previous batch's last slice, carried
+    over, with this batch's first. Slices and pixel coordinates come from
+    floor division alone, in the cells' own dtype, and every summed array
+    takes int32 while its per-slice sums fit: from int32 cells no cell-sized
+    int64 array is made.
 
     ``series`` does the float math once, on the concatenated sums. The sums
     are exact integers wherever the batches were cut, so the series are too.
@@ -427,7 +437,6 @@ class _SliceSums:
 
     def __init__(self, shape: tuple[int, int, int]) -> None:
         self.shape = shape
-        self.ids = np.int32 if shape[0] * shape[1] * shape[2] < 2**31 else np.int64
         self.last = -1  # the largest cell id fed so far
         self.total = 0
         self.carry: tuple[int, np.ndarray, np.ndarray] | None = None
@@ -440,7 +449,7 @@ class _SliceSums:
         hw = h * w
         self.total = _check_cells(cells, counts, self.last, m * hw, self.total)
         self.last = int(cells[-1])
-        cells, v = cells.astype(self.ids, copy=False), counts
+        v = counts
         # (s * h + y) * w + x: floor division alone, which numpy runs far faster than %.
         x = cells // w  # s * h + y
         y = x // h  # s
@@ -482,15 +491,11 @@ class _SliceSums:
         products[cell] = np.multiply(v[earlier], v[cell], dtype=products.dtype)
         del earlier, cell
         if carry is not None:
-            # One slice on each side: a binary search per carried cell is cheap.
+            # The carried slice joins this batch's first one, two slices in all.
             _, carry_cells, carry_v = carry
-            first = cells[: n[0]]
-            needles = carry_cells + hw
-            cell = np.searchsorted(first, needles)
-            np.minimum(cell, first.size - 1, out=cell)
-            found = first[cell] == needles
-            cell = cell[found]
-            products[cell] = np.multiply(carry_v[found], v[cell], dtype=products.dtype)
+            earlier, cell = _next_slice_partners(np.concatenate([carry_cells, cells[: n[0]]]), hw)
+            cell -= carry_cells.size
+            products[cell] = np.multiply(carry_v[earlier], v[cell], dtype=products.dtype)
         cross = per_slice(products)
         del products
         self.sums.append((slices, n, per_slice(v), per_slice_products(v, v, top), cross, *moments))

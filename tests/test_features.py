@@ -34,6 +34,7 @@ from evrotor.features import (
     _next_slice_partners,
     _prominences,
     _window_batches,
+    _window_features,
     dilated_window,
     moving_average,
     principal_direction,
@@ -475,6 +476,25 @@ class TestBounds:
         # Holding the window's cells whole (8 bytes a cell) and featurizing
         # them at once (about 13 more) makes the peak grow about fourfold.
         assert peaks[1] < 1.25 * peaks[0]
+
+    def test_walk_memory_does_not_grow_with_the_windows(self):
+        """Eight overlapping windows over 600k events: one pending-key budget serves them all."""
+        rng = np.random.default_rng(23)
+        n = 600_000
+        period = EventPeriod(
+            np.sort(rng.integers(0, 20_000, n)), rng.integers(0, 64, n), rng.integers(0, 64, n),
+            rng.integers(0, 2, n), t_start=0, duration=20_000, sensor=SensorGeometry(64, 64),
+        )
+        peaks = []
+        for boxes in ([BBox(0, 0, 64, 64)], [BBox(k, k, 64 - k, 64 - k) for k in range(8)]):
+            tracemalloc.start()
+            try:
+                _window_features(period, boxes, 40, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # A budget of pending keys per window took the eight windows to 2.2x.
+        assert peaks[1] < 1.5 * peaks[0]
 
     def test_feature_memory_follows_the_nonempty_slices(self):
         """64 events in 2**20 slices of an 8x8 window: per-slice sums over all m took 219 MB."""

@@ -1,7 +1,6 @@
 """Box overlap, greedy matching, P/R/F1, and average precision."""
 
 import json
-import math
 
 import numpy as np
 import pytest

@@ -9,7 +9,6 @@ from evrotor import (
     BBox,
     BackgroundSpec,
     PropellerSpec,
-    SensorGeometry,
     SynthScene,
     ValidationError,
     benchmark_period,
