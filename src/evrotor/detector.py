@@ -165,14 +165,14 @@ def _score_clusters(
     clusters: list[Cluster],
     period: EventPeriod,
     smap: SaliencyMap,
+    m: int,
     config: DetectorConfig,
 ) -> tuple[list[Cluster], list[FeatureSeries]]:
-    """Rank clusters by saliency mass, score the top K, filter by tau_p.
+    """Rank clusters by saliency mass, score the top K over m local slices, filter by tau_p.
 
     Returns the candidates, ranked by descending (s_p, s_s), and their
     feature series in the same order.
     """
-    _, m = config.slicing_for(period)
     masses = saliency_masses([cluster.members for cluster in clusters], smap)
     for cluster, mass in zip(clusters, masses):
         cluster.scores = RegionScores(s_s=mass)
@@ -247,11 +247,11 @@ def run_pipeline(period: EventPeriod, config: DetectorConfig | None = None) -> P
     """Run the full detection pipeline, keeping intermediates."""
     if config is None:
         config = DetectorConfig()
-    n, _ = config.slicing_for(period)
+    n, m = config.slicing_for(period)
     smap = saliency_map(period, n)
     regions = salient_regions(smap, config.tau_s)
     clusters = cluster_regions(regions, config.d_merge)
-    candidates, features = _score_clusters(clusters, period, smap, config)
+    candidates, features = _score_clusters(clusters, period, smap, m, config)
     detections = [gaussian_fine_refine(candidate, smap) for candidate in candidates]
     return PipelineResult(
         detections=detections,

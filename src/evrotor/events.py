@@ -134,7 +134,7 @@ class EventPeriod:
         x = np.ascontiguousarray(x, dtype=np.int32)
         y = np.ascontiguousarray(y, dtype=np.int32)
         p = np.ascontiguousarray(p, dtype=np.uint8)
-        if t.size > 1 and bool(np.any(np.diff(t) < 0)):
+        if bool((t[1:] < t[:-1]).any()):
             order = np.argsort(t, kind="stable")
             t, x, y, p = t[order], x[order], y[order], p[order]
         for col in (t, x, y, p):
@@ -229,16 +229,14 @@ def _id_dtype(period: EventPeriod, k: int, cells: int, minimum: int, what: str) 
     return np.int32 if k * cells < 2**31 else np.int64
 
 
-def slice_starts(
-    period: EventPeriod, k: int, *, minimum: int = 2, what: str = "slice count"
-) -> np.ndarray:
+def slice_starts(period: EventPeriod, k: int) -> np.ndarray:
     """Where each of the k slices' run of events starts in the time order, then len(period).
 
     Slice s starts at t_start + ceil(s * duration / k), so k - 1 binary
     searches of the sorted times give the k + 1 ascending entries: slice s
     holds the events starts[s]:starts[s + 1].
     """
-    _id_dtype(period, k, 1, minimum, what)
+    _id_dtype(period, k, 1, 2, "slice count")
     # Last microsecond of slices 0..k-2; s * duration < 2**63 (checked above),
     # and the cap keeps t_start + offset from wrapping past 2**63 - 1.
     s = np.arange(1, k, dtype=np.int64)
@@ -250,9 +248,7 @@ def slice_starts(
     return starts
 
 
-def slice_blocks(
-    period: EventPeriod, k: int, *, minimum: int = 2, what: str = "slice count"
-) -> tuple[np.ndarray | None, list[int]]:
+def slice_blocks(period: EventPeriod, k: int) -> tuple[np.ndarray | None, list[int]]:
     """The k-way split's ``slice_starts`` and the event cuts of its blocks of whole slices.
 
     A block takes the slices that start within ``_BLOCK_EVENTS`` events of
@@ -260,9 +256,9 @@ def slice_blocks(
     slices than events there are no starts, and the period is one block.
     """
     if k > len(period):
-        _id_dtype(period, k, 1, minimum, what)
+        _id_dtype(period, k, 1, 2, "slice count")
         return None, [0, len(period)]
-    starts = slice_starts(period, k, minimum=minimum, what=what)
+    starts = slice_starts(period, k)
     cuts = [0]
     while cuts[-1] < len(period):
         lo = cuts[-1]
@@ -281,8 +277,6 @@ def bin_events(
     *,
     starts: np.ndarray | None = None,
     bits: int = 0,
-    minimum: int = 2,
-    what: str = "slice count",
 ) -> np.ndarray:
     """Cell ids of the events ``index`` (all when None) for a k-way split over a window.
 
@@ -302,7 +296,7 @@ def bin_events(
     Ids are int32 while (k * h * w) << bits is below 2**31, else int64, and
     every Horner step runs in that dtype, so none wraps.
     """
-    dtype = _id_dtype(period, k, (window.h * window.w) << bits, minimum, what)
+    dtype = _id_dtype(period, k, (window.h * window.w) << bits, 2, "slice count")
     if index is None:
         index = slice(0, period.t.size)
     if starts is None:

@@ -30,7 +30,6 @@ series show repeated peaks and valleys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate, islice
 from typing import Iterator, NamedTuple, Sequence
 
@@ -247,12 +246,10 @@ def _window_batches(
     no slice spans two blocks, so a batch holds whole slices, and a window's
     batches, in order, are its sorted, unique cells.
     """
-    what = "local slice count"
-    bin_window = partial(bin_events, period, m, minimum=4, what=what)
-    # Binning no events checks m and each window's id bound before the walk.
+    # The feature split's own rule, and each window's id bound, before the walk.
     for window in windows:
-        bin_window(window, np.empty(0, np.intp))
-    starts, cuts = slice_blocks(period, m, minimum=4, what=what)
+        events._id_dtype(period, m, window.h * window.w, 4, "local slice count")
+    starts, cuts = slice_blocks(period, m)
     bounds = [tuple(np.uint32(v) for v in window.as_tuple()) for window in windows]
     pending: list[list[np.ndarray]] = [[] for _ in windows]
     held = [0 for _ in windows]
@@ -270,7 +267,7 @@ def _window_batches(
             index = _events_inside(period, bounds[k], lo, hi)
             if not index.size:
                 continue
-            pending[k].append(bin_window(window, index, starts=starts))
+            pending[k].append(bin_events(period, m, window, index, starts=starts))
             held[k] += index.size
             total += index.size
             del index

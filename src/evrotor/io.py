@@ -17,6 +17,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
 from typing import Sequence
 
@@ -112,24 +113,21 @@ def load_events(path, sensor: SensorGeometry | None = None) -> EventPeriod:
     range.
     """
     path = Path(path)
-    with open(path, "rb") as handle:
-        magic = handle.read(4)
+    raw = path.read_bytes()
+    magic = raw[:4]
     if magic != BINARY_MAGIC and path.suffix.lower() in _BINARY_SUFFIXES:
         raise EventFormatError(f"bad magic {magic!r}, expected {BINARY_MAGIC!r}", path=path)
     load = _load_binary if magic == BINARY_MAGIC else _load_csv
     try:
-        return load(path, sensor)
+        return load(raw, path, sensor)
     except ValidationError as err:  # the EventPeriod checks and the sensor checks
         raise ValidationError(f"{path}: {err}") from None
 
 
-def _load_binary(path: Path, sensor: SensorGeometry | None) -> EventPeriod:
-    raw = path.read_bytes()
+def _load_binary(raw: bytes, path: Path, sensor: SensorGeometry | None) -> EventPeriod:
     if len(raw) < _HEADER.size:
         raise EventFormatError("truncated header", path=path)
-    magic, width, height, t_start, duration = _HEADER.unpack_from(raw)
-    if magic != BINARY_MAGIC:
-        raise EventFormatError(f"bad magic {magic!r}", path=path)
+    _, width, height, t_start, duration = _HEADER.unpack_from(raw)
     body = raw[_HEADER.size :]
     if len(body) % _RECORD_DTYPE.itemsize:
         raise EventFormatError(
@@ -156,7 +154,7 @@ def _load_binary(path: Path, sensor: SensorGeometry | None) -> EventPeriod:
     )
 
 
-def _load_csv(path: Path, sensor: SensorGeometry | None) -> EventPeriod:
+def _load_csv(raw: bytes, path: Path, sensor: SensorGeometry | None) -> EventPeriod:
     if sensor is None:
         raise ValidationError("CSV event streams need explicit sensor geometry")
     if max(sensor.width, sensor.height) > _SIDE_MAX:
@@ -169,8 +167,9 @@ def _load_csv(path: Path, sensor: SensorGeometry | None) -> EventPeriod:
     ys: list[int] = []
     ps: list[int] = []
     header_seen = False
-    # Undecodable bytes become surrogates, so the check below can name the line.
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
+    # A text-mode file's own layer over the bytes read splits the same lines. Undecodable
+    # bytes become surrogates, so the check below can name the line.
+    with TextIOWrapper(BytesIO(raw), encoding="ascii", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.isascii():
                 raise EventFormatError("non-ASCII byte", path=path, line=line_no)

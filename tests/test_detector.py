@@ -321,6 +321,18 @@ class TestCoarseStage:
         assert len(result.detections) == 1
         assert result.detections[0].bbox == BBox(8, 8, 12, 12)
 
+    def test_slicing_is_resolved_once_per_period(self, monkeypatch):
+        calls = []
+        resolve = DetectorConfig.slicing_for
+
+        def counted(self, period):
+            calls.append(period)
+            return resolve(self, period)
+
+        monkeypatch.setattr(DetectorConfig, "slicing_for", counted)
+        assert len(run_pipeline(blob_period(), BLOB_CONFIG).detections) == 1
+        assert len(calls) == 1
+
     def test_candidates_rank_by_periodicity_then_mass(self):
         period = blob_period()
         config = DetectorConfig(n_slices=10, m_slices=20, region_margin=0, tau_p=0)

@@ -14,7 +14,7 @@ from evrotor import (
     SensorGeometry,
     ValidationError,
 )
-from evrotor import events, saliency_map
+from evrotor import events, extract_local_slices, saliency_map
 from evrotor.events import bin_events, slice_blocks, slice_starts
 
 from conftest import SMALL, make_period
@@ -88,6 +88,21 @@ class TestEventPeriod:
     def test_repair_sort_is_stable_on_ties(self):
         period = make_period([(30, 9, 9, 1), (10, 1, 1, 1), (10, 2, 2, 0)])
         assert list(period.x) == [1, 2, 9]
+
+    def test_time_order_check_takes_a_byte_per_event(self):
+        """Sorted columns already in the period's dtypes are checked, not copied."""
+        size = 2_000_000
+        t = np.arange(size, dtype=np.int64)
+        x = np.zeros(size, dtype=np.int32)
+        p = np.ones(size, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            period = EventPeriod(t, x, x, p, t_start=0, duration=size, sensor=SMALL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(period) == size
+        assert peak < 4 << 20  # an int64 difference of the times would take 16 MB
 
     def test_rejects_out_of_bounds_pixel(self):
         with pytest.raises(ValidationError, match="700"):
@@ -361,8 +376,11 @@ class TestSliceBlocks:
         assert slice_blocks(make_period([], duration=100), 2) == (None, [0, 0])
 
     def test_checks_the_split_it_cuts(self):
+        """A direct cut checks any split; the feature walk adds its own rule of at least 4."""
         period = make_period([(0, 1, 1, 1)], duration=100)
+        with pytest.raises(ConfigurationError, match="^slice count must be at least 2, got 1$"):
+            slice_blocks(period, 1)
         with pytest.raises(ConfigurationError, match="local slice count must be at least 4, got 3"):
-            slice_blocks(period, 3, minimum=4, what="local slice count")
+            extract_local_slices(period, BBox(0, 0, 2, 2), 3)
         with pytest.raises(ConfigurationError, match="exceeds the period duration"):
             slice_blocks(period, 101)

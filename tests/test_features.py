@@ -274,7 +274,7 @@ class TestWindowPass:
         for block in (events._BLOCK_EVENTS, 1000):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(events, "_BLOCK_EVENTS", block)
-                _, cuts = slice_blocks(period, 4, minimum=4)
+                _, cuts = slice_blocks(period, 4)
                 locals_ = walked(period, boxes, 4, 1)
             assert max(np.diff(cuts)) > crowded > block
             for local, box in zip(locals_, boxes):
@@ -292,7 +292,7 @@ class TestWindowPass:
         rows = list(zip(t.tolist(), x.tolist(), y.tolist(), p.tolist()))
         period = make_period(rows, duration=400)
         boxes = [BBox(0, 0, 12, 9), BBox(2, 3, 4, 4)]
-        _, cuts = slice_blocks(period, 8, minimum=4)
+        _, cuts = slice_blocks(period, 8)
         held = [((period.t[lo:hi] < 100) & (period.p[lo:hi] == 1)).sum()
                 for lo, hi in zip(cuts[:-1], cuts[1:])]
         assert max(held) > features._FLUSH_EVENTS
@@ -468,7 +468,7 @@ class TestBounds:
                                  duration=duration, sensor=sensor)
             tracemalloc.start()
             try:
-                _, [series] = _score_clusters([cluster], period, smap, config)
+                _, [series] = _score_clusters([cluster], period, smap, m, config)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

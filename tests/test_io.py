@@ -88,6 +88,20 @@ def test_csv_wrong_field_count_reports_line(tmp_path):
         load_events(path, SMALL)
 
 
+def test_csv_cr_line_ends_split_lines_like_lf(tmp_path):
+    rows = ["t_us,x,y,p", "10,1,2,1", "20,3,4,0"]
+    path = tmp_path / "ends.csv"
+    for end in ("\n", "\r\n", "\r"):
+        path.write_bytes(end.join(rows + [""]).encode())
+        period = load_events(path, SMALL)
+        assert period.t.tolist() == [10, 20] and period.x.tolist() == [1, 3]
+        assert period.t_start == 10 and period.duration == 11
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"10,1,1,1\r20,2,2,0\r30,3,3\r")
+    with pytest.raises(EventFormatError, match=r"bad\.csv:3: expected 4 fields"):
+        load_events(path, SMALL)
+
+
 def test_csv_non_integer_field_reports_line(tmp_path):
     path = tmp_path / "bad.csv"
     # the last three rows hold an integer that does not fit its column:
