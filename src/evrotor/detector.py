@@ -19,7 +19,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .events import BBox, DetectorConfig, EventPeriod
+from .events import BBox, DetectorConfig, EventPeriod, frozen_view
 from .features import (
     FeatureSeries,
     RegionScores,
@@ -54,10 +54,9 @@ class Detection:
     pixels: np.ndarray
 
     def __post_init__(self) -> None:
-        pixels = np.ascontiguousarray(self.pixels, dtype=np.int32)
+        pixels = frozen_view(self.pixels, np.int32)
         if pixels.ndim != 2 or pixels.shape[1] != 2:
             raise ValidationError("detection pixels must form a (k, 2) array")
-        pixels.setflags(write=False)
         object.__setattr__(self, "pixels", pixels)
 
 

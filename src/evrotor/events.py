@@ -84,8 +84,10 @@ class BBox:
 class EventPeriod:
     """A bounded time window of events in columnar, timestamp-sorted form.
 
-    Unsorted input is put in time order by a stable sort. Columns are
-    read-only after construction.
+    Unsorted input is put in time order by a stable sort. Like every record,
+    it keeps read-only views of its arrays (``frozen_view``), copied only to
+    cast, sort or make them contiguous; the caller's arrays stay writable and
+    must not be changed afterwards.
     """
 
     __slots__ = ("t", "x", "y", "p", "t_start", "duration", "sensor")
@@ -130,15 +132,13 @@ class EventPeriod:
                 bad = ~((p >= 0) & (p <= 1))
                 i = int(np.argmax(bad))
                 raise ValidationError(f"event {i} has polarity {p[i]}, expected 0 or 1")
-        t = np.ascontiguousarray(t, dtype=np.int64)
-        x = np.ascontiguousarray(x, dtype=np.int32)
-        y = np.ascontiguousarray(y, dtype=np.int32)
-        p = np.ascontiguousarray(p, dtype=np.uint8)
+        t = frozen_view(t, np.int64)  # column by column, so each input is freed once cast
+        x = frozen_view(x, np.int32)
+        y = frozen_view(y, np.int32)
+        p = frozen_view(p, np.uint8)
         if bool((t[1:] < t[:-1]).any()):
             order = np.argsort(t, kind="stable")
-            t, x, y, p = t[order], x[order], y[order], p[order]
-        for col in (t, x, y, p):
-            col.setflags(write=False)
+            t, x, y, p = (frozen_view(col[order]) for col in (t, x, y, p))
         self.t = t
         self.x = x
         self.y = y
@@ -326,3 +326,14 @@ def bin_events(
     if bits:
         key <<= bits
     return key
+
+
+def frozen_view(values, dtype=None) -> np.ndarray:
+    """A read-only view of ``values`` as a contiguous ``dtype`` array, for every record.
+
+    It copies only to cast or to make the array contiguous, and it leaves the
+    caller's array writable.
+    """
+    view = np.ascontiguousarray(values, dtype=dtype).view()
+    view.setflags(write=False)
+    return view

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, ValidationError
 from . import events
-from .events import BBox, EventPeriod, SensorGeometry, bin_events, slice_blocks
+from .events import BBox, EventPeriod, SensorGeometry, bin_events, frozen_view, slice_blocks
 from .saliency import Region, SaliencyMap, gray_at, sorted_runs
 
 # Window events the walk holds, over all windows, before it reduces some to cells.
@@ -59,8 +59,8 @@ class RegionScores:
     s_p: int | None = None
 
     def __post_init__(self) -> None:
-        if self.s_s < 0:
-            raise ValidationError(f"s_s must be non-negative, got {self.s_s}")
+        if not 0 <= self.s_s < np.inf:  # also rejects NaN
+            raise ValidationError(f"s_s must be finite and non-negative, got {self.s_s}")
         if self.s_p is not None and not 0 <= self.s_p <= 6:
             raise ValidationError(f"s_p must be within 0..6, got {self.s_p}")
 
@@ -78,9 +78,7 @@ class FeatureSeries:
     f_p: np.ndarray
 
     def __post_init__(self) -> None:
-        f_d = np.ascontiguousarray(self.f_d, dtype=np.float64)
-        f_s = np.ascontiguousarray(self.f_s, dtype=np.float64)
-        f_p = np.ascontiguousarray(self.f_p, dtype=np.float64)
+        f_d, f_s, f_p = (frozen_view(s, np.float64) for s in (self.f_d, self.f_s, self.f_p))
         if f_d.ndim != f_s.ndim or f_d.ndim != f_p.ndim or f_d.ndim != 1:
             raise ValidationError("feature series must be one-dimensional")
         if f_s.size != f_d.size - 1 or f_p.size != f_d.size - 1:
@@ -94,8 +92,6 @@ class FeatureSeries:
             raise ValidationError("structural similarities must lie in [-1, 1]")
         if not ((f_p >= 0.0) & (f_p <= 1.0)).all():
             raise ValidationError("direction similarities must lie in [0, 1]")
-        for series in (f_d, f_s, f_p):
-            series.setflags(write=False)
         object.__setattr__(self, "f_d", f_d)
         object.__setattr__(self, "f_s", f_s)
         object.__setattr__(self, "f_p", f_p)
@@ -116,9 +112,9 @@ class LocalSlices:
     ``extract_local_slices``, inspection and tests; the detector never
     builds one, and featurizes each window's cells batch by batch.
 
-    Arrays given in those dtypes are not copied. The record keeps read-only
-    views of them, so writes through the record fail, while the caller's
-    own arrays stay writable and must not be changed afterwards.
+    Like every record, it keeps read-only views of its arrays
+    (``events.frozen_view``), copied only to cast or make them contiguous;
+    the caller's arrays stay writable and must not be changed afterwards.
     """
 
     shape: tuple[int, int, int]
@@ -141,10 +137,8 @@ class LocalSlices:
         size = shape[0] * shape[1] * shape[2]
         _check_cells(cells, counts, -1, size, 0)
         ids = np.int32 if size < 2**31 else np.int64
-        for name, values, dtype in (("cells", cells, ids), ("counts", counts, np.int32)):
-            values = np.ascontiguousarray(values, dtype=dtype).view()
-            values.setflags(write=False)
-            object.__setattr__(self, name, values)
+        object.__setattr__(self, "cells", frozen_view(cells, ids))
+        object.__setattr__(self, "counts", frozen_view(counts, np.int32))
         object.__setattr__(self, "shape", shape)
 
     @property
@@ -353,8 +347,7 @@ def principal_direction(points: np.ndarray) -> PrincipalDirection:
     (v,), (isotropic,) = _major_axes(
         *(np.mean(d[:, a] * d[:, b], keepdims=True) for a, b in ((0, 0), (0, 1), (1, 1)))
     )
-    v.setflags(write=False)
-    return PrincipalDirection(v, bool(isotropic))
+    return PrincipalDirection(frozen_view(v), bool(isotropic))
 
 
 def _next_slice_partners(cells: np.ndarray, hw: int) -> tuple[np.ndarray, np.ndarray]:

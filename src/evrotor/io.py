@@ -252,15 +252,13 @@ def _is_int(text: str) -> bool:
 
 
 def write_annotation(record: AnnotationRecord, path) -> None:
-    """Write one period's boxes as a JSON record; scores only when present."""
+    """Write one period's boxes as a JSON record; scores only when present.
+
+    A record that ``load_annotations`` would refuse raises ValidationError and writes no file.
+    """
     boxes = []
     for box in record.boxes:
-        entry: dict = {
-            "x": box.bbox.x,
-            "y": box.bbox.y,
-            "w": box.bbox.w,
-            "h": box.bbox.h,
-        }
+        entry: dict = dict(zip("xywh", box.bbox.as_tuple()))
         if box.s_p is not None:
             entry["s_p"] = int(box.s_p)
         if box.s_s is not None:
@@ -273,9 +271,12 @@ def write_annotation(record: AnnotationRecord, path) -> None:
         "duration_us": record.duration_us,
         "boxes": boxes,
     }
-    with open(path, "w", encoding="ascii") as handle:
-        json.dump(payload, handle)
-        handle.write("\n")
+    try:
+        _annotation_record(payload)
+        text = json.dumps(payload)
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        raise ValidationError(f"cannot write {path}: {err}") from None
+    Path(path).write_text(text + "\n", encoding="ascii")
 
 
 def write_detections(
@@ -287,14 +288,9 @@ def write_detections(
     duration_us: int,
 ) -> None:
     """Write ranked detections for one period as a JSON record."""
+    boxes = tuple(BoxRecord(bbox=d.bbox, s_p=int(d.s_p), s_s=d.s_s) for d in detections)
     record = AnnotationRecord(
-        file=source,
-        width=sensor.width,
-        height=sensor.height,
-        duration_us=duration_us,
-        boxes=tuple(
-            BoxRecord(bbox=d.bbox, s_p=int(d.s_p), s_s=d.s_s) for d in detections
-        ),
+        file=source, width=sensor.width, height=sensor.height, duration_us=duration_us, boxes=boxes
     )
     write_annotation(record, path)
 
@@ -321,6 +317,25 @@ def _saliency_mass(value):
     raise ValueError(f"s_s must be a finite number, got {value!r}")
 
 
+def _annotation_record(payload: dict) -> AnnotationRecord:
+    """The record a parsed JSON payload holds; ValueError, KeyError or TypeError if malformed."""
+    boxes = tuple(
+        BoxRecord(
+            bbox=BBox(*(_integer(b, key) for key in "xywh")),
+            s_p=None if b.get("s_p") is None else _integer(b, "s_p"),
+            s_s=_saliency_mass(b.get("s_s")),
+        )
+        for b in payload["boxes"]
+    )
+    return AnnotationRecord(
+        file=str(payload["file"]),
+        width=_integer(payload, "width"),
+        height=_integer(payload, "height"),
+        duration_us=_integer(payload, "duration_us"),
+        boxes=boxes,
+    )
+
+
 def load_annotations(path) -> AnnotationRecord:
     """Load a detection or ground-truth JSON record."""
     path = Path(path)
@@ -329,21 +344,7 @@ def load_annotations(path) -> AnnotationRecord:
     except (ValueError, RecursionError) as err:  # also UnicodeDecodeError, deep nesting
         raise EventFormatError(f"invalid JSON: {err}", path=path) from None
     try:
-        boxes = tuple(
-            BoxRecord(
-                bbox=BBox(*(_integer(b, key) for key in "xywh")),
-                s_p=None if b.get("s_p") is None else _integer(b, "s_p"),
-                s_s=_saliency_mass(b.get("s_s")),
-            )
-            for b in payload["boxes"]
-        )
-        return AnnotationRecord(
-            file=str(payload["file"]),
-            width=_integer(payload, "width"),
-            height=_integer(payload, "height"),
-            duration_us=_integer(payload, "duration_us"),
-            boxes=boxes,
-        )
+        return _annotation_record(payload)
     except ValidationError as err:  # the BBox checks
         raise ValidationError(f"{path}: {err}") from None
     except (KeyError, TypeError, ValueError, OverflowError) as err:

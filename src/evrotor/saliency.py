@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .events import BBox, EventPeriod, bin_events, slice_blocks
+from .events import BBox, EventPeriod, bin_events, frozen_view, slice_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,9 +46,9 @@ class SaliencyMap:
     view built on each access, for inspection and dumps; the detector never
     builds it.
 
-    The record does not copy its hit arrays. It keeps read-only views of
-    them, so writes through the record fail, while the caller's own arrays
-    stay writable and must not be changed afterwards.
+    Like every record, it keeps read-only views of its arrays
+    (``events.frozen_view``), copied only to cast or make them contiguous;
+    the caller's arrays stay writable and must not be changed afterwards.
     """
 
     shape: tuple[int, int]
@@ -79,12 +79,9 @@ class SaliencyMap:
                 raise ValidationError(f"saliency hit counts must lie within 1..{self.n_slices}")
             if gray.min() < 0 or gray.max() > 255:
                 raise ValidationError("saliency gray values must lie within 0..255")
-        ids = ids.astype(np.intp, copy=False)
-        gray = gray.astype(np.uint8, copy=False)
-        for name, values in (("ids", ids), ("hit_counts", counts), ("hit_gray", gray)):
-            values = values.view()
-            values.setflags(write=False)
-            object.__setattr__(self, name, values)
+        object.__setattr__(self, "ids", frozen_view(ids, np.intp))
+        object.__setattr__(self, "hit_counts", frozen_view(counts))
+        object.__setattr__(self, "hit_gray", frozen_view(gray, np.uint8))
         object.__setattr__(self, "shape", (int(height), int(width)))
 
     @property
@@ -106,12 +103,11 @@ class Region:
     pixels: np.ndarray
 
     def __post_init__(self) -> None:
-        pixels = np.ascontiguousarray(self.pixels, dtype=np.int32)
+        pixels = frozen_view(self.pixels, np.int32)
         if pixels.ndim != 2 or pixels.shape[1] != 2 or pixels.shape[0] < 1:
             raise ValidationError("region pixels must form a non-empty (k, 2) array")
         box = self.bbox
         check_inside(pixels, np.array([[box.x, box.y, box.right, box.bottom]]), np.zeros(1, int))
-        pixels.setflags(write=False)
         object.__setattr__(self, "pixels", pixels)
 
     @property
@@ -322,8 +318,7 @@ def _label(ids: np.ndarray, width: int) -> list[Region]:
     length = x1 - x0
     ends = np.cumsum(length)
     xs = np.arange(ends[-1]) - np.repeat(ends - length - x0, length)
-    pixels = np.column_stack([xs, np.repeat(row, length)]).astype(np.int32)
-    pixels.setflags(write=False)
+    pixels = frozen_view(np.column_stack([xs, np.repeat(row, length)]), np.int32)
     starts = np.append(0, ends[last[:-1]])
     check_inside(pixels, np.column_stack([left, top, right, bottom]), starts)
     # box_order is stable, so regions with equal boxes stay in first-pixel order.

@@ -1156,6 +1156,11 @@ class TestRegionScores:
         with pytest.raises(ValidationError):
             RegionScores(s_s=1.0, s_p=7)
 
+    @pytest.mark.parametrize("s_s", [math.nan, math.inf])
+    def test_rejects_a_mass_that_is_not_finite(self, s_s):
+        with pytest.raises(ValidationError, match="s_s must be finite"):
+            RegionScores(s_s=s_s)
+
 
 def test_render_gray_reexport_consistency():
     # round(255 * 4 / 20) = 51, matching the saliency threshold arithmetic

@@ -12,6 +12,7 @@ from evrotor import (
     AnnotationRecord,
     BBox,
     BoxRecord,
+    Detection,
     EventFormatError,
     EvrotorError,
     SensorGeometry,
@@ -19,6 +20,7 @@ from evrotor import (
     load_annotations,
     load_events,
     write_annotation,
+    write_detections,
     write_events,
 )
 from evrotor.io import write_pgm
@@ -291,6 +293,27 @@ class TestAnnotations:
         path = tmp_path / "ann.json"
         write_annotation(record, path)
         assert load_annotations(path) == record
+
+    @pytest.mark.parametrize(
+        "box, message",
+        [
+            (BoxRecord(BBox(1.5, 0, 2, 2)), "x must be an integer"),
+            (BoxRecord(BBox(0, 0, 2, 2), s_p=4, s_s=math.nan), "s_s must be a finite number"),
+            (BoxRecord(BBox(0, 0, 2, 2), s_p=4, s_s=math.inf), "s_s must be a finite number"),
+        ],
+    )
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, box, message):
+        path = tmp_path / "det.json"
+        with pytest.raises(ValidationError, match=message):
+            write_annotation(AnnotationRecord("a", 64, 48, 1000, boxes=(box,)), path)
+        assert not path.exists()
+
+    def test_detections_with_a_nan_mass_write_no_file(self, tmp_path):
+        detection = Detection(BBox(0, 0, 2, 2), s_p=4, s_s=math.nan, pixels=np.zeros((1, 2)))
+        path = tmp_path / "det.json"
+        with pytest.raises(ValidationError, match="s_s must be a finite number"):
+            write_detections([detection], path, source="a", sensor=SMALL, duration_us=1000)
+        assert not path.exists()
 
     def test_ground_truth_omits_scores(self, tmp_path):
         record = AnnotationRecord("gt", 64, 48, 1000, boxes=(BoxRecord(BBox(0, 0, 5, 5)),))

@@ -120,6 +120,30 @@ def test_benchmark_modules_import_only_names_that_exist(script):
     assert missing == []
 
 
+def test_only_frozen_view_freezes_arrays():
+    # Records hold read-only views by one rule, so no other code in the
+    # package turns an array's writes off.
+    outside, inside = [], 0
+    for module in sorted(Path(evrotor.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(module.read_text(), filename=str(module))
+        allowed = {
+            id(node)
+            for function in tree.body
+            if module.name == "events.py"
+            and isinstance(function, ast.FunctionDef)
+            and function.name == "frozen_view"
+            for node in ast.walk(function)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "setflags":
+                if id(node) in allowed:
+                    inside += 1
+                else:
+                    outside.append(f"{module.name}:{node.lineno}")
+    assert outside == []
+    assert inside == 1
+
+
 def package_env():
     src = str(Path(evrotor.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

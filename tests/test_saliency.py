@@ -17,8 +17,11 @@ from hypothesis.extra import numpy as npst
 from evrotor import (
     BBox,
     ConfigurationError,
+    Detection,
     DetectorConfig,
     EventPeriod,
+    FeatureSeries,
+    LocalSlices,
     Region,
     SaliencyMap,
     SensorGeometry,
@@ -366,12 +369,31 @@ class TestRecord:
         for values in (smap.ids, smap.hit_counts, smap.hit_gray):
             assert not values.flags.writeable
 
-    def test_callers_arrays_stay_writable(self):
-        ids, counts, gray = np.array([1, 5, 11]), np.array([1, 2, 3]), np.array([85, 170, 255], np.uint8)
-        smap = SaliencyMap(shape=(3, 4), ids=ids, hit_counts=counts, hit_gray=gray, n_slices=3)
-        for mine, held in ((ids, smap.ids), (counts, smap.hit_counts), (gray, smap.hit_gray)):
-            assert mine.flags.writeable and not held.flags.writeable
-            assert np.shares_memory(mine, held)
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "EventPeriod-sorted",
+            "EventPeriod-unsorted",
+            "SaliencyMap",
+            "Region",
+            "LocalSlices",
+            "FeatureSeries",
+            "Detection",
+        ],
+    )
+    def test_callers_arrays_stay_writable(self, kind):
+        # Every record freezes a view, never the caller's array. The input is
+        # already in the record's dtypes, so only sorting may copy it.
+        mine, held = caller_and_record_arrays(kind)
+        for theirs, ours in zip(mine, held):
+            assert theirs.flags.writeable and not ours.flags.writeable
+            assert np.shares_memory(theirs, ours) == (kind != "EventPeriod-unsorted")
+
+    def test_strided_hits_are_held_contiguous(self):
+        ids = np.array([1, 0, 5, 0, 11, 0])[::2]
+        smap = SaliencyMap(shape=(3, 4), ids=ids, hit_counts=np.ones(3, int), hit_gray=np.ones(3, int), n_slices=3)
+        assert smap.ids.flags.c_contiguous and smap.ids.tolist() == [1, 5, 11]
+        assert ids.flags.writeable and not np.shares_memory(ids, smap.ids)
 
     def test_empty_map_reads_zero(self):
         empty = np.empty(0, np.int64)
@@ -402,6 +424,32 @@ class TestRecord:
     def test_rejects_malformed_records(self, fields, message):
         with pytest.raises(ValidationError, match=message):
             self.make(**fields)
+
+
+def caller_and_record_arrays(kind):
+    """The arrays a caller passes to a ``kind`` record, in the record's dtypes, and the record's own."""
+    pixels = np.array([[0, 0], [1, 0]], np.int32)
+    if kind.startswith("EventPeriod"):
+        t = np.array([9, 0, 5] if kind == "EventPeriod-unsorted" else [0, 5, 9], np.int64)
+        mine = [t, np.array([1, 2, 3], np.int32), np.array([0, 1, 2], np.int32), np.array([1, 0, 1], np.uint8)]
+        period = EventPeriod(*mine, t_start=0, duration=10, sensor=SensorGeometry(4, 4))
+        return mine, [period.t, period.x, period.y, period.p]
+    if kind == "SaliencyMap":
+        mine = [np.array([1, 5, 11], np.intp), np.array([1, 2, 3]), np.array([85, 170, 255], np.uint8)]
+        smap = SaliencyMap(shape=(3, 4), ids=mine[0], hit_counts=mine[1], hit_gray=mine[2], n_slices=3)
+        return mine, [smap.ids, smap.hit_counts, smap.hit_gray]
+    if kind == "Region":
+        return [pixels], [Region(BBox(0, 0, 2, 1), pixels).pixels]
+    if kind == "LocalSlices":
+        mine = [np.array([0, 3], np.int32), np.array([2, 1], np.int32)]
+        local = LocalSlices(shape=(4, 1, 1), cells=mine[0], counts=mine[1])
+        return mine, [local.cells, local.counts]
+    if kind == "FeatureSeries":
+        mine = [np.array([1.0, 2.0]), np.array([0.5]), np.array([0.25])]
+        series = FeatureSeries(*mine)
+        return mine, [series.f_d, series.f_s, series.f_p]
+    assert kind == "Detection"
+    return [pixels], [Detection(BBox(0, 0, 2, 1), s_p=4, s_s=1.0, pixels=pixels).pixels]
 
 
 class TestSortedRuns:
