@@ -13,13 +13,13 @@ member components whose centroids fall outside its 2-sigma ellipse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .events import BBox, DetectorConfig, EventPeriod, frozen_view
+from .events import BBox, DetectorConfig, EventPeriod, frozen_view, tight_box
 from .features import (
     FeatureSeries,
     RegionScores,
@@ -46,17 +46,17 @@ class Cluster:
 
 @dataclass(frozen=True, eq=False)
 class Detection:
-    """One detected rotor: box, scores, and the supporting pixels."""
+    """One detected rotor: scores that obey ``RegionScores``, pixels and their tight box."""
 
-    bbox: BBox
     s_p: int
     s_s: float
     pixels: np.ndarray
+    bbox: BBox = field(init=False)
 
     def __post_init__(self) -> None:
+        RegionScores(s_s=self.s_s, s_p=self.s_p)  # raises on a pair no candidate carries
         pixels = frozen_view(self.pixels, np.int32)
-        if pixels.ndim != 2 or pixels.shape[1] != 2:
-            raise ValidationError("detection pixels must form a (k, 2) array")
+        object.__setattr__(self, "bbox", tight_box(pixels, "detection"))
         object.__setattr__(self, "pixels", pixels)
 
 
@@ -200,9 +200,9 @@ def gaussian_fine_refine(candidate: Cluster, smap: SaliencyMap) -> Detection:
     inside the prior's 2-sigma ellipse: squared Mahalanobis distance at most
     4. The mass-weighted mean of those distances is tr(C^-1 B) <= 2, where
     B <= C is the covariance of the member centroids, so some member is
-    always kept. The detection covers the kept members. It keeps the
-    candidate bbox when every member is kept, or when the prior is
-    degenerate: no pixel has weight, or the pixels are collinear.
+    always kept. The detection holds the kept members' pixels, and its box
+    is their tight box. Every member is kept when the prior is degenerate:
+    no pixel has weight, or the pixels are collinear.
     """
     if candidate.scores is None or candidate.scores.s_p is None:
         raise ValidationError("candidate has no scores; run the coarse stage first")
@@ -237,9 +237,7 @@ def gaussian_fine_refine(candidate: Cluster, smap: SaliencyMap) -> Detection:
         keep = (mass > 0.0) & (quad <= 4.0 * det * mass * mass)
         if not keep.all():
             pixels = pixels[np.repeat(keep, areas)]
-            (x0, x1), (y0, y1) = ((int(c.min()), int(c.max())) for c in pixels.T)
-            return Detection(BBox(x0, y0, x1 - x0 + 1, y1 - y0 + 1), s_p, s_s, pixels)
-    return Detection(candidate.bbox, s_p, s_s, pixels)
+    return Detection(s_p, s_s, pixels)
 
 
 def run_pipeline(period: EventPeriod, config: DetectorConfig | None = None) -> PipelineResult:

@@ -81,6 +81,15 @@ class BBox:
         return (self.x, self.y, self.w, self.h)
 
 
+def tight_box(pixels: np.ndarray, what: str) -> BBox:
+    """The smallest box holding every (x, y) row of ``what``'s pixels, a non-empty (k, 2) array."""
+    if pixels.ndim != 2 or pixels.shape[1] != 2 or pixels.shape[0] < 1:
+        raise ValidationError(f"{what} pixels must form a non-empty (k, 2) array")
+    # Per-column reductions: numpy reduces a (k, 2) array over axis 0 far slower.
+    (x0, x1), (y0, y1) = ((int(c.min()), int(c.max())) for c in (pixels[:, 0], pixels[:, 1]))
+    return BBox(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
+
+
 class EventPeriod:
     """A bounded time window of events in columnar, timestamp-sorted form.
 
@@ -128,6 +137,9 @@ class EventPeriod:
                     f"event {i} at t={t[i]} is outside the period "
                     f"[{t_start}, {t_start + duration})"
                 )
+            if int(t.max()) >= 2**63:  # a period may end past 2**63, its times may not
+                i = int(np.argmax(t))
+                raise ValidationError(f"event {i} at t={t[i]} is past the last time, 2**63-1 us")
             if not (p.min() >= 0 and p.max() <= 1):
                 bad = ~((p >= 0) & (p <= 1))
                 i = int(np.argmax(bad))

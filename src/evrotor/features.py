@@ -61,8 +61,8 @@ class RegionScores:
     def __post_init__(self) -> None:
         if not 0 <= self.s_s < np.inf:  # also rejects NaN
             raise ValidationError(f"s_s must be finite and non-negative, got {self.s_s}")
-        if self.s_p is not None and not 0 <= self.s_p <= 6:
-            raise ValidationError(f"s_p must be within 0..6, got {self.s_p}")
+        if self.s_p is not None and not (0 <= self.s_p <= 6 and self.s_p % 1 == 0):
+            raise ValidationError(f"s_p must be an integer within 0..6, got {self.s_p}")
 
 
 @dataclass(frozen=True, eq=False)

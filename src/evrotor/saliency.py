@@ -27,12 +27,12 @@ its pixels' flat ids among the map's sorted hit ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .events import BBox, EventPeriod, bin_events, frozen_view, slice_blocks
+from .events import BBox, EventPeriod, bin_events, frozen_view, slice_blocks, tight_box
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,10 +41,10 @@ class SaliencyMap:
 
     ``shape`` is (height, width). ``ids`` holds the sorted flat ids
     y * width + x of the hit pixels, those with at least one salient slice,
-    and ``hit_counts`` and ``hit_gray`` their counts, 1..n_slices, and gray
-    values. Every other pixel reads 0 in both. The ``gray`` grid is a dense
-    view built on each access, for inspection and dumps; the detector never
-    builds it.
+    and ``hit_counts`` their counts, 1..n_slices. ``hit_gray`` is derived:
+    the counts' ``render_gray``. Every other pixel reads 0 in both. The
+    ``gray`` grid is a dense view built on each access, for inspection and
+    dumps; the detector never builds it.
 
     Like every record, it keeps read-only views of its arrays
     (``events.frozen_view``), copied only to cast or make them contiguous;
@@ -54,8 +54,8 @@ class SaliencyMap:
     shape: tuple[int, int]
     ids: np.ndarray
     hit_counts: np.ndarray
-    hit_gray: np.ndarray
     n_slices: int
+    hit_gray: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if self.n_slices < 1:
@@ -63,12 +63,11 @@ class SaliencyMap:
         height, width = self.shape
         if height < 1 or width < 1:
             raise ValidationError(f"saliency map shape must be positive, got {self.shape}")
-        arrays = [np.asarray(a) for a in (self.ids, self.hit_counts, self.hit_gray)]
-        if any(a.ndim != 1 or a.dtype.kind not in "iu" for a in arrays):
+        ids, counts = (np.asarray(a) for a in (self.ids, self.hit_counts))
+        if any(a.ndim != 1 or a.dtype.kind not in "iu" for a in (ids, counts)):
             raise ValidationError("saliency hit arrays must be one-dimensional integer arrays")
-        if not arrays[0].size == arrays[1].size == arrays[2].size:
+        if ids.size != counts.size:
             raise ValidationError("saliency hit arrays must have equal length")
-        ids, counts, gray = arrays
         if ids.size:
             # Test the input dtype: casting first would wrap huge unsigned ids.
             if not (ids[1:] > ids[:-1]).all():
@@ -77,11 +76,10 @@ class SaliencyMap:
                 raise ValidationError(f"saliency hit ids must lie within 0..{height * width - 1}")
             if counts.min() < 1 or counts.max() > self.n_slices:
                 raise ValidationError(f"saliency hit counts must lie within 1..{self.n_slices}")
-            if gray.min() < 0 or gray.max() > 255:
-                raise ValidationError("saliency gray values must lie within 0..255")
+        # Rendered before the ids' cast, whose copy would otherwise raise the render's peak.
+        object.__setattr__(self, "hit_gray", frozen_view(render_gray(counts, self.n_slices)))
         object.__setattr__(self, "ids", frozen_view(ids, np.intp))
         object.__setattr__(self, "hit_counts", frozen_view(counts))
-        object.__setattr__(self, "hit_gray", frozen_view(gray, np.uint8))
         object.__setattr__(self, "shape", (int(height), int(width)))
 
     @property
@@ -96,18 +94,15 @@ class SaliencyMap:
 class Region:
     """An 8-connected component of a thresholded saliency map.
 
-    ``pixels`` holds (x, y) cell coordinates in row-major scan order.
+    ``pixels`` holds (x, y) cell coordinates in row-major scan order, ``bbox`` their tight box.
     """
 
-    bbox: BBox
     pixels: np.ndarray
+    bbox: BBox = field(init=False)
 
     def __post_init__(self) -> None:
         pixels = frozen_view(self.pixels, np.int32)
-        if pixels.ndim != 2 or pixels.shape[1] != 2 or pixels.shape[0] < 1:
-            raise ValidationError("region pixels must form a non-empty (k, 2) array")
-        box = self.bbox
-        check_inside(pixels, np.array([[box.x, box.y, box.right, box.bottom]]), np.zeros(1, int))
+        object.__setattr__(self, "bbox", tight_box(pixels, "region"))
         object.__setattr__(self, "pixels", pixels)
 
     @property
@@ -129,7 +124,7 @@ def check_inside(pixels: np.ndarray, bounds: np.ndarray, starts: np.ndarray) -> 
 
 
 def _labelled_region(bbox: BBox, pixels: np.ndarray) -> Region:
-    """A Region whose read-only int32 pixels ``check_inside`` already passed."""
+    """The labeler's fast path: a Region whose tight box and read-only pixels ``_label`` checked."""
     region = object.__new__(Region)
     object.__setattr__(region, "bbox", bbox)
     object.__setattr__(region, "pixels", pixels)
@@ -175,8 +170,8 @@ def saliency_map(period: EventPeriod, n: int) -> SaliencyMap:
     polarities exactly when an even key 2c is followed directly by 2c + 1,
     that is, when two neighbouring keys differ in the lowest bit only; so
     each cell counts once, and only the hit cells' pixel ids outlive their
-    block. Those ids, sorted, give the hit pixels and their counts, which
-    are rendered to gray; the map holds nothing else.
+    block. Those ids, sorted, give the hit pixels and their counts; the map
+    renders their gray and holds nothing else.
     """
     height, width = period.sensor.shape
     sensor = BBox(0, 0, width, height)
@@ -194,13 +189,7 @@ def saliency_map(period: EventPeriod, n: int) -> SaliencyMap:
     hits %= height * width
     hits.sort()
     ids, counts = sorted_runs(hits)
-    return SaliencyMap(
-        shape=(height, width),
-        ids=ids,
-        hit_counts=counts,
-        hit_gray=render_gray(counts, n),
-        n_slices=n,
-    )
+    return SaliencyMap(shape=(height, width), ids=ids, hit_counts=counts, n_slices=n)
 
 
 def gray_at(smap: SaliencyMap, pixels: np.ndarray) -> np.ndarray:

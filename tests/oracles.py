@@ -65,38 +65,28 @@ def ndimage_components(mask):
         if slc is None:
             continue
         ys, xs = np.nonzero(labels[slc] == index)
-        xs = (xs + slc[1].start).astype(np.int32)
-        ys = (ys + slc[0].start).astype(np.int32)
-        bbox = BBox(
-            x=slc[1].start,
-            y=slc[0].start,
-            w=slc[1].stop - slc[1].start,
-            h=slc[0].stop - slc[0].start,
+        region = Region(np.column_stack([xs + slc[1].start, ys + slc[0].start]))
+        # find_objects gives the component's tight box, independently of the pixels.
+        assert region.bbox == BBox(
+            slc[1].start, slc[0].start, slc[1].stop - slc[1].start, slc[0].stop - slc[0].start
         )
-        regions.append(Region(bbox=bbox, pixels=np.column_stack([xs, ys])))
+        regions.append(region)
     regions.sort(key=lambda r: (r.bbox.y, r.bbox.x, r.bbox.h, r.bbox.w))
     return regions
 
 
-def sparse_saliency(gray, counts=None, n_slices=255):
-    """The SaliencyMap whose dense ``gray`` and ``counts`` grids are the given ones.
+def sparse_saliency(gray):
+    """The SaliencyMap whose dense ``gray`` grid is the given one.
 
-    The hit pixels are those with a positive count, and every other pixel
-    must have gray 0. Without ``counts``, a pixel's count is its gray value,
-    out of 255 slices by default.
+    A pixel's count is its gray value out of 255 slices, which renders back
+    to that gray; the hit pixels are those with a positive gray.
     """
     gray = np.asarray(gray, np.uint8)
-    counts = gray.astype(np.int64) if counts is None else np.asarray(counts)
-    assert counts.shape == gray.shape and gray.ndim == 2
-    assert not gray[counts == 0].any(), "only hit pixels may have gray"
-    ids = np.flatnonzero(counts)
-    return SaliencyMap(
-        shape=gray.shape,
-        ids=ids,
-        hit_counts=counts.ravel()[ids],
-        hit_gray=gray.ravel()[ids],
-        n_slices=n_slices,
-    )
+    assert gray.ndim == 2
+    ids = np.flatnonzero(gray)
+    smap = SaliencyMap(shape=gray.shape, ids=ids, hit_counts=gray.ravel()[ids], n_slices=255)
+    assert np.array_equal(smap.gray, gray)
+    return smap
 
 
 def dense_counts(smap):

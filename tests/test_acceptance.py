@@ -208,8 +208,7 @@ def test_principal_direction_matches_angle_sweep(capsys):
 
 
 def rect_region(x, y, w, h):
-    pixels = [(xx, yy) for yy in range(y, y + h) for xx in range(x, x + w)]
-    return Region(bbox=BBox(x, y, w, h), pixels=np.array(pixels, np.int32))
+    return Region(np.array([(xx, yy) for yy in range(y, y + h) for xx in range(x, x + w)]))
 
 
 def test_clustering_matches_brute_force(capsys):

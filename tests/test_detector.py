@@ -12,6 +12,7 @@ from evrotor import (
     BBox,
     Cluster,
     ConfigurationError,
+    Detection,
     DetectorConfig,
     Region,
     RegionScores,
@@ -49,8 +50,7 @@ from oracles import (
 
 
 def rect_region(x, y, w, h):
-    pixels = [(xx, yy) for yy in range(y, y + h) for xx in range(x, x + w)]
-    return Region(bbox=BBox(x, y, w, h), pixels=np.array(pixels, np.int32))
+    return Region(np.array([(xx, yy) for yy in range(y, y + h) for xx in range(x, x + w)]))
 
 
 def cluster_count(rects, d_merge):
@@ -418,17 +418,33 @@ def disk_region(cx, cy, radius):
         for x in range(cx - radius, cx + radius + 1)
         if (x - cx) ** 2 + (y - cy) ** 2 <= radius * radius
     ]
-    xs = [c[0] for c in cells]
-    ys = [c[1] for c in cells]
-    bbox = BBox(min(xs), min(ys), max(xs) - min(xs) + 1, max(ys) - min(ys) + 1)
-    return Region(bbox=bbox, pixels=np.array(cells, np.int32))
+    return Region(np.array(cells))
 
 
 def line_region(cells):
-    xs = [c[0] for c in cells]
-    ys = [c[1] for c in cells]
-    bbox = BBox(min(xs), min(ys), max(xs) - min(xs) + 1, max(ys) - min(ys) + 1)
-    return Region(bbox=bbox, pixels=np.array(cells, np.int32))
+    return Region(np.array(cells))
+
+
+class TestDetectionRecord:
+    def test_box_is_the_tight_box_of_its_pixels(self):
+        detection = Detection(4, 10.0, np.array([[1, 1]]))
+        assert detection.bbox == BBox(1, 1, 1, 1)
+        with pytest.raises(TypeError):
+            Detection(BBox(0, 0, 50, 50), 4, 10.0, np.array([[1, 1]]))
+
+    @pytest.mark.parametrize(
+        "s_p, s_s, message",
+        [(2.7, 1.0, "s_p must be"), (9, 1.0, "s_p must be"), (4, -5.0, "s_s must be"),
+         (4, math.nan, "s_s must be")],
+    )
+    def test_scores_obey_region_scores(self, s_p, s_s, message):
+        with pytest.raises(ValidationError, match=message):
+            Detection(s_p, s_s, np.array([[0, 0]]))
+
+    @pytest.mark.parametrize("pixels", [np.empty((0, 2)), np.zeros((2, 3)), np.zeros(2)])
+    def test_rejects_malformed_pixels(self, pixels):
+        with pytest.raises(ValidationError, match="non-empty"):
+            Detection(4, 1.0, pixels)
 
 
 class TestFineStage:
@@ -461,8 +477,9 @@ class TestFineStage:
         detection = gaussian_fine_refine(candidate, gray_map((90, 90), [disk, outline]))
         assert detection.bbox == disk.bbox
 
-    def test_no_consistent_member_falls_back_to_candidate_bbox(self):
-        # A lone straight streak is collinear: the prior is degenerate.
+    def test_degenerate_prior_keeps_every_member(self):
+        # A lone straight streak is collinear: the prior is degenerate. The
+        # box is the kept pixels' tight box, whatever box the candidate holds.
         streak = line_region([(20, y) for y in range(5, 55)])
         candidate = Cluster(
             members=(streak,),
@@ -470,8 +487,22 @@ class TestFineStage:
             scores=RegionScores(s_s=100.0, s_p=3),
         )
         detection = gaussian_fine_refine(candidate, gray_map((80, 80), [streak]))
-        assert detection.bbox == BBox(0, 0, 70, 70)
+        assert detection.bbox == BBox(20, 5, 1, 50)
         assert detection.pixels.shape[0] == streak.area
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50), st.integers(1, 12),
+                              st.integers(1, 12)), min_size=1, max_size=8))
+    def test_keeping_every_member_gives_the_clusters_box(self, rects):
+        # A cluster's box is the union of its members' tight boxes, so the
+        # tight box of all its pixels: the old fallback rule is a consequence.
+        regions = [rect_region(*rect) for rect in rects]
+        smap = gray_map((64, 64), regions)
+        for cluster in cluster_regions(regions, d_merge=6.0):
+            cluster.scores = RegionScores(s_s=1.0, s_p=3)
+            detection = gaussian_fine_refine(cluster, smap)
+            if detection.pixels.shape[0] == cluster.area:
+                assert detection.bbox == cluster.bbox
 
     def test_compact_blob_is_kept(self):
         disk = disk_region(25, 25, 8)
@@ -489,7 +520,7 @@ class TestFineStage:
         candidate = Cluster(
             members=(region,), bbox=region.bbox, scores=RegionScores(s_s=800.0, s_p=4)
         )
-        smap = sparse_saliency(np.full((4, 4), 200), counts=np.ones((4, 4), int), n_slices=20)
+        smap = sparse_saliency(np.full((4, 4), 200))
         with pytest.raises(ValidationError, match="outside the saliency map"):
             gaussian_fine_refine(candidate, smap)
 

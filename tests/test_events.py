@@ -119,6 +119,12 @@ class TestEventPeriod:
         with pytest.raises(ValidationError, match="outside the period"):
             make_period([(5, 1, 1, 1)], t_start=10, duration=100)
 
+    @pytest.mark.parametrize("t", [np.array([2**63 + 5], np.uint64), [2**63 + 5], [2**64 - 1]])
+    def test_rejects_times_an_int64_column_would_wrap(self, t):
+        # The period ends past 2**63, so its range check alone lets these times through.
+        with pytest.raises(ValidationError, match=f"t={int(t[0])} is past the last time"):
+            EventPeriod(t, [0], [0], [1], t_start=0, duration=2**64, sensor=SensorGeometry(4, 4))
+
     def test_rejects_bad_polarity_column(self):
         with pytest.raises(ValidationError, match="polarity"):
             make_period([(10, 1, 1, 3)])

@@ -57,8 +57,7 @@ from oracles import (
 
 
 def region_of(x, y, w, h):
-    pixels = [(xx, yy) for yy in range(y, y + h) for xx in range(x, x + w)]
-    return Region(bbox=BBox(x, y, w, h), pixels=np.array(pixels, np.int32))
+    return Region(np.array([(xx, yy) for yy in range(y, y + h) for xx in range(x, x + w)]))
 
 
 def assert_cells_match_the_oracle(local, rows, t_start, duration, window):
@@ -449,8 +448,7 @@ class TestBounds:
         """m fixed, four times the nonzero cells of one window: the stage's peak barely moves."""
         m, duration, window = 100, 100_000, BBox(100, 100, 100, 100)
         sensor = SensorGeometry(640, 480)
-        smap = SaliencyMap((480, 640), np.empty(0, int), np.empty(0, int),
-                          np.empty(0, int), n_slices=100)
+        smap = SaliencyMap((480, 640), np.empty(0, int), np.empty(0, int), n_slices=100)
         cluster = Cluster(members=(region_of(100, 100, 100, 100),), bbox=window)
         config = DetectorConfig(m_slices=m, k_top=1, tau_p=0, region_margin=0)
         peaks = []
@@ -1140,8 +1138,8 @@ class TestSaliencyScore:
         # gray[0, -1] would read the last column of row 0 instead of raising.
         smap = self.make_map(np.arange(16, dtype=np.uint8).reshape(4, 4) * 14)
         for region in (
-            Region(BBox(-1, 0, 2, 1), np.array([[-1, 0], [0, 0]])),
-            Region(BBox(0, -1, 1, 2), np.array([[0, -1], [0, 0]])),
+            Region(np.array([[-1, 0], [0, 0]])),
+            Region(np.array([[0, -1], [0, 0]])),
         ):
             with pytest.raises(ValidationError, match="outside the saliency map"):
                 saliency_score(region, smap)
@@ -1155,6 +1153,8 @@ class TestRegionScores:
             RegionScores(s_s=-1.0)
         with pytest.raises(ValidationError):
             RegionScores(s_s=1.0, s_p=7)
+        with pytest.raises(ValidationError, match="s_p must be an integer"):
+            RegionScores(s_s=1.0, s_p=2.7)
 
     @pytest.mark.parametrize("s_s", [math.nan, math.inf])
     def test_rejects_a_mass_that_is_not_finite(self, s_s):

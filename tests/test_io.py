@@ -20,7 +20,6 @@ from evrotor import (
     load_annotations,
     load_events,
     write_annotation,
-    write_detections,
     write_events,
 )
 from evrotor.io import write_pgm
@@ -309,10 +308,10 @@ class TestAnnotations:
         assert not path.exists()
 
     def test_detections_with_a_nan_mass_write_no_file(self, tmp_path):
-        detection = Detection(BBox(0, 0, 2, 2), s_p=4, s_s=math.nan, pixels=np.zeros((1, 2)))
+        # The detection itself refuses the mass, before any writer can see it.
         path = tmp_path / "det.json"
-        with pytest.raises(ValidationError, match="s_s must be a finite number"):
-            write_detections([detection], path, source="a", sensor=SMALL, duration_us=1000)
+        with pytest.raises(ValidationError, match="s_s must be finite"):
+            Detection(s_p=4, s_s=math.nan, pixels=np.zeros((1, 2)))
         assert not path.exists()
 
     def test_ground_truth_omits_scores(self, tmp_path):

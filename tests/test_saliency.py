@@ -352,14 +352,8 @@ class TestRecord:
     """The map holds its hit pixels only; the dense grids are views."""
 
     @staticmethod
-    def make(ids=(1, 5, 11), counts=(1, 2, 3), gray=(85, 170, 255), n_slices=3, shape=(3, 4)):
-        return SaliencyMap(
-            shape=shape,
-            ids=np.array(ids),
-            hit_counts=np.array(counts),
-            hit_gray=np.array(gray),
-            n_slices=n_slices,
-        )
+    def make(ids=(1, 5, 11), counts=(1, 2, 3), n_slices=3, shape=(3, 4)):
+        return SaliencyMap(shape=shape, ids=np.array(ids), hit_counts=np.array(counts), n_slices=n_slices)
 
     def test_dense_views_scatter_the_hits(self):
         smap = self.make()
@@ -368,6 +362,13 @@ class TestRecord:
         assert smap.gray.tolist() == [[0, 85, 0, 0], [0, 170, 0, 0], [0, 0, 0, 255]]
         for values in (smap.ids, smap.hit_counts, smap.hit_gray):
             assert not values.flags.writeable
+
+    def test_gray_is_rendered_from_the_counts(self):
+        smap = self.make(counts=(1, 10, 20), n_slices=20)
+        assert smap.hit_gray.dtype == np.uint8
+        assert smap.hit_gray.tolist() == render_gray(np.array([1, 10, 20]), 20).tolist() == [13, 128, 255]
+        with pytest.raises(TypeError):
+            SaliencyMap(shape=(3, 4), ids=[1], hit_counts=[1], hit_gray=[255], n_slices=20)
 
     @pytest.mark.parametrize(
         "kind",
@@ -391,13 +392,13 @@ class TestRecord:
 
     def test_strided_hits_are_held_contiguous(self):
         ids = np.array([1, 0, 5, 0, 11, 0])[::2]
-        smap = SaliencyMap(shape=(3, 4), ids=ids, hit_counts=np.ones(3, int), hit_gray=np.ones(3, int), n_slices=3)
+        smap = SaliencyMap(shape=(3, 4), ids=ids, hit_counts=np.ones(3, int), n_slices=3)
         assert smap.ids.flags.c_contiguous and smap.ids.tolist() == [1, 5, 11]
         assert ids.flags.writeable and not np.shares_memory(ids, smap.ids)
 
     def test_empty_map_reads_zero(self):
         empty = np.empty(0, np.int64)
-        smap = self.make(ids=empty, counts=empty, gray=empty)
+        smap = self.make(ids=empty, counts=empty)
         assert smap.gray.shape == (3, 4) and not smap.gray.any()
         assert gray_at(smap, np.array([[3, 2]])).tolist() == [0]
 
@@ -412,18 +413,28 @@ class TestRecord:
             ({"counts": (0, 2, 3)}, "within 1..3"),
             ({"counts": (1, 2, 4)}, "within 1..3"),
             ({"counts": (1, 2)}, "equal length"),
-            ({"gray": (85, 170)}, "equal length"),
+            ({"counts": (1, 2, 3, 3)}, "equal length"),
             ({"ids": (1, 5)}, "equal length"),
-            ({"gray": (85, 170, 256)}, "within 0..255"),
-            ({"gray": (1.0, 2.0, 3.0)}, "integer"),
+            ({"counts": (1, 2, 2**40)}, "within 1..3"),
+            ({"counts": (1.0, 2.0, 3.0)}, "integer"),
             ({"ids": [[1, 5, 11]]}, "one-dimensional"),
             ({"n_slices": 0}, "slice count"),
-            ({"shape": (0, 4), "ids": [], "counts": [], "gray": []}, "shape"),
+            ({"shape": (0, 4), "ids": [], "counts": []}, "shape"),
         ],
     )
     def test_rejects_malformed_records(self, fields, message):
         with pytest.raises(ValidationError, match=message):
             self.make(**fields)
+
+
+@st.composite
+def sparse_maps(draw):
+    """A SaliencyMap whose hit pixels and counts come from a random dense count grid."""
+    n = draw(st.integers(1, 8))
+    counts = draw(npst.arrays(np.int64, npst.array_shapes(min_dims=2, max_dims=2, max_side=48),
+                              elements=st.integers(0, n)))
+    ids = np.flatnonzero(counts)
+    return SaliencyMap(counts.shape, ids, counts.ravel()[ids], n)
 
 
 def caller_and_record_arrays(kind):
@@ -435,11 +446,11 @@ def caller_and_record_arrays(kind):
         period = EventPeriod(*mine, t_start=0, duration=10, sensor=SensorGeometry(4, 4))
         return mine, [period.t, period.x, period.y, period.p]
     if kind == "SaliencyMap":
-        mine = [np.array([1, 5, 11], np.intp), np.array([1, 2, 3]), np.array([85, 170, 255], np.uint8)]
-        smap = SaliencyMap(shape=(3, 4), ids=mine[0], hit_counts=mine[1], hit_gray=mine[2], n_slices=3)
-        return mine, [smap.ids, smap.hit_counts, smap.hit_gray]
+        mine = [np.array([1, 5, 11], np.intp), np.array([1, 2, 3])]
+        smap = SaliencyMap(shape=(3, 4), ids=mine[0], hit_counts=mine[1], n_slices=3)
+        return mine, [smap.ids, smap.hit_counts]
     if kind == "Region":
-        return [pixels], [Region(BBox(0, 0, 2, 1), pixels).pixels]
+        return [pixels], [Region(pixels).pixels]
     if kind == "LocalSlices":
         mine = [np.array([0, 3], np.int32), np.array([2, 1], np.int32)]
         local = LocalSlices(shape=(4, 1, 1), cells=mine[0], counts=mine[1])
@@ -449,7 +460,7 @@ def caller_and_record_arrays(kind):
         series = FeatureSeries(*mine)
         return mine, [series.f_d, series.f_s, series.f_p]
     assert kind == "Detection"
-    return [pixels], [Detection(BBox(0, 0, 2, 1), s_p=4, s_s=1.0, pixels=pixels).pixels]
+    return [pixels], [Detection(s_p=4, s_s=1.0, pixels=pixels).pixels]
 
 
 class TestSortedRuns:
@@ -621,14 +632,16 @@ class TestComponents:
         mask = np.array([[c == "#" for c in row] for row in rows])
         assert_same_regions(connected_components(mask), ndimage_components(mask))
 
-    def test_labelled_regions_survive_reconstruction(self):
-        mask = np.random.default_rng(5).random((60, 80)) < 0.3
-        regions = connected_components(mask)
-        assert len(regions) > 20
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        npst.arrays(bool, npst.array_shapes(min_dims=2, max_dims=2, max_side=48)).map(connected_components),
+        st.builds(salient_regions, sparse_maps(), st.integers(0, 254)),
+    ))
+    def test_labelled_regions_survive_reconstruction(self, regions):
+        # The labeler's fast path builds the box that the constructor derives.
         for region in regions:
             assert not region.pixels.flags.writeable
-            rebuilt = Region(bbox=region.bbox, pixels=region.pixels)
-            assert_same_regions([rebuilt], [region])
+            assert_same_regions([Region(region.pixels)], [region])
 
     def test_batched_containment_rejects_a_box_missing_a_pixel(self):
         regions = connected_components(np.random.default_rng(6).random((40, 50)) < 0.3)
@@ -645,12 +658,13 @@ class TestComponents:
                 check_inside(pixels, shrunk, starts)
 
     def test_region_validates_pixels_inside_bbox(self):
-        from evrotor import BBox
+        with pytest.raises(ValidationError):
+            Region(np.empty((0, 2), np.int32))
 
-        with pytest.raises(ValidationError):
-            Region(bbox=BBox(0, 0, 2, 2), pixels=np.array([[5, 5]]))
-        with pytest.raises(ValidationError):
-            Region(bbox=BBox(0, 0, 2, 2), pixels=np.empty((0, 2), np.int32))
+    def test_region_box_is_the_tight_box_of_its_pixels(self):
+        assert Region(np.array([[3, 7], [5, 2], [4, 4]])).bbox == BBox(3, 2, 3, 6)
+        with pytest.raises(TypeError):
+            Region(bbox=BBox(0, 0, 100, 100), pixels=np.array([[1, 1]]))
 
 
 class TestSalientRegions:
