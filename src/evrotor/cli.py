@@ -7,7 +7,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
 
@@ -42,36 +42,28 @@ class _DefaultsFormatter(argparse.ArgumentDefaultsHelpFormatter):
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = DetectorConfig()
-    parser.add_argument("--n-slices", type=int, default=defaults.n_slices,
+    parser.add_argument("--n-slices", type=int,
                         help="saliency slices per period (default: one per ms)")
-    parser.add_argument("--m-slices", type=int, default=defaults.m_slices,
+    parser.add_argument("--m-slices", type=int,
                         help="feature slices per period (default: two per ms)")
-    parser.add_argument("--tau-s", type=int, default=defaults.tau_s,
+    parser.add_argument("--tau-s", type=int,
                         help="gray threshold for salient pixels, 0..255")
-    parser.add_argument("--tau-p", type=int, default=defaults.tau_p,
+    parser.add_argument("--tau-p", type=int,
                         help="periodicity score threshold, 0..6")
-    parser.add_argument("--k", type=int, default=defaults.k_top,
+    parser.add_argument("--k", type=int, dest="k_top", metavar="K",
                         help="clusters kept by saliency rank in the coarse stage")
-    parser.add_argument("--d-merge", type=float, default=defaults.d_merge,
+    parser.add_argument("--d-merge", type=float,
                         help="max bbox distance merged into one cluster, px")
-    parser.add_argument("--smooth-window", type=int, default=defaults.smooth_window,
+    parser.add_argument("--smooth-window", type=int,
                         help="odd moving-average window for feature series")
-    parser.add_argument("--margin", type=int, default=defaults.region_margin,
+    parser.add_argument("--margin", type=int, dest="region_margin", metavar="MARGIN",
                         help="bbox dilation around candidates, px")
+    parser.set_defaults(**asdict(DetectorConfig()))
 
 
 def _config_from(args: argparse.Namespace) -> DetectorConfig:
-    return DetectorConfig(
-        n_slices=args.n_slices,
-        m_slices=args.m_slices,
-        tau_s=args.tau_s,
-        tau_p=args.tau_p,
-        k_top=args.k,
-        d_merge=args.d_merge,
-        smooth_window=args.smooth_window,
-        region_margin=args.margin,
-    )
+    # Each config flag stores into the field of its name and defaults to the field's default.
+    return DetectorConfig(**{f.name: getattr(args, f.name) for f in fields(DetectorConfig)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,6 +216,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
     # The pool starts all its workers up front, so start no more than can work.
     workers = min(args.jobs, len(inputs), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here, so that a run with one worker never loads the pool's modules.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(worker, inputs))
     else:

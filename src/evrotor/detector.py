@@ -18,7 +18,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ValidationError
 from .events import BBox, DetectorConfig, EventPeriod, frozen_view, tight_box
 from .features import (
     FeatureSeries,
@@ -46,7 +46,7 @@ class Cluster:
 
 @dataclass(frozen=True, eq=False)
 class Detection:
-    """One detected rotor: scores that obey ``RegionScores``, pixels and their tight box."""
+    """One detected rotor: scores that obey ``RegionScores`` (``s_p`` not None), pixels, tight box."""
 
     s_p: int
     s_s: float
@@ -54,6 +54,8 @@ class Detection:
     bbox: BBox = field(init=False)
 
     def __post_init__(self) -> None:
+        if self.s_p is None:  # RegionScores allows it, for a cluster not yet scored
+            raise ValidationError("a detection needs an s_p, got None")
         RegionScores(s_s=self.s_s, s_p=self.s_p)  # raises on a pair no candidate carries
         pixels = frozen_view(self.pixels, np.int32)
         object.__setattr__(self, "bbox", tight_box(pixels, "detection"))
@@ -100,8 +102,7 @@ def cluster_regions(regions: list[Region], d_merge: float) -> list[Cluster]:
     and their members are sorted by (y, x, h, w); members with equal boxes
     keep their input order.
     """
-    if not d_merge >= 0:  # also rejects NaN
-        raise ConfigurationError(f"d_merge must be non-negative, got {d_merge}")
+    DetectorConfig(d_merge=d_merge)  # raises on a reach the config refuses
     boxes = np.array([r.bbox.as_tuple() for r in regions], np.int64).reshape(-1, 4)
     sort = box_order(boxes)
     ordered = [regions[k] for k in sort.tolist()]

@@ -122,6 +122,11 @@ class EventPeriod:
             raise ValidationError(f"period start must be within 0..2**63-1, got {t_start}")
         if duration <= 0:
             raise ValidationError(f"period duration must be positive, got {duration}")
+        for name, col in (("t", t), ("x", x), ("y", y), ("p", p)):
+            # Only float columns can hold a fraction or NaN, which the casts below would drop.
+            if col.dtype.kind == "f" and not (col == np.trunc(col)).all():
+                i = int(np.argmax(col != np.trunc(col)))
+                raise ValidationError(f"event {i} has a non-integral {name} of {col[i]}")
         if t.size:
             if not (x.min() >= 0 and x.max() < sensor.width and y.min() >= 0 and y.max() < sensor.height):
                 bad = ~((x >= 0) & (x < sensor.width) & (y >= 0) & (y < sensor.height))
@@ -171,11 +176,12 @@ class EventPeriod:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Detector parameters.
+    """Detector parameters: each one's name, default and allowed range.
 
     ``n_slices`` and ``m_slices`` may be None, in which case they resolve per
     period: one saliency slice per millisecond of duration and two feature
-    slices per millisecond.
+    slices per millisecond. A stage function given a raw parameter checks it
+    by building a config from it, so it raises this class's error.
     """
 
     n_slices: int | None = None

@@ -37,7 +37,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, ValidationError
 from . import events
-from .events import BBox, EventPeriod, SensorGeometry, bin_events, frozen_view, slice_blocks
+from .events import BBox, DetectorConfig, EventPeriod, SensorGeometry, bin_events, frozen_view
+from .events import slice_blocks
 from .saliency import Region, SaliencyMap, gray_at, sorted_runs
 
 # Window events the walk holds, over all windows, before it reduces some to cells.
@@ -169,8 +170,7 @@ def _check_cells(cells: np.ndarray, counts: np.ndarray, after: int, size: int, t
 
 def dilated_window(bbox: BBox, margin: int, sensor: SensorGeometry) -> BBox:
     """The bbox grown by margin on every side, clamped to the sensor."""
-    if margin < 0:
-        raise ConfigurationError(f"margin must be non-negative, got {margin}")
+    DetectorConfig(region_margin=margin)  # raises on a margin the config refuses
     x0 = max(bbox.x - margin, 0)
     y0 = max(bbox.y - margin, 0)
     x1 = min(bbox.right + margin, sensor.width)
@@ -529,7 +529,10 @@ class _SliceSums:
 def moving_average(series, window: int) -> np.ndarray:
     """Centered moving average; edge windows truncate at the boundaries.
 
-    Output length equals input length.
+    Output length equals input length. Each window is summed left to right,
+    never taken as a difference of running sums, so equal windows give equal
+    averages: a plateau stays flat, and a window of 1 returns the series.
+    The cost is O(n * window).
     """
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1:
@@ -538,12 +541,14 @@ def moving_average(series, window: int) -> np.ndarray:
         raise ConfigurationError(f"window must be an odd integer >= 1, got {window}")
     if window > x.size:
         raise ConfigurationError(f"window {window} exceeds series length {x.size}")
-    csum = np.concatenate([[0.0], np.cumsum(x)])
     half = window // 2
+    # Zeros pad the edge windows; adding 0.0 first changes no sum.
+    padded = np.concatenate([np.zeros(half), x, np.zeros(half)])
+    total = padded[: x.size].copy()
+    for k in range(1, window):
+        total += padded[k : k + x.size]
     i = np.arange(x.size)
-    lo = np.maximum(i - half, 0)
-    hi = np.minimum(i + half + 1, x.size)
-    return (csum[hi] - csum[lo]) / (hi - lo)
+    return total / (np.minimum(i + half + 1, x.size) - np.maximum(i - half, 0))
 
 
 def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
@@ -597,7 +602,9 @@ def _extrema_flags(series: list[np.ndarray]) -> np.ndarray:
     return np.bincount(kept, minlength=len(copies)) >= 2
 
 
-def periodicity_score(features: FeatureSeries, smooth_window: int = 3) -> int:
+def periodicity_score(
+    features: FeatureSeries, smooth_window: int = DetectorConfig.smooth_window
+) -> int:
     """Sum of peak and valley flags over the three smoothed series, 0..6.
 
     The smoothing window shrinks (to the next odd length) for series shorter
@@ -606,12 +613,9 @@ def periodicity_score(features: FeatureSeries, smooth_window: int = 3) -> int:
     return _periodicity_scores([features], smooth_window)[0]
 
 
-def _periodicity_scores(features: Sequence[FeatureSeries], smooth_window: int = 3) -> list[int]:
+def _periodicity_scores(features: Sequence[FeatureSeries], smooth_window: int) -> list[int]:
     """periodicity_score of each window's series, from one extrema search over all of them."""
-    if smooth_window < 1 or smooth_window % 2 == 0:
-        raise ConfigurationError(
-            f"smooth_window must be an odd integer >= 1, got {smooth_window}"
-        )
+    DetectorConfig(smooth_window=smooth_window)  # raises on a window the config refuses
     smoothed = [
         [  # x.size - 1 + x.size % 2 is the longest odd window that fits
             moving_average(x, max(min(smooth_window, x.size - 1 + x.size % 2), 1))

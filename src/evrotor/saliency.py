@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .events import BBox, EventPeriod, bin_events, frozen_view, slice_blocks, tight_box
+from .events import BBox, DetectorConfig, EventPeriod, bin_events, frozen_view
+from .events import slice_blocks, tight_box
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,17 +213,12 @@ def gray_at(smap: SaliencyMap, pixels: np.ndarray) -> np.ndarray:
     return gray
 
 
-def _check_threshold(tau_s: int) -> None:
-    if not 0 <= tau_s <= 255:
-        raise ConfigurationError(f"tau_s must be within 0..255, got {tau_s}")
-
-
 def threshold_mask(smap: SaliencyMap, tau_s: int) -> np.ndarray:
     """The dense (height, width) mask of the pixels whose gray strictly exceeds tau_s.
 
     For inspection; ``salient_regions`` labels the same pixels without it.
     """
-    _check_threshold(tau_s)
+    DetectorConfig(tau_s=tau_s)  # raises on a threshold the config refuses
     return smap.gray > tau_s
 
 
@@ -232,7 +228,7 @@ def salient_regions(smap: SaliencyMap, tau_s: int) -> list[Region]:
     Labels the salient hit ids directly, so no (height, width) array is
     formed. The regions are those of ``connected_components(threshold_mask(smap, tau_s))``.
     """
-    _check_threshold(tau_s)
+    DetectorConfig(tau_s=tau_s)  # raises on a threshold the config refuses
     return _label(smap.ids[smap.hit_gray > tau_s], smap.shape[1])
 
 

@@ -4,11 +4,13 @@ import contextlib
 import io
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -279,7 +281,7 @@ class TestDetect:
             def map(self, fn, iterable):
                 return map(fn, iterable)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
         code, _, _ = run_cli(
             ["detect", "--input", str(scene_dir / "clip.evd"), str(scene_dir / "clip.evd"),
@@ -341,6 +343,41 @@ class TestDetect:
         # detect with no config flags builds exactly the library default
         args = build_parser().parse_args(["detect", "--input", "x.evd"])
         assert cli._config_from(args) == DetectorConfig()
+
+    def test_every_config_field_is_set_by_its_flag(self):
+        flags = {
+            "n_slices": ("--n-slices", "7"),
+            "m_slices": ("--m-slices", "9"),
+            "tau_s": ("--tau-s", "60"),
+            "tau_p": ("--tau-p", "4"),
+            "k_top": ("--k", "2"),
+            "d_merge": ("--d-merge", "12.5"),
+            "smooth_window": ("--smooth-window", "5"),
+            "region_margin": ("--margin", "3"),
+        }
+        assert set(flags) == {f.name for f in fields(DetectorConfig)}
+        defaults = DetectorConfig()
+        for name, (flag, value) in flags.items():
+            args = build_parser().parse_args(["detect", "--input", "x.evd", flag, value])
+            config = cli._config_from(args)
+            assert getattr(config, name) == float(value) != getattr(defaults, name), name
+            assert replace(config, **{name: getattr(defaults, name)}) == defaults, name
+
+    def test_one_worker_loads_no_process_pool(self, scene_dir, tmp_path):
+        script = f"""
+import sys
+from evrotor import cli
+assert cli.main(["detect", "--input", {str(scene_dir / "clip.evd")!r},
+                 "--output", {str(tmp_path / "d.json")!r}]) == 0
+print("concurrent.futures" in sys.modules)
+"""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_help_lists_the_thresholds(self, capsys):
         with pytest.raises(SystemExit) as exc:

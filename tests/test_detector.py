@@ -441,6 +441,12 @@ class TestDetectionRecord:
         with pytest.raises(ValidationError, match=message):
             Detection(s_p, s_s, np.array([[0, 0]]))
 
+    def test_refuses_an_unscored_cluster(self):
+        # RegionScores takes s_p=None for a cluster not yet scored; a detection
+        # must not, or write_detections fails on it with a bare TypeError.
+        with pytest.raises(ValidationError, match="needs an s_p"):
+            Detection(None, 1.0, np.array([[0, 0]]))
+
     @pytest.mark.parametrize("pixels", [np.empty((0, 2)), np.zeros((2, 3)), np.zeros(2)])
     def test_rejects_malformed_pixels(self, pixels):
         with pytest.raises(ValidationError, match="non-empty"):

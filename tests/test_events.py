@@ -14,11 +14,24 @@ from evrotor import (
     SensorGeometry,
     ValidationError,
 )
-from evrotor import events, extract_local_slices, saliency_map
+from evrotor import (
+    FeatureSeries,
+    cluster_regions,
+    events,
+    extract_local_slices,
+    periodicity_score,
+    saliency_map,
+    threshold_mask,
+)
 from evrotor.events import bin_events, slice_blocks, slice_starts
+from evrotor.features import dilated_window
+from evrotor.saliency import salient_regions
 
 from conftest import SMALL, make_period
 from oracles import dense_counts
+
+EMPTY_MAP = saliency_map(make_period([], duration=1000), 2)
+FLAT_SERIES = FeatureSeries(f_d=np.ones(6), f_s=np.zeros(5), f_p=np.zeros(5))
 
 
 class TestSensorGeometry:
@@ -125,6 +138,25 @@ class TestEventPeriod:
         with pytest.raises(ValidationError, match=f"t={int(t[0])} is past the last time"):
             EventPeriod(t, [0], [0], [1], t_start=0, duration=2**64, sensor=SensorGeometry(4, 4))
 
+    @pytest.mark.parametrize(
+        "column, values, message",
+        [("t", [10.0, 11.5], "event 1 has a non-integral t of 11.5"),
+         ("x", [1.0, 0.7], "event 1 has a non-integral x of 0.7"),
+         ("y", [1.0, np.nan], "event 1 has a non-integral y of nan")],
+    )
+    def test_rejects_non_integral_values_before_the_cast(self, column, values, message):
+        # The integer casts would truncate 11.5 to 11 and 0.7 to 0 without a word.
+        cols = dict(t=[10, 20], x=[1, 2], y=[1, 2], p=[1, 0])
+        cols[column] = np.array(values)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            EventPeriod(**cols, t_start=0, duration=1000, sensor=SMALL)
+
+    def test_integral_floats_still_load(self):
+        period = EventPeriod(t=[10.0, 20.0], x=[1.0, 2.0], y=[3.0, 4.0], p=[1.0, 0.0],
+                             t_start=0, duration=1000, sensor=SMALL)
+        assert period.t.tolist() == [10, 20] and period.x.tolist() == [1, 2]
+        assert period.y.tolist() == [3, 4] and period.p.tolist() == [1, 0]
+
     def test_rejects_bad_polarity_column(self):
         with pytest.raises(ValidationError, match="polarity"):
             make_period([(10, 1, 1, 3)])
@@ -204,6 +236,28 @@ class TestDetectorConfig:
     def test_rejects_out_of_range_values(self, kwargs):
         with pytest.raises(ConfigurationError):
             DetectorConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value, stage",
+        [
+            ("tau_s", 256, lambda v: threshold_mask(EMPTY_MAP, v)),
+            ("tau_s", -1, lambda v: salient_regions(EMPTY_MAP, v)),
+            ("d_merge", -1.0, lambda v: cluster_regions([], v)),
+            ("d_merge", float("nan"), lambda v: cluster_regions([], v)),
+            ("region_margin", -1, lambda v: dilated_window(BBox(1, 1, 2, 2), v, SMALL)),
+            ("region_margin", -1,
+             lambda v: extract_local_slices(make_period([], duration=1000), BBox(0, 0, 5, 5), 4, v)),
+            ("smooth_window", 4, lambda v: periodicity_score(FLAT_SERIES, smooth_window=v)),
+            ("smooth_window", 0, lambda v: periodicity_score(FLAT_SERIES, smooth_window=v)),
+        ],
+    )
+    def test_stage_functions_refuse_by_the_configs_rule(self, field, value, stage):
+        # A stage given a raw parameter refuses it with the config's own message.
+        with pytest.raises(ConfigurationError) as config_error:
+            DetectorConfig(**{field: value})
+        with pytest.raises(ConfigurationError) as stage_error:
+            stage(value)
+        assert str(stage_error.value) == str(config_error.value)
 
     def test_slicing_defaults_scale_with_duration(self):
         period = make_period([], duration=20_000)

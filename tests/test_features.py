@@ -981,8 +981,20 @@ class TestSliceSums:
 
 class TestMovingAverage:
     def test_window_one_is_identity(self):
-        x = [3.0, 1.0, 4.0, 1.0]
-        assert list(moving_average(x, 1)) == x
+        # Non-integer samples too: a running-sum difference gives 0.1 + 0.2 back off by 5.6e-17.
+        for x in ([3.0, 1.0, 4.0, 1.0], [0.3, 0.1 + 0.2, 0.3, 0.7]):
+            assert list(moving_average(x, 1)) == x
+
+    @pytest.mark.parametrize(
+        "x, window, flat",
+        [([0.6706244146936303, *[0.6471895115742501] * 6, 0.6153851114812539,
+           0.38367755426188344], 3, slice(2, 6)),
+         ([0.9, *[0.1] * 15, 0.2], 7, slice(4, 13))],
+    )
+    def test_plateau_stays_flat(self, x, window, flat):
+        # Each window over the plateau holds the same values, so its average
+        # must not depend on where the window sits in the series.
+        assert len(set(moving_average(x, window)[flat].tolist())) == 1
 
     def test_constant_series_is_unchanged(self):
         assert list(moving_average([5.0] * 6, 3)) == [5.0] * 6

@@ -144,6 +144,17 @@ def test_only_frozen_view_freezes_arrays():
     assert inside == 1
 
 
+@pytest.mark.parametrize(
+    "message",
+    ["tau_s must be within 0..255", "d_merge must be non-negative",
+     "smooth_window must be an odd integer >= 1", "region_margin must be non-negative"],
+)
+def test_each_parameter_rule_is_written_once(message):
+    # DetectorConfig holds the rule; the stage functions check raw values through it.
+    sources = [m.read_text() for m in Path(evrotor.__file__).resolve().parent.glob("*.py")]
+    assert sum(source.count(message) for source in sources) == 1
+
+
 def package_env():
     src = str(Path(evrotor.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
