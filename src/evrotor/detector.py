@@ -19,7 +19,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ValidationError
-from .events import BBox, DetectorConfig, EventPeriod, frozen_view, tight_box
+from .events import BBox, DetectorConfig, EventPeriod, pixel_view, tight_box
 from .features import (
     FeatureSeries,
     RegionScores,
@@ -57,7 +57,7 @@ class Detection:
         if self.s_p is None:  # RegionScores allows it, for a cluster not yet scored
             raise ValidationError("a detection needs an s_p, got None")
         RegionScores(s_s=self.s_s, s_p=self.s_p)  # raises on a pair no candidate carries
-        pixels = frozen_view(self.pixels, np.int32)
+        pixels = pixel_view(self.pixels, "detection")
         object.__setattr__(self, "bbox", tight_box(pixels, "detection"))
         object.__setattr__(self, "pixels", pixels)
 

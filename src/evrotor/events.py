@@ -81,13 +81,46 @@ class BBox:
         return (self.x, self.y, self.w, self.h)
 
 
+def tight_boxes(xs: np.ndarray, ys: np.ndarray, starts) -> np.ndarray:
+    """The int64 (x, y, w, h) rows of the tight box of each run of the (xs, ys) pixels.
+
+    Run k holds the pixels from starts[k] up to the next start, at least one.
+    Every box drawn around pixels comes from this rule, ``reduceat`` per column.
+    """
+    x0, x1, y0, y1 = (
+        f.reduceat(c, starts).astype(np.int64) for c in (xs, ys) for f in (np.minimum, np.maximum)
+    )
+    return np.column_stack([x0, y0, x1 - x0 + 1, y1 - y0 + 1])
+
+
 def tight_box(pixels: np.ndarray, what: str) -> BBox:
     """The smallest box holding every (x, y) row of ``what``'s pixels, a non-empty (k, 2) array."""
     if pixels.ndim != 2 or pixels.shape[1] != 2 or pixels.shape[0] < 1:
         raise ValidationError(f"{what} pixels must form a non-empty (k, 2) array")
-    # Per-column reductions: numpy reduces a (k, 2) array over axis 0 far slower.
-    (x0, x1), (y0, y1) = ((int(c.min()), int(c.max())) for c in (pixels[:, 0], pixels[:, 1]))
-    return BBox(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
+    return BBox(*tight_boxes(pixels[:, 0], pixels[:, 1], [0])[0].tolist())
+
+
+def pixel_view(pixels, what: str) -> np.ndarray:
+    """A read-only int32 view (``frozen_view``) of ``what``'s pixels, for every record of pixels.
+
+    A non-integral, NaN or out-of-int32 value, which the cast would change,
+    is refused. int32 input is taken as it is, with no pass over its values.
+    """
+    pixels = np.asarray(pixels)
+    if pixels.dtype == np.int32:
+        return frozen_view(pixels)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to some int, which the compare refuses
+        view = frozen_view(pixels, np.int32)
+    if not (view == pixels).all():
+        raise ValidationError(f"{what} pixels must be integers within the int32 range")
+    return view
+
+
+def whole_numbers(values, what: str) -> tuple[int, ...]:
+    """``values`` as Python ints, refusing a fraction or NaN; integral floats still load."""
+    if not all(v % 1 == 0 for v in values):  # NaN % 1 is NaN, which fails too
+        raise ValidationError(f"{what} must be integers, got {tuple(values)}")
+    return tuple(int(v) for v in values)
 
 
 class EventPeriod:

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateInputError, ValidationError
 from . import events
 from .events import BBox, DetectorConfig, EventPeriod, SensorGeometry, bin_events, frozen_view
-from .events import slice_blocks
+from .events import slice_blocks, whole_numbers
 from .saliency import Region, SaliencyMap, gray_at, sorted_runs
 
 # Window events the walk holds, over all windows, before it reduces some to cells.
@@ -123,7 +123,7 @@ class LocalSlices:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        shape = tuple(self.shape)
+        shape = whole_numbers(self.shape, "local slice shape")
         if len(shape) != 3 or min(shape) < 1:
             raise ValidationError(f"local slices need an (m, h, w) shape, got {shape}")
         cells = np.asarray(self.cells)
@@ -136,7 +136,14 @@ class LocalSlices:
             raise ValidationError("local slice cells and counts must be congruent 1-d arrays")
         # Checked in the input dtypes, before the casts below.
         size = shape[0] * shape[1] * shape[2]
-        _check_cells(cells, counts, -1, size, 0)
+        if cells.size:
+            if cells[0] < 0 or cells[-1] >= size or not (cells[1:] > cells[:-1]).all():
+                raise ValidationError(
+                    "local slice cells must be sorted, unique ids inside the shape"
+                )
+            if counts.min() < 1:
+                raise ValidationError("local slice counts must be positive")
+        _count_total(0, counts)
         ids = np.int32 if size < 2**31 else np.int64
         object.__setattr__(self, "cells", frozen_view(cells, ids))
         object.__setattr__(self, "counts", frozen_view(counts, np.int32))
@@ -149,19 +156,11 @@ class LocalSlices:
         return m * h * w
 
 
-def _check_cells(cells: np.ndarray, counts: np.ndarray, after: int, size: int, total: int) -> int:
-    """The running count total past this batch of cells, once the batch is checked.
+def _count_total(total: int, counts: np.ndarray) -> int:
+    """The running count total past ``counts``, which must stay below 2**31.
 
-    The cells must be sorted, unique ids in after + 1..size - 1 and their
-    counts positive, with ``total`` plus the counts below 2**31. The counts
-    are summed in float64, which no integer dtype's total can wrap.
+    The counts are summed in float64, which no integer dtype's total can wrap.
     """
-    if not cells.size:
-        return total
-    if cells[0] <= after or cells[-1] >= size or not (cells[1:] > cells[:-1]).all():
-        raise ValidationError("local slice cells must be sorted, unique ids inside the shape")
-    if counts.min() < 1:
-        raise ValidationError("local slice counts must be positive")
     total += counts.sum(dtype=np.float64)
     if total >= 2**31:
         raise ValidationError("local slice counts must total less than 2**31")
@@ -409,17 +408,17 @@ class _SliceSums:
     """Exact per-slice integer sums of one window's nonzero cells, fed in batches of whole slices.
 
     ``add`` takes the next batch: the cells of some whole slices, in the
-    window's id dtype and past every earlier batch's, and their int32
-    counts. It checks each batch as the record checks its cells
-    (``_check_cells``; the running total below 2**31 bounds every int64 sum
-    below) and reduces the batch to its nonempty slices' sums of n, the
-    counts v, v**2, x, y, x**2, xy and y**2, and of v times the count of the
-    same pixel one slice earlier. ``_next_slice_partners`` pairs the cells
-    inside the batch, and once more the previous batch's last slice, carried
-    over, with this batch's first. Slices and pixel coordinates come from
-    floor division alone, in the cells' own dtype, and every summed array
-    takes int32 while its per-slice sums fit: from int32 cells no cell-sized
-    int64 array is made.
+    window's id dtype and past every earlier batch's, and their positive
+    int32 counts, as a ``LocalSlices`` record or the walk's own sort gives
+    them. It checks only that the counts so far total below 2**31, which
+    bounds every int64 sum below, and reduces the batch to its nonempty
+    slices' sums of n, the counts v, v**2, x, y, x**2, xy and y**2, and of v
+    times the count of the same pixel one slice earlier.
+    ``_next_slice_partners`` pairs the cells inside the batch, and once more
+    the previous batch's last slice, carried over, with this batch's first.
+    Slices and pixel coordinates come from floor division alone, in the
+    cells' own dtype, and every summed array takes int32 while its per-slice
+    sums fit: from int32 cells no cell-sized int64 array is made.
 
     ``series`` does the float math once, on the concatenated sums. The sums
     are exact integers wherever the batches were cut, so the series are too.
@@ -427,7 +426,6 @@ class _SliceSums:
 
     def __init__(self, shape: tuple[int, int, int]) -> None:
         self.shape = shape
-        self.last = -1  # the largest cell id fed so far
         self.total = 0
         self.carry: tuple[int, np.ndarray, np.ndarray] | None = None
         self.sums: list[tuple[np.ndarray, ...]] = []
@@ -435,10 +433,9 @@ class _SliceSums:
     def add(self, cells: np.ndarray, counts: np.ndarray) -> None:
         if not cells.size:
             return
-        m, h, w = self.shape
+        _, h, w = self.shape
         hw = h * w
-        self.total = _check_cells(cells, counts, self.last, m * hw, self.total)
-        self.last = int(cells[-1])
+        self.total = _count_total(self.total, counts)
         v = counts
         # (s * h + y) * w + x: floor division alone, which numpy runs far faster than %.
         x = cells // w  # s * h + y

@@ -20,9 +20,10 @@ sensor's height times its width.
 
 Labeling takes the sorted flat ids of the salient pixels, those whose gray
 exceeds the threshold, and reads their horizontal runs from the ids, with
-numpy passes over the ids and the runs only; it checks all regions' pixels
-against their boxes in one pass too. A region's gray is read by searching
-its pixels' flat ids among the map's sorted hit ids.
+numpy passes over the ids and the runs only. All regions' boxes then come
+from their pixels in one pass, by the tight-box rule of every record
+(``events.tight_boxes``). A region's gray is read by searching its pixels'
+flat ids among the map's sorted hit ids.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 from .events import BBox, DetectorConfig, EventPeriod, bin_events, frozen_view
-from .events import slice_blocks, tight_box
+from .events import pixel_view, slice_blocks, tight_box, tight_boxes, whole_numbers
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,9 +60,10 @@ class SaliencyMap:
     hit_gray: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.n_slices < 1:
-            raise ValidationError(f"slice count must be positive, got {self.n_slices}")
-        height, width = self.shape
+        sizes = (self.n_slices, *self.shape)
+        n_slices, height, width = whole_numbers(sizes, "saliency map slice count and shape")
+        if n_slices < 1:
+            raise ValidationError(f"slice count must be positive, got {n_slices}")
         if height < 1 or width < 1:
             raise ValidationError(f"saliency map shape must be positive, got {self.shape}")
         ids, counts = (np.asarray(a) for a in (self.ids, self.hit_counts))
@@ -75,13 +77,14 @@ class SaliencyMap:
                 raise ValidationError("saliency hit ids must be strictly increasing")
             if ids[0] < 0 or ids[-1] >= height * width:
                 raise ValidationError(f"saliency hit ids must lie within 0..{height * width - 1}")
-            if counts.min() < 1 or counts.max() > self.n_slices:
-                raise ValidationError(f"saliency hit counts must lie within 1..{self.n_slices}")
+            if counts.min() < 1 or counts.max() > n_slices:
+                raise ValidationError(f"saliency hit counts must lie within 1..{n_slices}")
         # Rendered before the ids' cast, whose copy would otherwise raise the render's peak.
-        object.__setattr__(self, "hit_gray", frozen_view(render_gray(counts, self.n_slices)))
+        object.__setattr__(self, "hit_gray", frozen_view(render_gray(counts, n_slices)))
         object.__setattr__(self, "ids", frozen_view(ids, np.intp))
         object.__setattr__(self, "hit_counts", frozen_view(counts))
-        object.__setattr__(self, "shape", (int(height), int(width)))
+        object.__setattr__(self, "shape", (height, width))
+        object.__setattr__(self, "n_slices", n_slices)
 
     @property
     def gray(self) -> np.ndarray:
@@ -102,7 +105,7 @@ class Region:
     bbox: BBox = field(init=False)
 
     def __post_init__(self) -> None:
-        pixels = frozen_view(self.pixels, np.int32)
+        pixels = pixel_view(self.pixels, "region")
         object.__setattr__(self, "bbox", tight_box(pixels, "region"))
         object.__setattr__(self, "pixels", pixels)
 
@@ -111,21 +114,11 @@ class Region:
         return int(self.pixels.shape[0])
 
 
-def check_inside(pixels: np.ndarray, bounds: np.ndarray, starts: np.ndarray) -> None:
-    """Raise unless every region's pixels lie inside its box.
-
-    ``pixels`` holds the (x, y) pixels of several regions back to back,
-    region k's from row starts[k] on; bounds[k] is its (x0, y0, x1, y1) box
-    with exclusive x1 and y1. Every region needs at least one pixel.
-    """
-    low = np.minimum.reduceat(pixels, starts)
-    high = np.maximum.reduceat(pixels, starts)
-    if (low < bounds[:, :2]).any() or (high >= bounds[:, 2:]).any():
-        raise ValidationError("region pixels fall outside the region bbox")
-
-
 def _labelled_region(bbox: BBox, pixels: np.ndarray) -> Region:
-    """The labeler's fast path: a Region whose tight box and read-only pixels ``_label`` checked."""
+    """The labeler's fast path: a Region of ``_label``'s read-only int32 pixels and their box.
+
+    ``_label`` draws the box by ``events.tight_boxes``, the rule of ``Region``'s own box.
+    """
     region = object.__new__(Region)
     object.__setattr__(region, "bbox", bbox)
     object.__setattr__(region, "pixels", pixels)
@@ -294,20 +287,15 @@ def _label(ids: np.ndarray, width: int) -> list[Region]:
     root = union_roots(np.arange(row.size), a, b)
     # The stable sort keeps each component's runs, and so its pixels, in scan order.
     order = np.argsort(root, kind="stable")
-    row, x0, x1 = row[order], x0[order], x1[order]
-    first = np.flatnonzero(np.diff(root[order], prepend=-1))
-    last = np.append(first[1:], row.size) - 1
-    left = np.minimum.reduceat(x0, first)
-    right = np.maximum.reduceat(x1, first)
-    top, bottom = row[first], row[last] + 1
-    length = x1 - x0
+    row, x0, length = row[order], x0[order], (x1 - x0)[order]
     ends = np.cumsum(length)
     xs = np.arange(ends[-1]) - np.repeat(ends - length - x0, length)
-    pixels = frozen_view(np.column_stack([xs, np.repeat(row, length)]), np.int32)
-    starts = np.append(0, ends[last[:-1]])
-    check_inside(pixels, np.column_stack([left, top, right, bottom]), starts)
+    ys = np.repeat(row, length)
+    # A component's pixels start with those of its first run.
+    starts = (ends - length)[np.flatnonzero(np.diff(root[order], prepend=-1))]
+    boxes = tight_boxes(xs, ys, starts)
+    pixels = frozen_view(np.column_stack([xs, ys]), np.int32)
     # box_order is stable, so regions with equal boxes stay in first-pixel order.
-    boxes = np.column_stack([left, top, right - left, bottom - top])
     order = box_order(boxes)
     cuts = np.append(starts, pixels.shape[0]).tolist()
     return [

@@ -2,9 +2,10 @@
 
 Everything here is written against the observable contracts only, in the
 most literal way possible (pure python loops, recompute-from-scratch), so
-that agreement with the optimized library code is meaningful evidence. A
-few small helpers that only the tests need (dense count grids, box unions,
-the one-series extrema flags) live here too, not in the package.
+that agreement with the optimized library code is meaningful evidence.
+``reference_pipeline`` chains them into the whole detector. A few small
+helpers that only the tests need (dense count grids, box unions) live here
+too, not in the package.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import ndimage
+from scipy.signal import peak_prominences
 
+import evrotor
 from evrotor import BBox, DegenerateInputError, LocalSlices, Region, SaliencyMap
-from evrotor.features import _extrema_flags, principal_direction
+from evrotor.features import principal_direction
 
 
 def flood_fill_components(mask):
@@ -403,8 +406,104 @@ def compute_features(local_slices):
 
 
 def peaks_valleys(series):
-    """Whether one series has at least two qualifying peaks and two valleys.
+    """Whether one series has at least two qualifying peaks, then two qualifying valleys.
 
-    The one-series case of ``features._extrema_flags``.
+    A peak qualifies when it is a strict local maximum of the interior whose
+    prominence, as ``scipy.signal.peak_prominences`` measures it, is at least
+    half the series' standard deviation. The valleys are the peaks of the
+    negated series.
     """
-    return tuple(bool(flag) for flag in _extrema_flags([np.asarray(series, np.float64)]))
+    x = np.asarray(series, np.float64)
+    floor = 0.5 * x.std()
+    flags = []
+    for y in (x, -x):
+        peaks = [i for i in range(1, y.size - 1) if y[i - 1] < y[i] > y[i + 1]]
+        prominences = peak_prominences(y, peaks)[0] if peaks else []
+        flags.append(sum(1 for p in prominences if p >= floor) >= 2)
+    return tuple(flags)
+
+
+def _pixel_rect(pixels):
+    xs = [x for x, _ in pixels]
+    ys = [y for _, y in pixels]
+    return (min(xs), min(ys), max(xs) - min(xs) + 1, max(ys) - min(ys) + 1)
+
+
+def reference_pipeline(period, config):
+    """The whole detector, built from the oracles above and the rules the package documents.
+
+    Saliency counts render to gray as round(255 * count / n), with halves to
+    even. The components of the pixels whose gray exceeds tau_s are the
+    regions, ordered by box (y, x, h, w) and then by first pixel in scan
+    order; each holds its pixels in scan order. Clusters merge greedily by
+    box distance (``greedy_union_clusters``) and hold their regions in
+    region order. A cluster's mass s_s sums its pixels' gray. Clusters rank
+    by descending mass, then descending pixel count, then box (y, x, h, w);
+    the first k_top are scored. Each scored cluster's box grows by the
+    margin, clamped to the sensor, and the cells of its m local slices give
+    the three feature series. Each series is smoothed with the configured
+    window, or with the longest odd window that fits a shorter series; s_p
+    counts the peak and valley flags of the three. The clusters with s_p >=
+    tau_p are the candidates, ranked by descending (s_p, s_s) and then box.
+    Each becomes a detection of the members that ``gaussian_keep`` keeps,
+    all of them when the prior is degenerate, their pixels in member order.
+
+    The series' float math is the package's ``compute_features``, fed the
+    cells that ``local_cell_counts`` finds. A correlation's last bit depends
+    on how it is computed, and ``compute_features`` above rounds differently:
+    where slice pairs of equal similarity form a plateau, a 1e-16 difference
+    breaks it into strict extrema and can change s_p. The tests check the
+    package's series against ``compute_features`` above to 1e-12.
+
+    Returns (detections, clusters): one (box, s_p, s_s, pixels) per
+    detection in rank order, box an (x, y, w, h) tuple and pixels a (k, 2)
+    array, and one (box, s_s, s_p, flags) per cluster in box order, with
+    s_p and flags None for a cluster outside the top K.
+    """
+    n, m = config.slicing_for(period)
+    width, height = period.sensor.width, period.sensor.height
+    events = list(zip(*(col.tolist() for col in (period.t, period.x, period.y, period.p))))
+    counts = saliency_counts(events, period.t_start, period.duration, n, width, height)
+    gray = [[min(round(c * 255.0 / n), 255) for c in row] for row in counts]
+    components = flood_fill_components([[g > config.tau_s for g in row] for row in gray])
+    regions = [sorted(c, key=lambda p: (p[1], p[0])) for c in components]
+    regions.sort(key=lambda r: (_rect_key(_pixel_rect(r)), r[0][1], r[0][0]))
+    merged = greedy_union_clusters([_pixel_rect(r) for r in regions], config.d_merge)
+    members = [[regions[i] for i in sorted(indices)] for indices, _ in merged]
+    rects = [rect for _, rect in merged]
+    mass = [sum(gray[y][x] for r in group for x, y in r) for group in members]
+    area = [sum(len(r) for r in group) for group in members]
+    ranked = sorted(range(len(merged)), key=lambda k: (-mass[k], -area[k], _rect_key(rects[k])))
+    flags = {}
+    for k in ranked[: config.k_top]:
+        x, y, w, h = rects[k]
+        x0, y0 = max(x - config.region_margin, 0), max(y - config.region_margin, 0)
+        x1 = min(x + w + config.region_margin, width)
+        y1 = min(y + h + config.region_margin, height)
+        window = BBox(x0, y0, x1 - x0, y1 - y0)
+        grids = np.zeros((m, window.h, window.w), np.int64)
+        cells = local_cell_counts(events, period.t_start, period.duration, m, window)
+        for cell, count in cells.items():
+            grids[cell] = count
+        features = evrotor.compute_features(local_slices(grids))
+        flags[k] = []
+        for series in (features.f_d, features.f_s, features.f_p):
+            size = len(series)
+            smooth = min(config.smooth_window, size if size % 2 else size - 1)
+            flags[k] += peaks_valleys(centered_moving_average(list(series), smooth))
+    s_p = {k: sum(f) for k, f in flags.items()}
+    passed = sorted(
+        (k for k in s_p if s_p[k] >= config.tau_p),
+        key=lambda k: (-s_p[k], -mass[k], _rect_key(rects[k])),
+    )
+    detections = []
+    for k in passed:
+        keep = gaussian_keep(members[k], gray)
+        kept = [r for r, (inside, _) in zip(members[k], keep) if inside] if keep else members[k]
+        pixels = np.array([p for r in kept for p in r]).reshape(-1, 2)
+        detections.append((_pixel_rect(pixels.tolist()), s_p[k], mass[k], pixels))
+    clusters = [
+        (rects[k], mass[k], s_p.get(k), tuple(flags[k]) if k in flags else None)
+        for k in range(len(merged))
+    ]
+    return detections, clusters

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from evrotor import (
     BBox,
@@ -45,6 +45,7 @@ from oracles import (
     gaussian_keep,
     greedy_union_clusters,
     rect_gap,
+    reference_pipeline,
     sparse_saliency,
 )
 
@@ -447,6 +448,12 @@ class TestDetectionRecord:
         with pytest.raises(ValidationError, match="needs an s_p"):
             Detection(None, 1.0, np.array([[0, 0]]))
 
+    @pytest.mark.parametrize("pixels", [[[2**31, 7]], [[0.5, 7]], [[7, math.inf]]])
+    def test_refuses_pixels_the_cast_would_change(self, pixels):
+        # [[2**31, 7]] would wrap to a box at x = -2**31.
+        with pytest.raises(ValidationError, match="int32 range"):
+            Detection(3, 10.0, np.array(pixels))
+
     @pytest.mark.parametrize("pixels", [np.empty((0, 2)), np.zeros((2, 3)), np.zeros(2)])
     def test_rejects_malformed_pixels(self, pixels):
         with pytest.raises(ValidationError, match="non-empty"):
@@ -767,3 +774,73 @@ class TestEndToEnd:
         assert len(result.candidate_features) == len(result.candidates)
         ranks = [(-d.s_p, -d.s_s) for d in result.detections]
         assert ranks == sorted(ranks)
+
+
+@st.composite
+def scenes_and_configs(draw):
+    """A small synthetic scene, 0-3 rotors among 0-7 moving edges and noise, and a random config."""
+    sensor = SensorGeometry(draw(st.integers(40, 119)), draw(st.integers(30, 89)))
+    rotor = st.builds(
+        PropellerSpec,
+        center=st.tuples(st.integers(0, sensor.width - 1), st.integers(0, sensor.height - 1)),
+        radius=st.integers(5, 19),
+        phase=st.floats(0.0, 2 * math.pi),
+    )
+    scene = SynthScene(
+        sensor=sensor,
+        duration=draw(st.integers(4, 30)) * 1000,
+        propellers=tuple(draw(rotor) for _ in range(draw(st.integers(0, 3)))),
+        background=BackgroundSpec(
+            edge_count=draw(st.integers(0, 7)),
+            speed=draw(st.floats(0.5, 8.0)),
+            noise_rate=draw(st.floats(0.0, 20.0)),
+        ),
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+    config = DetectorConfig(
+        # Set slice counts too: few feature slices shrink the smoothing window.
+        n_slices=draw(st.none() | st.integers(2, 40)),
+        m_slices=draw(st.none() | st.integers(4, 60)),
+        tau_s=draw(st.integers(0, 119)),
+        tau_p=draw(st.integers(0, 6)),
+        k_top=draw(st.integers(1, 8)),
+        d_merge=draw(st.sampled_from([0.0, 3.0, 10.0, 50.0])),
+        smooth_window=draw(st.sampled_from([1, 3, 5])),
+        region_margin=draw(st.integers(0, 4)),
+    )
+    return scene, config
+
+
+# Two rotors among seven edges: six candidates, whose ranking the reference spells out.
+CROWDED_SCENE = (
+    SynthScene(
+        sensor=SensorGeometry(106, 40),
+        duration=27_000,
+        propellers=(
+            PropellerSpec(center=(104, 4), radius=12, phase=1.4109427390874338),
+            PropellerSpec(center=(57, 30), radius=9, phase=3.848916039605072),
+        ),
+        background=BackgroundSpec(edge_count=7, speed=3.191179600462952, noise_rate=10.434825774066372),
+        seed=550041937,
+    ),
+    DetectorConfig(tau_s=9, tau_p=1, k_top=7, d_merge=10.0, smooth_window=1, region_margin=4),
+)
+
+
+class TestReferencePipeline:
+    @settings(max_examples=200, deadline=None)
+    @example(CROWDED_SCENE)
+    @given(scenes_and_configs())
+    def test_pipeline_matches_the_reference(self, scene_and_config):
+        scene, config = scene_and_config
+        period, _ = generate_scene(scene)
+        result = run_pipeline(period, config)
+        detections, clusters = reference_pipeline(period, config)
+        assert [(c.bbox.as_tuple(), c.scores.s_s, c.scores.s_p) for c in result.clusters] == [
+            (box, s_s, s_p) for box, s_s, s_p, _ in clusters
+        ]
+        assert [(d.bbox.as_tuple(), d.s_p, d.s_s) for d in result.detections] == [
+            (box, s_p, s_s) for box, s_p, s_s, _ in detections
+        ]
+        for detection, (*_, pixels) in zip(result.detections, detections):
+            assert np.array_equal(detection.pixels, pixels)

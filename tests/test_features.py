@@ -31,6 +31,7 @@ from evrotor.detector import Cluster, _score_clusters
 from evrotor.events import DetectorConfig
 from evrotor.features import (
     _SliceSums,
+    _extrema_flags,
     _next_slice_partners,
     _prominences,
     _window_batches,
@@ -49,11 +50,18 @@ from oracles import (
     direction_similarity,
     local_cell_counts,
     local_slices,
-    peaks_valleys,
     pearson,
     principal_angle_sweep,
     structural_similarity,
 )
+
+
+def peaks_valleys(series):
+    """The package's peak and valley flags of one series, which must equal the literal oracle's."""
+    x = np.asarray(series, np.float64)
+    flags = tuple(bool(flag) for flag in _extrema_flags([x]))
+    assert flags == oracles.peaks_valleys(x)
+    return flags
 
 
 def region_of(x, y, w, h):
@@ -841,6 +849,16 @@ class TestComputeFeatures:
         with pytest.raises(ValidationError):
             LocalSlices(shape=(3, 2, 4), cells=np.array(cells), counts=np.array(counts))
 
+    @pytest.mark.parametrize("shape", [(4.5, 2, 2), (4, math.nan, 2)])
+    def test_record_rejects_fractional_shapes(self, shape):
+        with pytest.raises(ValidationError, match="must be integers"):
+            LocalSlices(shape=shape, cells=np.array([0]), counts=np.array([1]))
+
+    def test_record_takes_integral_float_shapes(self):
+        local = LocalSlices(shape=(4.0, 2.0, 2.0), cells=np.array([0, 5]), counts=np.array([1, 2]))
+        assert local.shape == (4, 2, 2) and all(type(v) is int for v in local.shape)
+        assert compute_features(local).f_d.tolist() == [1.0, 2.0, 0.0, 0.0]
+
     def test_record_holds_read_only_arrays_of_the_id_dtype(self):
         # ids take int32 while m * h * w is below 2**31, as bin_events picks them
         for shape, cells_dtype in [
@@ -964,12 +982,6 @@ class TestSliceSums:
     def test_checks_hold_across_batches(self):
         sums = _SliceSums((4, 2, 3))
         sums.add(np.array([0, 4], np.int32), np.array([2**30, 5], np.int32))
-        with pytest.raises(ValidationError, match="sorted, unique"):
-            sums.add(np.array([4, 7], np.int32), np.array([1, 1], np.int32))  # repeats 4
-        with pytest.raises(ValidationError, match="sorted, unique"):
-            sums.add(np.array([7, 24], np.int32), np.array([1, 1], np.int32))  # past 4 * 2 * 3
-        with pytest.raises(ValidationError, match="positive"):
-            sums.add(np.array([7, 9], np.int32), np.array([1, 0], np.int32))
         with pytest.raises(ValidationError, match="2\\*\\*31"):
             sums.add(np.array([12], np.int32), np.array([2**30], np.int32))
         total = _SliceSums((4, 2, 3))
@@ -1057,6 +1069,21 @@ class TestPeaksValleys:
             peaks = np.flatnonzero((interior > x[:-2]) & (interior > x[2:])) + 1
             walled = np.concatenate([[np.inf], x, [np.inf]])  # inf walls for the ends
             assert np.array_equal(_prominences(walled, peaks + 1), peak_prominences(x, peaks)[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.lists(st.integers(-3, 3), min_size=1, max_size=30),  # plateaus and ties
+        st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=30),
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, math.nan, math.inf]), min_size=1, max_size=12),
+    ), min_size=1, max_size=6))
+    def test_joined_search_matches_the_literal_oracle(self, values):
+        # All series go through one search, end to end behind walls; each must
+        # get the flags that the oracle gives it alone.
+        series = [np.array(v, float) for v in values]
+        with np.errstate(invalid="ignore"):  # the std of an infinite series
+            flags = _extrema_flags(series).reshape(-1, 2)
+            want = [oracles.peaks_valleys(x) for x in series]
+        assert [tuple(bool(f) for f in pair) for pair in flags] == want
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(-50, 50), min_size=5, max_size=30),

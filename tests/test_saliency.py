@@ -1,6 +1,7 @@
 """Polarity-intersection saliency: slicing, accumulation, components."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -33,7 +34,6 @@ from evrotor import (
 from evrotor import events
 from evrotor.events import bin_events
 from evrotor.saliency import (
-    check_inside,
     gray_at,
     render_gray,
     salient_regions,
@@ -426,6 +426,17 @@ class TestRecord:
         with pytest.raises(ValidationError, match=message):
             self.make(**fields)
 
+    @pytest.mark.parametrize("shape, n_slices", [((4.5, 4), 2), ((4, 4), 2.5), ((4, math.nan), 2)])
+    def test_rejects_fractional_sizes(self, shape, n_slices):
+        # Refused, not truncated: (4.5, 4) would store (4, 4), and 2.5 slices would render gray.
+        with pytest.raises(ValidationError, match="must be integers"):
+            SaliencyMap(shape, np.array([1, 2]), np.array([1, 1]), n_slices)
+
+    def test_integral_float_sizes_still_load(self):
+        smap = SaliencyMap((4.0, 4.0), np.array([1, 2]), np.array([1, 1]), 2.0)
+        assert smap.shape == (4, 4) and smap.n_slices == 2 and type(smap.n_slices) is int
+        assert smap.hit_gray.tolist() == [128, 128]
+
 
 @st.composite
 def sparse_maps(draw):
@@ -633,6 +644,7 @@ class TestComponents:
         assert_same_regions(connected_components(mask), ndimage_components(mask))
 
     @settings(max_examples=150, deadline=None)
+    @example(connected_components(np.random.default_rng(6).random((40, 50)) < 0.3))
     @given(st.one_of(
         npst.arrays(bool, npst.array_shapes(min_dims=2, max_dims=2, max_side=48)).map(connected_components),
         st.builds(salient_regions, sparse_maps(), st.integers(0, 254)),
@@ -643,23 +655,27 @@ class TestComponents:
             assert not region.pixels.flags.writeable
             assert_same_regions([Region(region.pixels)], [region])
 
-    def test_batched_containment_rejects_a_box_missing_a_pixel(self):
-        regions = connected_components(np.random.default_rng(6).random((40, 50)) < 0.3)
-        pixels = np.concatenate([r.pixels for r in regions])
-        starts = np.cumsum([0] + [r.area for r in regions[:-1]])
-        bounds = np.array([(r.bbox.x, r.bbox.y, r.bbox.right, r.bbox.bottom) for r in regions])
-        check_inside(pixels, bounds, starts)
-        # A labelled box is tight: moving any one side inwards leaves a pixel out.
-        k = len(regions) // 2
-        for side, step in ((0, 1), (1, 1), (2, -1), (3, -1)):
-            shrunk = bounds.copy()
-            shrunk[k, side] += step
-            with pytest.raises(ValidationError, match="outside the region bbox"):
-                check_inside(pixels, shrunk, starts)
-
     def test_region_validates_pixels_inside_bbox(self):
         with pytest.raises(ValidationError):
             Region(np.empty((0, 2), np.int32))
+
+    @pytest.mark.parametrize(
+        "pixels",
+        [
+            [[2**32 + 5, 0], [2**32 + 6, 1]],  # the int32 cast wraps them to [[5, 0], [6, 1]]
+            [[1.7, 0.2], [3.9, 2.5]],  # the cast truncates them to [[1, 0], [3, 2]]
+            [[math.nan, 0]],
+            [[0, -(2**31) - 1]],
+        ],
+    )
+    def test_region_refuses_pixels_the_cast_would_change(self, pixels):
+        with pytest.raises(ValidationError, match="int32 range"):
+            Region(np.array(pixels))
+
+    def test_region_takes_integral_floats_and_the_int32_extremes(self):
+        region = Region(np.array([[1.0, 2.0], [-(2.0**31), 2**31 - 1]]))
+        assert region.pixels.tolist() == [[1, 2], [-(2**31), 2**31 - 1]]
+        assert region.bbox == BBox(-(2**31), 2, 2**31 + 2, 2**31 - 2)
 
     def test_region_box_is_the_tight_box_of_its_pixels(self):
         assert Region(np.array([[3, 7], [5, 2], [4, 4]])).bbox == BBox(3, 2, 3, 6)
