@@ -19,6 +19,8 @@ from .errors import ConfigurationError, ValidationError
 
 # Events per block of a period walk, unless one slice alone holds more.
 _BLOCK_EVENTS = 2**16
+# Keys or ids a walk holds, past its current block, before it folds them into its result.
+_FLUSH_EVENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -277,7 +279,12 @@ def _id_dtype(period: EventPeriod, k: int, cells: int, minimum: int, what: str) 
         raise ConfigurationError(
             f"{what} {k} over a {period.duration} us period overflows 64-bit slice arithmetic"
         )
-    return np.int32 if k * cells < 2**31 else np.int64
+    return id_dtype(k * cells)
+
+
+def id_dtype(size: int) -> type:
+    """The dtype of every id array with ids below ``size``: int32 while size < 2**31, else int64."""
+    return np.int32 if size < 2**31 else np.int64
 
 
 def slice_starts(period: EventPeriod, k: int) -> np.ndarray:

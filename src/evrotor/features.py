@@ -5,13 +5,13 @@ positive events inside its margin-dilated bbox. A window's cells are the
 (slice, row, column) ids of ``events.bin_events`` with a nonzero count. The
 top-K windows are binned in one walk of the period, in the blocks of whole
 slices of ``events.slice_blocks``. The binned keys of all windows share one
-budget of ``_FLUSH_EVENTS`` events: once their total reaches it, the keys of
-the window that holds the most are sorted and reduced to one batch of whole
-slices' cells and counts, which goes straight into the window's accumulator
-of exact per-slice integer sums. So the feature stage's working memory
-follows one block, one budget of pending keys, however many windows there
-are, and one batch: never the period's events, and never a window's cells
-whole.
+budget of ``events._FLUSH_EVENTS`` events: once their total reaches it, the
+keys of the window that holds the most are sorted and reduced to one batch of
+whole slices' cells and counts, which goes straight into the window's
+accumulator of exact per-slice integer sums. So the feature stage's working
+memory follows one block, one budget of pending keys, however many windows
+there are, and one batch: never the period's events, and never a window's
+cells whole.
 Three series are read off the per-slice sums: event density, structural
 similarity between consecutive slices, and similarity of consecutive
 principal point-cloud directions. All three come from integer sums over the
@@ -38,11 +38,8 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateInputError, ValidationError
 from . import events
 from .events import BBox, DetectorConfig, EventPeriod, SensorGeometry, bin_events, frozen_view
-from .events import slice_blocks, whole_numbers
+from .events import id_dtype, slice_blocks, whole_numbers
 from .saliency import Region, SaliencyMap, gray_at, sorted_runs
-
-# Window events the walk holds, over all windows, before it reduces some to cells.
-_FLUSH_EVENTS = 2**15
 
 
 class PrincipalDirection(NamedTuple):
@@ -144,8 +141,7 @@ class LocalSlices:
             if counts.min() < 1:
                 raise ValidationError("local slice counts must be positive")
         _count_total(0, counts)
-        ids = np.int32 if size < 2**31 else np.int64
-        object.__setattr__(self, "cells", frozen_view(cells, ids))
+        object.__setattr__(self, "cells", frozen_view(cells, id_dtype(size)))
         object.__setattr__(self, "counts", frozen_view(counts, np.int32))
         object.__setattr__(self, "shape", shape)
 
@@ -230,10 +226,10 @@ def _window_batches(
     Each block finds each window's positive events (``_events_inside``, in
     chunks of at most ``events._BLOCK_EVENTS`` events, as one slice may
     hold more) and bins them. The windows' keys wait until they number
-    ``_FLUSH_EVENTS`` in all; the keys of the window that holds the most
-    (the lowest k on a tie) are then sorted and reduced to their nonzero
+    ``events._FLUSH_EVENTS`` in all; the keys of the window that holds the
+    most (the lowest k on a tie) are then sorted and reduced to their nonzero
     cells and int32 counts, one batch. So the pending keys stay below
-    ``_FLUSH_EVENTS`` plus one block's keys of one window, whatever the
+    ``events._FLUSH_EVENTS`` plus one block's keys of one window, whatever the
     number of windows. At the end of the walk each window's rest forms one
     batch, in window order. A cell's slice is the major part of its id and
     no slice spans two blocks, so a batch holds whole slices, and a window's
@@ -264,7 +260,7 @@ def _window_batches(
             held[k] += index.size
             total += index.size
             del index
-            while total >= _FLUSH_EVENTS:
+            while total >= events._FLUSH_EVENTS:
                 largest = held.index(max(held))  # the lowest k on a tie
                 total -= held[largest]
                 yield batch(largest)
@@ -420,7 +416,9 @@ class _SliceSums:
     cells' own dtype, and every summed array takes int32 while its per-slice
     sums fit: from int32 cells no cell-sized int64 array is made.
 
-    ``series`` does the float math once, on the concatenated sums. The sums
+    ``series`` does the float math once, on the concatenated sums. Their
+    products are exact, in int64 when one check of the window's count total
+    and shape proves that none reaches 2**63, else in Python ints. The sums
     are exact integers wherever the batches were cut, so the series are too.
     """
 
@@ -495,8 +493,14 @@ class _SliceSums:
         if not self.sums:
             return FeatureSeries(f_d=np.zeros(m), f_s=np.zeros(m - 1), f_p=np.zeros(m - 1))
         slices, *sums = (np.concatenate(column) for column in zip(*self.sums))
-        # Python ints, so the products below cannot overflow.
-        n, s1, s2, cross, sx, sy, sxx, sxy, syy = (values.astype(object) for values in sums)
+        # Every product below stays under hw * total**2 or (most * max(h, w))**2,
+        # a slice holding at most min(hw, total) cells: int64 while both are
+        # below 2**63, else Python ints, so that none can overflow.
+        most = min(hw, self.total)
+        exact = np.int64 if max(hw * self.total**2, (most * max(h, w)) ** 2) < 2**63 else object
+        n, s1, s2, cross, sx, sy, sxx, sxy, syy = (
+            values.astype(exact, copy=False) for values in sums
+        )
         # Nonempty (s, s + 1) at pair, pair + 1; the other slices, and every
         # pair with an empty side, keep 0 in every series.
         pair = np.flatnonzero(slices[1:] == slices[:-1] + 1)

@@ -11,12 +11,15 @@ The counts come from one sorted integer key per event, its (slice, row,
 column) cell id from ``events.bin_events`` with the polarity as the lowest
 bit, rather than from per-slice pixel grids. The keys are formed and sorted
 one block of whole slices (``events.slice_blocks``) at a time, and only the
-hit pixel ids outlive a block, so working memory follows one block and the
-hits: never the whole period's events, never slices times pixels. The map itself holds only the
-hit pixels, those with at least one salient slice: their sorted flat ids,
-counts and gray. Every other pixel reads 0, and the dense gray grid is built
-only when asked for, so nothing on the detection path grows with the
-sensor's height times its width.
+pixel ids of a block's hit cells outlive it. Once the held ids reach a
+fixed budget, and after the last block, they are folded into per-pixel
+counts. So working memory follows one block, one budget of held ids and
+the hit pixels: never the whole period's events, never slices times pixels,
+never slices times hit pixels. The map itself holds only the hit pixels,
+those with at least one salient slice: their sorted flat ids, in the id
+dtype of ``events.id_dtype``, int32 counts and gray. Every other pixel
+reads 0, and the dense gray grid is built only when asked for, so nothing
+on the detection path grows with the sensor's height times its width.
 
 Labeling takes the sorted flat ids of the salient pixels, those whose gray
 exceeds the threshold, and reads their horizontal runs from the ids, with
@@ -32,8 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import events
 from .errors import ConfigurationError, ValidationError
-from .events import BBox, DetectorConfig, EventPeriod, bin_events, frozen_view
+from .events import BBox, DetectorConfig, EventPeriod, bin_events, frozen_view, id_dtype
 from .events import pixel_view, slice_blocks, tight_box, tight_boxes, whole_numbers
 
 
@@ -43,7 +47,9 @@ class SaliencyMap:
 
     ``shape`` is (height, width). ``ids`` holds the sorted flat ids
     y * width + x of the hit pixels, those with at least one salient slice,
-    and ``hit_counts`` their counts, 1..n_slices. ``hit_gray`` is derived:
+    int32 while height * width is below 2**31, else int64
+    (``events.id_dtype``), and ``hit_counts`` their int32 counts,
+    1..n_slices. ``hit_gray`` is derived:
     the counts' ``render_gray``. Every other pixel reads 0 in both. The
     ``gray`` grid is a dense view built on each access, for inspection and
     dumps; the detector never builds it.
@@ -77,12 +83,13 @@ class SaliencyMap:
                 raise ValidationError("saliency hit ids must be strictly increasing")
             if ids[0] < 0 or ids[-1] >= height * width:
                 raise ValidationError(f"saliency hit ids must lie within 0..{height * width - 1}")
-            if counts.min() < 1 or counts.max() > n_slices:
-                raise ValidationError(f"saliency hit counts must lie within 1..{n_slices}")
-        # Rendered before the ids' cast, whose copy would otherwise raise the render's peak.
+            top = min(n_slices, 2**31 - 1)  # the int32 counts' bound
+            if counts.min() < 1 or counts.max() > top:
+                raise ValidationError(f"saliency hit counts must lie within 1..{top}")
+        # Rendered before the casts, whose copies would otherwise raise the render's peak.
         object.__setattr__(self, "hit_gray", frozen_view(render_gray(counts, n_slices)))
-        object.__setattr__(self, "ids", frozen_view(ids, np.intp))
-        object.__setattr__(self, "hit_counts", frozen_view(counts))
+        object.__setattr__(self, "ids", frozen_view(ids, id_dtype(height * width)))
+        object.__setattr__(self, "hit_counts", frozen_view(counts, np.int32))
         object.__setattr__(self, "shape", (height, width))
         object.__setattr__(self, "n_slices", n_slices)
 
@@ -131,7 +138,13 @@ def box_order(boxes: np.ndarray) -> np.ndarray:
 
 
 def sorted_runs(ids: np.ndarray, dtype: type = np.intp) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of a sorted id array and how often each occurs, in ``dtype``.
+    """The distinct values of a sorted id array and how often each occurs, in ``dtype``."""
+    starts, lengths = run_bounds(ids, dtype)
+    return ids[starts], lengths
+
+
+def run_bounds(ids: np.ndarray, dtype: type = np.intp) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of equal values of a sorted id array starts, and its length in ``dtype``.
 
     A run of equal ids starts at the first id and wherever the id changes.
     """
@@ -143,7 +156,7 @@ def sorted_runs(ids: np.ndarray, dtype: type = np.intp) -> tuple[np.ndarray, np.
     lengths = np.empty(starts.size, dtype)
     np.subtract(starts[1:], starts[:-1], out=lengths[:-1], casting="unsafe")
     lengths[-1:] = ids.size - starts[-1:]
-    return ids[starts], lengths
+    return starts, lengths
 
 
 def render_gray(counts: np.ndarray, n_slices: int) -> np.ndarray:
@@ -164,26 +177,64 @@ def saliency_map(period: EventPeriod, n: int) -> SaliencyMap:
     polarities exactly when an even key 2c is followed directly by 2c + 1,
     that is, when two neighbouring keys differ in the lowest bit only; so
     each cell counts once, and only the hit cells' pixel ids outlive their
-    block. Those ids, sorted, give the hit pixels and their counts; the map
-    renders their gray and holds nothing else.
+    block. Once the held ids number ``events._FLUSH_EVENTS``, or the hit
+    pixels found so far when those are more, and after the last block,
+    ``_fold`` sorts them together with those pixels into per-pixel counts.
+    So the walk holds one block, one budget of ids and the hit pixels, and
+    all folds together sort at most twice the hit cells plus the hit pixels.
+    The map renders the counts' gray and holds nothing else.
     """
     height, width = period.sensor.shape
     sensor = BBox(0, 0, width, height)
+    ids, counts = np.empty(0, id_dtype(height * width)), np.empty(0, np.int32)
+    held: list[np.ndarray] = []
+    total = 0  # the ids in held
     starts, cuts = slice_blocks(period, n)
-    blocks = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         key = bin_events(period, n, sensor, slice(lo, hi), starts=starts, bits=1)
         key |= period.p[lo:hi]
         key.sort()
-        blocks.append(key[np.flatnonzero((key[1:] ^ key[:-1]) == 1)])
+        hits = key[np.flatnonzero((key[1:] ^ key[:-1]) == 1)]
         del key  # before the next block's key exists
-    hits = np.concatenate(blocks)
-    del blocks  # before the sort and the runs below take their own arrays
-    hits >>= 1
-    hits %= height * width
-    hits.sort()
-    ids, counts = sorted_runs(hits)
+        hits >>= 1
+        hits %= height * width
+        held.append(hits)
+        total += hits.size
+        if total >= max(events._FLUSH_EVENTS, ids.size):
+            ids, counts = _fold(ids, counts, held)
+            total = 0
+    if held:  # the ids of the last blocks
+        ids, counts = _fold(ids, counts, held)
     return SaliencyMap(shape=(height, width), ids=ids, hit_counts=counts, n_slices=n)
+
+
+def _fold(
+    ids: np.ndarray, counts: np.ndarray, held: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted hit pixels ``ids`` and their int32 ``counts`` with the ``held`` ids added.
+
+    The known pixels join the held ids' sort as the tags 2 * id, the held
+    ids as 2 * id + 1, so each pixel's run of tags starts with its even tag
+    when the pixel is known. A run's length counts the pixel's held ids,
+    plus one when it is known, whose count then replaces that one. The held
+    ids come in the dtype of the keys they were cut from, which holds every
+    tag. ``held`` is emptied.
+    """
+    tags = np.concatenate([ids, *held])
+    held.clear()
+    tags <<= 1
+    tags[ids.size :] |= 1
+    tags.sort()
+    odd = np.empty(tags.size, bool)
+    np.bitwise_and(tags, 1, out=odd, casting="unsafe")
+    tags >>= 1
+    starts, lengths = run_bounds(tags, np.int32)
+    pixels = tags[starts].astype(ids.dtype, copy=False)
+    del tags  # before the arrays of the count update
+    known = np.flatnonzero(~odd[starts])  # indexes, far faster than a scattered bool mask
+    del odd, starts
+    lengths[known] += counts - 1
+    return pixels, lengths
 
 
 def gray_at(smap: SaliencyMap, pixels: np.ndarray) -> np.ndarray:
@@ -198,7 +249,7 @@ def gray_at(smap: SaliencyMap, pixels: np.ndarray) -> np.ndarray:
         raise ValidationError("region pixels fall outside the saliency map")
     if not smap.ids.size:
         return np.zeros(x.size, np.uint8)
-    flat = y.astype(np.intp) * width + x
+    flat = y.astype(smap.ids.dtype) * width + x  # the ids' dtype: the search casts no copy
     at = np.searchsorted(smap.ids, flat)
     np.minimum(at, smap.ids.size - 1, out=at)
     gray = smap.hit_gray[at]
@@ -278,7 +329,9 @@ def _label(ids: np.ndarray, width: int) -> list[Region]:
     x1 = x0 + np.diff(starts, append=ids.size)
     # Keys row * stride + x sort runs in scan order: x never reaches stride.
     # Run i's block is [lo, hi): the next-row runs with x1' >= x0 and x0' <= x1.
+    # Every key lies below (row[-1] + 2) * stride, which the rows' dtype must hold.
     stride = width + 2
+    row = row.astype(id_dtype((int(row[-1]) + 2) * stride), copy=False)
     lo = np.searchsorted(row * stride + x1, (row + 1) * stride + x0)
     hi = np.searchsorted(row * stride + x0, (row + 1) * stride + x1, side="right")
     links = hi - lo  # one link per touching pair (a, b)

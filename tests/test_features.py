@@ -26,7 +26,6 @@ from evrotor import (
     saliency_score,
 )
 from evrotor import events
-from evrotor import features
 from evrotor.detector import Cluster, _score_clusters
 from evrotor.events import DetectorConfig
 from evrotor.features import (
@@ -254,11 +253,11 @@ class TestWindowPass:
     @given(windowed=windowed_periods())
     def test_every_window_matches_the_cell_oracle(self, windowed):
         period, rows, m, boxes, margin = windowed
-        for block, flush in ((events._BLOCK_EVENTS, features._FLUSH_EVENTS), (1, 1), (3, 2),
+        for block, flush in ((events._BLOCK_EVENTS, events._FLUSH_EVENTS), (1, 1), (3, 2),
                              (7, 5), (1, 4)):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(events, "_BLOCK_EVENTS", block)
-                patch.setattr(features, "_FLUSH_EVENTS", flush)
+                patch.setattr(events, "_FLUSH_EVENTS", flush)
                 locals_ = walked(period, boxes, m, margin)
                 singles = [extract_local_slices(period, box, m, margin) for box in boxes]
             assert len(locals_) == len(boxes)
@@ -291,7 +290,7 @@ class TestWindowPass:
     def test_window_events_past_a_flush_in_one_block(self):
         """One block puts more than _FLUSH_EVENTS events in a window: they form one batch."""
         rng = np.random.default_rng(21)
-        inside = features._FLUSH_EVENTS + 3_000
+        inside = events._FLUSH_EVENTS + 3_000
         t = np.sort(np.concatenate([rng.integers(0, 100, inside), rng.integers(0, 400, 2_000)]))
         x, y = rng.integers(0, 12, t.size), rng.integers(0, 9, t.size)
         p = np.ones(t.size, int)
@@ -302,9 +301,9 @@ class TestWindowPass:
         _, cuts = slice_blocks(period, 8)
         held = [((period.t[lo:hi] < 100) & (period.p[lo:hi] == 1)).sum()
                 for lo, hi in zip(cuts[:-1], cuts[1:])]
-        assert max(held) > features._FLUSH_EVENTS
+        assert max(held) > events._FLUSH_EVENTS
         batches = _window_batches(period, boxes, 8)
-        assert max(int(counts.sum()) for _, _, counts in batches) > features._FLUSH_EVENTS
+        assert max(int(counts.sum()) for _, _, counts in batches) > events._FLUSH_EVENTS
         locals_ = walked(period, boxes, 8, 0)
         for local, box in zip(locals_, boxes):
             assert_cells_match_the_oracle(local, rows, 0, 400, box)
@@ -824,6 +823,26 @@ class TestComputeFeatures:
             assert np.abs(got.f_s - f_s).max() <= 1e-12
             assert np.abs(got.f_p - f_p).max() <= 1e-12
             assert got.f_s[0] != 0.0
+
+    def test_products_past_2_to_the_63_stay_exact(self):
+        # One count of 1.5e9 squares to 2.25e18, and slice 1's h * w = 6 times
+        # that, less its sum squared, passes 2**63: int64 would wrap even the
+        # result, so the series' products take Python ints here.
+        grids = np.array([
+            [[5, 3, 0], [0, 7, 1]],
+            [[1, 1_500_000_000, 0], [2, 0, 9]],
+            [[3, 0, 5], [0, 1, 2]],
+            [[0, 2, 6], [4, 0, 3]],
+        ], np.int64)
+        total = int(grids.sum())
+        s1, s2 = int(grids[1].sum()), int((grids[1] ** 2).sum())
+        assert total < 2**31 and 6 * s2 - s1 * s1 >= 2**63
+        got = compute_features(local_slices(grids))
+        f_d, f_s, f_p = oracles.compute_features(grids)
+        assert np.array_equal(got.f_d, f_d)
+        assert np.abs(got.f_s - f_s).max() <= 1e-12
+        assert np.abs(got.f_p - f_p).max() <= 1e-12
+        assert got.f_s[:2].all()
 
     def test_rejects_non_integer_and_oversized_counts(self):
         with pytest.raises(ValidationError, match="integer"):

@@ -33,6 +33,7 @@ from evrotor import (
 )
 from evrotor import events
 from evrotor.events import bin_events
+from evrotor.features import saliency_masses
 from evrotor.saliency import (
     gray_at,
     render_gray,
@@ -234,9 +235,12 @@ class TestBlocks:
         period, n, rows = blocked
         want = np.array(saliency_counts(rows, period.t_start, period.duration, n,
                                         SMALL.width, SMALL.height))
-        for block in (events._BLOCK_EVENTS, 1, 3, 7):
+        # Budgets of a few held ids fold the hits into the known pixels many times.
+        for block, flush in ((events._BLOCK_EVENTS, events._FLUSH_EVENTS), (1, 1), (3, 2),
+                             (7, 5), (1, 4)):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(events, "_BLOCK_EVENTS", block)
+                patch.setattr(events, "_FLUSH_EVENTS", flush)
                 smap = saliency_map(period, n)
             assert np.array_equal(dense_counts(smap), want)
             assert np.array_equal(smap.gray, render_gray(want, n))
@@ -290,6 +294,37 @@ class TestBounds:
         for _, x, y in cells:
             want[y, x] += 1
         assert np.array_equal(dense_counts(smap), want)
+
+    def test_memory_follows_the_hit_pixels_not_the_hit_cells(self):
+        """256 pixels hold both polarities in each of 4000 slices: holding every hit cell took 8.2 MB."""
+        sensor = SensorGeometry(16, 16)
+
+        def period_of(n):
+            # 512 events a 10 us slice, a positive and a negative one at each pixel
+            s, j = np.divmod(np.arange(512 * n), 512)
+            pixel = j // 2
+            return EventPeriod(s * 10 + j // 52, pixel % 16, pixel // 16, j % 2,
+                               t_start=0, duration=10 * n, sensor=sensor)
+
+        peaks = {}
+        for n in (500, 4000):
+            period = period_of(n)
+            tracemalloc.start()
+            try:
+                smap = saliency_map(period, n)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4000] <= 1_500_000
+        assert peaks[4000] <= 2 * peaks[500]
+        # The oracle takes the events a few hundred slices at a time; the slices' counts add up.
+        want = np.zeros(sensor.shape, np.int64)
+        step = 2**17
+        for lo in range(0, len(period), step):
+            cols = (c[lo : lo + step].tolist() for c in (period.t, period.x, period.y, period.p))
+            want += saliency_counts(zip(*cols), 0, period.duration, 4000, 16, 16)
+        assert np.array_equal(dense_counts(smap), want)
+        assert (want == 4000).all()
 
     def test_memory_follows_a_block_not_the_period(self):
         """2M events in 250 slices of VGA: one key per event would take 8 MB alone."""
@@ -416,6 +451,7 @@ class TestRecord:
             ({"counts": (1, 2, 3, 3)}, "equal length"),
             ({"ids": (1, 5)}, "equal length"),
             ({"counts": (1, 2, 2**40)}, "within 1..3"),
+            ({"counts": (1, 2, 2**31), "n_slices": 2**32}, "within 1..2147483647"),  # int32 counts
             ({"counts": (1.0, 2.0, 3.0)}, "integer"),
             ({"ids": [[1, 5, 11]]}, "one-dimensional"),
             ({"n_slices": 0}, "slice count"),
@@ -457,7 +493,7 @@ def caller_and_record_arrays(kind):
         period = EventPeriod(*mine, t_start=0, duration=10, sensor=SensorGeometry(4, 4))
         return mine, [period.t, period.x, period.y, period.p]
     if kind == "SaliencyMap":
-        mine = [np.array([1, 5, 11], np.intp), np.array([1, 2, 3])]
+        mine = [np.array([1, 5, 11], np.int32), np.array([1, 2, 3], np.int32)]
         smap = SaliencyMap(shape=(3, 4), ids=mine[0], hit_counts=mine[1], n_slices=3)
         return mine, [smap.ids, smap.hit_counts]
     if kind == "Region":
@@ -767,6 +803,57 @@ class TestSalientRegions:
         assert got["regions"] == boxes
         assert got["detections"] == boxes
         assert got["s_s"] == [128, 128]
+
+
+class TestNarrowIds:
+    """A 65535 x 32768 map: H * W < 2**31 keeps its ids int32, and H * (W + 2) passes 2**31."""
+
+    W, H = 32768, 65535
+    # pixel: its count of 4 slices; the last rows and columns, and two consecutive
+    # ids on two rows (the end of row 2**15 and the start of the next)
+    COUNTS = {
+        (W - 3, H - 3): 4, (W - 2, H - 2): 4, (W - 1, H - 2): 3, (W - 2, H - 1): 2,
+        (W - 1, H - 1): 1, (0, H - 1): 2, (W - 1, 2**15): 1, (0, 2**15 + 1): 3,
+    }
+
+    def smap(self):
+        rows = [
+            (100 * s + 10 + dt, x, y, p)
+            for (x, y), count in self.COUNTS.items()
+            for s in range(count)
+            for dt, p in ((0, 1), (1, 0))
+        ]
+        period = make_period(sorted(rows), sensor=SensorGeometry(self.W, self.H), duration=400)
+        return saliency_map(period, 4)
+
+    def test_regions_gray_and_masses(self):
+        W, H = self.W, self.H
+        assert H * W < 2**31 <= H * (W + 2)
+        smap = self.smap()
+        assert smap.ids.dtype == smap.hit_counts.dtype == np.int32
+        gray = {pixel: int(render_gray(np.array([c]), 4)[0]) for pixel, c in self.COUNTS.items()}
+        # in region order, each region's pixels in scan order
+        want = [
+            [(W - 1, 2**15)],
+            [(0, 2**15 + 1)],
+            [(W - 3, H - 3), (W - 2, H - 2), (W - 1, H - 2), (W - 2, H - 1), (W - 1, H - 1)],
+            [(0, H - 1)],
+        ]
+        regions = salient_regions(smap, 0)
+        assert [r.pixels.tolist() for r in regions] == [[list(px) for px in group] for group in want]
+        assert [r.bbox.as_tuple() for r in regions] == [
+            (W - 1, 2**15, 1, 1), (0, 2**15 + 1, 1, 1), (W - 3, H - 3, 3, 3), (0, H - 1, 1, 1),
+        ]
+        # tau 64 drops the one-slice pixels, gray 64: a lone one and a corner of the corner region
+        assert [r.bbox.as_tuple() for r in salient_regions(smap, 64)] == [
+            (0, 2**15 + 1, 1, 1), (W - 3, H - 3, 3, 3), (0, H - 1, 1, 1),
+        ]
+        misses = [(W - 1, H - 3), (W - 3, H - 1), (0, 0), (W - 1, 0), (1, H - 1)]
+        pixels = np.array([*gray, *misses], np.int32)
+        assert gray_at(smap, pixels).tolist() == [*gray.values(), 0, 0, 0, 0, 0]
+        masses = saliency_masses([[regions[2]], [regions[0], regions[1]], [regions[3]]], smap)
+        assert masses == [sum(gray[px] for px in want[2]), gray[want[0][0]] + gray[want[1][0]],
+                          gray[want[3][0]]]
 
 
 def links_strategy(n):

@@ -7,14 +7,16 @@ Each digest runs ``run_pipeline`` with the default ``DetectorConfig`` on
 every input of one round of the workload, as ``perfbench/workloads.py``
 builds it, and covers in input order:
 
-- the saliency map's ``ids`` and ``hit_gray`` bytes;
+- the saliency map's ``ids`` and ``hit_gray``;
 - every cluster's box, ``s_s`` with its type, and ``s_p``;
-- every candidate's ``f_d``, ``f_s`` and ``f_p`` bytes;
-- every detection's box, ``s_p``, ``s_s`` and pixel bytes.
+- every candidate's ``f_d``, ``f_s`` and ``f_p``;
+- every detection's box, ``s_p``, ``s_s`` and pixels.
 
-Equal digests from two trees mean bit-identical outputs on these inputs.
-Float bits may differ between numpy versions, so compare digests made
-with one environment only.
+Integer arrays are hashed by value, cast to int64, and float arrays by
+their bytes. So a change of an integer array's storage dtype alone keeps
+every digest, and equal digests from two trees mean equal values and
+bit-identical floats on these inputs. Float bits may differ between numpy
+versions, so compare digests made with one environment only.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from workloads import WORKLOADS
 
 
 def _array(h, values: np.ndarray) -> None:
+    if values.dtype.kind in "iu":
+        values = values.astype(np.int64)  # by value, not by storage dtype
     h.update(f"{values.dtype.str}{values.shape}".encode())
     h.update(np.ascontiguousarray(values).tobytes())
 
