@@ -451,11 +451,11 @@ class TestRecord:
             ({"counts": (1, 2, 3, 3)}, "equal length"),
             ({"ids": (1, 5)}, "equal length"),
             ({"counts": (1, 2, 2**40)}, "within 1..3"),
-            ({"counts": (1, 2, 2**31), "n_slices": 2**32}, "within 1..2147483647"),  # int32 counts
             ({"counts": (1.0, 2.0, 3.0)}, "integer"),
             ({"ids": [[1, 5, 11]]}, "one-dimensional"),
             ({"n_slices": 0}, "slice count"),
             ({"shape": (0, 4), "ids": [], "counts": []}, "shape"),
+            ({"counts": (1, 2, 2**31), "n_slices": 2**32}, "within 1..2147483647"),  # int32 counts
         ],
     )
     def test_rejects_malformed_records(self, fields, message):
