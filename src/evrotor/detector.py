@@ -81,6 +81,10 @@ class PipelineResult:
 # batch's numpy calls run long, few enough that a batch stays a few MB.
 _PAIR_BATCH = 2**14
 
+# Refinement sums its integer moments in int64 while a bound proves every
+# sum stays below this, else in Python ints.
+_INT64_SUMS = 2**63
+
 
 def _bbox_key(bbox: BBox) -> tuple[int, int, int, int]:
     return (bbox.y, bbox.x, bbox.h, bbox.w)
@@ -211,23 +215,39 @@ def gaussian_fine_refine(candidate: Cluster, smap: SaliencyMap) -> Detection:
     members = candidate.members
     pixels = np.concatenate([region.pixels for region in members])
     areas = [region.area for region in members]
-    w = gray_at(smap, pixels).astype(np.float64)
-    # Measured from the pixels' low corner, the moments of any candidate under
-    # 2400 px across are integers below 2**53, so the float64 sums are exact
-    # and collinear pixels give det == 0 exactly.
-    # Per-column reductions: numpy reduces a (N, 2) array over axis 0 far slower.
-    x, y = ((c - c.min()).astype(np.float64) for c in (pixels[:, 0], pixels[:, 1]))
-    wx, wy = w * x, w * y
+    g = gray_at(smap, pixels)
+    # The moments are taken from the pixels' low corner. Per-column
+    # reductions: numpy reduces a (N, 2) array over axis 0 far slower.
+    columns = pixels[:, 0], pixels[:, 1]
+    low = [int(c.min()) for c in columns]
+    reach = max(max(int(c.max()) - c0 for c, c0 in zip(columns, low)), 1)
+    # Every moment is an exact integer sum of at most N terms g * x**a * y**b,
+    # a + b <= 2, each at most 255 * reach**2. When N such terms stay below
+    # _INT64_SUMS the sums, and every partial sum, fit in int64; else they
+    # are taken in Python ints. Collinear pixels give det == 0 exactly.
+    exact = np.int64 if 255 * reach * reach * g.size < _INT64_SUMS else object
     # Each member is a run of the pixels, and every region has a pixel.
     runs = list(accumulate(areas[:-1], initial=0))
-    mass, sx, sy = (np.add.reduceat(v, runs) for v in (w, wx, wy))
+    mass = np.add.reduceat(g, runs, dtype=exact)
+    # One pixel-sized offset array and one product array at a time. The
+    # offsets are int64, since an integer dot casts any other dtype to a
+    # full int64 copy; integer dots never go to BLAS and its threads.
+    x = np.subtract(columns[0], low[0], dtype=np.int64)
+    gx = np.multiply(g, x, dtype=exact)
+    sx, sxx = np.add.reduceat(gx, runs), int(np.dot(gx, x))
+    del x
+    y = np.subtract(columns[1], low[1], dtype=np.int64)
+    sxy = int(np.dot(gx, y))
+    del gx
+    gy = np.multiply(g, y, dtype=exact)
+    sy, syy = np.add.reduceat(gy, runs), int(np.dot(gy, y))
+    del gy, y  # before the kept pixels are gathered
     total, sum_x, sum_y = (int(v.sum()) for v in (mass, sx, sy))
-    # T = total**2 times the prior covariance, in Python integers. einsum
-    # sums the products itself: a float64 dot would go to BLAS, which runs
-    # it on threads above about 10k pixels at many times the cost.
-    cxx = total * int(np.einsum("i,i->", wx, x)) - sum_x * sum_x
-    cxy = total * int(np.einsum("i,i->", wx, y)) - sum_x * sum_y
-    cyy = total * int(np.einsum("i,i->", wy, y)) - sum_y * sum_y
+    mass, sx, sy = (v.astype(np.float64) for v in (mass, sx, sy))
+    # T = total**2 times the prior covariance, in Python integers.
+    cxx = total * sxx - sum_x * sum_x
+    cxy = total * sxy - sum_x * sum_y
+    cyy = total * syy - sum_y * sum_y
     det = cxx * cyy - cxy * cxy
     if det > 0:
         # Row k of u is total * mass_k times member k's centroid offset from

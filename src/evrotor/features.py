@@ -530,10 +530,14 @@ class _SliceSums:
 def moving_average(series, window: int) -> np.ndarray:
     """Centered moving average; edge windows truncate at the boundaries.
 
-    Output length equals input length. Each window is summed left to right,
-    never taken as a difference of running sums, so equal windows give equal
-    averages: a plateau stays flat, and a window of 1 returns the series.
-    The cost is O(n * window).
+    Output length equals input length. Each window, zero-padded at the
+    edges, is summed in one fixed order, never taken as a difference of
+    running sums, so equal windows give equal averages: a plateau stays
+    flat, and a window of 1 returns the series. The order splits the window
+    into blocks of the powers of two in its size, largest first; each block
+    is summed as a pairwise tree, and the blocks from the last to the first.
+    Window 3 so sums (a + b) + c, left to right. Block sums of size 2**k
+    come from those of size 2**(k - 1), so the cost is O(n * log(window)).
     """
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1:
@@ -543,11 +547,19 @@ def moving_average(series, window: int) -> np.ndarray:
     if window > x.size:
         raise ConfigurationError(f"window {window} exceeds series length {x.size}")
     half = window // 2
-    # Zeros pad the edge windows; adding 0.0 first changes no sum.
+    # Zeros pad the edge windows; adding 0.0 changes no sum.
     padded = np.concatenate([np.zeros(half), x, np.zeros(half)])
-    total = padded[: x.size].copy()
-    for k in range(1, window):
-        total += padded[k : k + x.size]
+    # blocks[j] is the pairwise-tree sum of the 2**k padded samples from j.
+    # The window from i takes the block of each set bit k of its size after
+    # the blocks of its higher bits, at i + window - window % 2**(k + 1).
+    blocks, total = padded, None
+    for k in range(window.bit_length()):
+        if window >> k & 1:
+            start = window - window % 2 ** (k + 1)
+            block = blocks[start : start + x.size]
+            total = block if total is None else block + total
+        if window >> (k + 1):
+            blocks = blocks[: -(2**k)] + blocks[2**k :]
     i = np.arange(x.size)
     return total / (np.minimum(i + half + 1, x.size) - np.maximum(i - half, 0))
 

@@ -341,13 +341,22 @@ def _label(ids: np.ndarray, width: int) -> list[Region]:
     # The stable sort keeps each component's runs, and so its pixels, in scan order.
     order = np.argsort(root, kind="stable")
     row, x0, length = row[order], x0[order], (x1 - x0)[order]
-    ends = np.cumsum(length)
-    xs = np.arange(ends[-1]) - np.repeat(ends - length - x0, length)
-    ys = np.repeat(row, length)
+    first = np.cumsum(length) - length  # each run's first pixel
+    # The pixels go straight into one int32 (N, 2) array: each column holds
+    # its steps from the pixel before, the jump to a run's start at its first
+    # pixel, and is summed in place, so every partial sum is a coordinate.
+    pixels = np.empty((int(first[-1] + length[-1]), 2), np.int32)
+    xs, ys = pixels[:, 0], pixels[:, 1]
+    xs[:] = 1
+    xs[first] = x0 - np.append(0, (x0 + length - 1)[:-1])
+    ys[:] = 0
+    ys[first] = np.diff(row, prepend=0)
+    np.add.accumulate(xs, out=xs)
+    np.add.accumulate(ys, out=ys)
     # A component's pixels start with those of its first run.
-    starts = (ends - length)[np.flatnonzero(np.diff(root[order], prepend=-1))]
+    starts = first[np.flatnonzero(np.diff(root[order], prepend=-1))]
     boxes = tight_boxes(xs, ys, starts)
-    pixels = frozen_view(np.column_stack([xs, ys]), np.int32)
+    pixels = frozen_view(pixels)
     # box_order is stable, so regions with equal boxes stay in first-pixel order.
     order = box_order(boxes)
     cuts = np.append(starts, pixels.shape[0]).tolist()

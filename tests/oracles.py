@@ -333,14 +333,37 @@ def pearson(a, b):
     return cov / math.sqrt(va * vb)
 
 
+def tree_sum(values):
+    """Pairwise sum of a power-of-two count of values: the halves' sums, added."""
+    if len(values) == 1:
+        return values[0]
+    half = len(values) // 2
+    return tree_sum(values[:half]) + tree_sum(values[half:])
+
+
 def centered_moving_average(values, window):
-    """Truncated-window centered moving average, plain loops."""
+    """Truncated-window centered moving average, plain loops.
+
+    Each window, zero-padded at the edges, is cut into blocks of the powers
+    of two in its size, largest first; each block is summed by ``tree_sum``,
+    and the blocks are added from the last to the first, the order
+    ``moving_average`` takes.
+    """
     half = window // 2
+    padded = [0.0] * half + [float(v) for v in values] + [0.0] * half
+    sizes = [2**k for k in reversed(range(window.bit_length())) if window >> k & 1]
     out = []
     for i in range(len(values)):
+        sums, start = [], i
+        for size in sizes:
+            sums.append(tree_sum(padded[start : start + size]))
+            start += size
+        total = sums.pop()
+        while sums:
+            total = sums.pop() + total
         lo = max(i - half, 0)
         hi = min(i + half + 1, len(values))
-        out.append(sum(values[lo:hi]) / (hi - lo))
+        out.append(total / (hi - lo))
     return out
 
 

@@ -16,6 +16,7 @@ from evrotor import (
     DetectorConfig,
     Region,
     RegionScores,
+    SaliencyMap,
     SensorGeometry,
     ValidationError,
     cluster_regions,
@@ -568,6 +569,90 @@ class TestFineStage:
         assert kept == [want for want, _ in expected] == [True, False, False, False]
         assert detection.bbox == members[0].bbox
         assert detection.pixels.shape[0] == members[0].area
+
+    def test_memory_per_candidate_pixel(self):
+        # Four disks, 20 100 pixels: five float64 arrays of them took 48 B a pixel.
+        rng = np.random.default_rng(0)
+        centers = ((60, 60), (200, 80), (120, 300), (330, 330))
+        members = tuple(disk_region(cx, cy, 40) for cx, cy in centers)
+        gray = np.zeros((400, 400), np.uint8)
+        for member in members:
+            gray[member.pixels[:, 1], member.pixels[:, 0]] = rng.integers(1, 256, member.area)
+        smap = sparse_saliency(gray)
+        candidate = Cluster(members=members, bbox=BBox(0, 0, 400, 400),
+                            scores=RegionScores(s_s=1.0, s_p=4))
+        tracemalloc.start()
+        try:
+            detection = gaussian_fine_refine(candidate, smap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert candidate.area == 20_100
+        assert peak <= 32 * 20_100
+        expected = gaussian_keep([member.pixels.tolist() for member in members], gray)
+        kept = [member for member, (inside, _) in zip(members, expected) if inside]
+        assert np.array_equal(detection.pixels, np.concatenate([m.pixels for m in kept]))
+
+    def test_collinear_members_60000_px_apart_keep_every_member(self):
+        # Pixels on one anti-diagonal of a 65535 x 65535 map, with random
+        # grays: the prior is degenerate, so the oracle keeps every member.
+        # Sums of g * x * x pass 2**54 here, and the float64 sums refinement
+        # once took rounded to a det > 0 that cut the two far members.
+        rng = np.random.default_rng(4)
+        members = tuple(
+            Region(np.column_stack([t, 65534 - t]))
+            for t in (np.arange(0, 32000), np.arange(62000, 62010), np.arange(65500, 65535))
+        )
+        pixels = np.concatenate([member.pixels for member in members])
+        levels = rng.integers(1, 256, len(pixels))
+        ids = pixels[:, 1].astype(np.int64) * 65535 + pixels[:, 0]
+        order = np.argsort(ids)
+        smap = SaliencyMap((65535, 65535), ids[order], levels[order], n_slices=255)
+        gray = {}
+        for (x, y), level in zip(pixels.tolist(), levels.tolist()):
+            gray.setdefault(y, {})[x] = level
+        assert gaussian_keep([member.pixels.tolist() for member in members], gray) is None
+        candidate = Cluster(members=members, bbox=BBox(0, 0, 65535, 65535),
+                            scores=RegionScores(s_s=1.0, s_p=4))
+        detection = gaussian_fine_refine(candidate, smap)
+        assert np.array_equal(detection.pixels, pixels)
+
+    @pytest.mark.parametrize("bound", ["at", "above"])
+    def test_moments_past_the_int64_bound_are_taken_in_python_ints(self, monkeypatch, bound):
+        # The bound patched to this candidate's own 255 * reach**2 * N: at it
+        # the moments must leave int64, just above it they stay. Either way
+        # the detection is the one at the default bound, and the oracle's.
+        rng = np.random.default_rng(4)
+        members = (
+            disk_region(100, 100, 64),
+            line_region([(200, y) for y in range(10, 190)]),
+            rect_region(20, 180, 12, 12),
+            disk_region(175, 40, 6),
+        )
+        gray = np.zeros((220, 240), np.uint8)
+        for member in members:
+            gray[member.pixels[:, 1], member.pixels[:, 0]] = rng.integers(1, 256, member.area)
+        candidate = Cluster(members=members, bbox=BBox(0, 0, 240, 220),
+                            scores=RegionScores(s_s=1.0, s_p=4))
+        smap = sparse_saliency(gray)
+        want = gaussian_fine_refine(candidate, smap).pixels
+        pixels = np.concatenate([member.pixels for member in members])
+        reach = int((pixels - pixels.min(axis=0)).max())
+        limit = 255 * reach**2 * len(pixels)
+        monkeypatch.setattr(detector, "_INT64_SUMS", limit if bound == "at" else limit + 1)
+        dot, dtypes = np.dot, []
+
+        def spy(a, b):
+            dtypes.append(a.dtype)
+            return dot(a, b)
+
+        monkeypatch.setattr(np, "dot", spy)
+        got = gaussian_fine_refine(candidate, smap).pixels
+        assert dtypes == [np.dtype(object if bound == "at" else np.int64)] * 3
+        assert np.array_equal(got, want)
+        expected = gaussian_keep([member.pixels.tolist() for member in members], gray)
+        kept = [member for member, (inside, _) in zip(members, expected) if inside]
+        assert np.array_equal(got, np.concatenate([m.pixels for m in kept]))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

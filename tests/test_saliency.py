@@ -749,6 +749,25 @@ class TestSalientRegions:
         with pytest.raises(ConfigurationError):
             salient_regions(smap, -1)
 
+    def test_labeling_memory_per_salient_pixel(self):
+        """Four disks, 20 100 salient pixels: int64 coordinates and their stacked copy took 43 B each."""
+        yy, xx = np.mgrid[0:400, 0:400]
+        mask = np.zeros((400, 400), bool)
+        for cx, cy in ((60, 60), (200, 80), (120, 300), (330, 330)):
+            mask |= (xx - cx) ** 2 + (yy - cy) ** 2 <= 40**2
+        gray = np.where(mask, 200, 0).astype(np.uint8)
+        smap = sparse_saliency(gray)
+        tracemalloc.start()
+        try:
+            regions = salient_regions(smap, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mask.sum() == 20_100
+        assert peak <= 20 * 20_100
+        assert_same_regions(regions, ndimage_components(mask))
+        assert not any(r.pixels.flags.writeable for r in regions)
+
     def test_huge_sensor_pipeline_holds_no_dense_grid(self):
         """A 65535 x 65535 period: one int32 grid of it would take 16 GiB.
 
