@@ -44,7 +44,11 @@ class SensorGeometry:
 
 @dataclass(frozen=True)
 class BBox:
-    """Axis-aligned pixel rectangle, top-left corner plus positive size."""
+    """Axis-aligned pixel rectangle, top-left corner plus positive size.
+
+    Its fields are Python ints; integral floats and numpy ints load as them,
+    and a fraction or NaN is refused (``whole_numbers``).
+    """
 
     x: int
     y: int
@@ -52,6 +56,10 @@ class BBox:
     h: int
 
     def __post_init__(self) -> None:
+        if not type(self.x) is type(self.y) is type(self.w) is type(self.h) is int:
+            fields = whole_numbers(self.as_tuple(), "box x, y, w and h")
+            for name, value in zip("xywh", fields):
+                object.__setattr__(self, name, value)
         if self.w <= 0 or self.h <= 0:
             raise ValidationError(f"box size must be positive, got {self.w}x{self.h}")
 

@@ -223,9 +223,8 @@ def _window_batches(
     """(k, cells, counts) batches of whole slices of each window k, from one walk of the period.
 
     The walk takes the blocks of whole slices of ``events.slice_blocks``.
-    Each block finds each window's positive events (``_events_inside``, in
-    chunks of at most ``events._BLOCK_EVENTS`` events, as one slice may
-    hold more) and bins them. The windows' keys wait until they number
+    Each block finds each window's positive events (``_events_inside``) and
+    bins them. The windows' keys wait until they number
     ``events._FLUSH_EVENTS`` in all; the keys of the window that holds the
     most (the lowest k on a tie) are then sorted and reduced to their nonzero
     cells and int32 counts, one batch. So the pending keys stay below
@@ -239,7 +238,6 @@ def _window_batches(
     for window in windows:
         events._id_dtype(period, m, window.h * window.w, 4, "local slice count")
     starts, cuts = slice_blocks(period, m)
-    bounds = [tuple(np.uint32(v) for v in window.as_tuple()) for window in windows]
     pending: list[list[np.ndarray]] = [[] for _ in windows]
     held = [0 for _ in windows]
     total = 0  # sum(held)
@@ -253,7 +251,7 @@ def _window_batches(
 
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         for k, window in enumerate(windows):
-            index = _events_inside(period, bounds[k], lo, hi)
+            index = _events_inside(period, window, lo, hi)
             if not index.size:
                 continue
             pending[k].append(bin_events(period, m, window, index, starts=starts))
@@ -276,31 +274,24 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
     return joined
 
 
-def _events_inside(
-    period: EventPeriod, bounds: tuple[np.uint32, ...], lo: int, hi: int
-) -> np.ndarray:
-    """Ascending indexes of the positive events lo:hi inside the (x, y, w, h) ``bounds``.
+def _events_inside(period: EventPeriod, window: BBox, lo: int, hi: int) -> np.ndarray:
+    """Ascending indexes of the positive events lo:hi inside the window.
 
-    The events are tested in chunks of at most ``events._BLOCK_EVENTS``:
-    one unsigned compare per axis, with the offsets and the mask written
-    into one uint32 and one bool array, which are freed on return, so the
-    test holds little beyond the indexes it finds.
+    The four edge compares, against the window's Python ints (a numpy scalar
+    would cast the column), and the polarity are and-ed into one bool per
+    event: beside the indexes it finds, the test holds one bool and one
+    compare's temporary per event of its block, which ``events.slice_blocks``
+    caps at 2**16 events or one larger slice.
     """
-    x0, y0, w, h = bounds
-    step = events._BLOCK_EVENTS
-    scratch = np.empty(min(step, hi - lo), np.uint32), np.empty(min(step, hi - lo), bool)
-    parts = []
-    for a in range(lo, hi, step):
-        b = min(a + step, hi)
-        offset, inside = scratch[0][: b - a], scratch[1][: b - a]
-        # x - x0 wraps below x0, so one compare tests both edges of an axis.
-        np.less(np.subtract(period.x[a:b].view(np.uint32), x0, out=offset), w, out=inside)
-        inside &= np.subtract(period.y[a:b].view(np.uint32), y0, out=offset) < h
-        inside &= period.p[a:b].view(bool)
-        index = np.flatnonzero(inside)
-        index += a
-        parts.append(index)
-    return _joined(parts) if parts else np.empty(0, np.intp)
+    x, y = period.x[lo:hi], period.y[lo:hi]
+    inside = x >= window.x
+    inside &= x < window.right
+    inside &= y >= window.y
+    inside &= y < window.bottom
+    inside &= period.p[lo:hi].view(bool)
+    index = np.flatnonzero(inside)
+    index += lo
+    return index
 
 
 def _major_axes(cxx, cxy, cyy) -> tuple[np.ndarray, np.ndarray]:

@@ -68,6 +68,16 @@ class TestBBox:
         with pytest.raises(ValidationError):
             BBox(0, 0, w, h)
 
+    @pytest.mark.parametrize("fields", [(1.5, 0, 2, 2), (0, 0, float("nan"), 2)])
+    def test_refuses_a_fraction_or_nan(self, fields):
+        with pytest.raises(ValidationError, match="must be integers"):
+            BBox(*fields)
+
+    def test_numpy_ints_and_integral_floats_load_as_python_ints(self):
+        box = BBox(np.int64(3), 2.0, np.int32(4), np.uint8(5))
+        assert box == BBox(3, 2, 4, 5)
+        assert all(type(v) is int for v in box.as_tuple())
+
     def test_clamped_trims_to_sensor(self):
         sensor = SensorGeometry(100, 80)
         assert BBox(-5, -5, 20, 20).clamped(sensor) == BBox(0, 0, 15, 15)

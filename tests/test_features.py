@@ -31,6 +31,7 @@ from evrotor.detector import Cluster, _score_clusters
 from evrotor.events import DetectorConfig
 from evrotor.features import (
     _SliceSums,
+    _events_inside,
     _extrema_flags,
     _next_slice_partners,
     _prominences,
@@ -287,6 +288,21 @@ class TestWindowPass:
             for local, box in zip(locals_, boxes):
                 window = dilated_window(box, 1, SMALL)
                 assert_cells_match_the_oracle(local, rows, 0, 400, window)
+        # Beside the indexes it finds, the window test holds one bool and one
+        # compare's temporary per event of the crowded block.
+        _, cuts = slice_blocks(period, 4)
+        k = int(np.argmax(np.diff(cuts)))
+        lo, hi = int(cuts[k]), int(cuts[k + 1])
+        for box, found in ((boxes[0], 12_920), (boxes[2], 0)):
+            window = dilated_window(box, 1, SMALL)
+            tracemalloc.start()
+            try:
+                index = _events_inside(period, window, lo, hi)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert index.size == found
+            assert peak - 8 * index.size < 2.5 * (hi - lo)
 
     def test_window_events_past_a_flush_in_one_block(self):
         """One block puts more than _FLUSH_EVENTS events in a window: they form one batch."""
@@ -398,10 +414,10 @@ class TestBounds:
     def test_window_memory_follows_a_block_not_the_period(self):
         """2M uniform VGA events over 250 ms: a 20x20 window holds about 1300 of them."""
         rng = np.random.default_rng(12)
-        events = 2_000_000
+        size = 2_000_000
         period = EventPeriod(
-            np.sort(rng.integers(0, 250_000, events)), rng.integers(0, 640, events),
-            rng.integers(0, 480, events), rng.integers(0, 2, events),
+            np.sort(rng.integers(0, 250_000, size)), rng.integers(0, 640, size),
+            rng.integers(0, 480, size), rng.integers(0, 2, size),
             t_start=0, duration=250_000, sensor=SensorGeometry(640, 480),
         )
         window = BBox(300, 200, 20, 20)
@@ -411,7 +427,7 @@ class TestBounds:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1_000_000  # masks of the whole period took 4 MB
+        assert peak < 3 * events._BLOCK_EVENTS  # masks of the whole period took 4 MB
         inside = ((period.p == 1) & (period.x >= 300) & (period.x < 320)
                   & (period.y >= 200) & (period.y < 220))
         assert local.counts.sum() == np.count_nonzero(inside)

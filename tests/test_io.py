@@ -296,7 +296,6 @@ class TestAnnotations:
     @pytest.mark.parametrize(
         "box, message",
         [
-            (BoxRecord(BBox(1.5, 0, 2, 2)), "x must be an integer"),
             (BoxRecord(BBox(0, 0, 2, 2), s_p=4, s_s=math.nan), "s_s must be a finite number"),
             (BoxRecord(BBox(0, 0, 2, 2), s_p=4, s_s=math.inf), "s_s must be a finite number"),
         ],
