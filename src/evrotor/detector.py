@@ -5,10 +5,12 @@ minimum distance between their union bboxes stays within d_merge. Merging
 runs in passes to a fixpoint; since union bboxes only grow, that fixpoint is
 the partition that closest-pair-first merging reaches too. Each pass tests
 its candidate pairs in bounded batches, not one numpy round per region or
-per offset. The top K clusters by saliency mass, summed for all clusters at
-once, are scored for periodicity; candidates that clear tau_p are refined
-against one Gaussian shape prior fitted to all their pixels, which cuts the
-member components whose centroids fall outside its 2-sigma ellipse.
+per offset. ``run_pipeline`` calls each stage itself, in the paper's order:
+the saliency mass of every cluster in one gray lookup and one reduction, the
+top K clusters by mass scored for periodicity in one walk of the period, and
+each candidate that clears tau_p refined against one Gaussian shape prior
+fitted to all its pixels, which cuts the member components whose centroids
+fall outside its 2-sigma ellipse.
 """
 
 from __future__ import annotations
@@ -165,38 +167,6 @@ def cluster_regions(regions: list[Region], d_merge: float) -> list[Cluster]:
     ]
 
 
-def _score_clusters(
-    clusters: list[Cluster],
-    period: EventPeriod,
-    smap: SaliencyMap,
-    m: int,
-    config: DetectorConfig,
-) -> tuple[list[Cluster], list[FeatureSeries]]:
-    """Rank clusters by saliency mass, score the top K over m local slices, filter by tau_p.
-
-    Returns the candidates, ranked by descending (s_p, s_s), and their
-    feature series in the same order.
-    """
-    masses = saliency_masses([cluster.members for cluster in clusters], smap)
-    for cluster, mass in zip(clusters, masses):
-        cluster.scores = RegionScores(s_s=mass)
-    ranked = sorted(
-        clusters,
-        key=lambda c: (-c.scores.s_s, -c.area, _bbox_key(c.bbox)),
-    )
-    top = ranked[: config.k_top]
-    # One walk of the period bins all K windows, featurizing each batch of
-    # cells as it is reduced; one extrema search then scores all K.
-    features = _window_features(period, [c.bbox for c in top], m, config.region_margin)
-    for cluster, s_p in zip(top, _periodicity_scores(features, config.smooth_window)):
-        cluster.scores = RegionScores(s_s=cluster.scores.s_s, s_p=s_p)
-    passed = sorted(
-        (i for i, c in enumerate(top) if c.scores.s_p >= config.tau_p),
-        key=lambda i: (-top[i].scores.s_p, -top[i].scores.s_s, _bbox_key(top[i].bbox)),
-    )
-    return [top[i] for i in passed], [features[i] for i in passed]
-
-
 def gaussian_fine_refine(candidate: Cluster, smap: SaliencyMap) -> Detection:
     """Cut the members of a candidate that fall outside its Gaussian shape prior.
 
@@ -262,22 +232,38 @@ def gaussian_fine_refine(candidate: Cluster, smap: SaliencyMap) -> Detection:
 
 
 def run_pipeline(period: EventPeriod, config: DetectorConfig | None = None) -> PipelineResult:
-    """Run the full detection pipeline, keeping intermediates."""
+    """Run the full detection pipeline, keeping intermediates.
+
+    Clusters rank by saliency mass, then area, then box; the top K are
+    scored for periodicity over m local slices, and those with s_p >= tau_p
+    become the candidates, ranked by descending (s_p, s_s), each refined once.
+    """
     if config is None:
         config = DetectorConfig()
     n, m = config.slicing_for(period)
     smap = saliency_map(period, n)
     regions = salient_regions(smap, config.tau_s)
     clusters = cluster_regions(regions, config.d_merge)
-    candidates, features = _score_clusters(clusters, period, smap, m, config)
-    detections = [gaussian_fine_refine(candidate, smap) for candidate in candidates]
+    for cluster, mass in zip(clusters, saliency_masses([c.members for c in clusters], smap)):
+        cluster.scores = RegionScores(s_s=mass)
+    top = sorted(clusters, key=lambda c: (-c.scores.s_s, -c.area, _bbox_key(c.bbox)))
+    top = top[: config.k_top]
+    # One walk of the period bins all K windows; one extrema search scores them.
+    features = _window_features(period, [c.bbox for c in top], m, config.region_margin)
+    for cluster, s_p in zip(top, _periodicity_scores(features, config.smooth_window)):
+        cluster.scores = RegionScores(s_s=cluster.scores.s_s, s_p=s_p)
+    passed = sorted(
+        (k for k, c in enumerate(top) if c.scores.s_p >= config.tau_p),
+        key=lambda k: (-top[k].scores.s_p, -top[k].scores.s_s, _bbox_key(top[k].bbox)),
+    )
+    candidates = [top[k] for k in passed]
     return PipelineResult(
-        detections=detections,
+        detections=[gaussian_fine_refine(candidate, smap) for candidate in candidates],
         saliency=smap,
         regions=regions,
         clusters=clusters,
         candidates=candidates,
-        candidate_features=features,
+        candidate_features=[features[k] for k in passed],
     )
 
 

@@ -25,12 +25,13 @@ _FLUSH_EVENTS = 2**15
 
 @dataclass(frozen=True)
 class SensorGeometry:
-    """Pixel dimensions of the event sensor."""
+    """Pixel dimensions of the event sensor, Python ints as ``BBox`` holds them."""
 
     width: int
     height: int
 
     def __post_init__(self) -> None:
+        whole_fields(self, ("width", "height"))
         if self.width <= 0 or self.height <= 0:
             raise ValidationError(
                 f"sensor dimensions must be positive, got {self.width}x{self.height}"
@@ -126,11 +127,18 @@ def pixel_view(pixels, what: str) -> np.ndarray:
     return view
 
 
-def whole_numbers(values, what: str) -> tuple[int, ...]:
-    """``values`` as Python ints, refusing a fraction or NaN; integral floats still load."""
-    if not all(v % 1 == 0 for v in values):  # NaN % 1 is NaN, which fails too
-        raise ValidationError(f"{what} must be integers, got {tuple(values)}")
+def whole_numbers(values, what: str, error: type[Exception] = ValidationError) -> tuple[int, ...]:
+    """``values`` as Python ints, refusing a fraction, NaN or inf; integral floats still load."""
+    if not all(v % 1 == 0 for v in values):  # NaN % 1 and inf % 1 are NaN, which fail too
+        raise error(f"{what} must be integers, got {tuple(values)}")
     return tuple(int(v) for v in values)
+
+
+def whole_fields(record, names, error: type[Exception] = ValidationError) -> None:
+    """Load each named field of a frozen record that is not an int or None by ``whole_numbers``."""
+    for name in names:
+        if type(value := getattr(record, name)) is not int and value is not None:
+            object.__setattr__(record, name, whole_numbers((value,), name, error)[0])
 
 
 class EventPeriod:
@@ -161,6 +169,7 @@ class EventPeriod:
             raise ValidationError("event columns must be one-dimensional")
         if not (t.size == x.size == y.size == p.size):
             raise ValidationError("event columns must have equal length")
+        t_start, duration = whole_numbers((t_start, duration), "period start and duration")
         if not 0 <= t_start < 2**63:
             raise ValidationError(f"period start must be within 0..2**63-1, got {t_start}")
         if duration <= 0:
@@ -203,8 +212,8 @@ class EventPeriod:
         self.x = x
         self.y = y
         self.p = p
-        self.t_start = int(t_start)
-        self.duration = int(duration)
+        self.t_start = t_start
+        self.duration = duration
         self.sensor = sensor
 
     def __len__(self) -> int:
@@ -237,6 +246,8 @@ class DetectorConfig:
     region_margin: int = 2
 
     def __post_init__(self) -> None:
+        counts = ("n_slices", "m_slices", "tau_s", "tau_p", "k_top", "smooth_window", "region_margin")
+        whole_fields(self, counts, ConfigurationError)
         if self.n_slices is not None and self.n_slices < 2:
             raise ConfigurationError(f"n_slices must be at least 2, got {self.n_slices}")
         if self.m_slices is not None and self.m_slices < 4:

@@ -638,19 +638,16 @@ def _periodicity_scores(features: Sequence[FeatureSeries], smooth_window: int) -
 def saliency_masses(groups: Sequence[Sequence[Region]], smap: SaliencyMap) -> list[int]:
     """Saliency mass of each group of regions: the sum of gray over their pixels.
 
-    One checked gray gather over all the groups' pixels, then two
-    ``np.add.reduceat`` calls, per region and then per group, so the cost
-    follows the pixels and not one numpy round per region. Each group holds
-    at least one region, as every cluster does.
+    One checked gray gather over all the groups' pixels, then one
+    ``np.add.reduceat`` over each group's run of them, in exact int64, so the
+    cost follows the pixels and not one numpy round per region. Each group
+    holds at least one region, as every cluster does.
     """
-    sizes = [len(group) for group in groups]
-    if not sizes:
+    if not groups:
         return []
-    regions = [region for group in groups for region in group]
-    areas = [len(region.pixels) for region in regions]
-    gray = gray_at(smap, np.concatenate([region.pixels for region in regions]))
-    per_region = np.add.reduceat(gray, list(accumulate(areas[:-1], initial=0)), dtype=np.int64)
-    return np.add.reduceat(per_region, list(accumulate(sizes[:-1], initial=0))).tolist()
+    sizes = [sum(len(region.pixels) for region in group) for group in groups]
+    gray = gray_at(smap, np.concatenate([region.pixels for group in groups for region in group]))
+    return np.add.reduceat(gray, list(accumulate(sizes[:-1], initial=0)), dtype=np.int64).tolist()
 
 
 def saliency_score(region: Region, smap: SaliencyMap) -> int:

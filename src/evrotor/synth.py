@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .events import BBox, EventPeriod, SensorGeometry
+from .events import BBox, EventPeriod, SensorGeometry, whole_fields, whole_numbers
 from .io import AnnotationRecord, BoxRecord
 
 RPM_MIN = 5_000.0
@@ -64,6 +64,8 @@ class PropellerSpec:
     aspect: float = 0.8
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "center", whole_numbers(self.center, "rotor center"))
+        whole_fields(self, ("radius", "blades"))
         if self.radius < 5:
             raise ValidationError(f"radius must be at least 5, got {self.radius}")
         if self.blades < 2:
@@ -85,6 +87,7 @@ class BackgroundSpec:
     noise_rate: float = 0.0
 
     def __post_init__(self) -> None:
+        whole_fields(self, ("edge_count",))
         if self.edge_count < 0:
             raise ValidationError(f"edge_count must be non-negative, got {self.edge_count}")
         if not 0 < self.speed < math.inf:  # also rejects NaN
@@ -107,6 +110,7 @@ class SynthScene:
     name: str = "scene"
 
     def __post_init__(self) -> None:
+        whole_fields(self, ("duration", "seed"))
         if not 0 < self.duration < 2**63:  # timestamps are int64
             raise ValidationError(f"duration must be within 1..2**63-1 us, got {self.duration}")
         if self.seed < 0:
@@ -333,6 +337,7 @@ def benchmark_period(event_target: int, seed: int = 0) -> tuple[EventPeriod, Ann
     so the rotor supplies roughly half the target; uniform noise makes up the
     difference. Thinning, when needed, drops a uniform random subset.
     """
+    event_target, seed = whole_numbers((event_target, seed), "event target and seed")
     if not 0 <= event_target < _MAX_EVENTS:
         raise ValidationError(
             f"event target must be within 0..{_MAX_EVENTS - 1}, got {event_target}"

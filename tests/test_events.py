@@ -43,6 +43,17 @@ class TestSensorGeometry:
         with pytest.raises(ValidationError):
             SensorGeometry(w, h)
 
+    @pytest.mark.parametrize("w,h", [(64.5, 48), (64, float("nan")), (float("inf"), 48)])
+    def test_refuses_a_fraction_nan_or_inf(self, w, h):
+        # A NaN side used to pass and fail later as "outside the nanx48 sensor".
+        with pytest.raises(ValidationError, match="must be integers"):
+            SensorGeometry(w, h)
+
+    def test_numpy_ints_and_integral_floats_load_as_python_ints(self):
+        sensor = SensorGeometry(64.0, np.int64(48))
+        assert sensor == SensorGeometry(64, 48)
+        assert type(sensor.width) is int and type(sensor.height) is int
+
 
 class TestEvent:
     """Each event is validated as it enters a period."""
@@ -185,6 +196,22 @@ class TestEventPeriod:
                 sensor=SMALL,
             )
 
+    @pytest.mark.parametrize(
+        "t_start, duration", [(0, 20_000.5), (0, float("nan")), (0.5, 1000), (float("nan"), 1000)]
+    )
+    def test_refuses_fractional_or_nan_bounds(self, t_start, duration):
+        # A duration of 20000.5 used to be stored as 20000 while it kept the
+        # events at t = 20000, which the slicing then indexed past its end.
+        with pytest.raises(ValidationError, match="period start and duration must be integers"):
+            EventPeriod([0, 5, 19_999, 20_000, 20_000], [0] * 5, [0] * 5, [1] * 5,
+                        t_start=t_start, duration=duration, sensor=SMALL)
+
+    def test_integral_float_bounds_load_as_python_ints(self):
+        period = EventPeriod([0, 19_999], [0, 1], [0, 1], [1, 0], t_start=0.0,
+                             duration=20_000.0, sensor=SMALL)
+        assert (period.t_start, period.duration) == (0, 20_000)
+        assert type(period.t_start) is int and type(period.duration) is int
+
     def test_rejects_bad_window(self):
         with pytest.raises(ValidationError):
             make_period([], t_start=-1)
@@ -246,6 +273,27 @@ class TestDetectorConfig:
     def test_rejects_out_of_range_values(self, kwargs):
         with pytest.raises(ConfigurationError):
             DetectorConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"n_slices": 20.5}, {"m_slices": 40.5}, {"tau_s": 50.5}, {"tau_p": 2.5},
+         {"k_top": 2.5}, {"smooth_window": 3.5}, {"region_margin": 1.5},
+         {"tau_s": float("nan")}, {"k_top": float("inf")}],
+    )
+    def test_refuses_fractional_counts(self, kwargs):
+        # Some of these passed (tau_s, tau_p) and some ended in a bare TypeError.
+        with pytest.raises(ConfigurationError, match=f"^{next(iter(kwargs))} must be integers"):
+            DetectorConfig(**kwargs)
+
+    def test_integral_float_counts_load_as_python_ints(self):
+        config = DetectorConfig(n_slices=20.0, m_slices=np.int64(40), tau_s=50.0, tau_p=3.0,
+                                k_top=2.0, smooth_window=3.0, region_margin=np.uint8(1))
+        assert config == DetectorConfig(n_slices=20, m_slices=40, tau_s=50, tau_p=3, k_top=2,
+                                        smooth_window=3, region_margin=1)
+        counts = ("n_slices", "m_slices", "tau_s", "tau_p", "k_top", "smooth_window",
+                  "region_margin")
+        assert all(type(getattr(config, name)) is int for name in counts)
+        assert DetectorConfig(n_slices=20.0).m_slices is None
 
     @pytest.mark.parametrize(
         "field, value, stage",

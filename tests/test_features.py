@@ -27,7 +27,6 @@ from evrotor import (
     saliency_score,
 )
 from evrotor import events
-from evrotor.detector import Cluster, _score_clusters
 from evrotor.events import DetectorConfig
 from evrotor.features import (
     _SliceSums,
@@ -472,9 +471,6 @@ class TestBounds:
         """m fixed, four times the nonzero cells of one window: the stage's peak barely moves."""
         m, duration, window = 100, 100_000, BBox(100, 100, 100, 100)
         sensor = SensorGeometry(640, 480)
-        smap = SaliencyMap((480, 640), np.empty(0, int), np.empty(0, int), n_slices=100)
-        cluster = Cluster(members=(region_of(100, 100, 100, 100),), bbox=window)
-        config = DetectorConfig(m_slices=m, k_top=1, tau_p=0, region_margin=0)
         peaks = []
         for cells in (60_000, 240_000):
             rng = np.random.default_rng(cells)
@@ -490,7 +486,7 @@ class TestBounds:
                                  duration=duration, sensor=sensor)
             tracemalloc.start()
             try:
-                _, [series] = _score_clusters([cluster], period, smap, m, config)
+                [series] = _window_features(period, [window], m, 0)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

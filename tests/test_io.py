@@ -14,6 +14,7 @@ from evrotor import (
     BoxRecord,
     Detection,
     EventFormatError,
+    EventPeriod,
     EvrotorError,
     SensorGeometry,
     ValidationError,
@@ -193,6 +194,18 @@ def test_binary_round_trip_is_identity(tmp_path):
     assert np.array_equal(loaded.y, period.y)
     assert np.array_equal(loaded.p, period.p)
     assert (loaded.t_start, loaded.duration) == (0, 1000)
+
+
+def test_binary_round_trip_of_float_sides_reads_python_ints(tmp_path):
+    # Float sides used to reach the header's struct.pack and fail there.
+    sensor = SensorGeometry(64.0, 48.0)
+    period = EventPeriod([3], [63], [47], [1], t_start=0, duration=1000, sensor=sensor)
+    path = tmp_path / "x.evd"
+    write_events(period, path)
+    loaded = load_events(path)
+    assert loaded.sensor == SensorGeometry(64, 48)
+    assert type(loaded.sensor.width) is int and type(loaded.sensor.height) is int
+    assert (loaded.x.tolist(), loaded.y.tolist()) == ([63], [47])
 
 
 def test_binary_empty_round_trip(tmp_path):

@@ -76,6 +76,42 @@ class TestSpecs:
         with pytest.raises(ValidationError):
             SynthScene(sensor=VGA, duration=0, propellers=(), background=BackgroundSpec())
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: spec_at(center=(320.5, 240)),
+            lambda: spec_at(radius=50.5),
+            lambda: spec_at(blades=2.5),
+            lambda: BackgroundSpec(edge_count=1.5),
+            lambda: SynthScene(sensor=VGA, duration=20_000.5),
+            lambda: SynthScene(sensor=VGA, duration=20_000, seed=1.5),
+            lambda: SynthScene(sensor=VGA, duration=math.nan),
+            lambda: benchmark_period(1000.5),
+            lambda: benchmark_period(1000, seed=1.5),
+        ],
+    )
+    def test_fractional_counts_are_refused(self, make):
+        # Several of these used to end in a bare TypeError deep in generation.
+        with pytest.raises(ValidationError, match="must be integers"):
+            make()
+
+    def test_integral_float_counts_load_as_python_ints(self):
+        spec = spec_at(center=(320.0, np.int64(240)), radius=50.0, blades=3.0)
+        assert (spec.center, spec.radius, spec.blades) == ((320, 240), 50, 3)
+        scene = SynthScene(sensor=SMALL, duration=10_000.0, propellers=(),
+                           background=BackgroundSpec(edge_count=2.0), seed=np.int64(4))
+        values = (*spec.center, spec.radius, spec.blades, scene.duration, scene.seed,
+                  scene.background.edge_count)
+        assert all(type(v) is int for v in values)
+        a, _ = generate_scene(scene)
+        b, _ = generate_scene(SynthScene(sensor=SMALL, duration=10_000, propellers=(),
+                                         background=BackgroundSpec(edge_count=2), seed=4))
+        assert np.array_equal(a.t, b.t) and np.array_equal(a.x, b.x)
+        assert np.array_equal(a.y, b.y) and np.array_equal(a.p, b.p)
+        c, _ = benchmark_period(3000.0, seed=2.0)
+        d, _ = benchmark_period(3000, seed=2)
+        assert np.array_equal(c.t, d.t) and np.array_equal(c.x, d.x)
+
     def test_center_must_sit_on_the_sensor(self):
         scene = SynthScene(
             sensor=SMALL,
