@@ -10,7 +10,10 @@ the saliency mass of every cluster in one gray lookup and one reduction, the
 top K clusters by mass scored for periodicity in one walk of the period, and
 each candidate that clears tau_p refined against one Gaussian shape prior
 fitted to all its pixels, which cuts the member components whose centroids
-fall outside its 2-sigma ellipse.
+fall outside its 2-sigma ellipse. The coarse stage ranks indexes into the
+clusters, which ``cluster_regions`` returns in box order with unique boxes;
+its sorts are stable, so every tie falls to the box order. A window's s_p is
+the sum of its row of six peak and valley flags.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .events import BBox, DetectorConfig, EventPeriod, pixel_view, tight_box
 from .features import (
     FeatureSeries,
     RegionScores,
-    _periodicity_scores,
+    _periodicity_flags,
     _window_features,
     saliency_masses,
 )
@@ -86,10 +89,6 @@ _PAIR_BATCH = 2**14
 # Refinement sums its integer moments in int64 while a bound proves every
 # sum stays below this, else in Python ints.
 _INT64_SUMS = 2**63
-
-
-def _bbox_key(bbox: BBox) -> tuple[int, int, int, int]:
-    return (bbox.y, bbox.x, bbox.h, bbox.w)
 
 
 def cluster_regions(regions: list[Region], d_merge: float) -> list[Cluster]:
@@ -234,9 +233,10 @@ def gaussian_fine_refine(candidate: Cluster, smap: SaliencyMap) -> Detection:
 def run_pipeline(period: EventPeriod, config: DetectorConfig | None = None) -> PipelineResult:
     """Run the full detection pipeline, keeping intermediates.
 
-    Clusters rank by saliency mass, then area, then box; the top K are
-    scored for periodicity over m local slices, and those with s_p >= tau_p
-    become the candidates, ranked by descending (s_p, s_s), each refined once.
+    Clusters rank by saliency mass, then area, then box order; the top K
+    are scored for periodicity over m local slices, and those with s_p >=
+    tau_p become the candidates, ranked by descending (s_p, s_s), then box
+    order, each refined once.
     """
     if config is None:
         config = DetectorConfig()
@@ -244,26 +244,28 @@ def run_pipeline(period: EventPeriod, config: DetectorConfig | None = None) -> P
     smap = saliency_map(period, n)
     regions = salient_regions(smap, config.tau_s)
     clusters = cluster_regions(regions, config.d_merge)
-    for cluster, mass in zip(clusters, saliency_masses([c.members for c in clusters], smap)):
-        cluster.scores = RegionScores(s_s=mass)
-    top = sorted(clusters, key=lambda c: (-c.scores.s_s, -c.area, _bbox_key(c.bbox)))
+    masses = saliency_masses([c.members for c in clusters], smap)
+    # The clusters come in box order, and sorts are stable: a tie falls to the lower index.
+    top = sorted(range(len(clusters)), key=lambda k: (-masses[k], -clusters[k].area))
     top = top[: config.k_top]
-    # One walk of the period bins all K windows; one extrema search scores them.
-    features = _window_features(period, [c.bbox for c in top], m, config.region_margin)
-    for cluster, s_p in zip(top, _periodicity_scores(features, config.smooth_window)):
-        cluster.scores = RegionScores(s_s=cluster.scores.s_s, s_p=s_p)
+    # One walk of the period bins all K windows; one extrema search flags them.
+    features = _window_features(period, [clusters[k].bbox for k in top], m, config.region_margin)
+    s_p = _periodicity_flags(features, config.smooth_window).sum(axis=1).tolist()
+    scored = dict(zip(top, s_p))
+    for k, cluster in enumerate(clusters):
+        cluster.scores = RegionScores(s_s=masses[k], s_p=scored.get(k))
     passed = sorted(
-        (k for k, c in enumerate(top) if c.scores.s_p >= config.tau_p),
-        key=lambda k: (-top[k].scores.s_p, -top[k].scores.s_s, _bbox_key(top[k].bbox)),
+        (j for j, score in enumerate(s_p) if score >= config.tau_p),
+        key=lambda j: (-s_p[j], -masses[top[j]], top[j]),
     )
-    candidates = [top[k] for k in passed]
+    candidates = [clusters[top[j]] for j in passed]
     return PipelineResult(
         detections=[gaussian_fine_refine(candidate, smap) for candidate in candidates],
         saliency=smap,
         regions=regions,
         clusters=clusters,
         candidates=candidates,
-        candidate_features=[features[k] for k in passed],
+        candidate_features=[features[j] for j in passed],
     )
 
 

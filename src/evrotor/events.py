@@ -11,6 +11,7 @@ and the feature windows walk the period in the blocks of whole slices of
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,16 +129,20 @@ def pixel_view(pixels, what: str) -> np.ndarray:
 
 
 def whole_numbers(values, what: str, error: type[Exception] = ValidationError) -> tuple[int, ...]:
-    """``values`` as Python ints, refusing a fraction, NaN or inf; integral floats still load."""
-    if not all(v % 1 == 0 for v in values):  # NaN % 1 and inf % 1 are NaN, which fail too
+    """``values`` as Python ints, refusing a non-number, a fraction, NaN or inf.
+
+    Integral floats and numpy numbers load; None and strings are refused.
+    """
+    # NaN % 1 and inf % 1 are NaN, which fail too.
+    if not all(isinstance(v, numbers.Real) and v % 1 == 0 for v in values):
         raise error(f"{what} must be integers, got {tuple(values)}")
     return tuple(int(v) for v in values)
 
 
 def whole_fields(record, names, error: type[Exception] = ValidationError) -> None:
-    """Load each named field of a frozen record that is not an int or None by ``whole_numbers``."""
+    """Load each named field of a frozen record that is not an int by ``whole_numbers``."""
     for name in names:
-        if type(value := getattr(record, name)) is not int and value is not None:
+        if type(value := getattr(record, name)) is not int:
             object.__setattr__(record, name, whole_numbers((value,), name, error)[0])
 
 
@@ -246,8 +251,9 @@ class DetectorConfig:
     region_margin: int = 2
 
     def __post_init__(self) -> None:
-        counts = ("n_slices", "m_slices", "tau_s", "tau_p", "k_top", "smooth_window", "region_margin")
-        whole_fields(self, counts, ConfigurationError)
+        slices = [name for name in ("n_slices", "m_slices") if getattr(self, name) is not None]
+        counts = ("tau_s", "tau_p", "k_top", "smooth_window", "region_margin")
+        whole_fields(self, (*slices, *counts), ConfigurationError)
         if self.n_slices is not None and self.n_slices < 2:
             raise ConfigurationError(f"n_slices must be at least 2, got {self.n_slices}")
         if self.m_slices is not None and self.m_slices < 4:
@@ -258,8 +264,8 @@ class DetectorConfig:
             raise ConfigurationError(f"tau_p must be within 0..6, got {self.tau_p}")
         if self.k_top < 1:
             raise ConfigurationError(f"k_top must be at least 1, got {self.k_top}")
-        if not self.d_merge >= 0:  # also rejects NaN
-            raise ConfigurationError(f"d_merge must be non-negative, got {self.d_merge}")
+        if not (isinstance(self.d_merge, numbers.Real) and self.d_merge >= 0):  # also rejects NaN
+            raise ConfigurationError(f"d_merge must be non-negative, got {self.d_merge!r}")
         if self.smooth_window < 1 or self.smooth_window % 2 == 0:
             raise ConfigurationError(
                 f"smooth_window must be an odd integer >= 1, got {self.smooth_window}"

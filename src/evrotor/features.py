@@ -23,14 +23,15 @@ once per window, on the concatenated sums, so the series are the same
 wherever the batches were cut. A ``LocalSlices`` record holds a window's
 cells whole, for ``extract_local_slices`` and inspection; ``compute_features``
 feeds it to the same accumulator as one batch. A rotor modulates all three
-series periodically; the periodicity score counts how many of the smoothed
-series show repeated peaks and valleys.
+series periodically. Each smoothed series gets two flags, whether it shows
+two prominent peaks and whether it shows two prominent valleys, so a window
+has six (``_periodicity_flags``), and its periodicity score is their sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -185,8 +186,10 @@ def extract_local_slices(
 
     The batches that one walk of the period (``_window_batches``) reduces
     for the window, joined: memory follows one block of the walk and the
-    window's nonzero cells, never the period's events or m * h * w.
+    window's nonzero cells, never the period's events or m * h * w. The
+    slice count loads as ``DetectorConfig``'s counts do.
     """
+    (m,) = whole_numbers((m,), "local slice count", ConfigurationError)
     bbox = region.bbox if isinstance(region, Region) else region
     window = dilated_window(bbox, margin, period.sensor)
     cells: list[np.ndarray] = []
@@ -529,12 +532,12 @@ def moving_average(series, window: int) -> np.ndarray:
     is summed as a pairwise tree, and the blocks from the last to the first.
     Window 3 so sums (a + b) + c, left to right. Block sums of size 2**k
     come from those of size 2**(k - 1), so the cost is O(n * log(window)).
+    The window obeys and loads as ``DetectorConfig.smooth_window``.
     """
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1:
         raise ValidationError("series must be one-dimensional")
-    if window < 1 or window % 2 == 0:
-        raise ConfigurationError(f"window must be an odd integer >= 1, got {window}")
+    window = DetectorConfig(smooth_window=window).smooth_window
     if window > x.size:
         raise ConfigurationError(f"window {window} exceeds series length {x.size}")
     half = window // 2
@@ -612,27 +615,24 @@ def periodicity_score(
     """Sum of peak and valley flags over the three smoothed series, 0..6.
 
     The smoothing window shrinks (to the next odd length) for series shorter
-    than the configured window. The one-window case of ``_periodicity_scores``.
+    than the configured window. The one-window case of ``_periodicity_flags``.
     """
-    return _periodicity_scores([features], smooth_window)[0]
+    return int(_periodicity_flags([features], smooth_window).sum())
 
 
-def _periodicity_scores(features: Sequence[FeatureSeries], smooth_window: int) -> list[int]:
-    """periodicity_score of each window's series, from one extrema search over all of them."""
-    DetectorConfig(smooth_window=smooth_window)  # raises on a window the config refuses
-    smoothed = [
-        [  # x.size - 1 + x.size % 2 is the longest odd window that fits
-            moving_average(x, max(min(smooth_window, x.size - 1 + x.size % 2), 1))
-            for x in (series.f_d, series.f_s, series.f_p)
-            if x.size
-        ]
+def _periodicity_flags(features: Sequence[FeatureSeries], smooth_window: int) -> np.ndarray:
+    """The peak and valley flags of f_d, f_s and f_p of each window, a (K, 6) bool array.
+
+    One extrema search covers every window. An empty series is not smoothed
+    and gets neither flag, so each window owns exactly six flags.
+    """
+    window = DetectorConfig(smooth_window=smooth_window).smooth_window
+    smoothed = [  # x.size - 1 + x.size % 2 is the longest odd window that fits
+        moving_average(x, min(window, x.size - 1 + x.size % 2)) if x.size else x
         for series in features
+        for x in (series.f_d, series.f_s, series.f_p)
     ]
-    if not smoothed:
-        return []
-    # Two flags, peaks and valleys, per series, in window order.
-    flags = iter(_extrema_flags([x for window in smoothed for x in window]).tolist())
-    return [sum(islice(flags, 2 * len(window))) for window in smoothed]
+    return _extrema_flags(smoothed).reshape(-1, 6)
 
 
 def saliency_masses(groups: Sequence[Sequence[Region]], smap: SaliencyMap) -> list[int]:

@@ -182,8 +182,10 @@ def saliency_map(period: EventPeriod, n: int) -> SaliencyMap:
     ``_fold`` sorts them together with those pixels into per-pixel counts.
     So the walk holds one block, one budget of ids and the hit pixels, and
     all folds together sort at most twice the hit cells plus the hit pixels.
-    The map renders the counts' gray and holds nothing else.
+    The map renders the counts' gray and holds nothing else. The slice count
+    loads as ``DetectorConfig``'s counts do: an integral float as its int.
     """
+    (n,) = whole_numbers((n,), "slice count", ConfigurationError)
     height, width = period.sensor.shape
     sensor = BBox(0, 0, width, height)
     ids, counts = np.empty(0, id_dtype(height * width)), np.empty(0, np.int32)

@@ -65,6 +65,8 @@ class PropellerSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", whole_numbers(self.center, "rotor center"))
+        if len(self.center) != 2:
+            raise ValidationError(f"rotor center must be an (x, y) pair, got {self.center}")
         whole_fields(self, ("radius", "blades"))
         if self.radius < 5:
             raise ValidationError(f"radius must be at least 5, got {self.radius}")

@@ -38,6 +38,7 @@ from evrotor import (
     saliency_score,
 )
 from evrotor import detector
+from evrotor.features import _periodicity_flags, _window_features
 from evrotor.metrics import iou
 
 from conftest import VGA, make_period
@@ -929,3 +930,30 @@ class TestReferencePipeline:
         ]
         for detection, (*_, pixels) in zip(result.detections, detections):
             assert np.array_equal(detection.pixels, pixels)
+        # The six flags of each scored cluster's window, row by row.
+        scored = [(BBox(*box), flags) for box, _, s_p, flags in clusters if s_p is not None]
+        _, m = config.slicing_for(period)
+        windows = _window_features(period, [box for box, _ in scored], m, config.region_margin)
+        rows = _periodicity_flags(windows, config.smooth_window)
+        assert rows.dtype == bool and rows.shape == (len(scored), 6)
+        assert [tuple(row) for row in rows.tolist()] == [flags for _, flags in scored]
+
+    def test_tied_clusters_fall_to_the_box_order(self):
+        # A rotor and its copy 90 px to its right tie on s_s and s_p, so the
+        # left one, first in box order, ranks first in the top K and as a candidate.
+        sensor = SensorGeometry(160, 64)
+        spec = PropellerSpec(center=(30, 32), radius=20)
+        t, x, y, p, _ = generate_propeller_events(spec, 20_000, 3, sensor)
+        period = EventPeriod(np.tile(t, 2), np.concatenate([x, x + 90]), np.tile(y, 2),
+                             np.tile(p, 2), t_start=0, duration=20_000, sensor=sensor)
+        left, right = (11, 17, 39, 32), (101, 17, 39, 32)
+        for config, boxes in ((DetectorConfig(), [left, right]), (DetectorConfig(k_top=1), [left])):
+            result = run_pipeline(period, config)
+            detections, clusters = reference_pipeline(period, config)
+            assert [(d.bbox.as_tuple(), d.s_p, d.s_s) for d in result.detections] == [
+                (box, 6, 66911) for box in boxes
+            ]
+            assert [(box, s_p, s_s) for box, s_p, s_s, _ in detections] == [
+                (box, 6, 66911) for box in boxes
+            ]
+            assert [c.scores.s_p for c in result.clusters] == [s_p for *_, s_p, _ in clusters]

@@ -24,14 +24,24 @@ from evrotor import (
     threshold_mask,
 )
 from evrotor.events import bin_events, slice_blocks, slice_starts
-from evrotor.features import dilated_window
+from evrotor.features import dilated_window, moving_average
 from evrotor.saliency import salient_regions
+from evrotor.synth import PropellerSpec, generate_propeller_events
 
 from conftest import SMALL, make_period
 from oracles import dense_counts
 
 EMPTY_MAP = saliency_map(make_period([], duration=1000), 2)
 FLAT_SERIES = FeatureSeries(f_d=np.ones(6), f_s=np.zeros(5), f_p=np.zeros(5))
+# A 4 ms rotor on the small sensor and a series with three full waves, for
+# stage calls whose outputs are not empty.
+ROTOR = EventPeriod(
+    *generate_propeller_events(PropellerSpec(center=(32, 24), radius=12), 4000, 1, SMALL)[:4],
+    t_start=0, duration=4000, sensor=SMALL,
+)
+ROTOR_MAP = saliency_map(ROTOR, 4)
+WAVE = np.sin(np.pi * np.arange(0.5, 24) / 4)
+WAVE_SERIES = FeatureSeries(f_d=WAVE + 1.0, f_s=WAVE[1:] / 2, f_p=(WAVE[1:] + 1.0) / 2)
 
 
 class TestSensorGeometry:
@@ -43,7 +53,9 @@ class TestSensorGeometry:
         with pytest.raises(ValidationError):
             SensorGeometry(w, h)
 
-    @pytest.mark.parametrize("w,h", [(64.5, 48), (64, float("nan")), (float("inf"), 48)])
+    @pytest.mark.parametrize(
+        "w,h", [(64.5, 48), (64, float("nan")), (float("inf"), 48), (None, 4), ("64", 48)]
+    )
     def test_refuses_a_fraction_nan_or_inf(self, w, h):
         # A NaN side used to pass and fail later as "outside the nanx48 sensor".
         with pytest.raises(ValidationError, match="must be integers"):
@@ -79,7 +91,9 @@ class TestBBox:
         with pytest.raises(ValidationError):
             BBox(0, 0, w, h)
 
-    @pytest.mark.parametrize("fields", [(1.5, 0, 2, 2), (0, 0, float("nan"), 2)])
+    @pytest.mark.parametrize(
+        "fields", [(1.5, 0, 2, 2), (0, 0, float("nan"), 2), (None, 0, 1, 1), (0, 0, "1", 1)]
+    )
     def test_refuses_a_fraction_or_nan(self, fields):
         with pytest.raises(ValidationError, match="must be integers"):
             BBox(*fields)
@@ -268,6 +282,8 @@ class TestDetectorConfig:
             {"smooth_window": 0},
             {"region_margin": -1},
             {"d_merge": float("nan")},
+            {"d_merge": None},
+            {"d_merge": "50"},
         ],
     )
     def test_rejects_out_of_range_values(self, kwargs):
@@ -278,7 +294,8 @@ class TestDetectorConfig:
         "kwargs",
         [{"n_slices": 20.5}, {"m_slices": 40.5}, {"tau_s": 50.5}, {"tau_p": 2.5},
          {"k_top": 2.5}, {"smooth_window": 3.5}, {"region_margin": 1.5},
-         {"tau_s": float("nan")}, {"k_top": float("inf")}],
+         {"tau_s": float("nan")}, {"k_top": float("inf")}, {"tau_s": None}, {"k_top": "3"},
+         {"smooth_window": None}],
     )
     def test_refuses_fractional_counts(self, kwargs):
         # Some of these passed (tau_s, tau_p) and some ended in a bare TypeError.
@@ -307,6 +324,10 @@ class TestDetectorConfig:
              lambda v: extract_local_slices(make_period([], duration=1000), BBox(0, 0, 5, 5), 4, v)),
             ("smooth_window", 4, lambda v: periodicity_score(FLAT_SERIES, smooth_window=v)),
             ("smooth_window", 0, lambda v: periodicity_score(FLAT_SERIES, smooth_window=v)),
+            ("smooth_window", None, lambda v: periodicity_score(FLAT_SERIES, smooth_window=v)),
+            ("smooth_window", 2, lambda v: moving_average(np.ones(5), v)),
+            ("smooth_window", 3.5, lambda v: moving_average(np.ones(5), v)),
+            ("tau_s", None, lambda v: threshold_mask(EMPTY_MAP, v)),
         ],
     )
     def test_stage_functions_refuse_by_the_configs_rule(self, field, value, stage):
@@ -316,6 +337,32 @@ class TestDetectorConfig:
         with pytest.raises(ConfigurationError) as stage_error:
             stage(value)
         assert str(stage_error.value) == str(config_error.value)
+
+    @pytest.mark.parametrize(
+        "stage, value",
+        [
+            (lambda v: saliency_map(ROTOR, v).hit_gray.tolist(), 4),
+            (lambda v: threshold_mask(ROTOR_MAP, v).tolist(), 50),
+            (lambda v: [r.bbox for r in salient_regions(ROTOR_MAP, v)], 50),
+            (lambda v: [c.bbox for c in cluster_regions(salient_regions(ROTOR_MAP, 50), v)], 2),
+            (lambda v: dilated_window(BBox(1, 1, 2, 2), v, SMALL), 1),
+            (lambda v: extract_local_slices(ROTOR, BBox(20, 12, 24, 24), v).cells.tolist(), 8),
+            (lambda v: extract_local_slices(ROTOR, BBox(20, 12, 24, 24), 8, v).cells.tolist(), 1),
+            (lambda v: moving_average(WAVE, v).tolist(), 3),
+            (lambda v: periodicity_score(WAVE_SERIES, smooth_window=v), 3),
+        ],
+    )
+    def test_stage_functions_load_integral_floats_as_the_config_does(self, stage, value):
+        # moving_average, periodicity_score and the two slice counts ended in a bare TypeError.
+        want = stage(value)
+        assert want and stage(float(value)) == want
+
+    @pytest.mark.parametrize("count", [20.5, None, "20"])
+    def test_slice_counts_refuse_what_the_config_refuses(self, count):
+        with pytest.raises(ConfigurationError, match="^slice count must be integers"):
+            saliency_map(ROTOR, count)
+        with pytest.raises(ConfigurationError, match="^local slice count must be integers"):
+            extract_local_slices(ROTOR, BBox(20, 12, 24, 24), count)
 
     def test_slicing_defaults_scale_with_duration(self):
         period = make_period([], duration=20_000)

@@ -147,7 +147,8 @@ def test_only_frozen_view_freezes_arrays():
 @pytest.mark.parametrize(
     "message",
     ["tau_s must be within 0..255", "d_merge must be non-negative",
-     "smooth_window must be an odd integer >= 1", "region_margin must be non-negative"],
+     "smooth_window must be an odd integer >= 1", "must be an odd integer >= 1",
+     "region_margin must be non-negative"],
 )
 def test_each_parameter_rule_is_written_once(message):
     # DetectorConfig holds the rule; the stage functions check raw values through it.

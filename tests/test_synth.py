@@ -88,6 +88,8 @@ class TestSpecs:
             lambda: SynthScene(sensor=VGA, duration=math.nan),
             lambda: benchmark_period(1000.5),
             lambda: benchmark_period(1000, seed=1.5),
+            lambda: SynthScene(sensor=VGA, duration=None),
+            lambda: spec_at(radius="50"),
         ],
     )
     def test_fractional_counts_are_refused(self, make):
@@ -121,6 +123,12 @@ class TestSpecs:
         )
         with pytest.raises(ValidationError):
             generate_scene(scene)
+
+    @pytest.mark.parametrize("center", [(1, 2, 3), (1,), ()])
+    def test_center_must_be_an_x_y_pair(self, center):
+        # A three-number center used to construct and end in a bare ValueError in generation.
+        with pytest.raises(ValidationError, match="rotor center must be an \\(x, y\\) pair"):
+            PropellerSpec(center=center, radius=10)
 
 
 class TestPropellerEvents:
