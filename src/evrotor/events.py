@@ -7,10 +7,16 @@ windows alike. It finds the slices from the time order, by one binary search
 per slice boundary (``slice_starts``), or per event by division. Saliency
 and the feature windows walk the period in the blocks of whole slices of
 ``slice_blocks``, and bin each block through views of the columns.
+
+Records check their inputs by shared rules: ``whole_numbers`` for counts
+and sizes, ``finite_real`` for float fields, ``pixel_view`` for pixels, and
+``id_count_views`` for the sparse records of sorted unique ids with positive
+counts, the saliency map's hit pixels and the local slices' cells.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -121,11 +127,37 @@ def pixel_view(pixels, what: str) -> np.ndarray:
     pixels = np.asarray(pixels)
     if pixels.dtype == np.int32:
         return frozen_view(pixels)
+    message = f"{what} pixels must be integers within the int32 range"
+    if pixels.dtype.kind not in "biuf":  # None, strings and objects, which the cast cannot take
+        raise ValidationError(message)
     with np.errstate(invalid="ignore"):  # NaN and inf cast to some int, which the compare refuses
         view = frozen_view(pixels, np.int32)
     if not (view == pixels).all():
-        raise ValidationError(f"{what} pixels must be integers within the int32 range")
+        raise ValidationError(message)
     return view
+
+
+def id_count_views(ids, counts, size: int, top: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only views (``frozen_view``) of a sparse record's ids and counts, for every such record.
+
+    The ids must be strictly increasing within 0..size-1 and the counts within
+    1..top, in two one-dimensional integer arrays of equal length. They are
+    tested in the input dtypes, which the casts could wrap, and held in
+    ``id_dtype(size)`` and int32; input in those dtypes is not copied.
+    """
+    ids, counts = np.asarray(ids), np.asarray(counts)
+    if any(a.ndim != 1 or a.dtype.kind not in "iu" for a in (ids, counts)):
+        raise ValidationError(f"{what} ids and counts must be one-dimensional integer arrays")
+    if ids.size != counts.size:
+        raise ValidationError(f"{what} ids and counts must have equal length")
+    if ids.size:
+        if not (ids[1:] > ids[:-1]).all():
+            raise ValidationError(f"{what} ids must be strictly increasing")
+        if ids[0] < 0 or ids[-1] >= size:
+            raise ValidationError(f"{what} ids must lie within 0..{size - 1}")
+        if counts.min() < 1 or counts.max() > top:
+            raise ValidationError(f"{what} counts must lie within 1..{top}")
+    return frozen_view(ids, id_dtype(size)), frozen_view(counts, np.int32)
 
 
 def whole_numbers(values, what: str, error: type[Exception] = ValidationError) -> tuple[int, ...]:
@@ -137,6 +169,15 @@ def whole_numbers(values, what: str, error: type[Exception] = ValidationError) -
     if not all(isinstance(v, numbers.Real) and v % 1 == 0 for v in values):
         raise error(f"{what} must be integers, got {tuple(values)}")
     return tuple(int(v) for v in values)
+
+
+def finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number, the rule of every float field.
+
+    Ints, floats and numpy numbers pass; None, strings, NaN and inf fail.
+    Each field tests its own range after this rule, with its own message.
+    """
+    return isinstance(value, numbers.Real) and -math.inf < value < math.inf
 
 
 def whole_fields(record, names, error: type[Exception] = ValidationError) -> None:

@@ -21,7 +21,8 @@ reads 0. Each cell finds the same pixel one slice later by one sort of
 tagged ids per batch, not by a binary search per cell. The float math runs
 once per window, on the concatenated sums, so the series are the same
 wherever the batches were cut. A ``LocalSlices`` record holds a window's
-cells whole, for ``extract_local_slices`` and inspection; ``compute_features``
+cells whole, for ``extract_local_slices`` and inspection, and checks them by
+``events.id_count_views``, the saliency map's rule; ``compute_features``
 feeds it to the same accumulator as one batch. A rotor modulates all three
 series periodically. Each smoothed series gets two flags, whether it shows
 two prominent peaks and whether it shows two prominent valleys, so a window
@@ -39,8 +40,8 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateInputError, ValidationError
 from . import events
 from .events import BBox, DetectorConfig, EventPeriod, SensorGeometry, bin_events, frozen_view
-from .events import id_dtype, slice_blocks, whole_numbers
-from .saliency import Region, SaliencyMap, gray_at, sorted_runs
+from .events import finite_real, id_count_views, slice_blocks, whole_fields, whole_numbers
+from .saliency import Region, SaliencyMap, gray_at, run_bounds, sorted_runs
 
 
 class PrincipalDirection(NamedTuple):
@@ -58,10 +59,12 @@ class RegionScores:
     s_p: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.s_s < np.inf:  # also rejects NaN
+        if not (finite_real(self.s_s) and self.s_s >= 0):
             raise ValidationError(f"s_s must be finite and non-negative, got {self.s_s}")
-        if self.s_p is not None and not (0 <= self.s_p <= 6 and self.s_p % 1 == 0):
-            raise ValidationError(f"s_p must be an integer within 0..6, got {self.s_p}")
+        if self.s_p is not None:
+            whole_fields(self, ("s_p",))
+            if not 0 <= self.s_p <= 6:
+                raise ValidationError(f"s_p must be an integer within 0..6, got {self.s_p}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +80,10 @@ class FeatureSeries:
     f_p: np.ndarray
 
     def __post_init__(self) -> None:
-        f_d, f_s, f_p = (frozen_view(s, np.float64) for s in (self.f_d, self.f_s, self.f_p))
+        series = [np.asarray(s) for s in (self.f_d, self.f_s, self.f_p)]
+        if any(s.dtype.kind not in "biuf" for s in series):  # None and strings, which the cast fails
+            raise ValidationError("feature series must be real numbers")
+        f_d, f_s, f_p = (frozen_view(s, np.float64) for s in series)
         if f_d.ndim != f_s.ndim or f_d.ndim != f_p.ndim or f_d.ndim != 1:
             raise ValidationError("feature series must be one-dimensional")
         if f_s.size != f_d.size - 1 or f_p.size != f_d.size - 1:
@@ -104,8 +110,10 @@ class LocalSlices:
     ``events.bin_events`` forms it. ``cells`` holds the sorted ids of the
     nonzero cells in the window's id dtype, as ``bin_events`` picks it:
     int32 while m * h * w is below 2**31, else int64. ``counts`` holds
-    their counts as int32. The counts total less than 2**31, which bounds
-    every int64 sum that compute_features forms from them.
+    their counts as int32. Both are checked by the sparse records' one rule,
+    ``events.id_count_views``, as the saliency map's are. The counts total
+    less than 2**31, which bounds every int64 sum that compute_features
+    forms from them.
 
     The record holds a window's cells whole, so it is built for
     ``extract_local_slices``, inspection and tests; the detector never
@@ -124,26 +132,12 @@ class LocalSlices:
         shape = whole_numbers(self.shape, "local slice shape")
         if len(shape) != 3 or min(shape) < 1:
             raise ValidationError(f"local slices need an (m, h, w) shape, got {shape}")
-        cells = np.asarray(self.cells)
-        counts = np.asarray(self.counts)
-        if cells.dtype.kind not in "iu" or counts.dtype.kind not in "iu":
-            raise ValidationError(
-                f"local slice cells and counts must be integers, got {cells.dtype}, {counts.dtype}"
-            )
-        if cells.ndim != 1 or counts.shape != cells.shape:
-            raise ValidationError("local slice cells and counts must be congruent 1-d arrays")
-        # Checked in the input dtypes, before the casts below.
-        size = shape[0] * shape[1] * shape[2]
-        if cells.size:
-            if cells[0] < 0 or cells[-1] >= size or not (cells[1:] > cells[:-1]).all():
-                raise ValidationError(
-                    "local slice cells must be sorted, unique ids inside the shape"
-                )
-            if counts.min() < 1:
-                raise ValidationError("local slice counts must be positive")
+        cells, counts = id_count_views(
+            self.cells, self.counts, shape[0] * shape[1] * shape[2], 2**31 - 1, "local slice cell"
+        )
         _count_total(0, counts)
-        object.__setattr__(self, "cells", frozen_view(cells, id_dtype(size)))
-        object.__setattr__(self, "counts", frozen_view(counts, np.int32))
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "shape", shape)
 
     @property
@@ -407,8 +401,9 @@ class _SliceSums:
     ``_next_slice_partners`` pairs the cells inside the batch, and once more
     the previous batch's last slice, carried over, with this batch's first.
     Slices and pixel coordinates come from floor division alone, in the
-    cells' own dtype, and every summed array takes int32 while its per-slice
-    sums fit: from int32 cells no cell-sized int64 array is made.
+    cells' own dtype, and each slice's run of cells from ``run_bounds``.
+    Every summed array takes int32 while its per-slice sums fit: from int32
+    cells no cell-sized int64 array is made.
 
     ``series`` does the float math once, on the concatenated sums. Their
     products are exact, in int64 when one check of the window's count total
@@ -432,8 +427,8 @@ class _SliceSums:
         # (s * h + y) * w + x: floor division alone, which numpy runs far faster than %.
         x = cells // w  # s * h + y
         y = x // h  # s
-        slices, n = sorted_runs(y)
-        starts = np.cumsum(n) - n
+        starts, n = run_bounds(y)
+        slices = y[starts]
         longest = int(n.max())
         # The previous batch's last slice, when it pairs with this batch's first.
         carry = self.carry if self.carry is not None and self.carry[0] + 1 == slices[0] else None

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .events import BBox
+from .events import BBox, finite_real
 from .io import AnnotationRecord, load_annotations
 
 
@@ -47,7 +47,7 @@ def iou(a: BBox, b: BBox) -> float:
 
 
 def _check_iou_threshold(iou_thr: float) -> None:
-    if not 0.0 < iou_thr <= 1.0:  # also rejects NaN
+    if not (finite_real(iou_thr) and 0.0 < iou_thr <= 1.0):
         raise ValidationError(f"iou threshold must be in (0, 1], got {iou_thr}")
 
 

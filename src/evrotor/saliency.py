@@ -17,9 +17,11 @@ counts. So working memory follows one block, one budget of held ids and
 the hit pixels: never the whole period's events, never slices times pixels,
 never slices times hit pixels. The map itself holds only the hit pixels,
 those with at least one salient slice: their sorted flat ids, in the id
-dtype of ``events.id_dtype``, int32 counts and gray. Every other pixel
-reads 0, and the dense gray grid is built only when asked for, so nothing
-on the detection path grows with the sensor's height times its width.
+dtype of ``events.id_dtype``, int32 counts and gray, and checks its ids
+and counts by ``events.id_count_views``, as the local slices check theirs.
+Every other pixel reads 0, and the dense gray grid is built only when asked
+for, so nothing on the detection path grows with the sensor's height times
+its width.
 
 Labeling takes the sorted flat ids of the salient pixels, those whose gray
 exceeds the threshold, and reads their horizontal runs from the ids, with
@@ -37,8 +39,8 @@ import numpy as np
 
 from . import events
 from .errors import ConfigurationError, ValidationError
-from .events import BBox, DetectorConfig, EventPeriod, bin_events, frozen_view, id_dtype
-from .events import pixel_view, slice_blocks, tight_box, tight_boxes, whole_numbers
+from .events import BBox, DetectorConfig, EventPeriod, bin_events, frozen_view, id_count_views
+from .events import id_dtype, pixel_view, slice_blocks, tight_box, tight_boxes, whole_numbers
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,8 +51,9 @@ class SaliencyMap:
     y * width + x of the hit pixels, those with at least one salient slice,
     int32 while height * width is below 2**31, else int64
     (``events.id_dtype``), and ``hit_counts`` their int32 counts,
-    1..n_slices. ``hit_gray`` is derived:
-    the counts' ``render_gray``. Every other pixel reads 0 in both. The
+    1..n_slices, both checked by the sparse records' one rule,
+    ``events.id_count_views``. ``hit_gray`` is derived: the counts'
+    ``render_gray``. Every other pixel reads 0 in both. The
     ``gray`` grid is a dense view built on each access, for inspection and
     dumps; the detector never builds it.
 
@@ -72,24 +75,12 @@ class SaliencyMap:
             raise ValidationError(f"slice count must be positive, got {n_slices}")
         if height < 1 or width < 1:
             raise ValidationError(f"saliency map shape must be positive, got {self.shape}")
-        ids, counts = (np.asarray(a) for a in (self.ids, self.hit_counts))
-        if any(a.ndim != 1 or a.dtype.kind not in "iu" for a in (ids, counts)):
-            raise ValidationError("saliency hit arrays must be one-dimensional integer arrays")
-        if ids.size != counts.size:
-            raise ValidationError("saliency hit arrays must have equal length")
-        if ids.size:
-            # Test the input dtype: casting first would wrap huge unsigned ids.
-            if not (ids[1:] > ids[:-1]).all():
-                raise ValidationError("saliency hit ids must be strictly increasing")
-            if ids[0] < 0 or ids[-1] >= height * width:
-                raise ValidationError(f"saliency hit ids must lie within 0..{height * width - 1}")
-            top = min(n_slices, 2**31 - 1)  # the int32 counts' bound
-            if counts.min() < 1 or counts.max() > top:
-                raise ValidationError(f"saliency hit counts must lie within 1..{top}")
-        # Rendered before the casts, whose copies would otherwise raise the render's peak.
+        ids, counts = id_count_views(
+            self.ids, self.hit_counts, height * width, min(n_slices, 2**31 - 1), "saliency hit"
+        )
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "hit_counts", counts)
         object.__setattr__(self, "hit_gray", frozen_view(render_gray(counts, n_slices)))
-        object.__setattr__(self, "ids", frozen_view(ids, id_dtype(height * width)))
-        object.__setattr__(self, "hit_counts", frozen_view(counts, np.int32))
         object.__setattr__(self, "shape", (height, width))
         object.__setattr__(self, "n_slices", n_slices)
 

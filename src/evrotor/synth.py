@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .events import BBox, EventPeriod, SensorGeometry, whole_fields, whole_numbers
+from .events import BBox, EventPeriod, SensorGeometry, finite_real, whole_fields, whole_numbers
 from .io import AnnotationRecord, BoxRecord
 
 RPM_MIN = 5_000.0
@@ -64,7 +64,8 @@ class PropellerSpec:
     aspect: float = 0.8
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "center", whole_numbers(self.center, "rotor center"))
+        center = self.center if np.iterable(self.center) else (self.center,)
+        object.__setattr__(self, "center", whole_numbers(center, "rotor center"))
         if len(self.center) != 2:
             raise ValidationError(f"rotor center must be an (x, y) pair, got {self.center}")
         whole_fields(self, ("radius", "blades"))
@@ -72,12 +73,14 @@ class PropellerSpec:
             raise ValidationError(f"radius must be at least 5, got {self.radius}")
         if self.blades < 2:
             raise ValidationError(f"blade count must be at least 2, got {self.blades}")
-        if not RPM_MIN <= self.rpm <= RPM_MAX:
+        if not (finite_real(self.rpm) and RPM_MIN <= self.rpm <= RPM_MAX):
             raise ValidationError(
                 f"rpm must be within {RPM_MIN:.0f}..{RPM_MAX:.0f}, got {self.rpm}"
             )
-        if not 0.0 < self.aspect <= 1.0:
+        if not (finite_real(self.aspect) and 0.0 < self.aspect <= 1.0):
             raise ValidationError(f"aspect must be in (0, 1], got {self.aspect}")
+        if not finite_real(self.phase):
+            raise ValidationError(f"phase must be a finite number, got {self.phase!r}")
 
 
 @dataclass(frozen=True)
@@ -92,9 +95,9 @@ class BackgroundSpec:
         whole_fields(self, ("edge_count",))
         if self.edge_count < 0:
             raise ValidationError(f"edge_count must be non-negative, got {self.edge_count}")
-        if not 0 < self.speed < math.inf:  # also rejects NaN
+        if not (finite_real(self.speed) and self.speed > 0):
             raise ValidationError(f"speed must be positive and finite, got {self.speed}")
-        if not 0 <= self.noise_rate < math.inf:
+        if not (finite_real(self.noise_rate) and self.noise_rate >= 0):
             raise ValidationError(
                 f"noise_rate must be non-negative and finite, got {self.noise_rate}"
             )
@@ -112,6 +115,14 @@ class SynthScene:
     name: str = "scene"
 
     def __post_init__(self) -> None:
+        for name, kind in (("sensor", SensorGeometry), ("background", BackgroundSpec)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise ValidationError(f"scene {name} must be a {kind.__name__}, got {value!r}")
+        specs = self.propellers if np.iterable(self.propellers) else (self.propellers,)
+        if not all(isinstance(spec, PropellerSpec) for spec in specs):
+            raise ValidationError(
+                f"scene propellers must be PropellerSpecs, got {self.propellers!r}"
+            )
         whole_fields(self, ("duration", "seed"))
         if not 0 < self.duration < 2**63:  # timestamps are int64
             raise ValidationError(f"duration must be within 1..2**63-1 us, got {self.duration}")

@@ -1240,8 +1240,13 @@ class TestRegionScores:
             RegionScores(s_s=-1.0)
         with pytest.raises(ValidationError):
             RegionScores(s_s=1.0, s_p=7)
-        with pytest.raises(ValidationError, match="s_p must be an integer"):
+        with pytest.raises(ValidationError, match="s_p must be integers"):
             RegionScores(s_s=1.0, s_p=2.7)
+
+    def test_integral_float_score_loads_as_python_int(self):
+        scores = RegionScores(s_s=np.float64(2.5), s_p=3.0)
+        assert scores.s_p == 3 and type(scores.s_p) is int
+        assert type(scores.s_s) is np.float64
 
     @pytest.mark.parametrize("s_s", [math.nan, math.inf])
     def test_rejects_a_mass_that_is_not_finite(self, s_s):

@@ -3,16 +3,18 @@
 import ast
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import evrotor
-from evrotor import BBox
+from evrotor import BBox, ValidationError
 from evrotor.metrics import iou
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -144,6 +146,30 @@ def test_only_frozen_view_freezes_arrays():
     assert inside == 1
 
 
+def _is_strictly_increasing_test(node) -> bool:
+    """Whether ``node`` is ``a[1:] > a[:-1]``, or ``a[:-1] < a[1:]``, for one array ``a``."""
+    if not (isinstance(node, ast.Compare) and len(node.ops) == 1):
+        return False
+    later, earlier = ast.unparse(node.left), ast.unparse(node.comparators[0])
+    if isinstance(node.ops[0], ast.Lt):
+        later, earlier = earlier, later
+    elif not isinstance(node.ops[0], ast.Gt):
+        return False
+    return later.endswith("[1:]") and earlier == later[:-4] + "[:-1]"
+
+
+def test_one_rule_tests_ids_for_strictly_increasing():
+    # Sorted unique ids are checked once, by events.id_count_views, for
+    # every sparse record of ids and counts.
+    found = [
+        f"{module.name}:{node.lineno}"
+        for module in sorted(Path(evrotor.__file__).resolve().parent.glob("*.py"))
+        for node in ast.walk(ast.parse(module.read_text(), filename=str(module)))
+        if _is_strictly_increasing_test(node)
+    ]
+    assert len(found) == 1 and found[0].startswith("events.py:"), found
+
+
 @pytest.mark.parametrize(
     "message",
     ["tau_s must be within 0..255", "d_merge must be non-negative",
@@ -154,6 +180,45 @@ def test_each_parameter_rule_is_written_once(message):
     # DetectorConfig holds the rule; the stage functions check raw values through it.
     sources = [m.read_text() for m in Path(evrotor.__file__).resolve().parent.glob("*.py")]
     assert sum(source.count(message) for source in sources) == 1
+
+
+def _spec(**fields):
+    return evrotor.PropellerSpec(**{"center": (32, 24), "radius": 10, **fields})
+
+
+_SENSOR = evrotor.SensorGeometry(64, 48)
+
+# Each value raised a bare TypeError or ValueError, or built a record that
+# failed later. New cases go at the end.
+_MALFORMED = {
+    "PropellerSpec-rpm-None": lambda: _spec(rpm=None),
+    "PropellerSpec-aspect-None": lambda: _spec(aspect=None),
+    "PropellerSpec-aspect-str": lambda: _spec(aspect="0.5"),
+    "PropellerSpec-center-None": lambda: _spec(center=None),
+    "PropellerSpec-phase-None": lambda: _spec(phase=None),
+    "PropellerSpec-phase-nan": lambda: _spec(phase=math.nan),
+    "PropellerSpec-phase-inf": lambda: _spec(phase=math.inf),
+    "BackgroundSpec-speed-None": lambda: evrotor.BackgroundSpec(speed=None),
+    "BackgroundSpec-noise_rate-str": lambda: evrotor.BackgroundSpec(noise_rate="1"),
+    "SynthScene-propellers-None": lambda: evrotor.SynthScene(_SENSOR, 2000, propellers=None),
+    "SynthScene-background-None": lambda: evrotor.SynthScene(_SENSOR, 2000, background=None),
+    "SynthScene-sensor-None": lambda: evrotor.SynthScene(None, 2000),
+    "RegionScores-s_s-None": lambda: evrotor.RegionScores(s_s=None),
+    "RegionScores-s_s-str": lambda: evrotor.RegionScores(s_s="1"),
+    "RegionScores-s_p-str": lambda: evrotor.RegionScores(1.0, s_p="3"),
+    "Detection-s_s-None": lambda: evrotor.Detection(3, None, np.array([[0, 0]])),
+    "Region-pixels-None": lambda: evrotor.Region(None),
+    "Region-pixels-str": lambda: evrotor.Region("ab"),
+    "FeatureSeries-f_d-str": lambda: evrotor.FeatureSeries(f_d="abc", f_s=[], f_p=[]),
+    "match_detections-iou_thr-None": lambda: evrotor.match_detections([], [], None),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_records_refuse_malformed_values(case):
+    # A library error, never another exception, when the record is built.
+    with pytest.raises(ValidationError):
+        _MALFORMED[case]()
 
 
 def package_env():
