@@ -245,8 +245,6 @@ def _parse_center(text: str) -> tuple[int, int]:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     sensor = SensorGeometry(args.width, args.height)
-    if args.duration_ms < 1:
-        raise ConfigurationError(f"duration must be at least 1 ms, got {args.duration_ms}")
     propellers: tuple[PropellerSpec, ...] = ()
     if not args.background_only:
         center = (

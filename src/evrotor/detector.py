@@ -61,7 +61,8 @@ class Detection:
     def __post_init__(self) -> None:
         if self.s_p is None:  # RegionScores allows it, for a cluster not yet scored
             raise ValidationError("a detection needs an s_p, got None")
-        RegionScores(s_s=self.s_s, s_p=self.s_p)  # raises on a pair no candidate carries
+        scores = RegionScores(s_s=self.s_s, s_p=self.s_p)  # raises on a pair no candidate carries
+        object.__setattr__(self, "s_p", scores.s_p)  # a Python int, as RegionScores loads it
         pixels = pixel_view(self.pixels, "detection")
         object.__setattr__(self, "bbox", tight_box(pixels, "detection"))
         object.__setattr__(self, "pixels", pixels)

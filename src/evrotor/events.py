@@ -9,9 +9,13 @@ and the feature windows walk the period in the blocks of whole slices of
 ``slice_blocks``, and bin each block through views of the columns.
 
 Records check their inputs by shared rules: ``whole_numbers`` for counts
-and sizes, ``finite_real`` for float fields, ``pixel_view`` for pixels, and
-``id_count_views`` for the sparse records of sorted unique ids with positive
-counts, the saliency map's hit pixels and the local slices' cells.
+and sizes, ``finite_real`` for float fields, ``number_array`` for every
+array input (event columns, pixels, ids and counts, feature series),
+``pixel_view`` for pixels, and ``id_count_views`` for the sparse records of
+sorted unique ids with positive counts, the saliency map's hit pixels and
+the local slices' cells. Each rule is written once, in the record that owns
+it: ``EventPeriod`` holds the time, sensor and polarity rules of every event
+source, ``BBox.clamped`` the one clamp of a box to the sensor.
 """
 
 from __future__ import annotations
@@ -124,12 +128,10 @@ def pixel_view(pixels, what: str) -> np.ndarray:
     A non-integral, NaN or out-of-int32 value, which the cast would change,
     is refused. int32 input is taken as it is, with no pass over its values.
     """
-    pixels = np.asarray(pixels)
+    message = f"{what} pixels must be integers within the int32 range"
+    pixels = number_array(pixels, "biuf", message)
     if pixels.dtype == np.int32:
         return frozen_view(pixels)
-    message = f"{what} pixels must be integers within the int32 range"
-    if pixels.dtype.kind not in "biuf":  # None, strings and objects, which the cast cannot take
-        raise ValidationError(message)
     with np.errstate(invalid="ignore"):  # NaN and inf cast to some int, which the compare refuses
         view = frozen_view(pixels, np.int32)
     if not (view == pixels).all():
@@ -145,9 +147,10 @@ def id_count_views(ids, counts, size: int, top: int, what: str) -> tuple[np.ndar
     tested in the input dtypes, which the casts could wrap, and held in
     ``id_dtype(size)`` and int32; input in those dtypes is not copied.
     """
-    ids, counts = np.asarray(ids), np.asarray(counts)
-    if any(a.ndim != 1 or a.dtype.kind not in "iu" for a in (ids, counts)):
-        raise ValidationError(f"{what} ids and counts must be one-dimensional integer arrays")
+    message = f"{what} ids and counts must be one-dimensional integer arrays"
+    ids, counts = (number_array(a, "iu", message) for a in (ids, counts))
+    if ids.ndim != 1 or counts.ndim != 1:
+        raise ValidationError(message)
     if ids.size != counts.size:
         raise ValidationError(f"{what} ids and counts must have equal length")
     if ids.size:
@@ -161,14 +164,34 @@ def id_count_views(ids, counts, size: int, top: int, what: str) -> tuple[np.ndar
 
 
 def whole_numbers(values, what: str, error: type[Exception] = ValidationError) -> tuple[int, ...]:
-    """``values`` as Python ints, refusing a non-number, a fraction, NaN or inf.
+    """The sequence ``values`` as Python ints, refusing a non-number, a fraction, NaN or inf.
 
-    Integral floats and numpy numbers load; None and strings are refused.
+    Integral floats and numpy numbers load; None and strings are refused, as
+    is a ``values`` that is not a sequence.
     """
+    if np.iterable(values):
+        values = tuple(values)
     # NaN % 1 and inf % 1 are NaN, which fail too.
-    if not all(isinstance(v, numbers.Real) and v % 1 == 0 for v in values):
-        raise error(f"{what} must be integers, got {tuple(values)}")
+    if not isinstance(values, tuple) or not all(
+        isinstance(v, numbers.Real) and v % 1 == 0 for v in values
+    ):
+        raise error(f"{what} must be integers, got {values}")
     return tuple(int(v) for v in values)
+
+
+def number_array(values, kinds: str, message: str) -> np.ndarray:
+    """``values`` as a numpy array of one of the dtype kinds ``kinds``, for every record of arrays.
+
+    Ragged nesting, which numpy cannot make one array of, and any other kind
+    (None, strings and objects among them) raise ValidationError(message).
+    """
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise ValidationError(message) from None
+    if array.dtype.kind not in kinds:
+        raise ValidationError(message)
+    return array
 
 
 def finite_real(value) -> bool:
@@ -209,12 +232,22 @@ class EventPeriod:
         duration: int,
         sensor: SensorGeometry,
     ):
-        # Validate in the input dtype: the narrowing casts below would wrap.
-        t, x, y, p = (np.asarray(col) for col in (t, x, y, p))
+        # Validate in the input dtype where the cast to the held dtype would wrap.
+        message = "event columns must be one-dimensional arrays of numbers"
+        t, x, y, p = (number_array(col, "biuf", message) for col in (t, x, y, p))
         if not (t.ndim == x.ndim == y.ndim == p.ndim == 1):
-            raise ValidationError("event columns must be one-dimensional")
+            raise ValidationError(message)
+        if not isinstance(sensor, SensorGeometry):
+            raise ValidationError(f"period sensor must be a SensorGeometry, got {sensor!r}")
         if not (t.size == x.size == y.size == p.size):
             raise ValidationError("event columns must have equal length")
+        # A cast that can change no value goes first, so the checks below read
+        # contiguous columns, not the strided views of an .evd file's records.
+        dtypes = (np.int64, np.int32, np.int32, np.uint8)
+        t, x, y, p = (
+            frozen_view(col, dtype) if np.can_cast(col.dtype, dtype) else col
+            for col, dtype in zip((t, x, y, p), dtypes)
+        )
         t_start, duration = whole_numbers((t_start, duration), "period start and duration")
         if not 0 <= t_start < 2**63:
             raise ValidationError(f"period start must be within 0..2**63-1, got {t_start}")
@@ -233,14 +266,15 @@ class EventPeriod:
                     f"event {i} at ({x[i]},{y[i]}) is outside the "
                     f"{sensor.width}x{sensor.height} sensor"
                 )
-            if not (t.min() >= t_start and t.max() < t_start + duration):
+            t_max = t.max()
+            if not (t.min() >= t_start and t_max < t_start + duration):
                 bad = ~((t >= t_start) & (t < t_start + duration))
                 i = int(np.argmax(bad))
                 raise ValidationError(
                     f"event {i} at t={t[i]} is outside the period "
                     f"[{t_start}, {t_start + duration})"
                 )
-            if int(t.max()) >= 2**63:  # a period may end past 2**63, its times may not
+            if int(t_max) >= 2**63:  # a period may end past 2**63, its times may not
                 i = int(np.argmax(t))
                 raise ValidationError(f"event {i} at t={t[i]} is past the last time, 2**63-1 us")
             if not (p.min() >= 0 and p.max() <= 1):

@@ -80,9 +80,8 @@ class FeatureSeries:
     f_p: np.ndarray
 
     def __post_init__(self) -> None:
-        series = [np.asarray(s) for s in (self.f_d, self.f_s, self.f_p)]
-        if any(s.dtype.kind not in "biuf" for s in series):  # None and strings, which the cast fails
-            raise ValidationError("feature series must be real numbers")
+        message = "feature series must be real numbers"
+        series = (events.number_array(s, "biuf", message) for s in (self.f_d, self.f_s, self.f_p))
         f_d, f_s, f_p = (frozen_view(s, np.float64) for s in series)
         if f_d.ndim != f_s.ndim or f_d.ndim != f_p.ndim or f_d.ndim != 1:
             raise ValidationError("feature series must be one-dimensional")
@@ -161,13 +160,11 @@ def _count_total(total: int, counts: np.ndarray) -> int:
 def dilated_window(bbox: BBox, margin: int, sensor: SensorGeometry) -> BBox:
     """The bbox grown by margin on every side, clamped to the sensor."""
     DetectorConfig(region_margin=margin)  # raises on a margin the config refuses
-    x0 = max(bbox.x - margin, 0)
-    y0 = max(bbox.y - margin, 0)
-    x1 = min(bbox.right + margin, sensor.width)
-    y1 = min(bbox.bottom + margin, sensor.height)
-    if x1 <= x0 or y1 <= y0:
-        raise DegenerateInputError("dilated window has no pixels inside the sensor")
-    return BBox(x0, y0, x1 - x0, y1 - y0)
+    grown = BBox(bbox.x - margin, bbox.y - margin, bbox.w + 2 * margin, bbox.h + 2 * margin)
+    try:
+        return grown.clamped(sensor)
+    except ValidationError:
+        raise DegenerateInputError("dilated window has no pixels inside the sensor") from None
 
 
 def extract_local_slices(

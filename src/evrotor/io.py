@@ -8,7 +8,11 @@ comments are absent.
 
 Binary streams open with a 24-byte little-endian header (magic ``EVD1``,
 width u16, height u16, t_start u64, duration u64) followed by 16-byte
-records (t u64, x u16, y u16, p u8, 3 pad bytes).
+records (t u64, x u16, y u16, p u8, 3 pad bytes). The reader checks the
+header and the record size, then hands the records, read in place and in
+their file dtypes, to ``EventPeriod``, whose rules (times within the period
+and below 2**63, pixels on the sensor, polarity 0 or 1) hold for every
+event source and name the first bad event.
 """
 
 from __future__ import annotations
@@ -128,29 +132,20 @@ def _load_binary(raw: bytes, path: Path, sensor: SensorGeometry | None) -> Event
     if len(raw) < _HEADER.size:
         raise EventFormatError("truncated header", path=path)
     _, width, height, t_start, duration = _HEADER.unpack_from(raw)
-    body = raw[_HEADER.size :]
-    if len(body) % _RECORD_DTYPE.itemsize:
-        raise EventFormatError(
-            f"record section of {len(body)} bytes is not a multiple of 16", path=path
-        )
+    size = len(raw) - _HEADER.size
+    if size % _RECORD_DTYPE.itemsize:
+        raise EventFormatError(f"record section of {size} bytes is not a multiple of 16", path=path)
     file_sensor = SensorGeometry(width, height)
     if sensor is not None and sensor != file_sensor:
         raise ValidationError(
             f"sensor {sensor.width}x{sensor.height} disagrees with file header "
             f"{width}x{height}"
         )
-    records = np.frombuffer(body, dtype=_RECORD_DTYPE)
-    t = records["t"]
-    if t.size and int(t.max()) > np.iinfo(np.int64).max:
-        raise EventFormatError("timestamp overflows signed 64-bit range", path=path)
+    # Read in place: EventPeriod checks each column before any cast that could change
+    # it, and casts each once.
+    records = np.frombuffer(raw, _RECORD_DTYPE, offset=_HEADER.size)
     return EventPeriod(
-        records["t"].astype(np.int64),
-        records["x"].astype(np.int32),
-        records["y"].astype(np.int32),
-        records["p"].astype(np.uint8),
-        t_start=int(t_start),
-        duration=int(duration),
-        sensor=file_sensor,
+        *(records[name] for name in "txyp"), t_start=t_start, duration=duration, sensor=file_sensor
     )
 
 
@@ -288,7 +283,7 @@ def write_detections(
     duration_us: int,
 ) -> None:
     """Write ranked detections for one period as a JSON record."""
-    boxes = tuple(BoxRecord(bbox=d.bbox, s_p=int(d.s_p), s_s=d.s_s) for d in detections)
+    boxes = tuple(BoxRecord(bbox=d.bbox, s_p=d.s_p, s_s=d.s_s) for d in detections)
     record = AnnotationRecord(
         file=source, width=sensor.width, height=sensor.height, duration_us=duration_us, boxes=boxes
     )

@@ -69,12 +69,13 @@ class SaliencyMap:
     hit_gray: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        sizes = (self.n_slices, *self.shape)
-        n_slices, height, width = whole_numbers(sizes, "saliency map slice count and shape")
+        (n_slices,) = whole_numbers((self.n_slices,), "saliency map slice count")
+        shape = whole_numbers(self.shape, "saliency map shape")
         if n_slices < 1:
             raise ValidationError(f"slice count must be positive, got {n_slices}")
-        if height < 1 or width < 1:
-            raise ValidationError(f"saliency map shape must be positive, got {self.shape}")
+        if len(shape) != 2 or min(shape) < 1:
+            raise ValidationError(f"saliency map shape must be a positive (h, w), got {self.shape}")
+        height, width = shape
         ids, counts = id_count_views(
             self.ids, self.hit_counts, height * width, min(n_slices, 2**31 - 1), "saliency hit"
         )

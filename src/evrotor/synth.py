@@ -15,6 +15,11 @@ image x axis) shine brightest.
 Background edges translate across the frame and give each crossed pixel one
 positive event and one much later negative event, so they build no polarity
 intersections. Uniform noise events are added at a configurable rate.
+
+The specs check their own fields when built: ``SynthScene`` holds the one
+duration rule (1..2**63-1 us), which ``evrotor synth`` leaves to it, and a
+rotor's pixels and ground truth are boxes clamped to the sensor by
+``BBox.clamped``.
 """
 
 from __future__ import annotations
@@ -64,8 +69,7 @@ class PropellerSpec:
     aspect: float = 0.8
 
     def __post_init__(self) -> None:
-        center = self.center if np.iterable(self.center) else (self.center,)
-        object.__setattr__(self, "center", whole_numbers(center, "rotor center"))
+        object.__setattr__(self, "center", whole_numbers(self.center, "rotor center"))
         if len(self.center) != 2:
             raise ValidationError(f"rotor center must be an (x, y) pair, got {self.center}")
         whole_fields(self, ("radius", "blades"))
@@ -184,18 +188,17 @@ def generate_propeller_events(
     # Image-plane half extents of the projected blade disk.
     half_x = spec.radius
     half_y = spec.radius * spec.aspect
-    x0 = max(int(math.floor(cx - half_x)), 0)
-    x1 = min(int(math.ceil(cx + half_x)) + 1, sensor.width)
-    y0 = max(int(math.floor(cy - half_y)), 0)
-    y1 = min(int(math.ceil(cy + half_y)) + 1, sensor.height)
+    x0, y0 = math.floor(cx - half_x), math.floor(cy - half_y)
+    disk = BBox(x0, y0, math.ceil(cx + half_x) + 1 - x0, math.ceil(cy + half_y) + 1 - y0)
+    disk = disk.clamped(sensor)
     # A bound: each pixel of the box sees at most duration / rev + 1 passes of
     # each blade, and a pass emits 2 * _EVENTS_PER_EDGE * gain events on average.
     _check_event_count(
-        (x1 - x0) * (y1 - y0) * spec.blades * (duration_s / rev_s + 1.0)
+        disk.area * spec.blades * (duration_s / rev_s + 1.0)
         * 2.0 * _EVENTS_PER_EDGE * (1.0 + _GAIN_MOD_DEPTH),
         f"a rotor over {duration_us / 1000.0:g} ms",
     )
-    gxs, gys = np.meshgrid(np.arange(x0, x1), np.arange(y0, y1))
+    gxs, gys = np.meshgrid(np.arange(disk.x, disk.right), np.arange(disk.y, disk.bottom))
     gxs = gxs.ravel()
     gys = gys.ravel()
     dx = gxs - float(cx)

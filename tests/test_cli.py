@@ -137,6 +137,21 @@ class TestDetect:
         assert code == 1
         assert err.count("\n") == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "duration, message",
+        [(2**64 - 1, "event 0 at t=9223372036854775813 is past the last time, 2**63-1 us"),
+         (1000, "event 0 at t=9223372036854775813 is outside the period [0, 1000)")],
+    )
+    def test_binary_time_past_int64_is_reported(self, tmp_path, capsys, duration, message):
+        # EventPeriod checks the file's uint64 times before its int64 cast could wrap them.
+        path = tmp_path / "late.evd"
+        path.write_bytes(evd_bytes((b"EVD1", 8, 8, 0, duration), [(2**63 + 5, 1, 1, 1)]))
+        code, _, err = run_cli(
+            ["detect", "--input", str(path), "--output", str(tmp_path / "d.json")], capsys
+        )
+        assert code == 1
+        assert err == f"error: {path}: {message}\n"
+
     def test_loader_errors_name_the_file(self, scene_dir, tmp_path, capsys):
         good, late = tmp_path / "good.csv", tmp_path / "late.csv"
         good.write_text("0,1,1,1\n5,1,1,0\n", encoding="ascii")
@@ -475,6 +490,18 @@ class TestSynth:
         )
         assert code == 1
         assert "center" in err
+
+    @pytest.mark.parametrize("duration_ms", ["0", "-5"])
+    def test_duration_under_1_ms_is_refused_by_the_scene(self, tmp_path, capsys, duration_ms):
+        # synth leaves the duration to SynthScene's one rule.
+        out = tmp_path / "x.evd"
+        code, _, err = run_cli(
+            ["synth", "--out-events", str(out), "--duration-ms", duration_ms], capsys
+        )
+        assert code == 1
+        us = int(duration_ms) * 1000
+        assert err == f"error: duration must be within 1..2**63-1 us, got {us}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags, reason",

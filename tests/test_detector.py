@@ -444,6 +444,10 @@ class TestDetectionRecord:
         with pytest.raises(ValidationError, match=message):
             Detection(s_p, s_s, np.array([[0, 0]]))
 
+    def test_keeps_the_scores_region_scores_loads(self):
+        detection = Detection(3.0, 1.0, np.array([[0, 0]]))
+        assert detection.s_p == RegionScores(1.0, 3.0).s_p == 3 and type(detection.s_p) is int
+
     def test_refuses_an_unscored_cluster(self):
         # RegionScores takes s_p=None for a cluster not yet scored; a detection
         # must not, or write_detections fails on it with a bare TypeError.

@@ -1,7 +1,7 @@
 """The names ``evrotor`` exports, and the ones the benchmark harness needs."""
 
 import ast
-import importlib
+import importlib.util
 import json
 import math
 import os
@@ -188,6 +188,10 @@ def _spec(**fields):
 
 _SENSOR = evrotor.SensorGeometry(64, 48)
 
+
+def _period(t, x, y, p, sensor=_SENSOR):
+    return evrotor.EventPeriod(t, x, y, p, t_start=0, duration=1000, sensor=sensor)
+
 # Each value raised a bare TypeError or ValueError, or built a record that
 # failed later. New cases go at the end.
 _MALFORMED = {
@@ -211,6 +215,17 @@ _MALFORMED = {
     "Region-pixels-str": lambda: evrotor.Region("ab"),
     "FeatureSeries-f_d-str": lambda: evrotor.FeatureSeries(f_d="abc", f_s=[], f_p=[]),
     "match_detections-iou_thr-None": lambda: evrotor.match_detections([], [], None),
+    "Region-pixels-ragged": lambda: evrotor.Region([[1, 2], [3]]),
+    "Detection-pixels-ragged": lambda: evrotor.Detection(1, 1.0, [[1, 2], [3]]),
+    "FeatureSeries-f_d-ragged": lambda: evrotor.FeatureSeries([[1, 2], [3]], [], []),
+    "SaliencyMap-ids-ragged": lambda: evrotor.SaliencyMap((2, 2), [[0], [1, 2]], [1, 1], 2),
+    "LocalSlices-cells-ragged": lambda: evrotor.LocalSlices((4, 1, 1), [[0], [1, 2]], [1, 1]),
+    "EventPeriod-t-ragged": lambda: _period([[0], [1, 2]], [0, 0], [0, 0], [1, 1]),
+    "EventPeriod-x-str": lambda: _period([0], ["a"], [0], [1]),
+    "SaliencyMap-shape-None": lambda: evrotor.SaliencyMap(None, [0], [1], 2),
+    "SaliencyMap-shape-3": lambda: evrotor.SaliencyMap((2, 2, 2), [0], [1], 2),
+    "LocalSlices-shape-None": lambda: evrotor.LocalSlices(None, [0], [1]),
+    "EventPeriod-sensor-None": lambda: _period([0], [0], [0], [1], sensor=None),
 }
 
 
@@ -256,3 +271,30 @@ assert cli.main(["detect", "--input", events, "--output", out]) == 0
     (box,) = json.loads((tmp_path / "dets.json").read_text())["boxes"]
     (truth,) = json.loads((tmp_path / "clip.gt.json").read_text())["boxes"]
     assert iou(BBox(box["x"], box["y"], box["w"], box["h"]), BBox(**truth)) >= 0.4
+
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def test_loc_prints_each_module_then_the_total():
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "loc.py")], capture_output=True, text=True, timeout=120, check=True
+    )
+    rows = [line.split(" ") for line in proc.stdout.splitlines()]
+    modules = sorted(m.stem for m in (TOOLS.parent / "src" / "evrotor").glob("*.py"))
+    assert [row[0] for row in rows] == [*modules, "total"]
+    counts = [int(row[1]) for row in rows]
+    assert min(counts) > 0 and counts[-1] == sum(counts[:-1])
+
+
+def test_loc_counts_code_lines_only():
+    spec = importlib.util.spec_from_file_location("loc", TOOLS / "loc.py")
+    loc = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loc)
+    source = (
+        '"""Module doc."""\n\n# a comment\nx = (\n    1,  # trailing\n)\n\n\n'
+        'class A:\n    """Class doc,\n    two lines."""\n\n    def f(self):\n'
+        '        """Doc."""\n        return """not a\n        docstring"""\n'
+    )
+    # x = (, 1,, ), class A:, def f(self):, and the two lines of the returned string
+    assert loc.code_lines(source) == 7
