@@ -5,40 +5,38 @@ minimum distance between their union bboxes stays within d_merge. Merging
 runs in passes to a fixpoint; since union bboxes only grow, that fixpoint is
 the partition that closest-pair-first merging reaches too. Each pass tests
 its candidate pairs in bounded batches, not one numpy round per region or
-per offset. ``run_pipeline`` calls each stage itself, in the paper's order:
-the saliency mass of every cluster in one gray lookup and one reduction, the
-top K clusters by mass scored for periodicity in one walk of the period, and
-each candidate that clears tau_p refined against one Gaussian shape prior
-fitted to all its pixels, which cuts the member components whose centroids
-fall outside its 2-sigma ellipse. The coarse stage ranks indexes into the
-clusters, which ``cluster_regions`` returns in box order with unique boxes;
-its sorts are stable, so every tie falls to the box order. A window's s_p is
-the sum of its row of six peak and valley flags.
+per offset. ``run_pipeline`` calls each stage itself, in the paper's order,
+on the labeler's arrays (``saliency.Labels``), reading every gray from the
+labeler: the regions' boxes clustered by index, each cluster's pixels and
+gray laid out as one run, the saliency mass of every cluster in one
+reduction over those runs, the top K clusters by mass scored for
+periodicity in one walk of the period, and each candidate that clears tau_p
+refined from its run against one Gaussian shape prior fitted to all its
+pixels, which cuts the member components whose centroids fall outside its
+2-sigma ellipse. The coarse stage ranks indexes into the clusters, which
+come in box order with unique boxes; its sorts are stable, so every tie
+falls to the box order. A window's s_p is the sum of its row of six peak and
+valley flags. ``cluster_regions`` and ``gaussian_fine_refine`` run the same
+code on one record at a time; refinement then reads the gray by
+``gray_at``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
 from .errors import ValidationError
 from .events import BBox, DetectorConfig, EventPeriod, pixel_view, tight_box
-from .features import (
-    FeatureSeries,
-    RegionScores,
-    _periodicity_flags,
-    _window_features,
-    saliency_masses,
-)
-from .saliency import Region, SaliencyMap, saliency_map, salient_regions
-from .saliency import box_order, gray_at, union_roots
+from .features import FeatureSeries, RegionScores, _periodicity_flags, _window_features
+from .saliency import Region, SaliencyMap, box_order, gray_at, saliency_map, salient_labels
+from .saliency import union_roots
 
 
 @dataclass
 class Cluster:
-    """Regions merged by proximity; scores are filled by the coarse stage."""
+    """Regions merged by proximity; ``run_pipeline`` builds each with its scores."""
 
     members: tuple[Region, ...]
     bbox: BBox
@@ -110,12 +108,22 @@ def cluster_regions(regions: list[Region], d_merge: float) -> list[Cluster]:
     """
     DetectorConfig(d_merge=d_merge)  # raises on a reach the config refuses
     boxes = np.array([r.bbox.as_tuple() for r in regions], np.int64).reshape(-1, 4)
+    return _cluster_records(regions, *_cluster_boxes(boxes, d_merge))
+
+
+def _cluster_boxes(boxes: np.ndarray, d_merge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``cluster_regions`` over int64 (x, y, w, h) region boxes, by index.
+
+    Returns the member order, the region indexes of each cluster one after
+    another; the C + 1 cuts of that order, cluster k's members lying from
+    cuts[k] to cuts[k + 1]; and the (C, 4) cluster boxes. Clusters come in
+    box order, and each cluster's members in box order, ties in index order.
+    """
     sort = box_order(boxes)
-    ordered = [regions[k] for k in sort.tolist()]
     # One (x0, y0, x1, y1) row per cluster, and the cluster row of each region.
     boxes = boxes[sort]
     boxes[:, 2:] += boxes[:, :2]
-    owner = np.arange(len(ordered))
+    owner = np.arange(len(sort))
     while len(boxes) > 1:
         # Box order[j] can lie within d_merge of box order[i], i < j, only
         # while j < reach[i]; sweep the axis with fewer such pairs.
@@ -156,14 +164,19 @@ def cluster_regions(regions: list[Region], d_merge: float) -> list[Cluster]:
         np.maximum.at(hi, group, boxes[:, 2:])
         boxes = np.hstack([lo, hi])
         owner = group[owner]
-    members: list[list[Region]] = [[] for _ in boxes]
-    for region, index in zip(ordered, owner.tolist()):
-        members[index].append(region)
     boxes[:, 2:] -= boxes[:, :2]
-    rects = boxes.tolist()
+    order = box_order(boxes)
+    rank = np.argsort(order)  # each cluster's place in box order
+    cuts = np.append(0, np.cumsum(np.bincount(rank[owner], minlength=order.size)))
+    return sort[np.argsort(rank[owner], kind="stable")], cuts, boxes[order]
+
+
+def _cluster_records(regions: list[Region], members, cuts, boxes, scores=None) -> list[Cluster]:
+    """``_cluster_boxes``' clusters of ``regions`` as Cluster records, with ``scores`` if given."""
+    members, cuts, scores = members.tolist(), cuts.tolist(), scores or [None] * len(boxes)
     return [
-        Cluster(members=tuple(members[k]), bbox=BBox(*rects[k]))
-        for k in box_order(boxes).tolist()
+        Cluster(members=tuple(regions[k] for k in members[a:b]), bbox=BBox(*box), scores=score)
+        for a, b, box, score in zip(cuts[:-1], cuts[1:], boxes.tolist(), scores)
     ]
 
 
@@ -177,15 +190,22 @@ def gaussian_fine_refine(candidate: Cluster, smap: SaliencyMap) -> Detection:
     B <= C is the covariance of the member centroids, so some member is
     always kept. The detection holds the kept members' pixels, and its box
     is their tight box. Every member is kept when the prior is degenerate:
-    no pixel has weight, or the pixels are collinear.
+    no pixel has weight, or the pixels are collinear. The gray is read by
+    ``gray_at``; ``run_pipeline`` runs the same ``_refine`` on the labeler's gray.
     """
     if candidate.scores is None or candidate.scores.s_p is None:
         raise ValidationError("candidate has no scores; run the coarse stage first")
-    s_p, s_s = candidate.scores.s_p, candidate.scores.s_s
-    members = candidate.members
-    pixels = np.concatenate([region.pixels for region in members])
-    areas = [region.area for region in members]
-    g = gray_at(smap, pixels)
+    pixels = np.concatenate([region.pixels for region in candidate.members])
+    return _refine(candidate, pixels, gray_at(smap, pixels))
+
+
+def _refine(candidate: Cluster, pixels: np.ndarray, g: np.ndarray) -> Detection:
+    """``gaussian_fine_refine`` of a scored candidate, given its pixels and their gray ``g``.
+
+    The (x, y) ``pixels`` hold the members' pixels one after another, in
+    member order. The detection's pixels are a new array.
+    """
+    areas = [region.area for region in candidate.members]
     # The moments are taken from the pixels' low corner. Per-column
     # reductions: numpy reduces a (N, 2) array over axis 0 far slower.
     columns = pixels[:, 0], pixels[:, 1]
@@ -197,7 +217,7 @@ def gaussian_fine_refine(candidate: Cluster, smap: SaliencyMap) -> Detection:
     # are taken in Python ints. Collinear pixels give det == 0 exactly.
     exact = np.int64 if 255 * reach * reach * g.size < _INT64_SUMS else object
     # Each member is a run of the pixels, and every region has a pixel.
-    runs = list(accumulate(areas[:-1], initial=0))
+    runs = np.cumsum(areas) - areas
     mass = np.add.reduceat(g, runs, dtype=exact)
     # One pixel-sized offset array and one product array at a time. The
     # offsets are int64, since an integer dot casts any other dtype to a
@@ -219,6 +239,7 @@ def gaussian_fine_refine(candidate: Cluster, smap: SaliencyMap) -> Detection:
     cxy = total * sxy - sum_x * sum_y
     cyy = total * syy - sum_y * sum_y
     det = cxx * cyy - cxy * cxy
+    keep = np.ones(len(areas), bool)
     if det > 0:
         # Row k of u is total * mass_k times member k's centroid offset from
         # the prior mean; its squared distance is u' adj(T) u / (det * mass_k**2).
@@ -226,9 +247,7 @@ def gaussian_fine_refine(candidate: Cluster, smap: SaliencyMap) -> Detection:
         adj = np.array([[cyy, -cxy], [-cxy, cxx]], dtype=np.float64)
         quad = np.einsum("ki,ij,kj->k", u, adj, u)
         keep = (mass > 0.0) & (quad <= 4.0 * det * mass * mass)
-        if not keep.all():
-            pixels = pixels[np.repeat(keep, areas)]
-    return Detection(s_p, s_s, pixels)
+    return Detection(candidate.scores.s_p, candidate.scores.s_s, pixels[np.repeat(keep, areas)])
 
 
 def run_pipeline(period: EventPeriod, config: DetectorConfig | None = None) -> PipelineResult:
@@ -243,25 +262,29 @@ def run_pipeline(period: EventPeriod, config: DetectorConfig | None = None) -> P
         config = DetectorConfig()
     n, m = config.slicing_for(period)
     smap = saliency_map(period, n)
-    regions = salient_regions(smap, config.tau_s)
-    clusters = cluster_regions(regions, config.d_merge)
-    masses = saliency_masses([c.members for c in clusters], smap)
+    labels = salient_labels(smap, config.tau_s)
+    members, cuts, rects = _cluster_boxes(labels.boxes, config.d_merge)
+    # Each cluster's pixels and gray become one run, its members' runs in member order:
+    # cluster k's run starts at edges[k] and ends at edges[k + 1].
+    labels = labels.laid_out(members)
+    edges = np.append(labels.starts[members], labels.gray.size)[cuts]
+    masses = np.add.reduceat(labels.gray, edges[:-1], dtype=np.int64).tolist()
+    sizes = np.diff(edges)
     # The clusters come in box order, and sorts are stable: a tie falls to the lower index.
-    top = sorted(range(len(clusters)), key=lambda k: (-masses[k], -clusters[k].area))
-    top = top[: config.k_top]
+    top = sorted(range(len(masses)), key=lambda k: (-masses[k], -sizes[k]))[: config.k_top]
     # One walk of the period bins all K windows; one extrema search flags them.
-    features = _window_features(period, [clusters[k].bbox for k in top], m, config.region_margin)
+    features = _window_features(period, [BBox(*rects[k]) for k in top], m, config.region_margin)
     s_p = _periodicity_flags(features, config.smooth_window).sum(axis=1).tolist()
-    scored = dict(zip(top, s_p))
-    for k, cluster in enumerate(clusters):
-        cluster.scores = RegionScores(s_s=masses[k], s_p=scored.get(k))
-    passed = sorted(
-        (j for j, score in enumerate(s_p) if score >= config.tau_p),
-        key=lambda j: (-s_p[j], -masses[top[j]], top[j]),
-    )
+    periodicity = dict(zip(top, s_p))
+    regions = labels.regions()
+    scores = [RegionScores(s_s=mass, s_p=periodicity.get(k)) for k, mass in enumerate(masses)]
+    clusters = _cluster_records(regions, members, cuts, rects, scores)
+    passed = [j for j, score in enumerate(s_p) if score >= config.tau_p]
+    passed.sort(key=lambda j: (-s_p[j], -masses[top[j]], top[j]))
+    runs = [slice(edges[top[j]], edges[top[j] + 1]) for j in passed]
     candidates = [clusters[top[j]] for j in passed]
     return PipelineResult(
-        detections=[gaussian_fine_refine(candidate, smap) for candidate in candidates],
+        detections=[_refine(c, labels.pixels[r], labels.gray[r]) for c, r in zip(candidates, runs)],
         saliency=smap,
         regions=regions,
         clusters=clusters,

@@ -312,7 +312,9 @@ class DetectorConfig:
 
     ``n_slices`` and ``m_slices`` may be None, in which case they resolve per
     period: one saliency slice per millisecond of duration and two feature
-    slices per millisecond. A stage function given a raw parameter checks it
+    slices per millisecond, at least 2 and 4. The milliseconds are the
+    duration in us rounded in integers, halves up: (duration + 500) // 1000,
+    so 1 500 us gives 2 and 2 500 us gives 3. A stage function given a raw parameter checks it
     by building a config from it, so it raises this class's error.
     """
 
@@ -352,7 +354,7 @@ class DetectorConfig:
 
     def slicing_for(self, period: EventPeriod) -> tuple[int, int]:
         """Resolve (n, m) slice counts for one period; the stages check their windows' ids."""
-        duration_ms = max(1, round(period.duration / 1000))
+        duration_ms = max(1, (period.duration + 500) // 1000)
         n = self.n_slices if self.n_slices is not None else max(2, duration_ms)
         m = self.m_slices if self.m_slices is not None else max(4, 2 * duration_ms)
         defaulted = [k for k, given in ((n, self.n_slices), (m, self.m_slices)) if given is None]

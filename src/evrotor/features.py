@@ -27,12 +27,13 @@ feeds it to the same accumulator as one batch. A rotor modulates all three
 series periodically. Each smoothed series gets two flags, whether it shows
 two prominent peaks and whether it shows two prominent valleys, so a window
 has six (``_periodicity_flags``), and its periodicity score is their sum.
+A region's saliency mass, ``saliency_score``, reads its gray by ``gray_at``;
+``run_pipeline`` sums its clusters' gray as the labeler carried it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -627,25 +628,6 @@ def _periodicity_flags(features: Sequence[FeatureSeries], smooth_window: int) ->
     return _extrema_flags(smoothed).reshape(-1, 6)
 
 
-def saliency_masses(groups: Sequence[Sequence[Region]], smap: SaliencyMap) -> list[int]:
-    """Saliency mass of each group of regions: the sum of gray over their pixels.
-
-    One checked gray gather over all the groups' pixels, then one
-    ``np.add.reduceat`` over each group's run of them, in exact int64, so the
-    cost follows the pixels and not one numpy round per region. Each group
-    holds at least one region, as every cluster does.
-    """
-    if not groups:
-        return []
-    sizes = [sum(len(region.pixels) for region in group) for group in groups]
-    gray = gray_at(smap, np.concatenate([region.pixels for group in groups for region in group]))
-    return np.add.reduceat(gray, list(accumulate(sizes[:-1], initial=0)), dtype=np.int64).tolist()
-
-
 def saliency_score(region: Region, smap: SaliencyMap) -> int:
-    """Sum of rendered gray values over the region pixels.
-
-    The one-region case of ``saliency_masses``, which scores many regions
-    in one pass.
-    """
-    return saliency_masses([[region]], smap)[0]
+    """Sum of rendered gray values over the region pixels, read by ``gray_at``."""
+    return int(gray_at(smap, region.pixels).sum(dtype=np.int64))

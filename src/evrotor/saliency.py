@@ -25,15 +25,19 @@ its width.
 
 Labeling takes the sorted flat ids of the salient pixels, those whose gray
 exceeds the threshold, and reads their horizontal runs from the ids, with
-numpy passes over the ids and the runs only. All regions' boxes then come
-from their pixels in one pass, by the tight-box rule of every record
-(``events.tight_boxes``). A region's gray is read by searching its pixels'
-flat ids among the map's sorted hit ids.
+numpy passes over the ids and the runs only. Each pixel's gray is carried
+beside it from where its id sits among the salient ids. All regions' boxes
+then come from their pixels in one pass, by the tight-box rule of every
+record (``events.tight_boxes``). The labeler returns these arrays
+(``Labels``), so the detect path reads gray from the labeler; ``gray_at``,
+which searches pixels' flat ids among the map's sorted hit ids, serves only
+the one-record calls, ``saliency_score`` and ``gaussian_fine_refine``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,15 +117,51 @@ class Region:
         return int(self.pixels.shape[0])
 
 
-def _labelled_region(bbox: BBox, pixels: np.ndarray) -> Region:
-    """The labeler's fast path: a Region of ``_label``'s read-only int32 pixels and their box.
+class Labels(NamedTuple):
+    """The labeler's components as arrays, the regions indexed in box order.
 
-    ``_label`` draws the box by ``events.tight_boxes``, the rule of ``Region``'s own box.
+    Region k's pixels are the run ``pixels[starts[k] : starts[k] + areas[k]]``,
+    (x, y) int32 rows in scan order, read-only, and ``gray`` holds each
+    pixel's uint8 gray beside it (a mask's value, for ``connected_components``).
+    ``boxes`` holds the regions' int64 (x, y, w, h) tight boxes, in box order.
     """
-    region = object.__new__(Region)
-    object.__setattr__(region, "bbox", bbox)
-    object.__setattr__(region, "pixels", pixels)
-    return region
+
+    pixels: np.ndarray
+    gray: np.ndarray
+    starts: np.ndarray
+    areas: np.ndarray
+    boxes: np.ndarray
+
+    def regions(self) -> list[Region]:
+        """The Region records of the runs, in box order, built past ``Region``'s checks.
+
+        The labeler's pixels are read-only int32 already, and it draws each box
+        by ``events.tight_boxes``, the rule of ``Region``'s own box.
+        """
+        regions = []
+        for box, s, a in zip(self.boxes.tolist(), self.starts.tolist(), self.areas.tolist()):
+            regions.append(region := object.__new__(Region))
+            object.__setattr__(region, "bbox", BBox(*box))
+            object.__setattr__(region, "pixels", self.pixels[s : s + a])
+        return regions
+
+    def laid_out(self, order: np.ndarray) -> Labels:
+        """The same regions, their runs laid out one after another in ``order``, each once."""
+        at = run_ranges(np.empty(self.gray.size, np.intp), self.starts[order], self.areas[order])
+        starts = (np.cumsum(self.areas[order]) - self.areas[order])[np.argsort(order)]
+        return self._replace(pixels=frozen_view(self.pixels[at]), gray=self.gray[at], starts=starts)
+
+
+def run_ranges(out: np.ndarray, begin: np.ndarray, length: np.ndarray, step: int = 1) -> np.ndarray:
+    """Fill ``out`` with the runs begin[k], begin[k] + step, ..., length[k] >= 1 values each.
+
+    The runs lie one after another. Each run's first value steps from the
+    last value of the run before, every other value by ``step``, and the
+    steps are summed in place, so every partial sum is a value. Returns ``out``.
+    """
+    out[:] = step
+    out[np.cumsum(length) - length] = begin - np.append(0, (begin + step * (length - 1))[:-1])
+    return np.add.accumulate(out, out=out)
 
 
 def box_order(boxes: np.ndarray) -> np.ndarray:
@@ -266,8 +306,14 @@ def salient_regions(smap: SaliencyMap, tau_s: int) -> list[Region]:
     Labels the salient hit ids directly, so no (height, width) array is
     formed. The regions are those of ``connected_components(threshold_mask(smap, tau_s))``.
     """
+    return salient_labels(smap, tau_s).regions()
+
+
+def salient_labels(smap: SaliencyMap, tau_s: int) -> Labels:
+    """The labeler's arrays of ``salient_regions``, each pixel's gray read beside its id."""
     DetectorConfig(tau_s=tau_s)  # raises on a threshold the config refuses
-    return _label(smap.ids[smap.hit_gray > tau_s], smap.shape[1])
+    salient = smap.hit_gray > tau_s
+    return _label(smap.ids[salient], smap.hit_gray[salient], smap.shape[1])
 
 
 def union_roots(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -295,11 +341,11 @@ def connected_components(mask: np.ndarray) -> list[Region]:
     m = np.asarray(mask)
     if m.ndim != 2:
         raise ValidationError("mask must be two-dimensional")
-    return _label(np.flatnonzero(m), m.shape[1])
+    return _label(np.flatnonzero(m), m[m != 0], m.shape[1]).regions()
 
 
-def _label(ids: np.ndarray, width: int) -> list[Region]:
-    """8-connected components of the pixels with sorted flat ``ids``, by bbox top-left.
+def _label(ids: np.ndarray, gray: np.ndarray, width: int) -> Labels:
+    """8-connected components of the pixels with sorted flat ``ids``, each ``gray`` beside its id.
 
     Works on the horizontal runs of the pixels, read from their ids: a run
     ends where the ids skip or a row ends, since the last pixel of a row
@@ -311,8 +357,6 @@ def _label(ids: np.ndarray, width: int) -> list[Region]:
     by its first run in scan order, so ties in the bbox order fall in
     first-pixel order.
     """
-    if ids.size == 0:
-        return []
     # A run starts where the flat ids break, or where a row starts.
     start = np.empty(ids.size, dtype=bool)
     start[:1] = True
@@ -323,9 +367,9 @@ def _label(ids: np.ndarray, width: int) -> list[Region]:
     x1 = x0 + np.diff(starts, append=ids.size)
     # Keys row * stride + x sort runs in scan order: x never reaches stride.
     # Run i's block is [lo, hi): the next-row runs with x1' >= x0 and x0' <= x1.
-    # Every key lies below (row[-1] + 2) * stride, which the rows' dtype must hold.
+    # Every key lies below (last row + 2) * stride, which the rows' dtype must hold.
     stride = width + 2
-    row = row.astype(id_dtype((int(row[-1]) + 2) * stride), copy=False)
+    row = row.astype(id_dtype((int(row.max(initial=0)) + 2) * stride), copy=False)
     lo = np.searchsorted(row * stride + x1, (row + 1) * stride + x0)
     hi = np.searchsorted(row * stride + x0, (row + 1) * stride + x1, side="right")
     links = hi - lo  # one link per touching pair (a, b)
@@ -335,26 +379,18 @@ def _label(ids: np.ndarray, width: int) -> list[Region]:
     # The stable sort keeps each component's runs, and so its pixels, in scan order.
     order = np.argsort(root, kind="stable")
     row, x0, length = row[order], x0[order], (x1 - x0)[order]
-    first = np.cumsum(length) - length  # each run's first pixel
-    # The pixels go straight into one int32 (N, 2) array: each column holds
-    # its steps from the pixel before, the jump to a run's start at its first
-    # pixel, and is summed in place, so every partial sum is a coordinate.
-    pixels = np.empty((int(first[-1] + length[-1]), 2), np.int32)
-    xs, ys = pixels[:, 0], pixels[:, 1]
-    xs[:] = 1
-    xs[first] = x0 - np.append(0, (x0 + length - 1)[:-1])
-    ys[:] = 0
-    ys[first] = np.diff(row, prepend=0)
-    np.add.accumulate(xs, out=xs)
-    np.add.accumulate(ys, out=ys)
+    # Each pixel's gray comes from where its id sits in ids, gathered before
+    # the pixels exist, so the intp positions and the pixels never live
+    # together. The pixels go straight into one int32 (N, 2) array.
+    gray = gray[run_ranges(np.empty(ids.size, np.intp), starts[order], length)]
+    pixels = np.empty((ids.size, 2), np.int32)
+    run_ranges(pixels[:, 0], x0, length)
+    run_ranges(pixels[:, 1], row, length, step=0)
     # A component's pixels start with those of its first run.
+    first = np.cumsum(length) - length
     starts = first[np.flatnonzero(np.diff(root[order], prepend=-1))]
-    boxes = tight_boxes(xs, ys, starts)
-    pixels = frozen_view(pixels)
+    boxes = tight_boxes(pixels[:, 0], pixels[:, 1], starts)
     # box_order is stable, so regions with equal boxes stay in first-pixel order.
     order = box_order(boxes)
-    cuts = np.append(starts, pixels.shape[0]).tolist()
-    return [
-        _labelled_region(BBox(*box), pixels[cuts[k] : cuts[k + 1]])
-        for box, k in zip(boxes[order].tolist(), order.tolist())
-    ]
+    areas = np.diff(starts, append=ids.size)
+    return Labels(frozen_view(pixels), gray, starts[order], areas[order], boxes[order])

@@ -1,8 +1,10 @@
 """Clustering, coarse-to-fine selection, and whole-pipeline behavior."""
 
 import math
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,8 +39,9 @@ from evrotor import (
     match_detections,
     saliency_score,
 )
-from evrotor import detector
+from evrotor import detector, features, saliency
 from evrotor.features import _periodicity_flags, _window_features
+from evrotor.saliency import salient_regions
 from evrotor.metrics import iou
 
 from conftest import VGA, make_period
@@ -405,6 +408,87 @@ class TestCoarseStage:
         bx, by, bw, bh = base[0].bbox.as_tuple()
         assert moved[0].bbox.as_tuple() == (bx + 7, by + 3, bw, bh)
         assert moved[0].s_p == base[0].s_p
+
+
+def record_path(period, config):
+    """Clusters and detections by the public one-record calls, ranked as ``run_pipeline`` ranks.
+
+    ``salient_regions``, ``cluster_regions``, ``saliency_score`` per member and
+    ``gaussian_fine_refine`` per candidate, each reading gray by ``gray_at``.
+    """
+    n, m = config.slicing_for(period)
+    smap = saliency_map(period, n)
+    clusters = cluster_regions(salient_regions(smap, config.tau_s), config.d_merge)
+    mass = [sum(saliency_score(region, smap) for region in c.members) for c in clusters]
+    top = sorted(range(len(clusters)), key=lambda k: (-mass[k], -clusters[k].area))[: config.k_top]
+    windows = _window_features(period, [clusters[k].bbox for k in top], m, config.region_margin)
+    s_p = dict(zip(top, _periodicity_flags(windows, config.smooth_window).sum(axis=1).tolist()))
+    for k, cluster in enumerate(clusters):
+        cluster.scores = RegionScores(s_s=mass[k], s_p=s_p.get(k))
+    passed = [k for k in top if s_p[k] >= config.tau_p]
+    passed.sort(key=lambda k: (-s_p[k], -mass[k], k))
+    return clusters, [gaussian_fine_refine(clusters[k], smap) for k in passed]
+
+
+def lattice_period():
+    """2 000 isolated pixels in 80 blocks of 5 x 5, 3 px apart, the blocks 13 px apart.
+
+    Each pixel fires a positive event and, 50 us later, a negative one in
+    slices 0-3 of 20 and in each later slice with probability 0.3.
+    """
+    rng = np.random.default_rng(5)
+    bx, by, i, j = np.meshgrid(np.arange(10), np.arange(8), np.arange(5), np.arange(5))
+    xs, ys = (25 * bx + 3 * i).ravel(), (25 * by + 3 * j).ravel()
+    fires = rng.random((xs.size, 20)) < 0.3
+    fires[:, :4] = True
+    k, s = np.nonzero(fires)
+    t = s * 1000 + rng.integers(0, 900, s.size)
+    return EventPeriod(np.concatenate([t, t + 50]), np.tile(xs[k], 2), np.tile(ys[k], 2),
+                       np.repeat([1, 0], s.size), t_start=0, duration=20_000,
+                       sensor=SensorGeometry(260, 200))
+
+
+def flicker_clutter_periods():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.pop(0)
+    return [item.period for item in WORKLOADS["flicker_clutter"].build(1)]
+
+
+class TestArrayPipeline:
+    def test_runs_on_the_labelers_arrays_as_the_record_path_does(self, monkeypatch):
+        # Blocks of the lattice are clusters at reach 2; at the default reach all
+        # 2 000 regions form one cluster. tau_p 0 refines every top-K cluster.
+        lattice = lattice_period()
+        runs = [(period, DetectorConfig()) for period in flicker_clutter_periods()]
+        runs += [(lattice, DetectorConfig(d_merge=2.0, tau_p=0, k_top=8)),
+                 (lattice, DetectorConfig(tau_p=0))]
+        want = [record_path(period, config) for period, config in runs]
+
+        def refuse(*args):
+            raise AssertionError("the detect path must not call this")
+
+        for module in (saliency, features, detector):
+            monkeypatch.setattr(module, "gray_at", refuse)
+        monkeypatch.setattr(detector, "cluster_regions", refuse)
+        assert not hasattr(features, "saliency_masses")
+        assert len(run_pipeline(lattice).regions) == 2000
+        sizes = set()
+        for (period, config), (clusters, detections) in zip(runs, want):
+            result = run_pipeline(period, config)
+            assert [(c.bbox, c.scores, len(c.members)) for c in result.clusters] == [
+                (c.bbox, c.scores, len(c.members)) for c in clusters
+            ]
+            assert [type(c.scores.s_s) for c in result.clusters] == [int] * len(clusters)
+            assert [(d.bbox, d.s_p, d.s_s) for d in result.detections] == [
+                (d.bbox, d.s_p, d.s_s) for d in detections
+            ]
+            for got, expected in zip(result.detections, detections):
+                assert np.array_equal(got.pixels, expected.pixels)
+            sizes.add((len(result.clusters), len(result.detections)))
+        assert {(80, 8), (1, 1)} <= sizes
 
 
 def gray_map(shape, regions, level=200):

@@ -367,8 +367,10 @@ class TestDetectorConfig:
     def test_slicing_defaults_scale_with_duration(self):
         period = make_period([], duration=20_000)
         assert DetectorConfig().slicing_for(period) == (20, 40)
-        short = make_period([], duration=1_500)
-        assert DetectorConfig().slicing_for(short) == (2, 4)
+        # Milliseconds round halves up, never to the even one: 2.5 ms gives 3, 3.5 ms gives 4.
+        halves = {1_500: (2, 4), 2_500: (3, 6), 3_500: (4, 8), 4_500: (5, 10)}
+        for duration, slicing in halves.items():
+            assert DetectorConfig().slicing_for(make_period([], duration=duration)) == slicing
 
     def test_explicit_slicing_passes_through(self):
         period = make_period([], duration=20_000)

@@ -29,11 +29,11 @@ from evrotor import (
     ValidationError,
     connected_components,
     saliency_map,
+    saliency_score,
     threshold_mask,
 )
 from evrotor import events
 from evrotor.events import bin_events
-from evrotor.features import saliency_masses
 from evrotor.saliency import (
     gray_at,
     render_gray,
@@ -870,9 +870,8 @@ class TestNarrowIds:
         misses = [(W - 1, H - 3), (W - 3, H - 1), (0, 0), (W - 1, 0), (1, H - 1)]
         pixels = np.array([*gray, *misses], np.int32)
         assert gray_at(smap, pixels).tolist() == [*gray.values(), 0, 0, 0, 0, 0]
-        masses = saliency_masses([[regions[2]], [regions[0], regions[1]], [regions[3]]], smap)
-        assert masses == [sum(gray[px] for px in want[2]), gray[want[0][0]] + gray[want[1][0]],
-                          gray[want[3][0]]]
+        masses = [saliency_score(region, smap) for region in regions]
+        assert masses == [sum(gray[px] for px in group) for group in want]
 
 
 def links_strategy(n):
