@@ -193,6 +193,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
         raise ConfigurationError("feature and saliency dumps need a single input")
     if args.jobs < 1:
         raise ConfigurationError(f"jobs must be at least 1, got {args.jobs}")
+    if (args.width is None) != (args.height is None):
+        raise ConfigurationError("--width and --height must be given together")
 
     out_arg = None if args.output is None else Path(args.output)
     if out_arg is not None and len(inputs) > 1:
@@ -204,7 +206,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         for p in inputs
     ]
     sensor = None
-    if args.width is not None and args.height is not None:
+    if args.width is not None:
         sensor = SensorGeometry(args.width, args.height)
     worker = partial(
         _detect_one,

@@ -16,14 +16,17 @@ pixels, which cuts the member components whose centroids fall outside its
 2-sigma ellipse. The coarse stage ranks indexes into the clusters, which
 come in box order with unique boxes; its sorts are stable, so every tie
 falls to the box order. A window's s_p is the sum of its row of six peak and
-valley flags. ``cluster_regions`` and ``gaussian_fine_refine`` run the same
-code on one record at a time; refinement then reads the gray by
-``gray_at``.
+valley flags. The run builds one ``Detection`` per candidate and no other
+record: its ``PipelineResult`` keeps the arrays, and builds the ``Region``
+and ``Cluster`` records, with each cluster's scores, when they are first
+read. ``cluster_regions`` and ``gaussian_fine_refine`` run the same code on
+one record at a time; refinement then reads the gray by ``gray_at``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,12 +34,12 @@ from .errors import ValidationError
 from .events import BBox, DetectorConfig, EventPeriod, pixel_view, tight_box
 from .features import FeatureSeries, RegionScores, _periodicity_flags, _window_features
 from .saliency import Region, SaliencyMap, box_order, gray_at, saliency_map, salient_labels
-from .saliency import union_roots
+from .saliency import Labels, union_roots
 
 
 @dataclass
 class Cluster:
-    """Regions merged by proximity; ``run_pipeline`` builds each with its scores."""
+    """Regions merged by proximity; ``PipelineResult.clusters`` builds each with its scores."""
 
     members: tuple[Region, ...]
     bbox: BBox
@@ -66,19 +69,42 @@ class Detection:
         object.__setattr__(self, "pixels", pixels)
 
 
-@dataclass
+@dataclass(eq=False)
 class PipelineResult:
     """Full intermediate state of one detection run, for inspection and dumps.
 
     The salient pixels are those of ``threshold_mask(saliency, tau_s)``.
+    The run keeps arrays: ``labels``, the salient regions as the laid-out
+    ``saliency.Labels``; ``clustering``, ``_cluster_boxes``' member order,
+    cuts and cluster boxes over those regions; ``masses`` and ``s_p``, each
+    cluster's saliency mass and, for the top K, its s_p, by cluster index;
+    and ``ranked``, the candidates' cluster indexes. The ``regions``,
+    ``clusters`` and ``candidates`` records are built from them on first
+    read, and each later read returns the same list; a candidate is the
+    object that ``clusters`` holds at its index.
     """
 
     detections: list[Detection]
     saliency: SaliencyMap
-    regions: list[Region]
-    clusters: list[Cluster]
-    candidates: list[Cluster]
     candidate_features: list[FeatureSeries]
+    labels: Labels
+    clustering: tuple[np.ndarray, np.ndarray, np.ndarray]
+    masses: list[int]
+    s_p: dict[int, int]
+    ranked: list[int]
+
+    @cached_property
+    def regions(self) -> list[Region]:
+        return self.labels.regions()
+
+    @cached_property
+    def clusters(self) -> list[Cluster]:
+        scores = [RegionScores(s_s=mass, s_p=self.s_p.get(k)) for k, mass in enumerate(self.masses)]
+        return _cluster_records(self.regions, *self.clustering, scores)
+
+    @cached_property
+    def candidates(self) -> list[Cluster]:
+        return [self.clusters[k] for k in self.ranked]
 
 
 # Most candidate pairs one clustering sweep expands at a time: enough that a
@@ -195,17 +221,18 @@ def gaussian_fine_refine(candidate: Cluster, smap: SaliencyMap) -> Detection:
     """
     if candidate.scores is None or candidate.scores.s_p is None:
         raise ValidationError("candidate has no scores; run the coarse stage first")
+    areas = [region.area for region in candidate.members]
     pixels = np.concatenate([region.pixels for region in candidate.members])
-    return _refine(candidate, pixels, gray_at(smap, pixels))
+    return _refine(candidate.scores.s_p, candidate.scores.s_s, areas, pixels, gray_at(smap, pixels))
 
 
-def _refine(candidate: Cluster, pixels: np.ndarray, g: np.ndarray) -> Detection:
-    """``gaussian_fine_refine`` of a scored candidate, given its pixels and their gray ``g``.
+def _refine(s_p: int, s_s: float, areas, pixels: np.ndarray, g: np.ndarray) -> Detection:
+    """``gaussian_fine_refine`` of a candidate scored (s_p, s_s), given its members' pixels and gray.
 
     The (x, y) ``pixels`` hold the members' pixels one after another, in
-    member order. The detection's pixels are a new array.
+    member order, ``areas`` of them each, and ``g`` their gray. The
+    detection's pixels are a new array.
     """
-    areas = [region.area for region in candidate.members]
     # The moments are taken from the pixels' low corner. Per-column
     # reductions: numpy reduces a (N, 2) array over axis 0 far slower.
     columns = pixels[:, 0], pixels[:, 1]
@@ -247,7 +274,7 @@ def _refine(candidate: Cluster, pixels: np.ndarray, g: np.ndarray) -> Detection:
         adj = np.array([[cyy, -cxy], [-cxy, cxx]], dtype=np.float64)
         quad = np.einsum("ki,ij,kj->k", u, adj, u)
         keep = (mass > 0.0) & (quad <= 4.0 * det * mass * mass)
-    return Detection(candidate.scores.s_p, candidate.scores.s_s, pixels[np.repeat(keep, areas)])
+    return Detection(s_p, s_s, pixels[np.repeat(keep, areas)])
 
 
 def run_pipeline(period: EventPeriod, config: DetectorConfig | None = None) -> PipelineResult:
@@ -258,39 +285,28 @@ def run_pipeline(period: EventPeriod, config: DetectorConfig | None = None) -> P
     tau_p become the candidates, ranked by descending (s_p, s_s), then box
     order, each refined once.
     """
-    if config is None:
-        config = DetectorConfig()
+    config = config or DetectorConfig()
     n, m = config.slicing_for(period)
     smap = saliency_map(period, n)
     labels = salient_labels(smap, config.tau_s)
-    members, cuts, rects = _cluster_boxes(labels.boxes, config.d_merge)
+    members, cuts, rects = clustering = _cluster_boxes(labels.boxes, config.d_merge)
     # Each cluster's pixels and gray become one run, its members' runs in member order:
     # cluster k's run starts at edges[k] and ends at edges[k + 1].
     labels = labels.laid_out(members)
     edges = np.append(labels.starts[members], labels.gray.size)[cuts]
     masses = np.add.reduceat(labels.gray, edges[:-1], dtype=np.int64).tolist()
-    sizes = np.diff(edges)
-    # The clusters come in box order, and sorts are stable: a tie falls to the lower index.
-    top = sorted(range(len(masses)), key=lambda k: (-masses[k], -sizes[k]))[: config.k_top]
+    # By mass, then size. The clusters come in box order, and sorts are stable: a tie
+    # falls to the lower index.
+    top = np.lexsort((edges[:-1] - edges[1:], np.negative(masses)))[: config.k_top].tolist()
     # One walk of the period bins all K windows; one extrema search flags them.
     features = _window_features(period, [BBox(*rects[k]) for k in top], m, config.region_margin)
-    s_p = _periodicity_flags(features, config.smooth_window).sum(axis=1).tolist()
-    periodicity = dict(zip(top, s_p))
-    regions = labels.regions()
-    scores = [RegionScores(s_s=mass, s_p=periodicity.get(k)) for k, mass in enumerate(masses)]
-    clusters = _cluster_records(regions, members, cuts, rects, scores)
-    passed = [j for j, score in enumerate(s_p) if score >= config.tau_p]
-    passed.sort(key=lambda j: (-s_p[j], -masses[top[j]], top[j]))
-    runs = [slice(edges[top[j]], edges[top[j] + 1]) for j in passed]
-    candidates = [clusters[top[j]] for j in passed]
-    return PipelineResult(
-        detections=[_refine(c, labels.pixels[r], labels.gray[r]) for c, r in zip(candidates, runs)],
-        saliency=smap,
-        regions=regions,
-        clusters=clusters,
-        candidates=candidates,
-        candidate_features=[features[j] for j in passed],
-    )
+    s_p = dict(zip(top, _periodicity_flags(features, config.smooth_window).sum(axis=1).tolist()))
+    ranked = sorted((k for k in top if s_p[k] >= config.tau_p), key=lambda k: (-s_p[k], -masses[k], k))
+    # Each candidate with its member areas and its run of pixels and gray.
+    spans = [(k, labels.areas[members[cuts[k] : cuts[k + 1]]], slice(*edges[k : k + 2])) for k in ranked]
+    detections = [_refine(s_p[k], masses[k], a, labels.pixels[r], labels.gray[r]) for k, a, r in spans]
+    candidate_features = [features[top.index(k)] for k in ranked]
+    return PipelineResult(detections, smap, candidate_features, labels, clustering, masses, s_p, ranked)
 
 
 def detect_period(period: EventPeriod, config: DetectorConfig | None = None) -> list[Detection]:

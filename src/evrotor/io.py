@@ -39,6 +39,8 @@ _RECORD_DTYPE = np.dtype(
 _CSV_HEADER = "t_us,x,y,p"
 # Largest sensor side of either format: the .evd header stores it as u16.
 _SIDE_MAX = 0xFFFF
+# Largest period duration of an .evd header, which stores it as u64.
+_U64_MAX = 2**64 - 1
 # Inclusive value ranges of the t (int64) and x, y (int32) columns; p is uint8.
 _T_MIN, _T_MAX = -(2**63), 2**63 - 1
 _XY_MIN, _XY_MAX = -(2**31), 2**31 - 1
@@ -89,21 +91,20 @@ def _write_csv(period: EventPeriod, path: Path) -> None:
 def _write_binary(period: EventPeriod, path: Path) -> None:
     if max(period.sensor.width, period.sensor.height) > _SIDE_MAX:
         raise ValidationError(f"binary format caps sensor dimensions at {_SIDE_MAX}")
+    # EventPeriod holds t_start below 2**63, but any positive duration.
+    if period.duration > _U64_MAX:
+        raise ValidationError(f"binary format caps the duration at 2**64 - 1, got {period.duration}")
+    # Packed before the file opens, so a refused value leaves an existing file as it was.
+    header = _HEADER.pack(
+        BINARY_MAGIC, period.sensor.width, period.sensor.height, period.t_start, period.duration
+    )
     records = np.zeros(len(period), dtype=_RECORD_DTYPE)
     records["t"] = period.t
     records["x"] = period.x
     records["y"] = period.y
     records["p"] = period.p
     with open(path, "wb") as handle:
-        handle.write(
-            _HEADER.pack(
-                BINARY_MAGIC,
-                period.sensor.width,
-                period.sensor.height,
-                period.t_start,
-                period.duration,
-            )
-        )
+        handle.write(header)
         handle.write(records.tobytes())
 
 

@@ -96,6 +96,17 @@ class TestDetect:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("name", ["clip.evd", "clip.csv"])
+    @pytest.mark.parametrize("side", [["--width", "999"], ["--height", "120"]])
+    def test_one_geometry_flag_without_the_other_fails(self, scene_dir, tmp_path, name, side, capsys):
+        out = tmp_path / "d.json"
+        code, _, err = run_cli(
+            ["detect", "--input", str(scene_dir / name), *side, "--output", str(out)], capsys
+        )
+        assert code == 1
+        assert err == "error: --width and --height must be given together\n"
+        assert not out.exists()
+
     def test_bad_threshold_is_reported(self, scene_dir, tmp_path, capsys):
         code, _, err = run_cli(
             ["detect", "--input", str(scene_dir / "clip.evd"),
@@ -729,8 +740,13 @@ def detect_calls(draw):
             events.append((t_start, 0, 0, draw(st.integers(2, 255))))
     elif poison == "file":
         lines.insert(draw(st.integers(3, len(lines))), draw(st.sampled_from(CSV_BAD_LINES)))
-    elif poison == "geometry":  # CSV input lacks it, binary input contradicts its header
-        geometry = [f"--width={width + 1}", f"--height={height}"] if binary else []
+    elif poison == "geometry":
+        # CSV input lacks it, binary input contradicts its header, or either gets one side only.
+        geometry = draw(st.sampled_from([
+            [f"--width={width + 1}", f"--height={height}"] if binary else [],
+            [f"--width={width}"],
+            [f"--height={height}"],
+        ]))
     elif poison == "missing":
         argv[1] = "--input={root}/absent.evd"
     elif poison == "directory":

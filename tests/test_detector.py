@@ -490,6 +490,51 @@ class TestArrayPipeline:
             sizes.add((len(result.clusters), len(result.detections)))
         assert {(80, 8), (1, 1)} <= sizes
 
+    def test_builds_its_records_only_when_they_are_read(self, monkeypatch):
+        # At reach 0 each of the lattice's 2 000 regions is a cluster; at the
+        # default reach they form one. tau_p 0 refines every top-K cluster.
+        calls = dict.fromkeys(["regions", "clusters", "scores"], 0)
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(saliency.Labels, "regions", counted("regions", saliency.Labels.regions))
+        monkeypatch.setattr(
+            detector, "_cluster_records", counted("clusters", detector._cluster_records)
+        )
+        monkeypatch.setattr(
+            RegionScores, "__post_init__", counted("scores", RegionScores.__post_init__)
+        )
+        lattice = lattice_period()
+        for config in (DetectorConfig(d_merge=0.0, tau_p=0), DetectorConfig(tau_p=0)):
+            clusters, detections = record_path(lattice, config)
+            smap = saliency_map(lattice, config.slicing_for(lattice)[0])
+            regions = salient_regions(smap, config.tau_s)
+            calls.update(dict.fromkeys(calls, 0))
+            result = run_pipeline(lattice, config)
+            # Each detection checks its scores as one RegionScores, and nothing else is built.
+            assert calls == {"regions": 0, "clusters": 0, "scores": len(detections)}
+            assert len(detections) == min(config.k_top, len(clusters)) > 0
+            assert [(r.bbox, r.pixels.tolist()) for r in result.regions] == [
+                (r.bbox, r.pixels.tolist()) for r in regions
+            ]
+            assert [(c.bbox, c.scores, len(c.members)) for c in result.clusters] == [
+                (c.bbox, c.scores, len(c.members)) for c in clusters
+            ]
+            assert [(c.scores.s_p, c.scores.s_s) for c in result.candidates] == [
+                (d.s_p, d.s_s) for d in detections
+            ]
+            # The clusters hold the very regions, and each candidate is the very cluster.
+            held = {id(r) for r in result.regions}
+            assert all(id(m) in held for c in result.clusters for m in c.members)
+            assert all(c is result.clusters[k] for c, k in zip(result.candidates, result.ranked))
+            for name in ("regions", "clusters", "candidates"):
+                assert getattr(result, name) is getattr(result, name)
+            assert len(result.clusters) == (2000 if config.d_merge == 0 else 1)
+
 
 def gray_map(shape, regions, level=200):
     gray = np.zeros(shape, np.uint8)

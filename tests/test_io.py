@@ -215,6 +215,19 @@ def test_binary_empty_round_trip(tmp_path):
     assert len(loaded) == 0 and loaded.duration == 777
 
 
+def test_binary_duration_past_the_u64_header_field_is_rejected(tmp_path):
+    # A CSV's duration comment can declare any positive duration.
+    source = tmp_path / "long.csv"
+    source.write_text(f"# t_start_us=5\n# duration_us={2**64}\n10,1,1,1\n")
+    path = tmp_path / "a.evd"
+    write_events(make_period([(1, 1, 1, 1)], duration=2**64 - 1), path)
+    assert load_events(path).duration == 2**64 - 1
+    before = path.read_bytes()
+    with pytest.raises(ValidationError, match="2\\*\\*64 - 1, got 18446744073709551616"):
+        write_events(load_events(source, SMALL), path)
+    assert path.read_bytes() == before
+
+
 def test_binary_sensor_mismatch_is_rejected(tmp_path):
     path = tmp_path / "a.evd"
     write_events(make_period([(1, 1, 1, 1)]), path)
