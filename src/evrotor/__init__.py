@@ -10,6 +10,8 @@ which cuts the member components that fall outside the prior's 2-sigma
 ellipse.
 """
 
+import importlib
+
 from .detector import (
     Cluster,
     Detection,
@@ -45,7 +47,6 @@ from .io import (
     write_detections,
     write_events,
 )
-from .metrics import MetricsReport, evaluate_dataset, match_detections
 from .saliency import (
     Region,
     SaliencyMap,
@@ -53,17 +54,26 @@ from .saliency import (
     saliency_map,
     threshold_mask,
 )
-from .synth import (
-    BackgroundSpec,
-    PropellerSpec,
-    SynthScene,
-    benchmark_period,
-    generate_background_events,
-    generate_propeller_events,
-    generate_scene,
-)
 
 __version__ = "0.1.0"
+
+# The scene generator's and the metrics' names load their module on first
+# use, so detecting alone imports neither.
+_LAZY = {
+    "metrics": ("MetricsReport", "evaluate_dataset", "match_detections"),
+    "synth": (
+        "BackgroundSpec", "PropellerSpec", "SynthScene", "benchmark_period",
+        "generate_background_events", "generate_propeller_events", "generate_scene",
+    ),
+}
+
+
+def __getattr__(name: str) -> object:
+    for module, names in _LAZY.items():
+        if name in names:
+            return getattr(importlib.import_module(f".{module}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AnnotationRecord",

@@ -17,14 +17,6 @@ from .detector import Detection, run_pipeline
 from .errors import ConfigurationError, EvrotorError
 from .events import DetectorConfig, SensorGeometry
 from .io import load_events, write_annotation, write_detections, write_events, write_pgm
-from .metrics import evaluate_dataset
-from .synth import (
-    BackgroundSpec,
-    PropellerSpec,
-    SynthScene,
-    benchmark_period,
-    generate_scene,
-)
 
 _EXIT_OK = 0
 _EXIT_INVALID = 1
@@ -66,41 +58,26 @@ def _config_from(args: argparse.Namespace) -> DetectorConfig:
     return DetectorConfig(**{f.name: getattr(args, f.name) for f in fields(DetectorConfig)})
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="evrotor",
-        description="Training-free rotor detection in event-camera streams.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser that adds its flags (``add_flags``) when it first
+    parses, so that building the CLI's parser loads no module that only
+    those flags read: ``detect`` never imports the scene generator."""
 
-    detect = sub.add_parser(
-        "detect",
-        help="detect rotors in event files",
-        formatter_class=_DefaultsFormatter,
-    )
-    detect.add_argument("--input", nargs="+", required=True,
-                        help="event file(s), CSV or binary")
-    detect.add_argument("--width", type=int, default=None,
-                        help="sensor width, required for CSV input")
-    detect.add_argument("--height", type=int, default=None,
-                        help="sensor height, required for CSV input")
-    _add_config_flags(detect)
-    detect.add_argument("--output", default=None,
-                        help="detections JSON path, or a directory for several inputs "
-                             "(default: alongside each input)")
-    detect.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for several inputs")
-    detect.add_argument("--dump-saliency", default=None, metavar="PGM",
-                        help="write the saliency map as binary PGM (single input only)")
-    detect.add_argument("--dump-features", default=None, metavar="CSV",
-                        help="write candidate feature series as CSV (single input only)")
-    detect.set_defaults(func=cmd_detect)
+    def __init__(self, *args, add_flags=None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._add_flags = add_flags
 
-    synth = sub.add_parser(
-        "synth",
-        help="generate a synthetic scene with ground truth",
-        formatter_class=_DefaultsFormatter,
-    )
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_flags is not None:
+            self._add_flags(self)
+            self._add_flags = None
+        return super().parse_known_args(args, namespace)
+
+
+def _add_scene_flags(synth: argparse.ArgumentParser) -> None:
+    # The scene flags default to the scene specs' own defaults.
+    from .synth import BackgroundSpec, PropellerSpec, SynthScene
+
     synth.add_argument("--out-events", required=True,
                        help="event output path; .evd or .bin selects binary, else CSV")
     synth.add_argument("--out-gt", default=None,
@@ -128,6 +105,44 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--seed", type=int, default=SynthScene.seed,
                        help="random seed; one seed always writes the same bytes")
     synth.set_defaults(func=cmd_synth)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="evrotor",
+        description="Training-free rotor detection in event-camera streams.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+
+    detect = sub.add_parser(
+        "detect",
+        help="detect rotors in event files",
+        formatter_class=_DefaultsFormatter,
+    )
+    detect.add_argument("--input", nargs="+", required=True,
+                        help="event file(s), CSV or binary")
+    detect.add_argument("--width", type=int, default=None,
+                        help="sensor width, required for CSV input")
+    detect.add_argument("--height", type=int, default=None,
+                        help="sensor height, required for CSV input")
+    _add_config_flags(detect)
+    detect.add_argument("--output", default=None,
+                        help="detections JSON path, or a directory for several inputs "
+                             "(default: alongside each input)")
+    detect.add_argument("--jobs", type=int, default=1,
+                        help="worker processes for several inputs")
+    detect.add_argument("--dump-saliency", default=None, metavar="PGM",
+                        help="write the saliency map as binary PGM (single input only)")
+    detect.add_argument("--dump-features", default=None, metavar="CSV",
+                        help="write candidate feature series as CSV (single input only)")
+    detect.set_defaults(func=cmd_detect)
+
+    sub.add_parser(
+        "synth",
+        help="generate a synthetic scene with ground truth",
+        formatter_class=_DefaultsFormatter,
+        add_flags=_add_scene_flags,
+    )
 
     evaluate = sub.add_parser(
         "eval",
@@ -246,6 +261,8 @@ def _parse_center(text: str) -> tuple[int, int]:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import BackgroundSpec, PropellerSpec, SynthScene, generate_scene
+
     sensor = SensorGeometry(args.width, args.height)
     propellers: tuple[PropellerSpec, ...] = ()
     if not args.background_only:
@@ -283,6 +300,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .metrics import evaluate_dataset
+
     report = evaluate_dataset(args.pred, args.gt, args.iou)
     print(report.table())
     if args.json:
@@ -293,6 +312,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .synth import benchmark_period
+
     if args.reps < 1:
         raise ConfigurationError(f"reps must be at least 1, got {args.reps}")
     period, _ = benchmark_period(args.events, seed=args.seed)

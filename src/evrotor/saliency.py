@@ -11,17 +11,20 @@ The counts come from one sorted integer key per event, its (slice, row,
 column) cell id from ``events.bin_events`` with the polarity as the lowest
 bit, rather than from per-slice pixel grids. The keys are formed and sorted
 one block of whole slices (``events.slice_blocks``) at a time, and only the
-pixel ids of a block's hit cells outlive it. Once the held ids reach a
-fixed budget, and after the last block, they are folded into per-pixel
-counts. So working memory follows one block, one budget of held ids and
-the hit pixels: never the whole period's events, never slices times pixels,
-never slices times hit pixels. The map itself holds only the hit pixels,
-those with at least one salient slice: their sorted flat ids, in the id
-dtype of ``events.id_dtype``, int32 counts and gray, and checks its ids
-and counts by ``events.id_count_views``, as the local slices check theirs.
-Every other pixel reads 0, and the dense gray grid is built only when asked
-for, so nothing on the detection path grows with the sensor's height times
-its width.
+pixel ids of a block's hit cells outlive it. A hit cell's two keys differ
+in the lowest bit only. The hit test writes the low byte of each pair of
+neighbouring keys' XOR, one byte per key, and checks exactly only the
+pairs whose byte reads 1, so a block holds its keys plus one byte per key.
+Once the held ids reach a fixed budget, and after the last block, they are
+folded into per-pixel counts. So working memory follows one block, one
+budget of held ids and the hit pixels: never the whole period's events,
+never slices times pixels, never slices times hit pixels. The map itself
+holds only the hit pixels, those with at least one salient slice: their
+sorted flat ids, in the id dtype of ``events.id_dtype``, int32 counts and
+gray, and checks its ids and counts by ``events.id_count_views``, as the
+local slices check theirs. Every other pixel reads 0, and the dense gray
+grid is built only when asked for, so nothing on the detection path grows
+with the sensor's height times its width.
 
 Labeling takes the sorted flat ids of the salient pixels, those whose gray
 exceeds the threshold, and reads their horizontal runs from the ids, with
@@ -209,9 +212,13 @@ def saliency_map(period: EventPeriod, n: int) -> SaliencyMap:
     polarities exactly when an even key 2c is followed directly by 2c + 1,
     that is, when two neighbouring keys differ in the lowest bit only; so
     each cell counts once, and only the hit cells' pixel ids outlive their
-    block. Once the held ids number ``events._FLUSH_EVENTS``, or the hit
-    pixels found so far when those are more, and after the last block,
-    ``_fold`` sorts them together with those pixels into per-pixel counts.
+    block. The test writes only the low byte of each neighbouring pair's
+    XOR, one int8 per key, which reads 1 at every hit. Only the pairs where
+    it does are checked exactly, as k + 1 == next key: an odd k's XOR with
+    k + 1 is 2**j - 1 for some j >= 2, whose low byte is never 1. Once the
+    held ids number ``events._FLUSH_EVENTS``, or the hit pixels found so
+    far when those are more, and after the last block, ``_fold`` sorts them
+    together with those pixels into per-pixel counts.
     So the walk holds one block, one budget of ids and the hit pixels, and
     all folds together sort at most twice the hit cells plus the hit pixels.
     The map renders the counts' gray and holds nothing else. The slice count
@@ -228,8 +235,13 @@ def saliency_map(period: EventPeriod, n: int) -> SaliencyMap:
         key = bin_events(period, n, sensor, slice(lo, hi), starts=starts, bits=1)
         key |= period.p[lo:hi]
         key.sort()
-        hits = key[np.flatnonzero((key[1:] ^ key[:-1]) == 1)]
-        del key  # before the next block's key exists
+        low = np.empty_like(key[1:], np.int8)  # the XOR's low byte, then its == 1 mask
+        np.bitwise_xor(key[1:], key[:-1], out=low, casting="unsafe")
+        at = np.flatnonzero(np.equal(low, 1, out=low.view(bool)))
+        del low  # before the candidates are checked
+        hits = key[at]
+        hits = hits[key[1:][at] == hits + 1]
+        del key, at  # before the next block's key exists
         hits >>= 1
         hits %= height * width
         held.append(hits)

@@ -56,6 +56,24 @@ def scene_dir(tmp_path_factory):
     return root
 
 
+def loaded_by_detect(scene_dir, tmp_path, modules):
+    """Whether each of ``modules`` is loaded after one detect run in a fresh interpreter."""
+    script = f"""
+import json, sys
+from evrotor import cli
+assert cli.main(["detect", "--input", {str(scene_dir / "clip.evd")!r},
+                 "--output", {str(tmp_path / "d.json")!r}]) == 0
+print(json.dumps([name in sys.modules for name in {modules!r}]))
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestDetect:
     def test_csv_input_writes_detection_json(self, scene_dir, tmp_path, capsys):
         out = tmp_path / "dets.json"
@@ -390,20 +408,11 @@ class TestDetect:
             assert replace(config, **{name: getattr(defaults, name)}) == defaults, name
 
     def test_one_worker_loads_no_process_pool(self, scene_dir, tmp_path):
-        script = f"""
-import sys
-from evrotor import cli
-assert cli.main(["detect", "--input", {str(scene_dir / "clip.evd")!r},
-                 "--output", {str(tmp_path / "d.json")!r}]) == 0
-print("concurrent.futures" in sys.modules)
-"""
-        src = str(Path(cli.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert loaded_by_detect(scene_dir, tmp_path, ["concurrent.futures"]) == [False]
+
+    def test_detect_loads_no_generator_or_metrics(self, scene_dir, tmp_path):
+        modules = ["evrotor.synth", "evrotor.metrics"]
+        assert loaded_by_detect(scene_dir, tmp_path, modules) == [False, False]
 
     def test_help_lists_the_thresholds(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -345,7 +345,7 @@ class TestBounds:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4_000_000
+        assert peak < 500_000
         assert dense_counts(smap).sum() > 0
 
     @pytest.mark.parametrize(
