@@ -127,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sensor height, required for CSV input")
     _add_config_flags(detect)
     detect.add_argument("--output", default=None,
-                        help="detections JSON path, or a directory for several inputs "
-                             "(default: alongside each input)")
+                        help="detections JSON path, or a directory for several inputs or one "
+                             "ending in a path separator (default: alongside each input)")
     detect.add_argument("--jobs", type=int, default=1,
                         help="worker processes for several inputs")
     detect.add_argument("--dump-saliency", default=None, metavar="PGM",
@@ -212,7 +212,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
         raise ConfigurationError("--width and --height must be given together")
 
     out_arg = None if args.output is None else Path(args.output)
-    if out_arg is not None and len(inputs) > 1:
+    # Path drops a trailing separator, which names a directory.
+    if out_arg is not None and (len(inputs) > 1 or args.output[-1:] in (os.sep, os.altsep)):
         out_arg.mkdir(parents=True, exist_ok=True)
     out_paths = [
         p.with_suffix(".json") if out_arg is None

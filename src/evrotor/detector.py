@@ -132,7 +132,7 @@ def cluster_regions(regions: list[Region], d_merge: float) -> list[Cluster]:
     and their members are sorted by (y, x, h, w); members with equal boxes
     keep their input order.
     """
-    DetectorConfig(d_merge=d_merge)  # raises on a reach the config refuses
+    d_merge = DetectorConfig(d_merge=d_merge).d_merge  # raises on a reach the config refuses
     boxes = np.array([r.bbox.as_tuple() for r in regions], np.int64).reshape(-1, 4)
     return _cluster_records(regions, *_cluster_boxes(boxes, d_merge))
 

@@ -314,7 +314,8 @@ class DetectorConfig:
     period: one saliency slice per millisecond of duration and two feature
     slices per millisecond, at least 2 and 4. The milliseconds are the
     duration in us rounded in integers, halves up: (duration + 500) // 1000,
-    so 1 500 us gives 2 and 2 500 us gives 3. A stage function given a raw parameter checks it
+    so 1 500 us gives 2 and 2 500 us gives 3. The counts load as ints and
+    ``d_merge`` as a float. A stage function given a raw parameter checks it
     by building a config from it, so it raises this class's error.
     """
 
@@ -343,6 +344,10 @@ class DetectorConfig:
             raise ConfigurationError(f"k_top must be at least 1, got {self.k_top}")
         if not (isinstance(self.d_merge, numbers.Real) and self.d_merge >= 0):  # also rejects NaN
             raise ConfigurationError(f"d_merge must be non-negative, got {self.d_merge!r}")
+        try:  # a float, so that no reach added to an int64 box edge wraps
+            object.__setattr__(self, "d_merge", float(self.d_merge))
+        except OverflowError:
+            raise ConfigurationError("d_merge must be at most the largest float, ~1.8e308") from None
         if self.smooth_window < 1 or self.smooth_window % 2 == 0:
             raise ConfigurationError(
                 f"smooth_window must be an odd integer >= 1, got {self.smooth_window}"
@@ -433,12 +438,12 @@ def bin_events(
     period: EventPeriod,
     k: int,
     window: BBox,
-    index: np.ndarray | slice | None = None,
+    index: np.ndarray | slice,
     *,
     starts: np.ndarray | None = None,
     bits: int = 0,
 ) -> np.ndarray:
-    """Cell ids of the events ``index`` (all when None) for a k-way split over a window.
+    """Cell ids of the events ``index`` for a k-way split over a window.
 
     An event inside the window falls in slice (t - t_start) * k // duration,
     and its cell (slice, y, x) in window coordinates gets the id
@@ -457,8 +462,6 @@ def bin_events(
     every Horner step runs in that dtype, so none wraps.
     """
     dtype = _id_dtype(period, k, (window.h * window.w) << bits, 2, "slice count")
-    if index is None:
-        index = slice(0, period.t.size)
     if starts is None:
         key = period.t[index] - period.t_start
         key *= k

@@ -42,7 +42,7 @@ from .errors import ConfigurationError, DegenerateInputError, ValidationError
 from . import events
 from .events import BBox, DetectorConfig, EventPeriod, SensorGeometry, bin_events, frozen_view
 from .events import finite_real, id_count_views, slice_blocks, whole_fields, whole_numbers
-from .saliency import Region, SaliencyMap, gray_at, run_bounds, sorted_runs
+from .saliency import Region, SaliencyMap, gray_at, run_bounds
 
 
 class PrincipalDirection(NamedTuple):
@@ -234,15 +234,13 @@ def _window_batches(
         events._id_dtype(period, m, window.h * window.w, 4, "local slice count")
     starts, cuts = slice_blocks(period, m)
     pending: list[list[np.ndarray]] = [[] for _ in windows]
-    held = [0 for _ in windows]
-    total = 0  # sum(held)
+    total = 0  # the keys in pending
 
     def batch(k: int) -> tuple[int, np.ndarray, np.ndarray]:
         key = _joined(pending[k])
-        held[k] = 0
         key.sort()
-        cells, counts = sorted_runs(key, np.int32)
-        return k, cells, counts
+        first, counts = run_bounds(key)
+        return k, key[first], counts
 
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         for k, window in enumerate(windows):
@@ -250,12 +248,12 @@ def _window_batches(
             if not index.size:
                 continue
             pending[k].append(bin_events(period, m, window, index, starts=starts))
-            held[k] += index.size
             total += index.size
             del index
             while total >= events._FLUSH_EVENTS:
-                largest = held.index(max(held))  # the lowest k on a tie
-                total -= held[largest]
+                sizes = [sum(key.size for key in keys) for keys in pending]
+                largest = sizes.index(max(sizes))  # the lowest k on a tie
+                total -= sizes[largest]
                 yield batch(largest)
     for k in range(len(windows)):
         if pending[k]:

@@ -172,23 +172,18 @@ def box_order(boxes: np.ndarray) -> np.ndarray:
     return np.lexsort((boxes[:, 2], boxes[:, 3], boxes[:, 0], boxes[:, 1]))
 
 
-def sorted_runs(ids: np.ndarray, dtype: type = np.intp) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of a sorted id array and how often each occurs, in ``dtype``."""
-    starts, lengths = run_bounds(ids, dtype)
-    return ids[starts], lengths
-
-
-def run_bounds(ids: np.ndarray, dtype: type = np.intp) -> tuple[np.ndarray, np.ndarray]:
-    """Where each run of equal values of a sorted id array starts, and its length in ``dtype``.
+def run_bounds(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of equal values of a sorted id array starts, and its int32 length.
 
     A run of equal ids starts at the first id and wherever the id changes.
+    No caller's run reaches 2**31 ids.
     """
     change = np.empty(ids.size, dtype=bool)
     change[:1] = True
     np.not_equal(ids[1:], ids[:-1], out=change[1:])
     starts = np.flatnonzero(change)
     del change
-    lengths = np.empty(starts.size, dtype)
+    lengths = np.empty(starts.size, np.int32)
     np.subtract(starts[1:], starts[:-1], out=lengths[:-1], casting="unsafe")
     lengths[-1:] = ids.size - starts[-1:]
     return starts, lengths
@@ -274,7 +269,7 @@ def _fold(
     odd = np.empty(tags.size, bool)
     np.bitwise_and(tags, 1, out=odd, casting="unsafe")
     tags >>= 1
-    starts, lengths = run_bounds(tags, np.int32)
+    starts, lengths = run_bounds(tags)
     pixels = tags[starts].astype(ids.dtype, copy=False)
     del tags  # before the arrays of the count update
     known = np.flatnonzero(~odd[starts])  # indexes, far faster than a scattered bool mask
@@ -306,23 +301,19 @@ def gray_at(smap: SaliencyMap, pixels: np.ndarray) -> np.ndarray:
 def threshold_mask(smap: SaliencyMap, tau_s: int) -> np.ndarray:
     """The dense (height, width) mask of the pixels whose gray strictly exceeds tau_s.
 
-    For inspection; ``salient_regions`` labels the same pixels without it.
+    For inspection; ``salient_labels(...).regions()`` labels the same pixels without it.
     """
     DetectorConfig(tau_s=tau_s)  # raises on a threshold the config refuses
     return smap.gray > tau_s
 
 
-def salient_regions(smap: SaliencyMap, tau_s: int) -> list[Region]:
-    """8-connected components of the pixels whose gray strictly exceeds tau_s.
-
-    Labels the salient hit ids directly, so no (height, width) array is
-    formed. The regions are those of ``connected_components(threshold_mask(smap, tau_s))``.
-    """
-    return salient_labels(smap, tau_s).regions()
-
-
 def salient_labels(smap: SaliencyMap, tau_s: int) -> Labels:
-    """The labeler's arrays of ``salient_regions``, each pixel's gray read beside its id."""
+    """8-connected components of the pixels whose gray strictly exceeds tau_s, as arrays.
+
+    Labels the salient hit ids directly, each pixel's gray read beside its
+    id, so no (height, width) array is formed. ``regions()`` gives the
+    regions of ``connected_components(threshold_mask(smap, tau_s))``.
+    """
     DetectorConfig(tau_s=tau_s)  # raises on a threshold the config refuses
     salient = smap.hit_gray > tau_s
     return _label(smap.ids[salient], smap.hit_gray[salient], smap.shape[1])
@@ -348,7 +339,7 @@ def connected_components(mask: np.ndarray) -> list[Region]:
     """8-connected components of a binary mask, ordered by bbox top-left.
 
     Labels the sorted flat ids of the mask's set pixels, as
-    ``salient_regions`` labels a map's salient pixels.
+    ``salient_labels(...).regions()`` labels a map's salient pixels.
     """
     m = np.asarray(mask)
     if m.ndim != 2:

@@ -289,6 +289,18 @@ class TestDetect:
         assert (out_dir / "clip.json").exists()
         assert stdout.count("detection(s)") == 2
 
+    def test_one_input_to_an_output_ending_in_a_separator_lands_in_that_directory(
+        self, scene_dir, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "new" / "out"
+        code, stdout, _ = run_cli(
+            ["detect", "--input", str(scene_dir / "clip.evd"), "--output", f"{out_dir}{os.sep}"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads((out_dir / "clip.json").read_text())["file"] == "clip.evd"
+        assert f"-> {out_dir / 'clip.json'}" in stdout
+
     def test_single_and_batch_runs_write_identical_json(self, scene_dir, tmp_path, capsys):
         clip = scene_dir / "clip.evd"
         other = tmp_path / "other.evd"

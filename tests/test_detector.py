@@ -41,7 +41,7 @@ from evrotor import (
 )
 from evrotor import detector, features, saliency
 from evrotor.features import _periodicity_flags, _window_features
-from evrotor.saliency import salient_regions
+from evrotor.saliency import salient_labels
 from evrotor.metrics import iou
 
 from conftest import VGA, make_period
@@ -156,6 +156,18 @@ class TestClustering:
         for d_merge in (-1.0, float("nan")):
             with pytest.raises(ConfigurationError):
                 cluster_regions([rect_region(0, 0, 2, 2)], d_merge)
+
+    def test_integer_reach_past_int64_merges_as_a_large_float(self):
+        # Added to int64 box edges, an int reach would wrap (2**63 - 1) or
+        # fail to convert (2**70); the config loads it as a float.
+        period, _ = benchmark_period(50_000, seed=1)
+        regions = salient_labels(saliency_map(period, 20), 50).regions()
+        want = [c.bbox for c in cluster_regions(regions, 1e6)]
+        for d_merge in (2**63 - 1, 2**70):
+            assert DetectorConfig(d_merge=d_merge).d_merge == float(d_merge)
+            assert [c.bbox for c in cluster_regions(regions, d_merge)] == want
+            result = run_pipeline(period, DetectorConfig(d_merge=d_merge))
+            assert [c.bbox for c in result.clusters] == want
 
     def test_zero_reach_merges_only_touching_boxes(self):
         regions = [
@@ -413,12 +425,12 @@ class TestCoarseStage:
 def record_path(period, config):
     """Clusters and detections by the public one-record calls, ranked as ``run_pipeline`` ranks.
 
-    ``salient_regions``, ``cluster_regions``, ``saliency_score`` per member and
+    ``salient_labels(...).regions()``, ``cluster_regions``, ``saliency_score`` per member and
     ``gaussian_fine_refine`` per candidate, each reading gray by ``gray_at``.
     """
     n, m = config.slicing_for(period)
     smap = saliency_map(period, n)
-    clusters = cluster_regions(salient_regions(smap, config.tau_s), config.d_merge)
+    clusters = cluster_regions(salient_labels(smap, config.tau_s).regions(), config.d_merge)
     mass = [sum(saliency_score(region, smap) for region in c.members) for c in clusters]
     top = sorted(range(len(clusters)), key=lambda k: (-mass[k], -clusters[k].area))[: config.k_top]
     windows = _window_features(period, [clusters[k].bbox for k in top], m, config.region_margin)
@@ -512,7 +524,7 @@ class TestArrayPipeline:
         for config in (DetectorConfig(d_merge=0.0, tau_p=0), DetectorConfig(tau_p=0)):
             clusters, detections = record_path(lattice, config)
             smap = saliency_map(lattice, config.slicing_for(lattice)[0])
-            regions = salient_regions(smap, config.tau_s)
+            regions = salient_labels(smap, config.tau_s).regions()
             calls.update(dict.fromkeys(calls, 0))
             result = run_pipeline(lattice, config)
             # Each detection checks its scores as one RegionScores, and nothing else is built.

@@ -25,7 +25,7 @@ from evrotor import (
 )
 from evrotor.events import bin_events, slice_blocks, slice_starts
 from evrotor.features import dilated_window, moving_average
-from evrotor.saliency import salient_regions
+from evrotor.saliency import salient_labels
 from evrotor.synth import PropellerSpec, generate_propeller_events
 
 from conftest import SMALL, make_period
@@ -284,6 +284,7 @@ class TestDetectorConfig:
             {"d_merge": float("nan")},
             {"d_merge": None},
             {"d_merge": "50"},
+            {"d_merge": 10**400},  # no float holds it
         ],
     )
     def test_rejects_out_of_range_values(self, kwargs):
@@ -316,7 +317,7 @@ class TestDetectorConfig:
         "field, value, stage",
         [
             ("tau_s", 256, lambda v: threshold_mask(EMPTY_MAP, v)),
-            ("tau_s", -1, lambda v: salient_regions(EMPTY_MAP, v)),
+            ("tau_s", -1, lambda v: salient_labels(EMPTY_MAP, v)),
             ("d_merge", -1.0, lambda v: cluster_regions([], v)),
             ("d_merge", float("nan"), lambda v: cluster_regions([], v)),
             ("region_margin", -1, lambda v: dilated_window(BBox(1, 1, 2, 2), v, SMALL)),
@@ -343,8 +344,11 @@ class TestDetectorConfig:
         [
             (lambda v: saliency_map(ROTOR, v).hit_gray.tolist(), 4),
             (lambda v: threshold_mask(ROTOR_MAP, v).tolist(), 50),
-            (lambda v: [r.bbox for r in salient_regions(ROTOR_MAP, v)], 50),
-            (lambda v: [c.bbox for c in cluster_regions(salient_regions(ROTOR_MAP, 50), v)], 2),
+            (lambda v: [r.bbox for r in salient_labels(ROTOR_MAP, v).regions()], 50),
+            (
+                lambda v: [c.bbox for c in cluster_regions(salient_labels(ROTOR_MAP, 50).regions(), v)],
+                2,
+            ),
             (lambda v: dilated_window(BBox(1, 1, 2, 2), v, SMALL), 1),
             (lambda v: extract_local_slices(ROTOR, BBox(20, 12, 24, 24), v).cells.tolist(), 8),
             (lambda v: extract_local_slices(ROTOR, BBox(20, 12, 24, 24), 8, v).cells.tolist(), 1),
@@ -410,7 +414,7 @@ class TestBinEvents:
         tracemalloc.start()
         try:
             for bits in (0, 1):
-                ids = bin_events(period, 2, window, bits=bits)
+                ids = bin_events(period, 2, window, slice(None), bits=bits)
                 assert ids.dtype == np.int64
                 assert ids.tolist() == python_ids(rows, 0, 1000, 2, window, bits)
             peak = tracemalloc.get_traced_memory()[1]
@@ -428,7 +432,7 @@ class TestBinEvents:
         period = make_period(rows, sensor=sensor, duration=duration)
         window = BBox(20, 30, 256, 128)
         for k, dtype in ((2**15 - 1, np.int32), (2**15, np.int32 if bits == 0 else np.int64)):
-            ids = bin_events(period, k, window, bits=bits)
+            ids = bin_events(period, k, window, slice(None), bits=bits)
             assert ids.dtype == dtype
             assert ids.tolist() == python_ids(rows, 0, duration, k, window, bits)
 
@@ -436,7 +440,7 @@ class TestBinEvents:
         # 2**31 slices of a 2**31 x 2**31 window reach 2**93, though time alone fits
         period = make_period([], duration=2**31)
         with pytest.raises(ConfigurationError, match="overflows"):
-            bin_events(period, 2**31, BBox(0, 0, 2**31, 2**31))
+            bin_events(period, 2**31, BBox(0, 0, 2**31, 2**31), slice(None))
 
     @given(st.data())
     def test_ids_match_python_ints_on_both_sides_of_the_slice_search(self, data):
@@ -465,8 +469,7 @@ class TestBinEvents:
             k = data.draw(st.integers(max(2, len(binned) + 1), duration))
         bits = data.draw(st.integers(0, 1))
         period = make_period(rows, t_start=t_start, duration=duration)
-        if index is not None:
-            index = np.array(index, dtype=np.intp)
+        index = slice(None) if index is None else np.array(index, dtype=np.intp)
         starts = slice_starts(period, k) if k <= len(binned) else None
         ids = bin_events(period, k, window, index, starts=starts, bits=bits)
         assert ids.tolist() == python_ids(binned, t_start, duration, k, window, bits)
@@ -504,7 +507,8 @@ class TestBinEvents:
         starts = slice_starts(period, 2)
         assert starts.tolist() == [0, 3, 3]
         for known in (None, starts):
-            assert bin_events(period, 2, BBox(1, 1, 1, 1), starts=known).tolist() == [0, 0, 0]
+            whole = bin_events(period, 2, BBox(1, 1, 1, 1), slice(None), starts=known)
+            assert whole.tolist() == [0, 0, 0]
             index = np.array([0, 2])
             assert bin_events(period, 2, BBox(1, 1, 1, 1), index, starts=known).tolist() == [0, 0]
 
@@ -514,7 +518,7 @@ class TestBinEvents:
                              duration=2**24)
         tracemalloc.start()
         try:
-            ids = bin_events(period, 2**24, BBox(1, 1, 1, 1))
+            ids = bin_events(period, 2**24, BBox(1, 1, 1, 1), slice(None))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -247,7 +247,55 @@ def walked(period, boxes, m, margin):
     ]
 
 
+def flush_order(period, windows, m):
+    """The window of each batch the walk yields, by its rule in plain Python.
+
+    Every window of a block adds its positive events inside it to its pending
+    count, in window order. Once the pending counts total at least
+    ``events._FLUSH_EVENTS``, the window with the most (the lowest k on a tie)
+    flushes them, until they total less. At the end each window that still
+    holds some flushes, in window order.
+    """
+    _, cuts = slice_blocks(period, m)
+    x, y, p = (col.tolist() for col in (period.x, period.y, period.p))
+    pending, order = [0] * len(windows), []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        for k, w in enumerate(windows):
+            pending[k] += sum(
+                p[i] == 1 and w.x <= x[i] < w.right and w.y <= y[i] < w.bottom for i in range(lo, hi)
+            )
+            while sum(pending) >= events._FLUSH_EVENTS:
+                largest = pending.index(max(pending))
+                order.append(largest)
+                pending[largest] = 0
+    return order + [k for k, count in enumerate(pending) if count]
+
+
 class TestWindowPass:
+    @pytest.mark.parametrize(
+        "per_slice, want",
+        [((1, 3, 2), [1, 1, 2, 0, 1, 1, 2, 0]), ((2, 2, 2), [0, 0, 1, 2, 0, 0, 1, 2])],
+    )
+    def test_flushes_the_window_with_the_most_pending_keys_first(self, per_slice, want):
+        # Slice j holds per_slice[k] positive events in window k and one
+        # negative one; one slice a block, a budget of 5 keys.
+        windows = [BBox(0, 0, 2, 2), BBox(4, 0, 2, 2), BBox(8, 0, 2, 2)]
+        rows = [
+            (10 * j + i, window.x, window.y, 1)
+            for j in range(4)
+            for window, count in zip(windows, per_slice)
+            for i in range(count)
+        ]
+        rows += [(10 * j + 9, 0, 0, 0) for j in range(4)]
+        period = make_period(rows, duration=40)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(events, "_BLOCK_EVENTS", 1)
+            patch.setattr(events, "_FLUSH_EVENTS", 5)
+            got = [(k, int(counts.sum())) for k, _, counts in _window_batches(period, windows, 4)]
+            assert [k for k, _ in got] == flush_order(period, windows, 4) == want
+        for k, count in enumerate(per_slice):
+            assert sum(n for j, n in got if j == k) == 4 * count
+
     @settings(max_examples=150, deadline=None)
     @example(windowed=(make_period(CORNER_ROWS, duration=40), CORNER_ROWS, 4, CORNER_BOXES, 2))
     @example(windowed=(make_period(CORNER_ROWS, duration=400), CORNER_ROWS, 100, CORNER_BOXES, 0))

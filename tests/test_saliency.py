@@ -35,10 +35,11 @@ from evrotor import (
 from evrotor import events
 from evrotor.events import bin_events
 from evrotor.saliency import (
+    Labels,
     gray_at,
     render_gray,
-    salient_regions,
-    sorted_runs,
+    run_bounds,
+    salient_labels,
     union_roots,
 )
 
@@ -70,7 +71,7 @@ class TestSlicing:
         rows = [(j * 1000 + 37 + dt, 1, 1, p) for j in range(20) for dt, p in ((0, 1), (1, 0))]
         period = make_period(rows, duration=20_000)
         # over a 1x1 window at the events' pixel, the cell id is the slice index
-        ids = bin_events(period, 20, BBox(1, 1, 1, 1))
+        ids = bin_events(period, 20, BBox(1, 1, 1, 1), slice(None))
         assert list(ids) == [j for j in range(20) for _ in (0, 1)]
         smap = saliency_map(period, 20)
         assert smap.n_slices == 20
@@ -78,7 +79,7 @@ class TestSlicing:
 
     def test_event_at_window_start_lands_in_first_slice(self):
         period = make_period([(0, 3, 4, 1)], duration=1000)
-        assert list(bin_events(period, 4, BBox(3, 4, 1, 1))) == [0]
+        assert list(bin_events(period, 4, BBox(3, 4, 1, 1), slice(None))) == [0]
         # the first slice of 4 covers t < 250: a partner at 249 meets it
         # there, one at 250 lands in the second slice and does not
         with_partner = make_period([(0, 3, 4, 1), (249, 3, 4, 0)], duration=1000)
@@ -103,7 +104,7 @@ class TestSlicing:
         period = make_period([], duration=100)
         for n in (1, 101):
             with pytest.raises(ConfigurationError):
-                bin_events(period, n, BBox(0, 0, 1, 1))
+                bin_events(period, n, BBox(0, 0, 1, 1), slice(None))
             with pytest.raises(ConfigurationError):
                 saliency_map(period, n)
 
@@ -256,14 +257,14 @@ class TestBounds:
         # (t - t_start) * n would wrap in int64: 2**40 us at one slice per ms
         long = make_period([(0, 1, 1, 1), (2**40, 2, 2, 0)], duration=2**40 + 1)
         with pytest.raises(ConfigurationError, match="overflows"):
-            bin_events(long, round(2**40 / 1000), BBox(0, 0, 1, 1))
+            bin_events(long, round(2**40 / 1000), BBox(0, 0, 1, 1), slice(None))
         with pytest.raises(ConfigurationError, match="overflows"):
             saliency_map(long, round(2**40 / 1000))
         # just inside the limit the products stay exact
         edge = make_period([(2**62 - 2, 1, 1, 1)], duration=2**62 - 1)
-        assert list(bin_events(edge, 2, BBox(1, 1, 1, 1))) == [1]
+        assert list(bin_events(edge, 2, BBox(1, 1, 1, 1), slice(None))) == [1]
         with pytest.raises(ConfigurationError, match="overflows"):
-            bin_events(make_period([], duration=2**62), 2, BBox(0, 0, 1, 1))
+            bin_events(make_period([], duration=2**62), 2, BBox(0, 0, 1, 1), slice(None))
         # the saliency key 2 * n * H * W would wrap on a huge sensor
         wide = make_period([], sensor=SensorGeometry(65535, 65535), duration=2**31)
         with pytest.raises(ConfigurationError, match="overflows"):
@@ -510,16 +511,16 @@ def caller_and_record_arrays(kind):
     return [pixels], [Detection(s_p=4, s_s=1.0, pixels=pixels).pixels]
 
 
-class TestSortedRuns:
+class TestRunBounds:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(-5, 5), max_size=40))
     def test_matches_unique_counts(self, values):
         ids = np.sort(np.array(values, np.int64))
-        got_ids, got_counts = sorted_runs(ids)
+        starts, lengths = run_bounds(ids)
         want_ids, want_counts = np.unique(ids, return_counts=True)
-        assert got_ids.tolist() == want_ids.tolist()
-        assert got_counts.tolist() == want_counts.tolist()
-        assert got_counts.dtype == np.intp
+        assert ids[starts].tolist() == want_ids.tolist()
+        assert lengths.tolist() == want_counts.tolist()
+        assert lengths.dtype == np.int32
 
 
 class TestThreshold:
@@ -683,7 +684,7 @@ class TestComponents:
     @example(connected_components(np.random.default_rng(6).random((40, 50)) < 0.3))
     @given(st.one_of(
         npst.arrays(bool, npst.array_shapes(min_dims=2, max_dims=2, max_side=48)).map(connected_components),
-        st.builds(salient_regions, sparse_maps(), st.integers(0, 254)),
+        st.builds(salient_labels, sparse_maps(), st.integers(0, 254)).map(Labels.regions),
     ))
     def test_labelled_regions_survive_reconstruction(self, regions):
         # The labeler's fast path builds the box that the constructor derives.
@@ -726,7 +727,7 @@ class TestSalientRegions:
     @given(rows=rows_strategy(max_size=120), n=st.integers(2, 6), tau=st.integers(0, 200))
     def test_matches_the_dense_mask(self, rows, n, tau):
         smap = saliency_map(make_period(rows), n)
-        regions = salient_regions(smap, tau)
+        regions = salient_labels(smap, tau).regions()
         assert_same_regions(regions, connected_components(threshold_mask(smap, tau)))
         if regions:
             dense = smap.gray
@@ -737,7 +738,7 @@ class TestSalientRegions:
     def test_gray_of_another_map_is_looked_up(self):
         rows = [(10, 5, 5, 1), (12, 5, 5, 0), (10, 6, 5, 1), (12, 6, 5, 0)]
         smap = saliency_map(make_period(rows, duration=1000), 2)
-        pixels = np.concatenate([r.pixels for r in salient_regions(smap, 0)])
+        pixels = np.concatenate([r.pixels for r in salient_labels(smap, 0).regions()])
         gray = np.zeros(SMALL.shape, np.uint8)
         gray[5, 5], gray[5, 7] = 40, 90
         other = sparse_saliency(gray)
@@ -747,7 +748,7 @@ class TestSalientRegions:
     def test_rejects_out_of_range_threshold(self):
         smap = saliency_map(make_period([], duration=1000), 2)
         with pytest.raises(ConfigurationError):
-            salient_regions(smap, -1)
+            salient_labels(smap, -1)
 
     def test_labeling_memory_per_salient_pixel(self):
         """Four disks, 20 100 salient pixels: int64 coordinates and their stacked copy took 43 B each."""
@@ -759,7 +760,7 @@ class TestSalientRegions:
         smap = sparse_saliency(gray)
         tracemalloc.start()
         try:
-            regions = salient_regions(smap, 100)
+            regions = salient_labels(smap, 100).regions()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -858,13 +859,13 @@ class TestNarrowIds:
             [(W - 3, H - 3), (W - 2, H - 2), (W - 1, H - 2), (W - 2, H - 1), (W - 1, H - 1)],
             [(0, H - 1)],
         ]
-        regions = salient_regions(smap, 0)
+        regions = salient_labels(smap, 0).regions()
         assert [r.pixels.tolist() for r in regions] == [[list(px) for px in group] for group in want]
         assert [r.bbox.as_tuple() for r in regions] == [
             (W - 1, 2**15, 1, 1), (0, 2**15 + 1, 1, 1), (W - 3, H - 3, 3, 3), (0, H - 1, 1, 1),
         ]
         # tau 64 drops the one-slice pixels, gray 64: a lone one and a corner of the corner region
-        assert [r.bbox.as_tuple() for r in salient_regions(smap, 64)] == [
+        assert [r.bbox.as_tuple() for r in salient_labels(smap, 64).regions()] == [
             (0, 2**15 + 1, 1, 1), (W - 3, H - 3, 3, 3), (0, H - 1, 1, 1),
         ]
         misses = [(W - 1, H - 3), (W - 3, H - 1), (0, 0), (W - 1, 0), (1, H - 1)]
